@@ -21,8 +21,6 @@ from . import reporting
 from .arithmetic import build_sieve
 from .errors import DirichletLabError
 
-_NEEDS_TABLE = {"dgamma", "mangoldt", "mangoldt_over_log", "prime_indicator", "besov"}
-
 
 class UsageError(Exception):
     pass
@@ -77,7 +75,7 @@ def _load_weight(args, cfg, default_n=None):
     if n < 2:
         raise UsageError(f"--N must be >= 2, got {n}")
     params = _weight_params(args, cfg)
-    table = build_sieve(n) if name in _NEEDS_TABLE else None
+    table = build_sieve(n) if name in W.NEEDS_TABLE else None
     return W.catalog(name, n, table=table, **params), table
 
 
@@ -247,7 +245,7 @@ def cmd_embed(args, cfg):
                       _opt(args, cfg, "b", 1.0, cast=float),
                       _opt(args, cfg, "sigma_cap", 1.0, cast=float))
     params = _weight_params(args, cfg)
-    table = build_sieve(max(n_list)) if name in _NEEDS_TABLE else None
+    table = build_sieve(max(n_list)) if name in W.NEEDS_TABLE else None
     rows = []
     for n in sorted(n_list):
         w = W.catalog(name, n, table=table, **params)

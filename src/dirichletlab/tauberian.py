@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .accum import compensated_sum
+from .accum import dirichlet_sums
 from .errors import DomainError, FitError, RangeError
 from .zeta import _envelope_constant, _log_power_integral_tail
 from . import weights as _weights
@@ -32,6 +32,7 @@ class MellinPoint(NamedTuple):
     sigma: float
     value: float
     tail_bound: float
+    remainder: float = 0.0
 
 
 class SingularityFit(NamedTuple):
@@ -51,7 +52,11 @@ class ComparisonRow(NamedTuple):
 
 
 def mellin_profile(w, sigma_grid: Sequence[float], limit: int | None = None) -> list:
-    """Truncated F(sigma) with envelope tail bounds, one MellinPoint per sigma."""
+    """Truncated F(sigma) with envelope tail bounds, one MellinPoint per sigma.
+
+    remainder bounds the block-moment evaluation error of value itself
+    (accum.dirichlet_sums); tail_bound covers the terms past the truncation.
+    """
     N = w.limit if limit is None else min(int(limit), w.limit)
     sigma0 = w.sigma0
     sig = [float(s) for s in sigma_grid]
@@ -63,13 +68,13 @@ def mellin_profile(w, sigma_grid: Sequence[float], limit: int | None = None) -> 
     alpha = w.expected_alpha if w.expected_alpha is not None else 0.0
     c_env = _envelope_constant(w, alpha, sigma0)
     L = math.log(N)
-    arr = w.w[1 : N + 1]
-    logn = np.log(np.arange(1, N + 1, dtype=np.float64))
+    sig.sort()
+    values, remainders = dirichlet_sums(w.w[: N + 1], sig)
     out = []
-    for s in sorted(sig):
-        value = compensated_sum(arr * np.exp(-s * logn))
+    for s, value, rem in zip(sig, values, remainders):
         tail = s * c_env * _log_power_integral_tail(s - sigma0, L, alpha)
-        out.append(MellinPoint(sigma=s, value=float(value), tail_bound=float(tail)))
+        out.append(MellinPoint(sigma=s, value=float(value), tail_bound=float(tail),
+                               remainder=float(rem)))
     return out
 
 

@@ -34,7 +34,8 @@ CATALOG_NAMES = (
     "kadec_spiked",
 )
 
-_NEEDS_TABLE = {"dgamma", "mangoldt", "mangoldt_over_log", "prime_indicator", "besov"}
+# families whose construction needs a SieveTable covering the limit
+NEEDS_TABLE = {"dgamma", "mangoldt", "mangoldt_over_log", "prime_indicator", "besov"}
 
 
 @dataclass
@@ -102,7 +103,7 @@ def catalog(name: str, limit: int, table=None, **params) -> WeightSequence:
         raise DomainError(f"unknown weight family {name!r}")
     if limit < 2:
         raise RangeError(f"limit must be >= 2, got {limit}")
-    if name in _NEEDS_TABLE:
+    if name in NEEDS_TABLE:
         if table is None or table.limit < limit:
             raise RangeError(f"{name} needs a sieve table covering limit {limit}")
     expected: Optional[float] = None

@@ -20,7 +20,7 @@ import numpy as np
 from scipy import optimize, special
 
 from . import arithmetic
-from .accum import compensated_sum
+from .accum import compensated_sum, dirichlet_sums
 from .errors import DomainError
 
 # Bernoulli numbers B_2..B_30 (exact rationals, rounded once).
@@ -234,6 +234,7 @@ def kernel_eval(spec: KernelSpec, s: complex) -> complex:
 class TruncatedSum(NamedTuple):
     value: float
     tail_bound: float
+    remainder: float = 0.0  # evaluation error bound of value (accum.dirichlet_sums)
 
 
 def _envelope_constant(w, alpha: float, sigma0: float = 1.0) -> float:
@@ -249,12 +250,23 @@ def _envelope_constant(w, alpha: float, sigma0: float = 1.0) -> float:
     return float(np.max(vals))
 
 
+def _upper_gamma(a: float, x: float) -> float:
+    """Upper incomplete gamma Gamma(a, x) for x > 0 and any real a.
+
+    scipy's gammaincc takes a > 0 only; below that the recurrence
+    Gamma(a, x) = (Gamma(a+1, x) - x^a e^(-x)) / a climbs back up to a > 0,
+    or to Gamma(0, x) = E_1(x) for integer a.
+    """
+    if a > 0.0:
+        return float(special.gamma(a) * special.gammaincc(a, x))
+    if a == 0.0:
+        return float(special.exp1(x))
+    return (_upper_gamma(a + 1.0, x) - x**a * math.exp(-x)) / a
+
+
 def _log_power_integral_tail(u: float, L: float, alpha: float) -> float:
     """integral_N^inf x^(-1-u) (log x)^(-alpha) dx = u^(alpha-1) Gamma(1-alpha, uL)."""
-    if alpha == 1.0:
-        return float(special.exp1(u * L))
-    a = 1.0 - alpha
-    return float(u ** (alpha - 1.0) * special.gamma(a) * special.gammaincc(a, u * L))
+    return u ** (alpha - 1.0) * _upper_gamma(1.0 - alpha, u * L)
 
 
 def weighted_zeta(w, sigma: float) -> TruncatedSum:
@@ -263,21 +275,22 @@ def weighted_zeta(w, sigma: float) -> TruncatedSum:
     The tail uses the measured upper Chebyshev envelope C of the partial
     sums: tail <= 2 sigma C integral_N^inf x^(sigma0 - 2 sigma) (log x)^(-alpha) dx/x.
     Near the abscissa the tail term dominates any feasible truncation; callers
-    comparing against closed forms should use value + tail_bound.
+    comparing against closed forms should use value + tail_bound.  remainder
+    bounds the block-moment evaluation error of value itself
+    (accum.dirichlet_sums).
     """
     sigma = float(sigma)
     sigma0 = getattr(w, "sigma0", 1.0)
     if 2.0 * sigma <= sigma0:
         raise DomainError(f"weighted zeta sum needs 2 sigma > {sigma0}, got sigma={sigma}")
-    arr = w.w
-    n = np.arange(1, w.limit + 1, dtype=np.float64)
-    value = compensated_sum(arr[1:] * n ** (-2.0 * sigma))
+    values, remainders = dirichlet_sums(w.w, [2.0 * sigma])
     alpha = w.expected_alpha if w.expected_alpha is not None else 0.0
     c_env = _envelope_constant(w, alpha, sigma0)
     u = 2.0 * sigma - sigma0
     L = math.log(w.limit)
     tail = 2.0 * sigma * c_env * _log_power_integral_tail(u, L, alpha)
-    return TruncatedSum(value=value, tail_bound=float(tail))
+    return TruncatedSum(value=float(values[0]), tail_bound=float(tail),
+                        remainder=float(remainders[0]))
 
 
 def dirichlet_convolve(a, b):

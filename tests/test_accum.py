@@ -1,10 +1,20 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from dirichletlab.accum import compensated_cumsum, compensated_sum, fsum, fsum_complex
+from dirichletlab import weights as W
+from dirichletlab.accum import (
+    _HEAD,
+    compensated_cumsum,
+    compensated_sum,
+    dirichlet_sums,
+    fsum,
+    fsum_complex,
+)
+from dirichletlab.tauberian import mellin_profile
 
 
 def test_fsum_exact_on_cancellation():
@@ -50,3 +60,71 @@ def test_cumsum_prefixes_are_exact_sums():
 
 def test_scalar_fsum_wrapper():
     assert fsum([0.1] * 10) == math.fsum([0.1] * 10)
+
+
+def direct_sums(a, sigmas):
+    """The reference the engine replaces: one compensated pass over all N terms per s."""
+    logn = np.log(np.arange(1, a.size, dtype=np.float64))
+    return np.array([compensated_sum(a[1:] * np.exp(-s * logn)) for s in sigmas])
+
+
+CATALOG_PARAMS = {
+    "log_power": {"alpha": -1.5},
+    "dgamma": {"gamma": 1.5},
+    "inv_divisor_pow": {"alpha": 1.0},
+    "besov": {"gamma": 0.5},
+    "kadec": {"blocks": 11},
+    "kadec_spiked": {"blocks": 6},
+}
+
+
+@pytest.mark.parametrize("name", W.CATALOG_NAMES)
+def test_engine_matches_direct_sum_on_catalog(name, table_small):
+    w = W.catalog(name, 10**5, table=table_small, **CATALOG_PARAMS.get(name, {}))
+    sigmas = np.append(w.sigma0 + np.geomspace(0.02, 1.5, 48), 40.0)
+    for N in (_HEAD - 1, _HEAD, _HEAD + 1, 10**5):
+        prof = mellin_profile(w, sigmas, limit=N)
+        direct = direct_sums(w.w[: N + 1], sigmas)
+        got = np.array([p.value for p in prof])
+        rem = np.array([p.remainder for p in prof])
+        if not np.all(np.isfinite(direct)):  # e^n spikes overflow past n ~ 709
+            assert np.array_equal(got, direct)
+            continue
+        assert np.all(np.abs(got - direct) <= 1e-13 * direct), f"{name} N={N}"
+        assert np.all((rem >= 0.0) & (rem <= 1e-15 * got)), f"{name} N={N}"
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    N=st.integers(_HEAD - 2, 3 * _HEAD),
+    seed=st.integers(0, 2**32 - 1),
+    decades=st.floats(0.0, 12.0),
+    zero_frac=st.floats(0.0, 1.0),
+    zero_head=st.booleans(),
+    s=st.floats(0.05, 40.0),
+)
+def test_engine_error_within_remainder_on_random_weights(N, seed, decades, zero_frac, zero_head, s):
+    rng = np.random.default_rng(seed)
+    a = 10.0 ** rng.uniform(-decades, 0.0, N + 1)
+    a[rng.random(N + 1) < zero_frac] = 0.0
+    if zero_head:  # only blocks left: the Taylor remainder is all there is
+        a[: _HEAD + 1] = 0.0
+    values, rems = dirichlet_sums(a, [s])
+    direct = direct_sums(a, [s])[0]
+    assert abs(values[0] - direct) <= rems[0] + 1e-13 * direct
+
+
+@pytest.mark.parametrize("N", [_HEAD + 1, 10**5])
+def test_engine_constant_weight_is_zeta_minus_hurwitz(N):
+    sigmas = np.append(1.0 + np.geomspace(0.02, 1.5, 48), 40.0)
+    values, _ = dirichlet_sums(W.catalog("constant", N).w, sigmas)
+    with mpmath.workdps(40):
+        exact = [float(mpmath.zeta(s) - mpmath.zeta(s, N + 1)) for s in sigmas]
+    assert np.all(np.abs(values - exact) <= 1e-13 * np.array(exact))
+
+
+def test_engine_keeps_input_order_and_small_n():
+    a = np.array([0.0, 2.0, 3.0])
+    values, rems = dirichlet_sums(a, [3.0, 1.0])
+    assert values == pytest.approx([2.0 + 3.0 / 8.0, 3.5], rel=1e-15)
+    assert np.all(rems == 0.0)

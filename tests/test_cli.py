@@ -201,6 +201,16 @@ def test_tauberian_report(tmp_path):
                "--points", 3, "--out", out) == 2
 
 
+def test_tauberian_log_power_past_alpha_one(tmp_path):
+    # expected alpha = 1.5 > 1: the tail needs Gamma(1 - alpha, x) at a negative order
+    out = tmp_path / "t.json"
+    assert run("tauberian", "--name", "log_power", "--alpha-param", -1.5,
+               "--N", 100000, "--out", out) == 0
+    blob = json.loads(out.read_text())
+    assert not blob["log_singularity"]
+    validate(blob, schema("singularity_fit"))
+
+
 def test_curves_values_and_marks(tmp_path):
     csv = tmp_path / "curves.csv"
     svg = tmp_path / "curves.svg"

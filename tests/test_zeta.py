@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -7,6 +8,7 @@ from dirichletlab import weights as W
 from dirichletlab.errors import DomainError, RangeError
 from dirichletlab.zeta import (
     KernelSpec,
+    _log_power_integral_tail,
     dirichlet_convolve,
     dirichlet_inverse,
     kernel_eval,
@@ -132,6 +134,22 @@ def test_weighted_zeta_brackets_closed_form():
     assert out.value < z2
     assert out.value + 2.0 * out.tail_bound > z2
     assert out.tail_bound > 0.0
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0, 2.5])
+def test_log_power_tail_matches_quadrature(alpha):
+    # integral_L^inf e^(-u y) y^(-alpha) dy, the x = e^y form of the tail
+    for u, N in ((0.02, 1e5), (0.3, 4096), (0.5, 1e7), (1.5, 1e7), (3.0, 1e7)):
+        L = math.log(N)
+        with mpmath.workdps(30):
+            exact = mpmath.quad(lambda y: mpmath.exp(-u * y) * y ** (-alpha), [L, mpmath.inf])
+        assert _log_power_integral_tail(u, L, alpha) == pytest.approx(float(exact), rel=1e-10)
+
+
+def test_weighted_zeta_tail_finite_past_alpha_one():
+    out = weighted_zeta(W.catalog("log_power", 10**5, alpha=-1.5), 0.8)  # alpha = 1.5
+    assert math.isfinite(out.tail_bound) and out.tail_bound > 0.0
+    assert out.remainder <= 1e-15 * out.value
 
 
 def test_weighted_zeta_rejects_divergent_sigma():
