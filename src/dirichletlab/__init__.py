@@ -32,15 +32,12 @@ from .weights import (
 )
 from .zeta import (
     KernelSpec,
-    TruncatedSum,
     dirichlet_convolve,
     dirichlet_inverse,
     kernel_eval,
     prime_zeta,
     prime_zeta_unit_abscissa,
     solve_abscissa,
-    weighted_zeta,
-    zeta,
     zeta_equals_two_abscissa,
 )
 from .hspace import (
@@ -86,6 +83,7 @@ from .tauberian import (
     fit_singularity,
     mellin_profile,
     predict_and_compare,
+    weighted_zeta,
 )
 
 __version__ = "0.1.0"

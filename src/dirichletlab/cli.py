@@ -1,9 +1,12 @@
 """Command-line experiment runner.
 
 Commands: weights | sums | fit | zeta | kernel | embed | sampling |
-tauberian | curves.  Options may come from flags or from a JSON file via
---config (flags win).  Exit codes: 0 ok, 1 compute/runtime failure,
-2 usage/config error.  All outputs go through `reporting`, so a repeated
+tauberian | curves.  Every default lives on the parser.  --config names a
+JSON file (a section named after the command, or a flat object) whose
+values replace those defaults; each value is parsed by its flag's type.
+Precedence: flag > config > parser default.  Exit codes: 0 ok, 1
+compute/runtime failure, 2 usage/config error, including a config value
+its flag's type rejects.  All outputs go through `reporting`, so a repeated
 run with the same options and seed is byte-identical.
 """
 
@@ -15,11 +18,17 @@ import math
 import sys
 
 import numpy as np
+from scipy.special import exp1
 
+from . import reporting, sampling
+from . import tauberian as T
 from . import weights as W
-from . import reporting
+from .accum import compensated_sum
 from .arithmetic import build_sieve
+from .embedding import LocalWindow, block_family, embedding_constant, random_family
 from .errors import DirichletLabError
+from .zeta import (KernelSpec, kernel_eval, prime_zeta, prime_zeta_unit_abscissa,
+                   zeta, zeta_equals_two_abscissa)
 
 
 class UsageError(Exception):
@@ -27,8 +36,6 @@ class UsageError(Exception):
 
 
 def _config_section(path, command):
-    if not path:
-        return {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -43,40 +50,40 @@ def _config_section(path, command):
     return {k.replace("-", "_"): v for k, v in section.items()}
 
 
-def _opt(args, cfg, key, default=None, cast=None):
-    # flag > config file > hard default
-    v = getattr(args, key.replace("-", "_"), None)
-    if v is None:
-        v = cfg.get(key, default)
-    if v is None:
-        return None
-    return cast(v) if cast else v
+def _config_defaults(parser, section):
+    """The section's values for `parser`'s options, each parsed by its flag's type."""
+    out = {}
+    for action in parser._actions:
+        if action.dest not in section:
+            continue
+        v = section[action.dest]
+        if action.type is not None:
+            try:
+                v = action.type(v)
+            except (TypeError, ValueError):
+                raise UsageError(f"config value {action.dest}={v!r} is not a valid "
+                                 f"{action.type.__name__}")
+        out[action.dest] = v
+    return out
 
 
-def _weight_params(args, cfg):
-    params = {}
-    for key in ("gamma", "alpha_param", "blocks"):
-        v = _opt(args, cfg, key)
-        if v is not None:
-            name = "alpha" if key == "alpha_param" else key
-            params[name] = int(v) if key == "blocks" else float(v)
-    return params
+def _weight_params(args):
+    params = {"gamma": args.gamma, "alpha": args.alpha_param, "blocks": args.blocks}
+    return {k: v for k, v in params.items() if v is not None}
 
 
-def _load_weight(args, cfg, default_n=None):
-    name = _opt(args, cfg, "name")
-    if name is None:
+def _load_weight(args):
+    if args.name is None:
         raise UsageError("a weight --name is required")
-    if name not in W.CATALOG_NAMES:
-        raise UsageError(f"unknown weight family {name!r}")
-    n = _opt(args, cfg, "N", default_n, cast=lambda v: int(float(v)))
-    if n is None:
+    if args.name not in W.CATALOG_NAMES:
+        raise UsageError(f"unknown weight family {args.name!r}")
+    if args.N is None:
         raise UsageError("--N is required")
+    n = int(args.N)
     if n < 2:
         raise UsageError(f"--N must be >= 2, got {n}")
-    params = _weight_params(args, cfg)
-    table = build_sieve(n) if name in W.NEEDS_TABLE else None
-    return W.catalog(name, n, table=table, **params), table
+    table = build_sieve(n) if args.name in W.NEEDS_TABLE else None
+    return W.catalog(args.name, n, table=table, **_weight_params(args))
 
 
 def _weight_blob(w):
@@ -86,48 +93,42 @@ def _weight_blob(w):
 # --- commands ----------------------------------------------------------------
 
 
-def cmd_weights(args, cfg):
-    w, _ = _load_weight(args, cfg)
-    out = _opt(args, cfg, "out", "weights.csv")
+def cmd_weights(args):
+    w = _load_weight(args)
     rows = ((n, float(w.w[n])) for n in range(1, w.limit + 1))
-    reporting.write_csv(out, ["n", "w_n"], rows)
-    sums_out = _opt(args, cfg, "sums_out")
+    reporting.write_csv(args.out, ["n", "w_n"], rows)
+    sums_out = args.sums_out
     if sums_out is None:
-        stem, dot, ext = out.rpartition(".")
-        sums_out = f"{stem}_sums.{ext}" if dot else f"{out}_sums"
+        stem, dot, ext = args.out.rpartition(".")
+        sums_out = f"{stem}_sums.{ext}" if dot else f"{args.out}_sums"
     S = W.partial_sums(w)
     reporting.write_csv(sums_out, ["n", "S_n"], ((n, float(S[n])) for n in range(1, w.limit + 1)))
     return 0
 
 
-def cmd_sums(args, cfg):
-    w, _ = _load_weight(args, cfg)
-    pts = _opt(args, cfg, "points", 64, cast=int)
-    if pts < 2:
+def cmd_sums(args):
+    w = _load_weight(args)
+    if args.points < 2:
         raise UsageError("need at least 2 grid points")
-    lo = _opt(args, cfg, "lo", 10.0, cast=float)
-    xs = np.unique(np.geomspace(max(2.0, lo), w.limit, pts).astype(np.int64))
+    xs = np.unique(np.geomspace(max(2.0, args.lo), w.limit, args.points).astype(np.int64))
     S = W.partial_sums(w)
     header = ["x", "S"]
     cols = [xs.astype(float), S[xs]]
-    alpha = _opt(args, cfg, "ratio_alpha", w.expected_alpha, cast=float)
+    alpha = w.expected_alpha if args.ratio_alpha is None else args.ratio_alpha
     if alpha is not None:
         header.append("ratio")
         cols.append(W.chebyshev_ratios(w, xs.astype(float), alpha))
-    eta = _opt(args, cfg, "eta", cast=float)
-    if eta is not None:
+    if args.eta is not None:
         header.append("block_sum")
-        cols.append(W.block_sums(w, eta, xs.astype(float)))
-    out = _opt(args, cfg, "out", "sums.csv")
-    reporting.write_csv(out, header, zip(*cols))
+        cols.append(W.block_sums(w, args.eta, xs.astype(float)))
+    reporting.write_csv(args.out, header, zip(*cols))
     return 0
 
 
-def cmd_fit(args, cfg):
-    w, _ = _load_weight(args, cfg)
-    pts = _opt(args, cfg, "grid_points", 25, cast=int)
-    lo = _opt(args, cfg, "grid_lo", 1e3, cast=float)
-    hi = _opt(args, cfg, "grid_hi", float(w.limit), cast=float)
+def cmd_fit(args):
+    w = _load_weight(args)
+    pts, lo = args.grid_points, args.grid_lo
+    hi = float(w.limit) if args.grid_hi is None else args.grid_hi
     if pts < 3:
         raise UsageError(f"degenerate grid: {pts} points (need >= 3)")
     if not 2.0 <= lo < hi or hi > w.limit:
@@ -146,16 +147,12 @@ def cmd_fit(args, cfg):
         "ratios": [float(r) for r in ratios],
         "ratio_alpha": fit.alpha_hat,
     }
-    reporting.write_json(_opt(args, cfg, "out", "fit.json"), blob)
+    reporting.write_json(args.out, blob)
     return 0
 
 
-def cmd_zeta(args, cfg):
-    from .zeta import (prime_zeta, prime_zeta_unit_abscissa, zeta,
-                       zeta_equals_two_abscissa)
-
-    what = _opt(args, cfg, "what", "abscissas")
-    if what == "abscissas":
+def cmd_zeta(args):
+    if args.what == "abscissas":
         rho = prime_zeta_unit_abscissa()
         rho1 = zeta_equals_two_abscissa()
         blob = {
@@ -164,139 +161,107 @@ def cmd_zeta(args, cfg):
             "rho1": rho1,
             "rho1_residual": abs(zeta(rho1).real - 2.0),
         }
-        cross_n = _opt(args, cfg, "cross_check_N", cast=lambda v: int(float(v)))
-        if cross_n is not None:
-            from scipy.special import exp1
-
-            from .accum import compensated_sum
-
+        if args.cross_check_N is not None:
+            cross_n = int(args.cross_check_N)
             table = build_sieve(cross_n)
-            s = _opt(args, cfg, "sigma", 1.5, cast=float)
+            s = args.sigma
             direct = compensated_sum(table.primes.astype(np.float64) ** (-s))
             # li-based tail: integral of x^-s dpi(x) with pi ~ li - li(sqrt)/2
             L = math.log(cross_n)
             tail = exp1((s - 1.0) * L) - 0.5 * exp1((s - 0.5) * L)
             blob["cross_check_sigma"] = s
             blob["cross_check_gap"] = abs(direct + tail - prime_zeta(s).real)
-        reporting.write_json(_opt(args, cfg, "out", "abscissas.json"), blob)
+        reporting.write_json("abscissas.json" if args.out is None else args.out, blob)
         return 0
-    if what == "grid":
-        lo = _opt(args, cfg, "sigma_lo", 1.1, cast=float)
-        hi = _opt(args, cfg, "sigma_hi", 3.0, cast=float)
-        pts = _opt(args, cfg, "points", 40, cast=int)
+    if args.what == "grid":
+        lo, hi, pts = args.sigma_lo, args.sigma_hi, args.points
         if not (1.0 < lo < hi) or pts < 2:
             raise UsageError("grid needs 1 < sigma_lo < sigma_hi and >= 2 points")
-        sig = np.linspace(lo, hi, pts)
-        rows = [(s, zeta(s).real, prime_zeta(s).real) for s in sig]
-        reporting.write_csv(_opt(args, cfg, "out", "zeta.csv"),
+        rows = [(s, zeta(s).real, prime_zeta(s).real) for s in np.linspace(lo, hi, pts)]
+        reporting.write_csv("zeta.csv" if args.out is None else args.out,
                             ["sigma", "zeta", "prime_zeta"], rows)
         return 0
-    raise UsageError(f"unknown zeta request {what!r} (abscissas|grid)")
+    raise UsageError(f"unknown zeta request {args.what!r} (abscissas|grid)")
 
 
-def cmd_kernel(args, cfg):
-    from .zeta import KernelSpec, kernel_eval
-
-    family = _opt(args, cfg, "family", "dalpha")
-    param = _opt(args, cfg, "param", -1.0, cast=float)
-    anchor = complex(_opt(args, cfg, "anchor_re", 1.0, cast=float),
-                     _opt(args, cfg, "anchor_im", 0.0, cast=float))
+def cmd_kernel(args):
     try:
-        spec = KernelSpec(family=family, param=param, anchor=anchor)
+        spec = KernelSpec(family=args.family, param=args.param,
+                          anchor=complex(args.anchor_re, args.anchor_im))
     except DirichletLabError as e:
         raise UsageError(str(e))
-    lo = _opt(args, cfg, "sigma_lo", 0.55, cast=float)
-    hi = _opt(args, cfg, "sigma_hi", 1.5, cast=float)
-    pts = _opt(args, cfg, "points", 40, cast=int)
-    t = _opt(args, cfg, "t", 0.0, cast=float)
-    if not lo < hi or pts < 2:
+    if not args.sigma_lo < args.sigma_hi or args.points < 2:
         raise UsageError("kernel grid needs sigma_lo < sigma_hi and >= 2 points")
     rows = []
-    for s in np.linspace(lo, hi, pts):
-        v = kernel_eval(spec, complex(s, t))
-        rows.append((float(s), t, v.real, v.imag))
-    reporting.write_csv(_opt(args, cfg, "out", "kernel.csv"),
-                        ["sigma", "t", "re", "im"], rows)
+    for s in np.linspace(args.sigma_lo, args.sigma_hi, args.points):
+        v = kernel_eval(spec, complex(s, args.t))
+        rows.append((float(s), args.t, v.real, v.imag))
+    reporting.write_csv(args.out, ["sigma", "t", "re", "im"], rows)
     return 0
 
 
-def cmd_embed(args, cfg):
-    from .embedding import LocalWindow, block_family, embedding_constant, random_family
-
-    name = _opt(args, cfg, "name")
+def cmd_embed(args):
+    name, alpha, kind = args.name, args.alpha, args.family
     if name is None or name not in W.CATALOG_NAMES:
         raise UsageError(f"unknown or missing weight family {name!r}")
-    alpha = _opt(args, cfg, "alpha", cast=float)
     if alpha is None:
         raise UsageError("--alpha is required")
-    n_list = _opt(args, cfg, "N_list", "1000,10000")
+    n_list = args.N_list
     if isinstance(n_list, str):
         n_list = [int(float(v)) for v in n_list.split(",") if v.strip()]
     else:
         n_list = [int(v) for v in n_list]
     if not n_list:
         raise UsageError("--N-list is empty")
-    kind = _opt(args, cfg, "family", "blocks")
     if kind not in ("blocks", "random"):
         raise UsageError(f"family must be blocks|random, got {kind!r}")
-    size = _opt(args, cfg, "size", 64, cast=int)
-    seed = _opt(args, cfg, "seed", 0, cast=int)
-    win = LocalWindow(_opt(args, cfg, "a", 0.0, cast=float),
-                      _opt(args, cfg, "b", 1.0, cast=float),
-                      _opt(args, cfg, "sigma_cap", 1.0, cast=float))
-    params = _weight_params(args, cfg)
+    win = LocalWindow(args.a, args.b, args.sigma_cap)
+    params = _weight_params(args)
     table = build_sieve(max(n_list)) if name in W.NEEDS_TABLE else None
     rows = []
     for n in sorted(n_list):
         w = W.catalog(name, n, table=table, **params)
-        fam = block_family(w) if kind == "blocks" else random_family(w, size, seed)
+        fam = block_family(w) if kind == "blocks" else random_family(w, args.size, args.seed)
         est = embedding_constant(w, alpha, win, fam)
         rows.append({"N": n, "constant_estimate": est.value,
                      "quad_error_max": est.quad_error_max,
                      "family_size": est.family_size})
-    reporting.write_csv(_opt(args, cfg, "out_csv", "embed.csv"),
-                        ["N", "alpha", "constant_estimate"],
+    reporting.write_csv(args.out_csv, ["N", "alpha", "constant_estimate"],
                         [(r["N"], alpha, r["constant_estimate"]) for r in rows])
     blob = {
         "weight": {"name": name, "params": params},
         "alpha": alpha,
         "window": {"a": win.a, "b": win.b, "sigma_cap": win.sigma_cap},
-        "family": {"kind": kind, "size": size,
-                   "seed": seed if kind == "random" else None},
+        "family": {"kind": kind, "size": args.size,
+                   "seed": args.seed if kind == "random" else None},
         "rows": rows,
     }
-    reporting.write_json(_opt(args, cfg, "out_json", "embed.json"), blob)
+    reporting.write_json(args.out_json, blob)
     return 0
 
 
-def cmd_sampling(args, cfg):
-    from . import sampling as S
-
-    name = _opt(args, cfg, "name")
-    if name == "kadec":
+def cmd_sampling(args):
+    if args.name == "kadec":
         # atom-level construction: block counts beyond log(limit) have no
         # dense weight array, but the measure itself is a few numbers
-        blocks = _opt(args, cfg, "blocks", 50, cast=int)
-        mu = S.kadec_atoms(blocks)
+        blocks = 50 if args.blocks is None else args.blocks
+        mu = sampling.kadec_atoms(blocks)
         blob_weight = {"name": "kadec", "params": {"blocks": blocks}, "limit": None}
     else:
-        w, _ = _load_weight(args, cfg)
-        symmetric = bool(_opt(args, cfg, "symmetric", False))
-        mu = S.measure_from_weights(w, symmetric=symmetric)
+        w = _load_weight(args)
+        mu = sampling.measure_from_weights(w, symmetric=bool(args.symmetric))
         blob_weight = _weight_blob(w)
-    beta = _opt(args, cfg, "beta", 0.0, cast=float)
-    eps = _opt(args, cfg, "eps", 0.1, cast=float)
-    car = S.carleson_check(mu, beta)
-    r_list = _opt(args, cfg, "r_list", "")
+    beta, eps = args.beta, args.eps
+    car = sampling.carleson_check(mu, beta)
     horizon = float(mu.domain_bound)
-    if isinstance(r_list, str):
-        rs = [float(v) for v in r_list.split(",") if v.strip()]
+    if isinstance(args.r_list, str):
+        rs = [float(v) for v in args.r_list.split(",") if v.strip()]
     else:
-        rs = [float(v) for v in r_list]
+        rs = [float(v) for v in args.r_list]
     if not rs:
         rs = [max(1.0, (horizon - float(mu.domain_low)) / 5.0)]
-    dens = S.beurling_lower_density(mu.positions, rs, window=(float(mu.domain_low), horizon))
-    cont = S.continuity_at_infinity(mu, beta, eps)
+    dens = sampling.beurling_lower_density(mu.positions, rs, window=(float(mu.domain_low), horizon))
+    cont = sampling.continuity_at_infinity(mu, beta, eps)
     blob = {
         "weight": blob_weight,
         "atom_count": int(mu.positions.size),
@@ -310,33 +275,26 @@ def cmd_sampling(args, cfg):
                        "block": cont.block,
                        "blocking_x": cont.blocking_x},
     }
-    lam_r = _opt(args, cfg, "lambda_r", cast=float)
-    if lam_r is not None:
-        delta = _opt(args, cfg, "lambda_delta", 0.5, cast=float)
-        blob["lambda_points"] = [float(p) for p in S.lambda_set(mu, beta, lam_r, delta)]
+    if args.lambda_r is not None:
+        blob["lambda_points"] = [float(p) for p in
+                                 sampling.lambda_set(mu, beta, args.lambda_r, args.lambda_delta)]
     if blob_weight["name"] in ("kadec", "kadec_spiked"):
         # facing atoms sit within 1/5 of their integer block center
         dev = float(np.max(np.abs(mu.positions - np.round(mu.positions))))
         blob["kadec_max_deviation"] = dev
-    atoms_out = _opt(args, cfg, "atoms_out")
-    if atoms_out:
-        reporting.write_csv(atoms_out, ["position", "mass"],
+    if args.atoms_out:
+        reporting.write_csv(args.atoms_out, ["position", "mass"],
                             zip(mu.positions.tolist(), mu.masses.tolist()))
-    reporting.write_json(_opt(args, cfg, "out", "sampling.json"), blob)
+    reporting.write_json(args.out, blob)
     return 0
 
 
-def cmd_tauberian(args, cfg):
-    from . import tauberian as T
-
-    w, _ = _load_weight(args, cfg)
-    lo = _opt(args, cfg, "u_lo", 0.02, cast=float)
-    hi = _opt(args, cfg, "u_hi", 1.5, cast=float)
-    pts = _opt(args, cfg, "points", 48, cast=int)
+def cmd_tauberian(args):
+    w = _load_weight(args)
+    lo, hi, pts = args.u_lo, args.u_hi, args.points
     if not (0.0 < lo < hi) or pts < 5:
         raise UsageError("profile grid needs 0 < u_lo < u_hi and >= 5 points")
-    sigma = w.sigma0 + np.geomspace(lo, hi, pts)
-    profile = T.mellin_profile(w, sigma)
+    profile = T.mellin_profile(w, w.sigma0 + np.geomspace(lo, hi, pts))
     fit = T.fit_singularity(profile, w.sigma0)
     blob = {
         "weight": _weight_blob(w),
@@ -348,33 +306,28 @@ def cmd_tauberian(args, cfg):
         "log_singularity": fit.log_singularity,
         "abscissa_hat": T.detect_abscissa(w),
     }
-    reporting.write_json(_opt(args, cfg, "out", "tauberian.json"), blob)
-    cmp_out = _opt(args, cfg, "compare_out")
-    if cmp_out:
-        n_cmp = _opt(args, cfg, "compare_points", 9, cast=int)
-        xs = np.geomspace(max(10.0, w.limit / 10.0), w.limit, max(2, n_cmp))
+    reporting.write_json(args.out, blob)
+    if args.compare_out:
+        xs = np.geomspace(max(10.0, w.limit / 10.0), w.limit, max(2, args.compare_points))
         rows = T.predict_and_compare(fit, w, xs)
-        reporting.write_csv(cmp_out, ["x", "predicted", "measured", "ratio"],
+        reporting.write_csv(args.compare_out, ["x", "predicted", "measured", "ratio"],
                             [(r.x, r.predicted, r.measured, r.ratio) for r in rows])
     return 0
 
 
-def cmd_curves(args, cfg):
-    lo = _opt(args, cfg, "alpha_lo", -3.0, cast=float)
-    hi = _opt(args, cfg, "alpha_hi", 3.0, cast=float)
-    pts = _opt(args, cfg, "points", 241, cast=int)
+def cmd_curves(args):
+    lo, hi, pts = args.alpha_lo, args.alpha_hi, args.points
     if not lo < hi or pts < 2:
         raise UsageError("curve range needs alpha_lo < alpha_hi and >= 2 points")
     if not (lo <= -1.0 and hi >= 0.0):
         raise UsageError("range must cover the identity intersections at -1 and 0")
     alphas = np.linspace(lo, hi, pts)
     smooth = 1.0 - np.exp2(-alphas)
-    reporting.write_csv(_opt(args, cfg, "csv", "curves.csv"),
-                        ["alpha", "smoothness", "identity"],
+    reporting.write_csv(args.csv, ["alpha", "smoothness", "identity"],
                         zip(alphas.tolist(), smooth.tolist(), alphas.tolist()))
     # the two curves cross exactly at alpha = -1 and alpha = 0
     reporting.curve_svg(
-        _opt(args, cfg, "svg", "curves.svg"),
+        args.svg,
         alphas.tolist(),
         [("1 - 2^(-alpha)", smooth.tolist(), "#2c6fbb"),
          ("identity", alphas.tolist(), "#999999")],
@@ -405,6 +358,7 @@ def _add_weight_flags(p):
     p.add_argument("--gamma", type=float)
     p.add_argument("--alpha-param", type=float,
                    help="family parameter alpha (log_power / inv_divisor_pow)")
+    # no parser default: a value here enters every family's weight.params
     p.add_argument("--blocks", type=int)
 
 
@@ -415,83 +369,83 @@ def build_parser():
 
     p = sub.add_parser("weights", help="dump a catalog weight and its partial sums")
     _add_weight_flags(p)
-    p.add_argument("--out")
-    p.add_argument("--sums-out")
+    p.add_argument("--out", default="weights.csv")
+    p.add_argument("--sums-out", help="default: --out with _sums before the extension")
 
     p = sub.add_parser("sums", help="partial sums / normalized ratios on a grid")
     _add_weight_flags(p)
-    p.add_argument("--points", type=int)
-    p.add_argument("--lo", type=float)
-    p.add_argument("--ratio-alpha", type=float)
+    p.add_argument("--points", type=int, default=64)
+    p.add_argument("--lo", type=float, default=10.0)
+    p.add_argument("--ratio-alpha", type=float, help="default: the family's expected alpha")
     p.add_argument("--eta", type=float)
-    p.add_argument("--out")
+    p.add_argument("--out", default="sums.csv")
 
     p = sub.add_parser("fit", help="exponent fit for the partial-sum asymptotics")
     _add_weight_flags(p)
-    p.add_argument("--grid-lo", type=float)
-    p.add_argument("--grid-hi", type=float)
-    p.add_argument("--grid-points", type=int)
-    p.add_argument("--out")
+    p.add_argument("--grid-lo", type=float, default=1e3)
+    p.add_argument("--grid-hi", type=float, help="default: N")
+    p.add_argument("--grid-points", type=int, default=25)
+    p.add_argument("--out", default="fit.json")
 
     p = sub.add_parser("zeta", help="special values and abscissas")
-    p.add_argument("--what", choices=["abscissas", "grid"])
-    p.add_argument("--sigma", type=float)
+    p.add_argument("--what", choices=["abscissas", "grid"], default="abscissas")
+    p.add_argument("--sigma", type=float, default=1.5)
     p.add_argument("--cross-check-N", type=float)
-    p.add_argument("--sigma-lo", type=float)
-    p.add_argument("--sigma-hi", type=float)
-    p.add_argument("--points", type=int)
-    p.add_argument("--out")
+    p.add_argument("--sigma-lo", type=float, default=1.1)
+    p.add_argument("--sigma-hi", type=float, default=3.0)
+    p.add_argument("--points", type=int, default=40)
+    p.add_argument("--out", help="default: abscissas.json or zeta.csv, by --what")
 
     p = sub.add_parser("kernel", help="evaluate a reproducing-kernel family")
-    p.add_argument("--family")
-    p.add_argument("--param", type=float)
-    p.add_argument("--anchor-re", type=float)
-    p.add_argument("--anchor-im", type=float)
-    p.add_argument("--sigma-lo", type=float)
-    p.add_argument("--sigma-hi", type=float)
-    p.add_argument("--points", type=int)
-    p.add_argument("--t", type=float)
-    p.add_argument("--out")
+    p.add_argument("--family", default="dalpha")
+    p.add_argument("--param", type=float, default=-1.0)
+    p.add_argument("--anchor-re", type=float, default=1.0)
+    p.add_argument("--anchor-im", type=float, default=0.0)
+    p.add_argument("--sigma-lo", type=float, default=0.55)
+    p.add_argument("--sigma-hi", type=float, default=1.5)
+    p.add_argument("--points", type=int, default=40)
+    p.add_argument("--t", type=float, default=0.0)
+    p.add_argument("--out", default="kernel.csv")
 
     p = sub.add_parser("embed", help="embedding-constant estimates across truncations")
     _add_weight_flags(p)
     p.add_argument("--alpha", type=float)
-    p.add_argument("--N-list")
-    p.add_argument("--family", choices=["blocks", "random"])
-    p.add_argument("--size", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--a", type=float)
-    p.add_argument("--b", type=float)
-    p.add_argument("--sigma-cap", type=float)
-    p.add_argument("--out-csv")
-    p.add_argument("--out-json")
+    p.add_argument("--N-list", default="1000,10000")
+    p.add_argument("--family", choices=["blocks", "random"], default="blocks")
+    p.add_argument("--size", type=int, default=64)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--a", type=float, default=0.0)
+    p.add_argument("--b", type=float, default=1.0)
+    p.add_argument("--sigma-cap", type=float, default=1.0)
+    p.add_argument("--out-csv", default="embed.csv")
+    p.add_argument("--out-json", default="embed.json")
 
     p = sub.add_parser("sampling", help="atomic-measure diagnostics")
     _add_weight_flags(p)
-    p.add_argument("--symmetric", action="store_const", const=True)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--r-list")
+    p.add_argument("--symmetric", action="store_true")
+    p.add_argument("--beta", type=float, default=0.0)
+    p.add_argument("--eps", type=float, default=0.1)
+    p.add_argument("--r-list", default="")
     p.add_argument("--lambda-r", type=float)
-    p.add_argument("--lambda-delta", type=float)
+    p.add_argument("--lambda-delta", type=float, default=0.5)
     p.add_argument("--atoms-out")
-    p.add_argument("--out")
+    p.add_argument("--out", default="sampling.json")
 
     p = sub.add_parser("tauberian", help="Mellin profile, singularity fit, prediction")
     _add_weight_flags(p)
-    p.add_argument("--u-lo", type=float)
-    p.add_argument("--u-hi", type=float)
-    p.add_argument("--points", type=int)
-    p.add_argument("--out")
+    p.add_argument("--u-lo", type=float, default=0.02)
+    p.add_argument("--u-hi", type=float, default=1.5)
+    p.add_argument("--points", type=int, default=48)
+    p.add_argument("--out", default="tauberian.json")
     p.add_argument("--compare-out")
-    p.add_argument("--compare-points", type=int)
+    p.add_argument("--compare-points", type=int, default=9)
 
     p = sub.add_parser("curves", help="smoothness curve 1 - 2^(-alpha) as CSV + SVG")
-    p.add_argument("--alpha-lo", type=float)
-    p.add_argument("--alpha-hi", type=float)
-    p.add_argument("--points", type=int)
-    p.add_argument("--csv")
-    p.add_argument("--svg")
+    p.add_argument("--alpha-lo", type=float, default=-3.0)
+    p.add_argument("--alpha-hi", type=float, default=3.0)
+    p.add_argument("--points", type=int, default=241)
+    p.add_argument("--csv", default="curves.csv")
+    p.add_argument("--svg", default="curves.svg")
 
     return ap
 
@@ -500,8 +454,14 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        cfg = _config_section(args.config, args.command)
-        return _COMMANDS[args.command](args, cfg)
+        if args.config:
+            # flag > config > parser default: the config replaces the
+            # subcommand's defaults, then the flags are parsed over them
+            commands = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+            sub = commands.choices[args.command]
+            sub.set_defaults(**_config_defaults(sub, _config_section(args.config, args.command)))
+            args = ap.parse_args(argv)
+        return _COMMANDS[args.command](args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -21,10 +21,10 @@ import math
 from typing import NamedTuple, Sequence
 
 import numpy as np
+from scipy import special
 
 from .accum import dirichlet_sums
 from .errors import DomainError, FitError, RangeError
-from .zeta import _envelope_constant, _log_power_integral_tail
 from . import weights as _weights
 
 
@@ -49,6 +49,36 @@ class ComparisonRow(NamedTuple):
     predicted: float
     measured: float
     ratio: float
+
+
+def _envelope_constant(w, alpha: float, sigma0: float = 1.0) -> float:
+    """Upper envelope max of S(x) (log x)^alpha / x^sigma0 over the top decades."""
+    S = _weights.partial_sums(w)
+    limit = w.limit
+    lo = max(10.0, limit / 100.0)
+    xs = np.unique(np.floor(np.logspace(math.log10(lo), math.log10(limit), 60)).astype(np.int64))
+    xf = xs.astype(np.float64)
+    vals = S[xs] * np.log(xf) ** alpha / xf**sigma0
+    return float(np.max(vals))
+
+
+def _upper_gamma(a: float, x: float) -> float:
+    """Upper incomplete gamma Gamma(a, x) for x > 0 and any real a.
+
+    scipy's gammaincc takes a > 0 only; below that the recurrence
+    Gamma(a, x) = (Gamma(a+1, x) - x^a e^(-x)) / a climbs back up to a > 0,
+    or to Gamma(0, x) = E_1(x) for integer a.
+    """
+    if a > 0.0:
+        return float(special.gamma(a) * special.gammaincc(a, x))
+    if a == 0.0:
+        return float(special.exp1(x))
+    return (_upper_gamma(a + 1.0, x) - x**a * math.exp(-x)) / a
+
+
+def _log_power_integral_tail(u: float, L: float, alpha: float) -> float:
+    """integral_N^inf x^(-1-u) (log x)^(-alpha) dx = u^(alpha-1) Gamma(1-alpha, uL)."""
+    return u ** (alpha - 1.0) * _upper_gamma(1.0 - alpha, u * L)
 
 
 def mellin_profile(w, sigma_grid: Sequence[float], limit: int | None = None) -> list:
@@ -76,6 +106,17 @@ def mellin_profile(w, sigma_grid: Sequence[float], limit: int | None = None) -> 
         out.append(MellinPoint(sigma=s, value=float(value), tail_bound=float(tail),
                                remainder=float(rem)))
     return out
+
+
+def weighted_zeta(w, sigma: float) -> MellinPoint:
+    """Truncated sum of w_n n^(-2 sigma): the profile point at 2 sigma.
+
+    The tail uses the measured upper Chebyshev envelope C of the partial
+    sums: tail <= 2 sigma C integral_N^inf x^(sigma0 - 2 sigma) (log x)^(-alpha) dx/x.
+    Near the abscissa the tail term dominates any feasible truncation; callers
+    comparing against closed forms should use value + tail_bound.
+    """
+    return mellin_profile(w, [2.0 * sigma])[0]
 
 
 def _power_fit(u, logF):

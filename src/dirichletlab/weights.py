@@ -17,6 +17,7 @@ import numpy as np
 from . import arithmetic
 from .accum import compensated_cumsum
 from .errors import DomainError, FitError, RangeError
+from .zeta import prime_zeta_unit_abscissa, zeta_equals_two_abscissa
 
 CATALOG_NAMES = (
     "constant",
@@ -171,13 +172,9 @@ def catalog(name: str, limit: int, table=None, **params) -> WeightSequence:
                 rising[k] = rising[k - 1] * (g + k - 1)
         w = rising[om] / np.where(fac > 0, fac, 1.0)
         w[0] = 0.0
-        from .zeta import prime_zeta_unit_abscissa
-
         sigma0 = prime_zeta_unit_abscissa()
     elif name == "mccarthy":
         w = arithmetic.ordered_factorization_table(limit).astype(np.float64)
-        from .zeta import zeta_equals_two_abscissa
-
         sigma0 = zeta_equals_two_abscissa()
     elif name == "inv_ordered_factorization":
         F = arithmetic.ordered_factorization_table(limit).astype(np.float64)

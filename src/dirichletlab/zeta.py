@@ -14,13 +14,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
-from scipy import optimize, special
+from scipy import optimize
 
 from . import arithmetic
-from .accum import compensated_sum, dirichlet_sums
+from .accum import compensated_sum
 from .errors import DomainError
 
 # Bernoulli numbers B_2..B_30 (exact rationals, rounded once).
@@ -229,68 +228,6 @@ def kernel_eval(spec: KernelSpec, s: complex) -> complex:
     if g == 0.0:
         return -cmath.log(w)
     return cmath.exp(-g * cmath.log(w))
-
-
-class TruncatedSum(NamedTuple):
-    value: float
-    tail_bound: float
-    remainder: float = 0.0  # evaluation error bound of value (accum.dirichlet_sums)
-
-
-def _envelope_constant(w, alpha: float, sigma0: float = 1.0) -> float:
-    """Upper envelope max of S(x) (log x)^alpha / x^sigma0 over the top decades."""
-    from . import weights as _weights  # deferred: weights imports this module
-
-    S = _weights.partial_sums(w)
-    limit = w.limit
-    lo = max(10.0, limit / 100.0)
-    xs = np.unique(np.floor(np.logspace(math.log10(lo), math.log10(limit), 60)).astype(np.int64))
-    xf = xs.astype(np.float64)
-    vals = S[xs] * np.log(xf) ** alpha / xf**sigma0
-    return float(np.max(vals))
-
-
-def _upper_gamma(a: float, x: float) -> float:
-    """Upper incomplete gamma Gamma(a, x) for x > 0 and any real a.
-
-    scipy's gammaincc takes a > 0 only; below that the recurrence
-    Gamma(a, x) = (Gamma(a+1, x) - x^a e^(-x)) / a climbs back up to a > 0,
-    or to Gamma(0, x) = E_1(x) for integer a.
-    """
-    if a > 0.0:
-        return float(special.gamma(a) * special.gammaincc(a, x))
-    if a == 0.0:
-        return float(special.exp1(x))
-    return (_upper_gamma(a + 1.0, x) - x**a * math.exp(-x)) / a
-
-
-def _log_power_integral_tail(u: float, L: float, alpha: float) -> float:
-    """integral_N^inf x^(-1-u) (log x)^(-alpha) dx = u^(alpha-1) Gamma(1-alpha, uL)."""
-    return u ** (alpha - 1.0) * _upper_gamma(1.0 - alpha, u * L)
-
-
-def weighted_zeta(w, sigma: float) -> TruncatedSum:
-    """Truncated sum of w_n n^(-2 sigma) with an envelope-based tail estimate.
-
-    The tail uses the measured upper Chebyshev envelope C of the partial
-    sums: tail <= 2 sigma C integral_N^inf x^(sigma0 - 2 sigma) (log x)^(-alpha) dx/x.
-    Near the abscissa the tail term dominates any feasible truncation; callers
-    comparing against closed forms should use value + tail_bound.  remainder
-    bounds the block-moment evaluation error of value itself
-    (accum.dirichlet_sums).
-    """
-    sigma = float(sigma)
-    sigma0 = getattr(w, "sigma0", 1.0)
-    if 2.0 * sigma <= sigma0:
-        raise DomainError(f"weighted zeta sum needs 2 sigma > {sigma0}, got sigma={sigma}")
-    values, remainders = dirichlet_sums(w.w, [2.0 * sigma])
-    alpha = w.expected_alpha if w.expected_alpha is not None else 0.0
-    c_env = _envelope_constant(w, alpha, sigma0)
-    u = 2.0 * sigma - sigma0
-    L = math.log(w.limit)
-    tail = 2.0 * sigma * c_env * _log_power_integral_tail(u, L, alpha)
-    return TruncatedSum(value=float(values[0]), tail_bound=float(tail),
-                        remainder=float(remainders[0]))
 
 
 def dirichlet_convolve(a, b):

@@ -25,11 +25,15 @@ from dirichletlab.sampling import (
     kadec_atoms,
     measure_from_weights,
 )
-from dirichletlab.tauberian import fit_singularity, mellin_profile, predict_and_compare
+from dirichletlab.tauberian import (
+    fit_singularity,
+    mellin_profile,
+    predict_and_compare,
+    weighted_zeta,
+)
 from dirichletlab.zeta import (
     prime_zeta,
     prime_zeta_unit_abscissa,
-    weighted_zeta,
     zeta,
     zeta_equals_two_abscissa,
 )

@@ -228,13 +228,18 @@ def test_curves_values_and_marks(tmp_path):
 
 
 def test_config_section_and_flag_precedence(tmp_path):
+    assert run("fit", "--name", "constant", "--N", "1e5", "--grid-points", "12",
+               "--out", tmp_path / "flags.json") == 0
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({
-        "fit": {"name": "constant", "N": 100000, "grid-points": 12,
-                "out": str(tmp_path / "a.json")}
-    }))
-    assert run("--config", cfg, "fit") == 0
-    assert len(json.loads((tmp_path / "a.json").read_text())["grid"]) == 12
+    # config values are parsed by the flag's type: strings give the flags' artifact
+    for n, points in ((100000, 12), ("1e5", "12")):
+        cfg.write_text(json.dumps({
+            "fit": {"name": "constant", "N": n, "grid-points": points,
+                    "out": str(tmp_path / "a.json")}
+        }))
+        assert run("--config", cfg, "fit") == 0
+        assert len(json.loads((tmp_path / "a.json").read_text())["grid"]) == 12
+        assert filecmp.cmp(tmp_path / "a.json", tmp_path / "flags.json", shallow=False)
     # a flag beats the file
     assert run("--config", cfg, "fit", "--grid-points", 10,
                "--out", tmp_path / "b.json") == 0
@@ -249,6 +254,15 @@ def test_config_flat_form(tmp_path):
     assert (tmp_path / "w.csv").exists()
     cfg.write_text("[1, 2]")
     assert run("--config", cfg, "weights") == 2
+
+
+def test_config_malformed_value_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"fit": {"name": "constant", "N": 100000,
+                                       "grid_points": "abc"}}))
+    assert run("--config", cfg, "fit", "--out", tmp_path / "f.json") == 2
+    assert "grid_points" in capsys.readouterr().err
+    assert not (tmp_path / "f.json").exists()
 
 
 def _rerun_identical(tmp_path, name, argv_of):

@@ -6,16 +6,15 @@ import pytest
 
 from dirichletlab import weights as W
 from dirichletlab.errors import DomainError, RangeError
+from dirichletlab.tauberian import _log_power_integral_tail, weighted_zeta
 from dirichletlab.zeta import (
     KernelSpec,
-    _log_power_integral_tail,
     dirichlet_convolve,
     dirichlet_inverse,
     kernel_eval,
     prime_zeta,
     prime_zeta_unit_abscissa,
     solve_abscissa,
-    weighted_zeta,
     zeta,
     zeta_equals_two_abscissa,
     zeta_eta,
