@@ -64,7 +64,7 @@ def compensated_cumsum(a: np.ndarray) -> np.ndarray:
         local = np.cumsum(a[start:stop])
         out[start:stop] = local + math.fsum(offset_terms)
         # exact chunk total, so offsets do not inherit cumsum drift
-        offset_terms.append(math.fsum(a[start:stop]))
+        offset_terms.append(math.fsum(a[start:stop].tolist()))
     return out
 
 

@@ -3,15 +3,17 @@ multiplicative/additive functions built from them.
 
 Everything downstream (weight catalogs, coefficient identities) reads from a
 SieveTable, so factorization cost is amortized to O(1) per query after the
-O(N log log N) build.  Bulk table builders are vectorized with slice
-arithmetic; the per-n operations work on an explicit factorization and use
-exact integer (or rational) arithmetic wherever the result is rational.
+O(N log log N) build.  The multiplicative and additive tables (d_gamma,
+Omega, prod nu_p!) come from one vectorized pass over the spf array; the
+divisor-count, von Mangoldt and ordered-factorization tables use slice
+arithmetic.  The per-n operations work on an explicit factorization and use
+exact integer arithmetic, rounding once per prime power where the value is
+not an integer.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -112,30 +114,22 @@ def von_mangoldt(f: Factorization) -> float:
 def generalized_divisor(gamma, f: Factorization) -> float:
     """Coefficient multiplicative in f with value rising(gamma,e)/e! at p^e.
 
-    The per-prime-power recurrence value_j = value_{j-1} * (gamma+j-1)/j is
-    run in exact integer arithmetic for integer gamma >= 1 and in exact
-    rational arithmetic otherwise, so the single final float conversion is
-    correctly rounded (this is what makes the gamma=2 case agree with
-    divisor_count exactly as floats).
+    With gamma = a/b exactly (a float is a dyadic rational), each
+    prime-power value prod_j (a + (j-1) b) / (j b) is an exact integer
+    ratio, rounded once by int true division; the rounded values are
+    multiplied from the largest prime down, the order
+    generalized_divisor_table uses, so the two agree bit for bit.  Integer
+    gamma gives integer values, exact as floats (gamma=2 is divisor_count).
     """
-    g = float(gamma)
-    if g.is_integer() and g >= 1:
-        gi = int(g)
-        total = 1
-        for _, e in f:
-            val = 1
-            for j in range(1, e + 1):
-                val = val * (gi + j - 1) // j  # binomial recurrence, exact
-            total *= val
-        return float(total)
-    q = Fraction(g)
-    total = Fraction(1)
-    for _, e in f:
-        val = Fraction(1)
+    a, b = float(gamma).as_integer_ratio()
+    total = 1.0
+    for _, e in reversed(f):
+        num = den = 1
         for j in range(1, e + 1):
-            val = val * (q + j - 1) / j
-        total *= val
-    return float(total)
+            num *= a + (j - 1) * b
+            den *= j * b
+        total *= num / den
+    return total
 
 
 def ordered_factorizations(n: int, table: SieveTable) -> int:
@@ -193,51 +187,45 @@ def von_mangoldt_table(table: SieveTable) -> np.ndarray:
     return lam
 
 
-def generalized_divisor_table(gamma, table: SieveTable) -> np.ndarray:
-    """Bulk version of generalized_divisor over 1..limit.
+def _spf_pass(table: SieveTable, g, op, dtype=np.float64) -> np.ndarray:
+    """Table over 0..limit of f(p^e m) = op(g(e), f(m)), p the smallest prime
+    factor and p not dividing m.
 
-    gamma=2 routes through the exact divisor-count table; other gammas apply
-    the per-prime-power ratio (gamma+j-1)/j to multiples of p^j, which keeps
-    relative rounding at the 1e-15 level (fine for the fit/fit-ratio uses;
-    per-n exactness lives in generalized_divisor).
+    op=np.multiply builds a multiplicative table, op=np.add an additive one;
+    slot 1 holds op's identity and slot 0 is 0.  n runs through the dyadic
+    ranges [2^k, 2^(k+1)): n // spf(n) <= n/2 lies in an earlier range, so
+    every entry read is final.  Beside f the pass keeps the exponent e of
+    spf(n) in n and the cofactor m = n / spf(n)^e.
     """
-    if float(gamma) == 2.0:
-        return divisor_count_table(table.limit).astype(np.float64)
-    t = np.ones(table.limit + 1)
-    t[0] = 0.0
-    for p in table.primes:
-        p = int(p)
-        q, j = p, 1
-        while q <= table.limit:
-            t[q::q] *= (gamma + j - 1) / j
-            q *= p
-            j += 1
-    return t
+    spf, limit = table.spf, table.limit
+    values = np.array([g(e) for e in range(limit.bit_length())], dtype=dtype)
+    f = np.full(limit + 1, op.identity, dtype=dtype)
+    f[0] = 0
+    exp = np.zeros(limit + 1, dtype=np.int8)
+    cof = np.ones(limit + 1, dtype=np.int32)
+    lo = 2
+    while lo <= limit:
+        hi = min(2 * lo, limit + 1)
+        p = spf[lo:hi]
+        m = np.arange(lo, hi, dtype=np.int32) // p
+        same = spf[m] == p
+        exp[lo:hi] = np.where(same, exp[m] + 1, 1)
+        cof[lo:hi] = np.where(same, cof[m], m)
+        f[lo:hi] = op(values[exp[lo:hi]], f[cof[lo:hi]])
+        lo = hi
+    return f
+
+
+def generalized_divisor_table(gamma, table: SieveTable) -> np.ndarray:
+    """generalized_divisor for every n in 0..limit (0 at n=0), bit for bit."""
+    return _spf_pass(table, lambda e: generalized_divisor(gamma, ((2, e),)), np.multiply)
 
 
 def omega_table(table: SieveTable) -> np.ndarray:
     """Number of prime factors counted with multiplicity, for 0..limit."""
-    om = np.zeros(table.limit + 1, dtype=np.int8)
-    for p in table.primes:
-        p = int(p)
-        q = p
-        while q <= table.limit:
-            om[q::q] += 1
-            q *= p
-    return om
+    return _spf_pass(table, lambda e: e, np.add, np.int8)
 
 
 def exponent_factorial_table(table: SieveTable) -> np.ndarray:
     """Product of exponent factorials prod(nu_p!) for each n (1 at n=1)."""
-    t = np.ones(table.limit + 1)
-    t[0] = 0.0
-    for p in table.primes:
-        p = int(p)
-        if p * p > table.limit:
-            break
-        q, j = p * p, 2
-        while q <= table.limit:
-            t[q::q] *= j
-            q *= p
-            j += 1
-    return t
+    return _spf_pass(table, math.factorial, np.multiply)

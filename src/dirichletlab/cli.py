@@ -67,6 +67,13 @@ def _config_defaults(parser, section):
     return out
 
 
+def float_list(v):
+    """A comma-separated string (flag) or a JSON list (config) of numbers."""
+    if isinstance(v, str):
+        v = [x for x in v.split(",") if x.strip()]
+    return [float(x) for x in v]
+
+
 def _weight_params(args):
     params = {"gamma": args.gamma, "alpha": args.alpha_param, "blocks": args.blocks}
     return {k: v for k, v in params.items() if v is not None}
@@ -206,11 +213,7 @@ def cmd_embed(args):
         raise UsageError(f"unknown or missing weight family {name!r}")
     if alpha is None:
         raise UsageError("--alpha is required")
-    n_list = args.N_list
-    if isinstance(n_list, str):
-        n_list = [int(float(v)) for v in n_list.split(",") if v.strip()]
-    else:
-        n_list = [int(v) for v in n_list]
+    n_list = [int(v) for v in args.N_list]
     if not n_list:
         raise UsageError("--N-list is empty")
     if kind not in ("blocks", "random"):
@@ -254,12 +257,7 @@ def cmd_sampling(args):
     beta, eps = args.beta, args.eps
     car = sampling.carleson_check(mu, beta)
     horizon = float(mu.domain_bound)
-    if isinstance(args.r_list, str):
-        rs = [float(v) for v in args.r_list.split(",") if v.strip()]
-    else:
-        rs = [float(v) for v in args.r_list]
-    if not rs:
-        rs = [max(1.0, (horizon - float(mu.domain_low)) / 5.0)]
+    rs = args.r_list or [max(1.0, (horizon - float(mu.domain_low)) / 5.0)]
     dens = sampling.beurling_lower_density(mu.positions, rs, window=(float(mu.domain_low), horizon))
     cont = sampling.continuity_at_infinity(mu, beta, eps)
     blob = {
@@ -410,7 +408,7 @@ def build_parser():
     p = sub.add_parser("embed", help="embedding-constant estimates across truncations")
     _add_weight_flags(p)
     p.add_argument("--alpha", type=float)
-    p.add_argument("--N-list", default="1000,10000")
+    p.add_argument("--N-list", type=float_list, default="1000,10000")
     p.add_argument("--family", choices=["blocks", "random"], default="blocks")
     p.add_argument("--size", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
@@ -425,7 +423,7 @@ def build_parser():
     p.add_argument("--symmetric", action="store_true")
     p.add_argument("--beta", type=float, default=0.0)
     p.add_argument("--eps", type=float, default=0.1)
-    p.add_argument("--r-list", default="")
+    p.add_argument("--r-list", type=float_list, default="")
     p.add_argument("--lambda-r", type=float)
     p.add_argument("--lambda-delta", type=float, default=0.5)
     p.add_argument("--atoms-out")

@@ -123,8 +123,8 @@ def catalog(name: str, limit: int, table=None, **params) -> WeightSequence:
         expected = -a
     elif name == "dgamma":
         g = float(params["gamma"])
-        if g <= 0:
-            raise DomainError("dgamma needs gamma > 0")
+        if not 0 < g < math.inf:
+            raise DomainError("dgamma needs a finite gamma > 0")
         w = arithmetic.generalized_divisor_table(g, table)[: limit + 1].copy()
         w[0] = 0.0
         expected = 1.0 - g

@@ -138,6 +138,28 @@ def test_generalized_divisor_gamma1_is_one(table_small):
     assert np.all(g1[1:2000] == 1.0)
 
 
+def test_generalized_divisor_table_equals_per_n_value(table_small):
+    gammas = (1 / 3, 0.7, 1.5, 2.5, 3.0)
+    tables = [generalized_divisor_table(g, table_small) for g in gammas]
+    for n in range(1, table_small.limit + 1):
+        f = factorize(table_small, n)
+        for g, t in zip(gammas, tables):
+            assert t[n] == generalized_divisor(g, f), (g, n)
+
+
+@pytest.mark.parametrize("limit", [2, 3, 4, 7, 8, 9, 15, 16, 17, 2**10 - 1, 2**10 + 1])
+def test_spf_tables_at_dyadic_edges(limit):
+    table = build_sieve(limit)
+    om, ef = omega_table(table), exponent_factorial_table(table)
+    gd = generalized_divisor_table(1 / 3, table)
+    assert (om[0], om[1], ef[0], ef[1], gd[0], gd[1]) == (0, 0, 0.0, 1.0, 0.0, 1.0)
+    for n in range(2, limit + 1):
+        f = factorize(table, n)
+        assert om[n] == sum(e for _, e in f)
+        assert ef[n] == math.prod(math.factorial(e) for _, e in f)
+        assert gd[n] == generalized_divisor(1 / 3, f)
+
+
 def ordered_factorizations_oracle(n, memo={1: 1}):
     # F(n) = sum over divisors d > 1 of F(n/d)
     if n in memo:

@@ -271,6 +271,31 @@ def test_config_malformed_value_exits_two(tmp_path, capsys):
     assert not (tmp_path / "f.json").exists()
 
 
+def test_list_flags_parse_by_either_route(tmp_path, capsys):
+    # a malformed item is a usage error from a flag and from the config alike
+    for argv in (("embed", "--name", "constant", "--alpha", 0.0, "--N-list", "1e3,abc",
+                  "--out-csv", tmp_path / "x.csv", "--out-json", tmp_path / "x.json"),
+                 ("sampling", "--name", "kadec", "--r-list", "1,x",
+                  "--out", tmp_path / "x.json")):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == 2
+        assert "list" in capsys.readouterr().err
+    cfg = tmp_path / "opts.json"
+    cfg.write_text(json.dumps({"embed": {"N_list": ["abc"]}}))
+    assert run("--config", cfg, "embed", "--name", "constant", "--alpha", 0.0) == 2
+    assert "N_list" in capsys.readouterr().err
+    # "1e3" means N = 1000 by either route
+    base = ("embed", "--name", "constant", "--alpha", 0.0, "--family", "blocks")
+    assert run(*base, "--N-list", "1e3", "--out-json", tmp_path / "flag.json",
+               "--out-csv", tmp_path / "flag.csv") == 0
+    cfg.write_text(json.dumps({"embed": {"N_list": ["1e3"]}}))
+    assert run("--config", cfg, *base, "--out-json", tmp_path / "cfg.json",
+               "--out-csv", tmp_path / "cfg.csv") == 0
+    assert filecmp.cmp(tmp_path / "flag.json", tmp_path / "cfg.json", shallow=False)
+    assert [r["N"] for r in json.loads((tmp_path / "cfg.json").read_text())["rows"]] == [1000]
+
+
 def _rerun_identical(tmp_path, name, argv_of):
     d1, d2 = tmp_path / "r1", tmp_path / "r2"
     d1.mkdir(), d2.mkdir()

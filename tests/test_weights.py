@@ -30,6 +30,9 @@ def test_dgamma_two_equals_divisor_function(table_small):
     w = W.catalog("dgamma", 20_000, table=table_small, gamma=2.0)
     d = divisor_count_table(20_000)
     assert np.array_equal(w.w[1:], d[1:].astype(np.float64))
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            W.catalog("dgamma", 100, table=table_small, gamma=bad)
 
 
 def test_mangoldt_weights_match_arithmetic_table(table_small):
