@@ -213,9 +213,11 @@ def cmd_embed(args):
         raise UsageError(f"unknown or missing weight family {name!r}")
     if alpha is None:
         raise UsageError("--alpha is required")
-    n_list = [int(v) for v in args.N_list]
-    if not n_list:
+    if not args.N_list:
         raise UsageError("--N-list is empty")
+    if not all(math.isfinite(v) for v in args.N_list):
+        raise UsageError(f"--N-list entries must be finite, got {args.N_list}")
+    n_list = [int(v) for v in args.N_list]
     if kind not in ("blocks", "random"):
         raise UsageError(f"family must be blocks|random, got {kind!r}")
     win = LocalWindow(args.a, args.b, args.sigma_cap)

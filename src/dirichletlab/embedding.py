@@ -4,7 +4,7 @@ Two families of quantities face each other here:
 
 * local norms of Dirichlet polynomials — the sup-L2 quantity for the
   Hardy-type case and weighted area/derivative integrals for the rest of
-  the scale (parameter alpha <= 1, Bergman at -1, Dirichlet at +1);
+  the scale (parameter alpha < 2, Bergman at -1, Dirichlet at +1);
 * the dual side: sums |g_hat(log n)|^2 (log n)^alpha w_n / n over a smooth
   test bump g, whose uniform boundedness over bumps encodes the embedding.
 
@@ -12,8 +12,11 @@ Quadrature: composite Gauss-Legendre in t (the integrand's top frequency is
 log N radians per unit, so 32 nodes per unit is already far past resolution),
 Gauss-Jacobi in sigma with the exact endpoint weight (sigma-1/2)^e baked into
 the rule, which keeps the convergence spectral despite the boundary
-singularity.  Reductions are ordinary dot products in a fixed order, so
-results are bit-reproducible run to run.
+singularity.  The values F(sigma + it) on the node grid come from the accum
+engine: one set of block moments per polynomial serves the main grid and the
+half-node check, and its Taylor remainder is added to the reported
+quad_error.  Reductions run in a fixed order, so results are bit-reproducible
+run to run.
 """
 
 from __future__ import annotations
@@ -26,12 +29,11 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from scipy import integrate, interpolate, special
 
-from .accum import compensated_sum
+from .accum import BlockMoments, block_moments, compensated_sum, moment_sums
 from .errors import DomainError, RangeError, TruncationError
 from .hspace import DirichletPolynomial, derivative, hw_norm
 
 _TWO_PI = 2.0 * math.pi
-_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -43,8 +45,8 @@ class LocalWindow:
     sigma_cap: float = 1.0
 
     def __post_init__(self):
-        if not self.a < self.b:
-            raise RangeError(f"window needs a < b, got ({self.a}, {self.b})")
+        if not (self.a < self.b and math.isfinite(self.a) and math.isfinite(self.b)):
+            raise RangeError(f"window needs finite a < b, got ({self.a}, {self.b})")
         if not self.sigma_cap > 0.5:
             raise RangeError(f"sigma_cap must exceed 1/2, got {self.sigma_cap}")
 
@@ -102,26 +104,21 @@ def _sigma_rule(alpha: float, cap: float, nodes: int):
     return sig, ws
 
 
-def _abs2_grid(F: DirichletPolynomial, sigmas: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """|F(sigma + it)|^2 on the tensor grid, chunked over the support."""
-    idx = F.support()
-    out = np.zeros((len(sigmas), len(ts)), dtype=np.complex128)
-    if idx.size == 0:
-        return out.real
-    val = F.coeffs[idx]
-    logn = np.log(idx.astype(np.float64))
-    for lo in range(0, idx.size, _CHUNK):
-        sl = slice(lo, lo + _CHUNK)
-        amp = val[sl] * np.exp(-np.outer(sigmas, logn[sl]))
-        phase = np.exp(-1j * np.outer(logn[sl], ts))
-        out += amp @ phase
-    return out.real**2 + out.imag**2
+def _moments(F: DirichletPolynomial, win: LocalWindow) -> BlockMoments:
+    """F's block moments, sized for every s = sigma + it of the window."""
+    return block_moments(F.coeffs, abs(complex(win.sigma_cap, max(abs(win.a), abs(win.b)))))
 
 
-def _sup_l2_values(F, win, sigma_grid, nodes_per_unit):
+def _abs2_grid(bm: BlockMoments, sigmas, ts) -> tuple:
+    """|F(sigma + it)|^2 on the tensor grid, and a bound on its expansion error."""
+    vals, rem = moment_sums(bm, sigmas, ts)
+    return vals.real**2 + vals.imag**2, rem * (2.0 * np.abs(vals) + rem)
+
+
+def _sup_l2_values(bm, win, sigma_grid, nodes_per_unit):
     ts, wt = _t_rule(win.a, win.b, nodes_per_unit)
-    m = _abs2_grid(F, np.asarray(sigma_grid, dtype=np.float64), ts)
-    return m @ wt
+    m, err = _abs2_grid(bm, sigma_grid, ts)
+    return m @ wt, err @ wt
 
 
 def default_sigma_grid(cap: float, levels: int = 20) -> list:
@@ -150,22 +147,22 @@ def local_sup_l2(
     sigma_grid = list(sigma_grid)
     if any(not 0.5 < s <= win.sigma_cap for s in sigma_grid):
         raise RangeError("sigma grid must lie in (1/2, sigma_cap]")
-    vals = _sup_l2_values(F, win, sigma_grid, t_nodes_per_unit)
+    bm = _moments(F, win)
+    vals, errs = _sup_l2_values(bm, win, sigma_grid, t_nodes_per_unit)
     i = int(np.argmax(vals))
-    check = _sup_l2_values(F, win, [sigma_grid[i]], max(2, t_nodes_per_unit // 2))
+    check, _ = _sup_l2_values(bm, win, [sigma_grid[i]], max(2, t_nodes_per_unit // 2))
     return LocalNorm(
         value=float(vals[i]),
-        quad_error=float(abs(vals[i] - check[0])),
+        quad_error=float(abs(vals[i] - check[0]) + errs[i]),
         sigma_at_max=float(sigma_grid[i]),
     )
 
 
-def _dalpha_value(F, alpha, win, t_nodes, s_nodes):
-    G = F if alpha < 0 else derivative(F)
+def _dalpha_value(bm, alpha, win, t_nodes, s_nodes):
     sig, ws = _sigma_rule(alpha, win.sigma_cap, s_nodes)
     ts, wt = _t_rule(win.a, win.b, t_nodes)
-    m = _abs2_grid(G, sig, ts)
-    return float(ws @ (m @ wt))
+    m, err = _abs2_grid(bm, sig, ts)
+    return float(ws @ (m @ wt)), float(ws @ (err @ wt))
 
 
 def dalpha_local_norm(
@@ -191,11 +188,12 @@ def dalpha_local_norm(
         raise DomainError(f"alpha = {alpha} is outside the supported scale alpha < 2")
     if alpha == 0.0:
         raise DomainError("alpha = 0 is the sup-L2 case; use local_sup_l2")
-    v = _dalpha_value(F, alpha, win, t_nodes_per_unit, sigma_nodes)
-    v_half = _dalpha_value(
-        F, alpha, win, max(2, t_nodes_per_unit // 2), max(2, sigma_nodes // 2)
+    bm = _moments(F if alpha < 0 else derivative(F), win)
+    v, err = _dalpha_value(bm, alpha, win, t_nodes_per_unit, sigma_nodes)
+    v_half, _ = _dalpha_value(
+        bm, alpha, win, max(2, t_nodes_per_unit // 2), max(2, sigma_nodes // 2)
     )
-    return LocalNorm(value=v, quad_error=abs(v - v_half), sigma_at_max=None)
+    return LocalNorm(value=v, quad_error=abs(v - v_half) + err, sigma_at_max=None)
 
 
 # ---------------------------------------------------------------------------

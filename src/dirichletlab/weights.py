@@ -157,8 +157,8 @@ def catalog(name: str, limit: int, table=None, **params) -> WeightSequence:
         expected = 1.0
     elif name == "besov":
         g = float(params["gamma"])
-        if g < 0:
-            raise DomainError("besov needs gamma >= 0")
+        if not 0 <= g < math.inf:
+            raise DomainError("besov needs a finite gamma >= 0")
         om = arithmetic.omega_table(table)[: limit + 1]
         fac = arithmetic.exponent_factorial_table(table)[: limit + 1]
         kmax = int(om.max())

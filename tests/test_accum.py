@@ -8,11 +8,13 @@ from hypothesis import given, settings, strategies as st
 from dirichletlab import weights as W
 from dirichletlab.accum import (
     _HEAD,
+    block_moments,
     compensated_cumsum,
     compensated_sum,
     dirichlet_sums,
     fsum,
     fsum_complex,
+    moment_sums,
 )
 from dirichletlab.tauberian import mellin_profile
 
@@ -128,3 +130,74 @@ def test_engine_keeps_input_order_and_small_n():
     values, rems = dirichlet_sums(a, [3.0, 1.0])
     assert values == pytest.approx([2.0 + 3.0 / 8.0, 3.5], rel=1e-15)
     assert np.all(rems == 0.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    N=st.sampled_from([_HEAD - 1, _HEAD, _HEAD + 1, 20_000]),
+    seed=st.integers(0, 2**32 - 1),
+    sigmas=st.lists(st.floats(0.5, 3.0, exclude_min=True), min_size=1, max_size=3),
+    ts=st.lists(st.floats(-30.0, 30.0), min_size=1, max_size=3),
+)
+def test_engine_error_within_remainder_at_complex_s(N, seed, sigmas, ts):
+    # random complex coefficients cancel, so the gate is relative to sum |a_n| n^-sigma
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(N + 1) + 1j * rng.standard_normal(N + 1)
+    a[0] = 0.0
+    s_max = max(abs(complex(sg, t)) for sg in sigmas for t in ts)
+    values, rems = moment_sums(block_moments(a, s_max), sigmas, ts)
+    assert values.shape == rems.shape == (len(sigmas), len(ts))
+    logn = np.log(np.arange(1, N + 1, dtype=np.float64))
+    for i, sg in enumerate(sigmas):
+        absolute = compensated_sum(np.abs(a[1:]) * np.exp(-sg * logn))
+        for j, t in enumerate(ts):
+            direct = fsum_complex(a[1:] * np.exp(-complex(sg, t) * logn))
+            assert abs(values[i, j] - direct) <= rems[i, j] + 1e-12 * absolute
+
+
+@pytest.mark.parametrize("N", [20_000, 10**5])
+def test_block_width_keeps_the_remainder_small_at_wide_t(N):
+    # the blocks narrow with max |s|, so |t| = 30 costs no accuracy
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal(N + 1) + 1j * rng.standard_normal(N + 1)
+    a[0] = 0.0
+    sigmas, ts = [0.5 + 2.0**-20, 1.0, 3.0], [-30.0, 30.0]
+    bm = block_moments(a, abs(complex(3.0, 30.0)))
+    _, rems = moment_sums(bm, sigmas, ts)
+    logn = np.log(np.arange(1, N + 1, dtype=np.float64))
+    for i, sg in enumerate(sigmas):
+        absolute = compensated_sum(np.abs(a[1:]) * np.exp(-sg * logn))
+        assert np.all(rems[i] <= 1e-15 * absolute)
+    # the width at |s| <= 5 is the fixed 1/32 the real profiles use
+    assert np.array_equal(block_moments(a, 5.0).centre, block_moments(a, 0.0).centre)
+    assert bm.centre.size > block_moments(a, 5.0).centre.size
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_remainder_bounds_the_error_past_the_width_it_was_built_for(seed):
+    # moments sized for |s| <= 5 evaluated at |t| up to 60: the Taylor error
+    # is far above rounding there, and the remainder must still cover it
+    N = 3 * _HEAD
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(N + 1) + 1j * rng.standard_normal(N + 1)
+    a[: _HEAD + 1] = 0.0  # blocks only
+    sigmas, ts = [0.6, 1.5], [-60.0, -25.0, 40.0, 60.0]
+    values, rems = moment_sums(block_moments(a, 5.0), sigmas, ts)
+    logn = np.log(np.arange(1, N + 1, dtype=np.float64))
+    for i, sg in enumerate(sigmas):
+        absolute = compensated_sum(np.abs(a[1:]) * np.exp(-sg * logn))
+        assert np.all(rems[i] > 1e-11 * absolute)
+        for j, t in enumerate(ts):
+            direct = fsum_complex(a[1:] * np.exp(-complex(sg, t) * logn))
+            assert abs(values[i, j] - direct) <= rems[i, j] + 1e-14 * absolute
+
+
+def test_complex_grid_at_t_zero_agrees_with_the_real_path():
+    a = W.catalog("divisor", 10**5).w.copy()
+    a[: _HEAD + 1] = 0.0  # blocks only, so every moment shows
+    sigmas = [0.6, 2.0, 5.0]
+    bm = block_moments(a, 5.0)
+    real, real_rems = moment_sums(bm, sigmas)
+    grid, grid_rems = moment_sums(bm, sigmas, [0.0])
+    assert np.all(np.abs(grid[:, 0] - real) <= 2e-15 * real)  # measured <= 3.6e-16
+    assert grid_rems[:, 0] == pytest.approx(real_rems, rel=1e-15)

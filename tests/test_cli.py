@@ -281,6 +281,11 @@ def test_list_flags_parse_by_either_route(tmp_path, capsys):
             run(*argv)
         assert exc.value.code == 2
         assert "list" in capsys.readouterr().err
+    # inf and nan parse as numbers but name no truncation
+    for bad in ("inf", "nan", "1e3,inf"):
+        assert run("embed", "--name", "constant", "--alpha", 0.0, "--N-list", bad,
+                   "--out-csv", tmp_path / "x.csv", "--out-json", tmp_path / "x.json") == 2
+        assert "finite" in capsys.readouterr().err
     cfg = tmp_path / "opts.json"
     cfg.write_text(json.dumps({"embed": {"N_list": ["abc"]}}))
     assert run("--config", cfg, "embed", "--name", "constant", "--alpha", 0.0) == 2
@@ -317,6 +322,10 @@ RERUNS = {
                         "--N-list", "100,300", "--family", "random",
                         "--size", 16, "--seed", 20260817,
                         "--out-csv", d / "e.csv", "--out-json", d / "e.json"),
+    # past the 4096-term head, so the local norms come from block moments
+    "embed_blocks": lambda d: ("embed", "--name", "divisor", "--alpha", 0.5,
+                               "--N-list", 20000, "--family", "blocks",
+                               "--out-csv", d / "e.csv", "--out-json", d / "e.json"),
     "sampling": lambda d: ("sampling", "--name", "kadec", "--blocks", 30,
                            "--lambda-r", 1.0, "--out", d / "s.json"),
     "tauberian": lambda d: ("tauberian", "--name", "constant", "--N", 100000,

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from dirichletlab import weights as W
+from dirichletlab import embedding, weights as W
 from dirichletlab.embedding import (
     LocalWindow,
     block_family,
@@ -30,6 +30,8 @@ def test_window_validation():
         LocalWindow(1.0, 0.0, 1.0)
     with pytest.raises(RangeError):
         LocalWindow(0.0, 1.0, 0.4)  # cap must exceed 1/2
+    with pytest.raises(RangeError):
+        LocalWindow(0.0, math.inf, 1.0)
 
 
 def test_sup_l2_constant_is_interval_length():
@@ -267,3 +269,54 @@ def test_embedding_constant_rejects_empty_family():
     w = W.catalog("constant", 100)
     with pytest.raises(RangeError):
         embedding_constant(w, 0.0, WIN, [])
+
+
+def _direct_sums(coeffs, sigmas, ts):
+    """The reference the engine replaced: sum a_n n^(-sigma) e^(-it log n), chunked."""
+    sigmas = np.asarray(sigmas, dtype=np.float64)
+    idx = np.flatnonzero(coeffs)
+    out = np.zeros((len(sigmas), len(ts)), dtype=np.complex128)
+    logn = np.log(idx.astype(np.float64))
+    for lo in range(0, idx.size, 8192):
+        sl = slice(lo, lo + 8192)
+        amp = coeffs[idx[sl]] * np.exp(-np.outer(sigmas, logn[sl]))
+        out += amp @ np.exp(-1j * np.outer(logn[sl], ts))
+    return out, np.zeros(out.shape)
+
+
+def _with_direct_sums(monkeypatch, compute):
+    """compute() with the embedding's sums taken term by term instead of from moments."""
+    with monkeypatch.context() as m:
+        m.setattr(embedding, "block_moments", lambda a, s_max: a)
+        m.setattr(embedding, "moment_sums", _direct_sums)
+        return compute()
+
+
+@pytest.mark.parametrize("kind", ["random", "blocks"])
+def test_local_norms_match_the_direct_sum(kind, monkeypatch):
+    # N = 2e4 reaches past the engine's 4096-term head into its blocks
+    w = W.catalog("divisor", 20_000)
+    fam = random_family(w, 3, 5) if kind == "random" else block_family(w)[-3:]
+    for F in fam:
+        for norm in (
+            lambda: local_sup_l2(F, WIN),
+            lambda: dalpha_local_norm(F, 0.5, WIN),
+            lambda: dalpha_local_norm(F, -0.5, WIN),
+        ):
+            got, want = norm(), _with_direct_sums(monkeypatch, norm)
+            assert got.value == pytest.approx(want.value, rel=1e-12)
+            assert got.sigma_at_max == want.sigma_at_max
+    for alpha in (0.0, 0.5, -0.5):
+        est = lambda: embedding_constant(w, alpha, WIN, fam)
+        got, want = est(), _with_direct_sums(monkeypatch, est)
+        assert got.ratios == pytest.approx(want.ratios, rel=1e-12)
+        assert got.argmax == want.argmax
+
+
+def test_local_norm_matches_the_direct_sum_on_a_wide_window(monkeypatch):
+    # |t| up to 30: the engine narrows its blocks, the value stays put
+    win = LocalWindow(0.0, 30.0, 1.0)
+    F = random_family(W.catalog("constant", 20_000), 1, 9)[0]
+    norm = lambda: local_sup_l2(F, win, sigma_grid=[0.5 + 2.0**-20, 0.75, 1.0])
+    got, want = norm(), _with_direct_sums(monkeypatch, norm)
+    assert got.value == pytest.approx(want.value, rel=1e-12)

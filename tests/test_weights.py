@@ -33,6 +33,9 @@ def test_dgamma_two_equals_divisor_function(table_small):
     for bad in (0.0, math.nan, math.inf):
         with pytest.raises(DomainError):
             W.catalog("dgamma", 100, table=table_small, gamma=bad)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            W.catalog("besov", 100, table=table_small, gamma=bad)
 
 
 def test_mangoldt_weights_match_arithmetic_table(table_small):
