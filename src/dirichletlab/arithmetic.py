@@ -187,20 +187,22 @@ def von_mangoldt_table(table: SieveTable) -> np.ndarray:
     return lam
 
 
-def _spf_pass(table: SieveTable, g, op, dtype=np.float64) -> np.ndarray:
-    """Table over 0..limit of f(p^e m) = op(g(e), f(m)), p the smallest prime
-    factor and p not dividing m.
+def _spf_pass(table: SieveTable, *rules) -> list:
+    """Tables over 0..limit of f(p^e m) = op(g(e), f(m)), p the smallest prime
+    factor and p not dividing m, one per rule (g, op, dtype).
 
     op=np.multiply builds a multiplicative table, op=np.add an additive one;
     slot 1 holds op's identity and slot 0 is 0.  n runs through the dyadic
     ranges [2^k, 2^(k+1)): n // spf(n) <= n/2 lies in an earlier range, so
-    every entry read is final.  Beside f the pass keeps the exponent e of
-    spf(n) in n and the cofactor m = n / spf(n)^e.
+    every entry read is final.  Beside the tables the pass keeps the exponent
+    e of spf(n) in n and the cofactor m = n / spf(n)^e, shared by all rules.
     """
     spf, limit = table.spf, table.limit
-    values = np.array([g(e) for e in range(limit.bit_length())], dtype=dtype)
-    f = np.full(limit + 1, op.identity, dtype=dtype)
-    f[0] = 0
+    values = [np.array([g(e) for e in range(limit.bit_length())], dtype=dtype)
+              for g, _, dtype in rules]
+    tables = [np.full(limit + 1, op.identity, dtype=dtype) for _, op, dtype in rules]
+    for f in tables:
+        f[0] = 0
     exp = np.zeros(limit + 1, dtype=np.int8)
     cof = np.ones(limit + 1, dtype=np.int32)
     lo = 2
@@ -211,21 +213,33 @@ def _spf_pass(table: SieveTable, g, op, dtype=np.float64) -> np.ndarray:
         same = spf[m] == p
         exp[lo:hi] = np.where(same, exp[m] + 1, 1)
         cof[lo:hi] = np.where(same, cof[m], m)
-        f[lo:hi] = op(values[exp[lo:hi]], f[cof[lo:hi]])
+        e, c = exp[lo:hi], cof[lo:hi]
+        for f, v, (_, op, _) in zip(tables, values, rules):
+            f[lo:hi] = op(v[e], f[c])
         lo = hi
-    return f
+    return tables
+
+
+_OMEGA = (lambda e: e, np.add, np.int8)
+_EXPONENT_FACTORIAL = (math.factorial, np.multiply, np.float64)
 
 
 def generalized_divisor_table(gamma, table: SieveTable) -> np.ndarray:
     """generalized_divisor for every n in 0..limit (0 at n=0), bit for bit."""
-    return _spf_pass(table, lambda e: generalized_divisor(gamma, ((2, e),)), np.multiply)
+    rule = (lambda e: generalized_divisor(gamma, ((2, e),)), np.multiply, np.float64)
+    return _spf_pass(table, rule)[0]
 
 
 def omega_table(table: SieveTable) -> np.ndarray:
     """Number of prime factors counted with multiplicity, for 0..limit."""
-    return _spf_pass(table, lambda e: e, np.add, np.int8)
+    return _spf_pass(table, _OMEGA)[0]
 
 
 def exponent_factorial_table(table: SieveTable) -> np.ndarray:
     """Product of exponent factorials prod(nu_p!) for each n (1 at n=1)."""
-    return _spf_pass(table, math.factorial, np.multiply)
+    return _spf_pass(table, _EXPONENT_FACTORIAL)[0]
+
+
+def omega_and_exponent_factorial_tables(table: SieveTable) -> tuple:
+    """omega_table and exponent_factorial_table from one pass over the spf array."""
+    return tuple(_spf_pass(table, _OMEGA, _EXPONENT_FACTORIAL))

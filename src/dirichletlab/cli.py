@@ -18,7 +18,6 @@ import math
 import sys
 
 import numpy as np
-from scipy.special import exp1
 
 from . import reporting, sampling
 from . import tauberian as T
@@ -28,7 +27,7 @@ from .arithmetic import build_sieve
 from .embedding import LocalWindow, block_family, embedding_constant, random_family
 from .errors import DirichletLabError
 from .zeta import (KernelSpec, kernel_eval, prime_zeta, prime_zeta_unit_abscissa,
-                   zeta, zeta_equals_two_abscissa)
+                   upper_gamma, zeta, zeta_equals_two_abscissa)
 
 
 class UsageError(Exception):
@@ -175,7 +174,7 @@ def cmd_zeta(args):
             direct = compensated_sum(table.primes.astype(np.float64) ** (-s))
             # li-based tail: integral of x^-s dpi(x) with pi ~ li - li(sqrt)/2
             L = math.log(cross_n)
-            tail = exp1((s - 1.0) * L) - 0.5 * exp1((s - 0.5) * L)
+            tail = upper_gamma(0.0, (s - 1.0) * L) - 0.5 * upper_gamma(0.0, (s - 0.5) * L)
             blob["cross_check_sigma"] = s
             blob["cross_check_gap"] = abs(direct + tail - prime_zeta(s).real)
         reporting.write_json("abscissas.json" if args.out is None else args.out, blob)

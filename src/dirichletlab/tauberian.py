@@ -21,11 +21,11 @@ import math
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy import special
 
 from .accum import dirichlet_sums
 from .errors import DomainError, FitError, RangeError
 from . import weights as _weights
+from .zeta import upper_gamma
 
 
 class MellinPoint(NamedTuple):
@@ -62,23 +62,9 @@ def _envelope_constant(w, alpha: float, sigma0: float = 1.0) -> float:
     return float(np.max(vals))
 
 
-def _upper_gamma(a: float, x: float) -> float:
-    """Upper incomplete gamma Gamma(a, x) for x > 0 and any real a.
-
-    scipy's gammaincc takes a > 0 only; below that the recurrence
-    Gamma(a, x) = (Gamma(a+1, x) - x^a e^(-x)) / a climbs back up to a > 0,
-    or to Gamma(0, x) = E_1(x) for integer a.
-    """
-    if a > 0.0:
-        return float(special.gamma(a) * special.gammaincc(a, x))
-    if a == 0.0:
-        return float(special.exp1(x))
-    return (_upper_gamma(a + 1.0, x) - x**a * math.exp(-x)) / a
-
-
 def _log_power_integral_tail(u: float, L: float, alpha: float) -> float:
     """integral_N^inf x^(-1-u) (log x)^(-alpha) dx = u^(alpha-1) Gamma(1-alpha, uL)."""
-    return u ** (alpha - 1.0) * _upper_gamma(1.0 - alpha, u * L)
+    return u ** (alpha - 1.0) * upper_gamma(1.0 - alpha, u * L)
 
 
 def mellin_profile(w, sigma_grid: Sequence[float], limit: int | None = None) -> list:

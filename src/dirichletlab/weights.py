@@ -159,8 +159,8 @@ def catalog(name: str, limit: int, table=None, **params) -> WeightSequence:
         g = float(params["gamma"])
         if not 0 <= g < math.inf:
             raise DomainError("besov needs a finite gamma >= 0")
-        om = arithmetic.omega_table(table)[: limit + 1]
-        fac = arithmetic.exponent_factorial_table(table)[: limit + 1]
+        om, fac = arithmetic.omega_and_exponent_factorial_tables(table)
+        om, fac = om[: limit + 1], fac[: limit + 1]
         kmax = int(om.max())
         rising = np.ones(kmax + 1)
         if g == 0.0:

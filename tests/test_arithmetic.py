@@ -15,6 +15,7 @@ from dirichletlab.arithmetic import (
     generalized_divisor,
     generalized_divisor_table,
     mobius,
+    omega_and_exponent_factorial_tables,
     omega_table,
     ordered_factorization_table,
     ordered_factorizations,
@@ -113,6 +114,13 @@ def test_exponent_factorial_table(table_small):
         for e in trial_factor(n).values():
             expect *= math.factorial(e)
         assert ef[n] == expect
+
+
+def test_omega_and_exponent_factorial_tables_from_one_pass(table_small):
+    om, ef = omega_and_exponent_factorial_tables(table_small)
+    assert om.dtype == np.int8 and ef.dtype == np.float64
+    assert np.array_equal(om, omega_table(table_small))
+    assert np.array_equal(ef, exponent_factorial_table(table_small))
 
 
 def test_generalized_divisor_gamma2_is_divisor_count(table_small):

@@ -3,7 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from scipy import integrate
+from hypothesis import example, given, settings, strategies as st
+from scipy import integrate, special
 
 from dirichletlab import embedding, weights as W
 from dirichletlab.embedding import (
@@ -138,13 +139,68 @@ def test_bump_requires_interior_support():
 
 def test_bump_fourier_against_direct_quadrature():
     b = make_bump(WIN, center=0.5, halfwidth=0.35)
-    for xi in (0.0, 1.0, 5.0, 14.0):
+    for xi in (0.0, 1.0, 5.0, 14.0, *np.linspace(0.0, b.y_max / b.halfwidth, 33)):
         val, _ = integrate.quad(
             lambda u: math.exp(-1.0 / (1.0 - u * u)) * math.cos(b.halfwidth * xi * u),
             -1.0, 1.0, epsabs=1e-13,
         )
         expect = b.halfwidth / math.sqrt(2.0 * math.pi) * abs(val)
         assert b.fourier_abs(xi) == pytest.approx(expect, rel=1e-9, abs=1e-13)
+
+
+def test_bump_fourier_wide_bump_against_quadpack():
+    # y_max = 4 * 17 + 1 = 69: past where the default bump's rule is checked
+    b = make_bump(LocalWindow(0.0, 10.0, 1.0), center=5.0, halfwidth=4.0)
+    f = lambda u: math.exp(-1.0 / (1.0 - u * u)) if abs(u) < 1.0 else 0.0
+    for xi in np.linspace(0.0, b.y_max / b.halfwidth, 23):
+        val, _ = integrate.quad(f, -1.0, 1.0, weight="cos", wvar=b.halfwidth * xi,
+                                epsabs=1e-14, limit=400)
+        expect = b.halfwidth / math.sqrt(2.0 * math.pi) * abs(val)
+        assert b.fourier_abs(xi) == pytest.approx(expect, rel=1e-9, abs=1e-13)
+
+
+def _jacobi_mass(e):
+    return 2.0 ** (e + 1.0) / (e + 1.0)
+
+
+_EXPONENTS = st.floats(min_value=-1.0, max_value=3.0, exclude_min=True, exclude_max=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 64, 128]), _EXPONENTS)
+@example(64, -0.5)
+@example(128, 0.0)
+def test_gauss_jacobi_against_scipy(n, e):
+    x, w = embedding._jacgauss(n, e)
+    with np.errstate(all="ignore"):
+        xr, wr = special.roots_jacobi(n, 0.0, e)
+    if not np.all(np.isfinite(wr)):
+        return  # scipy's own weights break down within ~1e-16 of e = -1
+    assert np.max(np.abs(x - xr)) <= 1e-14
+    # scipy's weights drift by up to ~2e-9 of the total mass as e -> -1 at
+    # n = 128 (against mpmath, the eigenvector weights stay near 1e-11)
+    assert np.max(np.abs(w - wr)) <= 1e-8 * _jacobi_mass(e)
+    assert math.fsum(w) == pytest.approx(_jacobi_mass(e), rel=1e-12)
+
+
+def _jacobi_moment(k, e):
+    # integral_{-1}^{1} x^k (1+x)^e dx, with x^k = ((1+x) - 1)^k: a signed
+    # sum of the Beta integrals integral (1+x)^(j+e) dx = 2^(j+e+1)/(j+e+1)
+    with mpmath.workdps(60):
+        e = mpmath.mpf(e)
+        return float(mpmath.fsum(mpmath.binomial(k, j) * (-1) ** (k - j) * 2 ** (j + e + 1) / (j + e + 1)
+                                 for j in range(k + 1)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3, 5, 8, 16, 32]), _EXPONENTS)
+@example(32, -0.9999999999999999)
+@example(16, 2.9999999999999996)
+def test_gauss_jacobi_exact_on_monomials(n, e):
+    x, w = embedding._jacgauss(n, e)
+    for k in range(2 * n):
+        scale = math.fsum(w * np.abs(x) ** k)
+        assert abs(math.fsum(w * x**k) - _jacobi_moment(k, e)) <= 1e-13 * scale, k
 
 
 def test_bump_fourier_table_bound():

@@ -3,6 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy import optimize
 
 from dirichletlab import weights as W
 from dirichletlab.errors import DomainError, RangeError
@@ -15,6 +17,7 @@ from dirichletlab.zeta import (
     prime_zeta,
     prime_zeta_unit_abscissa,
     solve_abscissa,
+    upper_gamma,
     zeta,
     zeta_equals_two_abscissa,
     zeta_eta,
@@ -66,6 +69,81 @@ def test_abscissas_and_residuals():
 def test_solve_abscissa_on_transparent_function():
     root = solve_abscissa(lambda s: s * s, 4.0, 1.0, 3.0)
     assert root == pytest.approx(2.0, abs=1e-10)
+
+
+def test_abscissas_against_mpmath_findroot():
+    with mpmath.workdps(40):
+        rho = mpmath.findroot(lambda x: mpmath.primezeta(x) - 1, 1.4)
+        rho1 = mpmath.findroot(lambda x: mpmath.zeta(x) - 2, 1.7)
+    assert abs(prime_zeta_unit_abscissa() - float(rho)) <= 1e-12
+    assert abs(zeta_equals_two_abscissa() - float(rho1)) <= 1e-12
+
+
+@pytest.mark.parametrize("func, target, lo, hi", [
+    (lambda x: prime_zeta(x).real, 1.0, 1.05, 3.0),
+    (lambda x: zeta(x).real, 2.0, 1.2, 3.0),
+    (lambda x: x * x, 4.0, 1.0, 3.0),
+    (lambda x: math.exp(-x) - 0.3, 0.0, -2.0, 5.0),
+])
+def test_solve_abscissa_matches_brentq_bit_for_bit(func, target, lo, hi):
+    ref = optimize.brentq(lambda x: func(x) - target, lo, hi, xtol=1e-12, rtol=8.9e-16)
+    assert solve_abscissa(func, target, lo, hi) == ref
+
+
+def test_solve_abscissa_requires_sign_change():
+    with pytest.raises(DomainError):
+        solve_abscissa(lambda x: x * x, -1.0, 1.0, 3.0)
+
+
+def _gammainc(a, x):
+    with mpmath.workdps(40):
+        return float(mpmath.gammainc(mpmath.mpf(a), mpmath.mpf(x)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=-2.5, max_value=3.0), st.floats(min_value=0.01, max_value=60.0))
+@example(-2.2, 60.0)  # the scipy-plus-recurrence route was off by 1.5e-9 here
+@example(2.2e-16, 0.5)  # Gamma(a) - gamma(a, x) would cancel to nothing
+@example(5e-324, 0.01)  # subnormal a: expm1(a log x) / a keeps no digits
+@example(-1.0 + 1e-9, 0.3)
+@example(-2.0, 0.99)
+@example(2.0, 1.0)  # the continued fraction starts on a zero: x + 1 - a = 0
+def test_upper_gamma_against_mpmath(a, x):
+    assert upper_gamma(a, x) == pytest.approx(_gammainc(a, x), rel=1e-13)
+
+
+def test_upper_gamma_e1_at_cross_check_arguments():
+    # E_1((s-1) L) and E_1((s-1/2) L) for s = 1.5 at N = 1e4 and 1e7
+    for N in (1e4, 1e7):
+        for x in (0.5 * math.log(N), math.log(N)):
+            with mpmath.workdps(40):
+                e1 = float(mpmath.e1(x))
+            assert upper_gamma(0.0, x) == pytest.approx(e1, rel=1e-14)
+
+
+def test_upper_gamma_domain():
+    for x in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            upper_gamma(0.5, x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=0.5, allow_nan=False, allow_infinity=False),
+       st.floats(min_value=-100.0, max_value=100.0))
+@example(1.0000001, 0.0)  # |zeta| ~ 1e7: rounding alone exceeds 1e-10 absolute
+@example(1.0, 1e-300)
+@example(1.0, 5e-324)  # 1/|s-1| overflows: the pole's DomainError
+@example(0.5, 14.134725141734695)  # first zero
+@example(1.0, 9.064720283654388)  # a zero of 1 - 2^(1-s): Euler-Maclaurin route
+def test_zeta_against_mpmath_over_stated_region(sigma, t):
+    s = complex(sigma, t)
+    if abs(s - 1.0) * 1.7976931348623157e308 < 1.0:
+        with pytest.raises(DomainError):
+            zeta(s)
+        return
+    with mpmath.workdps(30):
+        ref = complex(mpmath.zeta(mpmath.mpc(sigma, t)))
+    assert abs(zeta(s) - ref) <= 1e-10 * max(1.0, abs(ref))
 
 
 def test_dirichlet_convolve_divisor_identity():
