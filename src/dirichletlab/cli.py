@@ -73,8 +73,14 @@ def float_list(v):
     return [float(x) for x in v]
 
 
+_PARAM_FLAGS = {"gamma": "--gamma", "alpha": "--alpha-param", "blocks": "--blocks"}
+
+
 def _weight_params(args):
     params = {"gamma": args.gamma, "alpha": args.alpha_param, "blocks": args.blocks}
+    need = W.REQUIRED_PARAM.get(args.name)
+    if need is not None and params[need] is None:
+        raise UsageError(f"weight family {args.name!r} needs {_PARAM_FLAGS[need]}")
     return {k: v for k, v in params.items() if v is not None}
 
 
@@ -88,8 +94,9 @@ def _load_weight(args):
     n = int(args.N)
     if n < 2:
         raise UsageError(f"--N must be >= 2, got {n}")
+    params = _weight_params(args)
     table = build_sieve(n) if args.name in W.NEEDS_TABLE else None
-    return W.catalog(args.name, n, table=table, **_weight_params(args))
+    return W.catalog(args.name, n, table=table, **params)
 
 
 def _weight_blob(w):
@@ -101,14 +108,14 @@ def _weight_blob(w):
 
 def cmd_weights(args):
     w = _load_weight(args)
-    rows = ((n, float(w.w[n])) for n in range(1, w.limit + 1))
-    reporting.write_csv(args.out, ["n", "w_n"], rows)
+    n = np.arange(1, w.limit + 1)
+    reporting.write_csv(args.out, ["n", "w_n"], [n, w.w[1:]])
     sums_out = args.sums_out
     if sums_out is None:
         stem, dot, ext = args.out.rpartition(".")
         sums_out = f"{stem}_sums.{ext}" if dot else f"{args.out}_sums"
     S = W.partial_sums(w)
-    reporting.write_csv(sums_out, ["n", "S_n"], ((n, float(S[n])) for n in range(1, w.limit + 1)))
+    reporting.write_csv(sums_out, ["n", "S_n"], [n, S[1:]])
     return 0
 
 
@@ -127,7 +134,7 @@ def cmd_sums(args):
     if args.eta is not None:
         header.append("block_sum")
         cols.append(W.block_sums(w, args.eta, xs.astype(float)))
-    reporting.write_csv(args.out, header, zip(*cols))
+    reporting.write_csv(args.out, header, cols)
     return 0
 
 
@@ -183,9 +190,11 @@ def cmd_zeta(args):
         lo, hi, pts = args.sigma_lo, args.sigma_hi, args.points
         if not (1.0 < lo < hi) or pts < 2:
             raise UsageError("grid needs 1 < sigma_lo < sigma_hi and >= 2 points")
-        rows = [(s, zeta(s).real, prime_zeta(s).real) for s in np.linspace(lo, hi, pts)]
+        sigmas = np.linspace(lo, hi, pts)
         reporting.write_csv("zeta.csv" if args.out is None else args.out,
-                            ["sigma", "zeta", "prime_zeta"], rows)
+                            ["sigma", "zeta", "prime_zeta"],
+                            [sigmas, [zeta(s).real for s in sigmas],
+                             [prime_zeta(s).real for s in sigmas]])
         return 0
     raise UsageError(f"unknown zeta request {args.what!r} (abscissas|grid)")
 
@@ -198,11 +207,10 @@ def cmd_kernel(args):
         raise UsageError(str(e))
     if not args.sigma_lo < args.sigma_hi or args.points < 2:
         raise UsageError("kernel grid needs sigma_lo < sigma_hi and >= 2 points")
-    rows = []
-    for s in np.linspace(args.sigma_lo, args.sigma_hi, args.points):
-        v = kernel_eval(spec, complex(s, args.t))
-        rows.append((float(s), args.t, v.real, v.imag))
-    reporting.write_csv(args.out, ["sigma", "t", "re", "im"], rows)
+    sigmas = np.linspace(args.sigma_lo, args.sigma_hi, args.points)
+    v = np.array([kernel_eval(spec, complex(s, args.t)) for s in sigmas])
+    reporting.write_csv(args.out, ["sigma", "t", "re", "im"],
+                        [sigmas, np.full(sigmas.size, args.t), v.real, v.imag])
     return 0
 
 
@@ -231,7 +239,8 @@ def cmd_embed(args):
                      "quad_error_max": est.quad_error_max,
                      "family_size": est.family_size})
     reporting.write_csv(args.out_csv, ["N", "alpha", "constant_estimate"],
-                        [(r["N"], alpha, r["constant_estimate"]) for r in rows])
+                        [[r["N"] for r in rows], [alpha] * len(rows),
+                         [r["constant_estimate"] for r in rows]])
     blob = {
         "weight": {"name": name, "params": params},
         "alpha": alpha,
@@ -282,8 +291,7 @@ def cmd_sampling(args):
         dev = float(np.max(np.abs(mu.positions - np.round(mu.positions))))
         blob["kadec_max_deviation"] = dev
     if args.atoms_out:
-        reporting.write_csv(args.atoms_out, ["position", "mass"],
-                            zip(mu.positions.tolist(), mu.masses.tolist()))
+        reporting.write_csv(args.atoms_out, ["position", "mass"], [mu.positions, mu.masses])
     reporting.write_json(args.out, blob)
     return 0
 
@@ -310,7 +318,7 @@ def cmd_tauberian(args):
         xs = np.geomspace(max(10.0, w.limit / 10.0), w.limit, max(2, args.compare_points))
         rows = T.predict_and_compare(fit, w, xs)
         reporting.write_csv(args.compare_out, ["x", "predicted", "measured", "ratio"],
-                            [(r.x, r.predicted, r.measured, r.ratio) for r in rows])
+                            zip(*rows))
     return 0
 
 
@@ -322,8 +330,7 @@ def cmd_curves(args):
         raise UsageError("range must cover the identity intersections at -1 and 0")
     alphas = np.linspace(lo, hi, pts)
     smooth = 1.0 - np.exp2(-alphas)
-    reporting.write_csv(args.csv, ["alpha", "smoothness", "identity"],
-                        zip(alphas.tolist(), smooth.tolist(), alphas.tolist()))
+    reporting.write_csv(args.csv, ["alpha", "smoothness", "identity"], [alphas, smooth, alphas])
     # the two curves cross exactly at alpha = -1 and alpha = 0
     reporting.curve_svg(
         args.svg,

@@ -1,45 +1,47 @@
 """Deterministic file emission: CSV, JSON, and single-curve SVG.
 
-Every writer goes through an atomic temp+rename so a crashed run never
-leaves a half-written artifact, and every float is printed with 17
-significant digits ('.' decimal, no locale) so that a re-run with the same
-inputs is byte-identical and values round-trip exactly through float64.
+Every writer goes through one atomic temp+rename (`_atomic_open`): a
+failed run leaves no half-written file and keeps any earlier artifact, and
+a new file gets the mode a plain ``open(path, "w")`` would give it (0o666
+less the umask).  The CSV writer is column-wise and streamed: `write_csv`
+takes equal-length 1-D columns, builds one row format from their dtypes
+(``%.17g`` for floats, ``%d`` for integers) and formats fixed blocks of rows
+straight into the temp file.  Every float is printed with 17 significant
+digits ('.' decimal, no locale), so a re-run with the same inputs is
+byte-identical and values round-trip exactly through float64.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
-import math
 import os
-import tempfile
 from typing import Iterable, Sequence
 
+import numpy as np
+
 __all__ = [
-    "fmt_float",
     "atomic_write_text",
     "write_csv",
     "write_json",
     "curve_svg",
 ]
 
-
-def fmt_float(x) -> str:
-    if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return "%.17g" % x
-    return str(x)
+_CSV_BLOCK = 1 << 16  # rows formatted per write
 
 
-def atomic_write_text(path: str, text: str) -> None:
+@contextlib.contextmanager
+def _atomic_open(path: str):
+    """A text file that replaces `path` only if the block exits cleanly."""
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="~")
+    tmp = os.path.join(d, f".tmp-{os.urandom(8).hex()}~")
+    # mode 0o666 less the umask, as open(path, "w") would create it;
+    # tempfile.mkstemp forces 0o600, and os.replace keeps the mode
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -49,11 +51,35 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt_float(v) for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+def atomic_write_text(path: str, text: str) -> None:
+    with _atomic_open(path) as fh:
+        fh.write(text)
+
+
+def _column_format(col: np.ndarray) -> str:
+    if col.dtype.kind == "f":
+        return "%.17g"
+    if col.dtype.kind in "iu":
+        return "%d"
+    raise TypeError(f"CSV columns must be float or integer arrays, got dtype {col.dtype}")
+
+
+def write_csv(path: str, header: Sequence[str], columns: Iterable) -> None:
+    """One header line, then row i of the equal-length 1-D `columns` per line."""
+    cols = [np.asarray(c) for c in columns]
+    if len(cols) != len(header):
+        raise ValueError(f"{len(header)} header names for {len(cols)} columns")
+    if any(c.ndim != 1 for c in cols):
+        raise ValueError("CSV columns must be 1-D")
+    n = cols[0].size if cols else 0
+    if any(c.size != n for c in cols):
+        raise ValueError(f"ragged CSV columns: lengths {[c.size for c in cols]}")
+    fmt = ",".join(map(_column_format, cols)) + "\n"
+    with _atomic_open(path) as fh:
+        fh.write(",".join(header) + "\n")
+        for a in range(0, n, _CSV_BLOCK):
+            rows = zip(*(c[a:a + _CSV_BLOCK].tolist() for c in cols))
+            fh.write("".join(map(fmt.__mod__, rows)))
 
 
 def _jsonable(obj):

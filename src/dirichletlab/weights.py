@@ -38,6 +38,10 @@ CATALOG_NAMES = (
 # families whose construction needs a SieveTable covering the limit
 NEEDS_TABLE = {"dgamma", "mangoldt", "mangoldt_over_log", "prime_indicator", "besov"}
 
+# the one parameter a family cannot be built without
+REQUIRED_PARAM = {"log_power": "alpha", "inv_divisor_pow": "alpha", "dgamma": "gamma",
+                  "besov": "gamma", "kadec": "blocks", "kadec_spiked": "blocks"}
+
 
 @dataclass
 class WeightSequence:
@@ -98,12 +102,16 @@ def catalog(name: str, limit: int, table=None, **params) -> WeightSequence:
     """Construct a catalog weight sequence up to the given limit.
 
     Families needing prime structure (dgamma, mangoldt, mangoldt_over_log,
-    prime_indicator, besov) require a SieveTable covering the limit.
+    prime_indicator, besov) require a SieveTable covering the limit; a
+    family named in REQUIRED_PARAM raises DomainError without that parameter.
     """
     if name not in CATALOG_NAMES:
         raise DomainError(f"unknown weight family {name!r}")
     if limit < 2:
         raise RangeError(f"limit must be >= 2, got {limit}")
+    need = REQUIRED_PARAM.get(name)
+    if need is not None and params.get(need) is None:
+        raise DomainError(f"{name} needs the parameter {need!r}")
     if name in NEEDS_TABLE:
         if table is None or table.limit < limit:
             raise RangeError(f"{name} needs a sieve table covering limit {limit}")

@@ -55,6 +55,25 @@ def test_weights_usage_errors(tmp_path, capsys):
     assert run("weights", "--name", "constant", "--N", 1) == 2
 
 
+MISSING_PARAM_FLAGS = {"log_power": "--alpha-param", "inv_divisor_pow": "--alpha-param",
+                       "dgamma": "--gamma", "besov": "--gamma",
+                       "kadec": "--blocks", "kadec_spiked": "--blocks"}
+
+
+@pytest.mark.parametrize("name", sorted(MISSING_PARAM_FLAGS))
+def test_missing_family_parameter_is_a_usage_error(name, tmp_path, capsys):
+    flag = MISSING_PARAM_FLAGS[name]
+    assert run("weights", "--name", name, "--N", 1000, "--out", tmp_path / "w.csv") == 2
+    assert flag in capsys.readouterr().err
+    # embed builds its weights through catalog directly, not _load_weight
+    assert run("embed", "--name", name, "--alpha", 0, "--N-list", "1000",
+               "--out-csv", tmp_path / "e.csv", "--out-json", tmp_path / "e.json") == 2
+    assert flag in capsys.readouterr().err
+    assert run("tauberian", "--name", name, "--N", 1000, "--out", tmp_path / "t.json") == 2
+    assert flag in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_missing_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         main([])

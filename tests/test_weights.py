@@ -216,3 +216,11 @@ def test_sum_upto_additive_on_disjoint_ranges(a, b):
     assert S[hi] - S[lo] == pytest.approx(
         math.fsum(w.w[lo + 1 : hi + 1]), rel=1e-12, abs=1e-12
     )
+
+
+@pytest.mark.parametrize("name, param", sorted(W.REQUIRED_PARAM.items()))
+def test_catalog_names_a_missing_family_parameter(name, param, table_small):
+    with pytest.raises(DomainError, match=repr(param)):
+        W.catalog(name, 1000, table=table_small)
+    with pytest.raises(DomainError, match=repr(param)):
+        W.catalog(name, 1000, table=table_small, **{param: None})

@@ -146,6 +146,67 @@ def test_zeta_against_mpmath_over_stated_region(sigma, t):
     assert abs(zeta(s) - ref) <= 1e-10 * max(1.0, abs(ref))
 
 
+# the oracles' region: Re s in [1.05, 6], |Im s| <= 60
+ORACLE_SIGMA = st.floats(min_value=1.05, max_value=6.0)
+ORACLE_T = st.floats(min_value=-60.0, max_value=60.0)
+
+
+def _mp(z: complex):
+    return mpmath.mpc(z.real, z.imag)
+
+
+@settings(max_examples=25, deadline=None)
+@given(ORACLE_SIGMA, ORACLE_T)
+@example(1.05, 0.0)
+@example(1.05, 60.0)
+def test_prime_zeta_against_mpmath(sigma, t):
+    s = complex(sigma, t)
+    with mpmath.workdps(30):
+        ref = complex(mpmath.primezeta(_mp(s)))
+    assert abs(prime_zeta(s) - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+def _kernel_reference(family, g, z):
+    """The kernel k at z = s + conj(anchor), from mpmath's zeta and prime zeta."""
+    with mpmath.workdps(30):
+        z = _mp(z)
+        if family == "zeta_power":
+            v = mpmath.exp(g * mpmath.log(mpmath.zeta(z)))
+        elif family == "log_zeta":
+            v = mpmath.log(mpmath.zeta(z))
+        elif family == "mccarthy_pick":
+            v = 1 / (2 - mpmath.zeta(z))
+        elif g == 0.0:  # besov
+            v = -mpmath.log(1 - mpmath.primezeta(z))
+        else:
+            v = mpmath.exp(-g * mpmath.log(1 - mpmath.primezeta(z)))
+        return complex(v)
+
+
+KERNEL_ORACLE_CASES = [("zeta_power", 0.5), ("zeta_power", 2.0), ("log_zeta", 0.0),
+                       ("mccarthy_pick", 0.0), ("besov", 0.0), ("besov", 1.5)]
+
+
+@pytest.mark.parametrize("family, g", KERNEL_ORACLE_CASES)
+@settings(max_examples=15, deadline=None)
+@given(sigma=ORACLE_SIGMA, t=ORACLE_T)
+@example(sigma=1.05, t=0.0)
+@example(sigma=2.0, t=-60.0)
+def test_kernel_families_against_mpmath(family, g, sigma, t):
+    anchor = complex(0.25, -1.5)
+    spec = KernelSpec(family=family, param=g, anchor=anchor)
+    s = complex(sigma, t) - anchor.conjugate()
+    z = s + anchor.conjugate()  # the point kernel_eval evaluates at
+    threshold = {"mccarthy_pick": zeta_equals_two_abscissa(),
+                 "besov": prime_zeta_unit_abscissa()}.get(family, 1.0)
+    if z.real <= threshold + 1e-9:
+        with pytest.raises(DomainError):
+            kernel_eval(spec, s)
+        return
+    ref = _kernel_reference(family, g, z)
+    assert abs(kernel_eval(spec, s) - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
 def test_dirichlet_convolve_divisor_identity():
     ones = np.zeros(201)
     ones[1:] = 1.0
