@@ -34,11 +34,6 @@ _WIDTH = 1.0 / 32.0
 _MOMENTS = 10
 
 
-def fsum(values) -> float:
-    """Exactly rounded sum of an iterable of floats."""
-    return math.fsum(values)
-
-
 def fsum_complex(values) -> complex:
     vals = list(values)
     return complex(math.fsum(v.real for v in vals), math.fsum(v.imag for v in vals))

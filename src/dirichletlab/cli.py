@@ -26,8 +26,8 @@ from .accum import compensated_sum
 from .arithmetic import build_sieve
 from .embedding import LocalWindow, block_family, embedding_constant, random_family
 from .errors import DirichletLabError
-from .zeta import (KernelSpec, kernel_eval, prime_zeta, prime_zeta_unit_abscissa,
-                   upper_gamma, zeta, zeta_equals_two_abscissa)
+from .zeta import (KernelSpec, kernel_eval, prime_zeta, prime_zeta_unit_abscissa, zeta,
+                   zeta_equals_two_abscissa)
 
 
 class UsageError(Exception):
@@ -179,9 +179,10 @@ def cmd_zeta(args):
             table = build_sieve(cross_n)
             s = args.sigma
             direct = compensated_sum(table.primes.astype(np.float64) ** (-s))
-            # li-based tail: integral of x^-s dpi(x) with pi ~ li - li(sqrt)/2
+            # li-based tail: integral of x^-s dpi(x) with pi ~ li - li(sqrt)/2,
+            # each piece a log-power tail at alpha = 1
             L = math.log(cross_n)
-            tail = upper_gamma(0.0, (s - 1.0) * L) - 0.5 * upper_gamma(0.0, (s - 0.5) * L)
+            tail = T.log_power_tail(s - 1.0, L, 1.0) - 0.5 * T.log_power_tail(s - 0.5, L, 1.0)
             blob["cross_check_sigma"] = s
             blob["cross_check_gap"] = abs(direct + tail - prime_zeta(s).real)
         reporting.write_json("abscissas.json" if args.out is None else args.out, blob)

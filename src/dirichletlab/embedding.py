@@ -33,6 +33,7 @@ from .errors import DomainError, RangeError, TruncationError
 from .hspace import DirichletPolynomial, derivative, hw_norm
 
 _TWO_PI = 2.0 * math.pi
+_T_NODES_PER_UNIT = 32
 
 
 @dataclass(frozen=True)
@@ -133,10 +134,10 @@ def _sup_l2_values(bm, win, sigma_grid, nodes_per_unit):
     return m @ wt, err @ wt
 
 
-def default_sigma_grid(cap: float, levels: int = 20) -> list:
-    """Geometric approach to the boundary: sigma = 1/2 + 2^(-j), plus the cap."""
+def default_sigma_grid(cap: float) -> list:
+    """Geometric approach to the boundary: sigma = 1/2 + 2^(-j), j <= 20, plus the cap."""
     grid = {cap}
-    for j in range(1, levels + 1):
+    for j in range(1, 21):
         s = 0.5 + 2.0**-j
         if s <= cap:
             grid.add(s)
@@ -147,7 +148,6 @@ def local_sup_l2(
     F: DirichletPolynomial,
     win: LocalWindow,
     sigma_grid: Sequence[float] | None = None,
-    t_nodes_per_unit: int = 32,
 ) -> LocalNorm:
     """max over the sigma grid of integral_I |F(sigma+it)|^2 dt.
 
@@ -160,9 +160,9 @@ def local_sup_l2(
     if any(not 0.5 < s <= win.sigma_cap for s in sigma_grid):
         raise RangeError("sigma grid must lie in (1/2, sigma_cap]")
     bm = _moments(F, win)
-    vals, errs = _sup_l2_values(bm, win, sigma_grid, t_nodes_per_unit)
+    vals, errs = _sup_l2_values(bm, win, sigma_grid, _T_NODES_PER_UNIT)
     i = int(np.argmax(vals))
-    check, _ = _sup_l2_values(bm, win, [sigma_grid[i]], max(2, t_nodes_per_unit // 2))
+    check, _ = _sup_l2_values(bm, win, [sigma_grid[i]], _T_NODES_PER_UNIT // 2)
     return LocalNorm(
         value=float(vals[i]),
         quad_error=float(abs(vals[i] - check[0]) + errs[i]),
@@ -181,7 +181,7 @@ def dalpha_local_norm(
     F: DirichletPolynomial,
     alpha: float,
     win: LocalWindow,
-    t_nodes_per_unit: int = 32,
+    t_nodes_per_unit: int = _T_NODES_PER_UNIT,
     sigma_nodes: int = 64,
 ) -> LocalNorm:
     """Squared local norm on the alpha scale over Omega_I.
@@ -239,7 +239,7 @@ def _bump_transform(y_max: float) -> np.polynomial.Chebyshev:
 
     B is entire and decays like exp(-sqrt(2y)), so degree 24 + 3 y_max / 4
     holds the interpolant within 1e-12 of the quadrature for y_max up to
-    ~500, and within 1e-14 at the default y_max ~ 7.
+    ~500, and within 1e-14 at y_max ~ 8 (the default bump of a unit window).
     """
     u, w = _leggauss(max(_BUMP_NODES, math.ceil(y_max)))
     g = w * _bump(u)
@@ -286,13 +286,11 @@ def make_bump(
     win: LocalWindow,
     center: float | None = None,
     halfwidth: float | None = None,
-    xi_max: float = 17.0,
-    n_samples: int = 257,
 ) -> TestBump:
-    """Bump supported strictly inside the window's t-interval.
+    """Bump supported strictly inside the window's t-interval, sampled at 257 points.
 
-    xi_max bounds the frequencies the cached transform must serve; the
-    default covers log n up to n ~ 2.4e7.
+    The cached transform serves frequencies |xi| <= 17, which covers log n up
+    to n ~ 2.4e7.
     """
     if center is None:
         center = 0.5 * (win.a + win.b)
@@ -303,8 +301,8 @@ def make_bump(
             f"bump support ({center - halfwidth:.4f}, {center + halfwidth:.4f}) "
             f"must sit strictly inside ({win.a}, {win.b})"
         )
-    y_max = float(halfwidth * xi_max + 1.0)
-    ts = np.linspace(center - halfwidth, center + halfwidth, n_samples)
+    y_max = float(halfwidth * 17.0 + 1.0)
+    ts = np.linspace(center - halfwidth, center + halfwidth, 257)
     samples = np.column_stack([ts, _bump((ts - center) / halfwidth)])
     return TestBump(
         center=float(center),
@@ -316,7 +314,7 @@ def make_bump(
     )
 
 
-def duality_sum(w, alpha: float, bump: TestBump, limit: int | None = None) -> float:
+def duality_sum(w, alpha: float, bump: TestBump) -> float:
     """sum over n of |g_hat(log n)|^2 (log n)^alpha w_n / n.
 
     The n = 1 atom sits at log n = 0: it contributes |g_hat(0)|^2 w_1 when
@@ -327,8 +325,7 @@ def duality_sum(w, alpha: float, bump: TestBump, limit: int | None = None) -> fl
     a, b = bump.window
     if not (a < bump.center - bump.halfwidth and bump.center + bump.halfwidth < b):
         raise RangeError("bump support escapes its declared window")
-    N = w.limit if limit is None else min(int(limit), w.limit)
-    idx = np.flatnonzero(w.w[: N + 1])
+    idx = np.flatnonzero(w.w)
     idx = idx[idx >= 2]
     total = 0.0
     if idx.size:
@@ -353,13 +350,13 @@ def block_test_function(w, k: int) -> DirichletPolynomial:
     return DirichletPolynomial(limit=hi, coeffs=arr)
 
 
-def random_family(w, size: int, seed: int, limit: int | None = None) -> list:
+def random_family(w, size: int, seed: int) -> list:
     """Seeded i.i.d. complex-Gaussian coefficients scaled by sqrt(w_n).
 
     E|a_n|^2 = w_n, so each member has unit norm per supported coordinate in
     expectation; membership w.r.t. w holds by construction (zeros propagate).
     """
-    N = w.limit if limit is None else min(int(limit), w.limit)
+    N = w.limit
     rng = np.random.default_rng(seed)
     root = np.sqrt(w.w[1 : N + 1])
     out = []
@@ -374,10 +371,9 @@ def random_family(w, size: int, seed: int, limit: int | None = None) -> list:
     return out
 
 
-def block_family(w, n_max: int | None = None) -> list:
+def block_family(w) -> list:
     """The g_k blocks that fit under the truncation (k = 0, 1, ...)."""
-    N = w.limit if n_max is None else min(int(n_max), w.limit)
-    k_top = int(math.floor(math.log(N))) - 1
+    k_top = int(math.floor(math.log(w.limit))) - 1
     return [block_test_function(w, k) for k in range(0, k_top + 1)]
 
 
@@ -386,9 +382,6 @@ def embedding_constant(
     alpha: float,
     win: LocalWindow,
     family: Sequence[DirichletPolynomial],
-    t_nodes_per_unit: int = 32,
-    sigma_nodes: int = 64,
-    sigma_grid: Sequence[float] | None = None,
 ) -> EmbeddingEstimate:
     """Empirical lower bound on the embedding constant: max of local/norm^2.
 
@@ -401,12 +394,7 @@ def embedding_constant(
     ratios = []
     qmax = 0.0
     for F in family:
-        if alpha == 0.0:
-            ln = local_sup_l2(F, win, sigma_grid=sigma_grid, t_nodes_per_unit=t_nodes_per_unit)
-        else:
-            ln = dalpha_local_norm(
-                F, alpha, win, t_nodes_per_unit=t_nodes_per_unit, sigma_nodes=sigma_nodes
-            )
+        ln = local_sup_l2(F, win) if alpha == 0.0 else dalpha_local_norm(F, alpha, win)
         denom = hw_norm(F, w) ** 2
         if denom == 0.0:
             raise RangeError("family member has zero norm")

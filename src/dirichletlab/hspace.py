@@ -15,7 +15,7 @@ import numpy as np
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
-from .accum import fsum, fsum_complex
+from .accum import fsum_complex
 from .arithmetic import SieveTable, factorize
 from .errors import MembershipError, RangeError, TruncationError
 
@@ -115,7 +115,7 @@ def hw_norm(F: DirichletPolynomial, w) -> float:
     if idx.size == 0:
         return 0.0
     a = F.coeffs[idx]
-    return math.sqrt(fsum((a.real**2 + a.imag**2) / w.w[idx]))
+    return math.sqrt(math.fsum((a.real**2 + a.imag**2) / w.w[idx]))
 
 
 def hw_inner(F: DirichletPolynomial, G: DirichletPolynomial, w) -> complex:
@@ -131,21 +131,18 @@ def hw_inner(F: DirichletPolynomial, G: DirichletPolynomial, w) -> complex:
     return fsum_complex(terms)
 
 
-def hw_kernel(w, xi: complex, limit: int | None = None) -> DirichletPolynomial:
-    """Truncated reproducing kernel at xi: coefficients w_n n^(-conj(xi)).
+def hw_kernel(w, xi: complex) -> DirichletPolynomial:
+    """Reproducing kernel at xi, truncated with w: coefficients w_n n^(-conj(xi)).
 
     For constant weights this is the translate of the truncated zeta series,
     k(s) = sum n^(-s-conj(xi)).
     """
-    limit = w.limit if limit is None else int(limit)
-    if limit > w.limit:
-        raise RangeError(f"kernel truncation {limit} exceeds weight truncation {w.limit}")
-    n = np.arange(limit + 1, dtype=np.float64)
+    n = np.arange(w.limit + 1, dtype=np.float64)
     n[0] = 1.0
-    arr = w.w[: limit + 1] * np.exp(-np.conj(complex(xi)) * np.log(n))
+    arr = w.w * np.exp(-np.conj(complex(xi)) * np.log(n))
     arr = arr.astype(np.complex128)
     arr[0] = 0.0
-    return DirichletPolynomial(limit=limit, coeffs=arr)
+    return DirichletPolynomial(limit=w.limit, coeffs=arr)
 
 
 @dataclass(frozen=True)

@@ -203,18 +203,12 @@ def beurling_lower_density(
     )
 
 
-def continuity_at_infinity(
-    m: AtomicMeasure,
-    beta: float,
-    eps: float,
-    h_min: float = 2.0**-12,
-    clear_margin: float = 5.0,
-) -> ContinuityResult:
+def continuity_at_infinity(m: AtomicMeasure, beta: float, eps: float) -> ContinuityResult:
     """Search (R, h) with nu[x, x+h)/(1+x^2)^beta <= eps for all |x| >= R.
 
-    h walks down 1, 1/2, 1/4, ...; for each h the violating anchors are
+    h walks down 1, 1/2, 1/4, ..., 2^-12; for each h the violating anchors are
     scanned (atoms and atoms - h, the attainable extrema).  A witness only
-    counts if the clean zone [R, horizon] keeps `clear_margin` of headroom,
+    counts if the clean zone [R, horizon] keeps 5 units of headroom,
     since beyond the horizon the measure is unknown, not zero.  Failure
     reports the blocking atom nearest the horizon for the smallest h tried.
     """
@@ -222,7 +216,7 @@ def continuity_at_infinity(
         raise RangeError("eps must be positive")
     h = 1.0
     blocking = None
-    while h >= h_min:
+    while h >= 2.0**-12:
         anchors = np.unique(np.concatenate([m.positions, m.positions - h]))
         anchors = anchors[(anchors >= m.domain_low) & (anchors + h <= m.domain_bound)]
         if anchors.size == 0:
@@ -232,7 +226,7 @@ def continuity_at_infinity(
         if bad.size == 0:
             return ContinuityResult(passed=True, radius=0.0, block=h, blocking_x=None)
         need = float(np.max(np.abs(bad))) + h
-        if need <= m.domain_bound - clear_margin:
+        if need <= m.domain_bound - 5.0:
             return ContinuityResult(passed=True, radius=need, block=h, blocking_x=None)
         blocking = float(bad[np.argmax(np.abs(bad))])
         h /= 2.0

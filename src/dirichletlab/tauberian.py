@@ -51,7 +51,7 @@ class ComparisonRow(NamedTuple):
     ratio: float
 
 
-def _envelope_constant(w, alpha: float, sigma0: float = 1.0) -> float:
+def _envelope_constant(w, alpha: float, sigma0: float) -> float:
     """Upper envelope max of S(x) (log x)^alpha / x^sigma0 over the top decades."""
     S = _weights.partial_sums(w)
     limit = w.limit
@@ -62,8 +62,8 @@ def _envelope_constant(w, alpha: float, sigma0: float = 1.0) -> float:
     return float(np.max(vals))
 
 
-def _log_power_integral_tail(u: float, L: float, alpha: float) -> float:
-    """integral_N^inf x^(-1-u) (log x)^(-alpha) dx = u^(alpha-1) Gamma(1-alpha, uL)."""
+def log_power_tail(u: float, L: float, alpha: float) -> float:
+    """integral_N^inf x^(-1-u) (log x)^(-alpha) dx = u^(alpha-1) Gamma(1-alpha, uL), L = log N."""
     return u ** (alpha - 1.0) * upper_gamma(1.0 - alpha, u * L)
 
 
@@ -88,7 +88,7 @@ def mellin_profile(w, sigma_grid: Sequence[float], limit: int | None = None) -> 
     values, remainders = dirichlet_sums(w.w[: N + 1], sig)
     out = []
     for s, value, rem in zip(sig, values, remainders):
-        tail = s * c_env * _log_power_integral_tail(s - sigma0, L, alpha)
+        tail = s * c_env * log_power_tail(s - sigma0, L, alpha)
         out.append(MellinPoint(sigma=s, value=float(value), tail_bound=float(tail),
                                remainder=float(rem)))
     return out
@@ -105,38 +105,21 @@ def weighted_zeta(w, sigma: float) -> MellinPoint:
     return mellin_profile(w, [2.0 * sigma])[0]
 
 
-def _power_fit(u, logF):
-    # log F = a log u + b + c u + d u^2; the analytic part of F contributes
-    # exactly such a series through log(1 + regular/singular) at this depth
-    A = np.column_stack([np.log(u), np.ones_like(u), u, u * u])
-    coef, *_ = np.linalg.lstsq(A, logF, rcond=None)
-    pred = A @ coef
-    return coef, pred
+def _lstsq(columns, y):
+    """Least-squares coefficients of y on the given columns, and the fitted values."""
+    A = np.column_stack(columns)
+    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
+    return coef, A @ coef
 
 
-def _log_fit(u, F):
-    # F = A log(1/u) + B + C u + D u^2
-    A = np.column_stack([-np.log(u), np.ones_like(u), u, u * u])
-    coef, *_ = np.linalg.lstsq(A, F, rcond=None)
-    pred = A @ coef
-    return coef, pred
+_MAX_TAIL_FRAC = 0.01
+_U_CAP = 1.2
+_MAX_WINDOW_RATIO = 12.0
+_MIN_POINTS = 5
+_MIN_WINDOW_DECADES = 0.3
 
 
-def _loglog_slope(u, F):
-    A = np.column_stack([np.log(u), np.ones_like(u)])
-    coef, *_ = np.linalg.lstsq(A, np.log(F), rcond=None)
-    return float(coef[0])
-
-
-def fit_singularity(
-    profile: Sequence[MellinPoint],
-    sigma0: float,
-    max_tail_frac: float = 0.01,
-    min_points: int = 5,
-    max_window_ratio: float = 12.0,
-    min_window_decades: float = 0.3,
-    u_cap: float = 1.2,
-) -> SingularityFit:
+def fit_singularity(profile: Sequence[MellinPoint], sigma0: float) -> SingularityFit:
     """Classify and fit the singularity of F at sigma0 from a tail-honest window.
 
     Power model   log F = a log u + b + c u + d u^2,  u = sigma - sigma0,
@@ -156,9 +139,10 @@ def fit_singularity(
     badly; both gates must agree before the log branch is taken.  A
     degenerate full-window slope |a| < 0.1 forces the log branch outright.
 
-    Only points with tail_bound <= max_tail_frac * value participate; the
-    window is then clipped to [u_min, min(u_cap, max_window_ratio * u_min)]
-    so the fit stays local to the singularity.
+    Only points with tail_bound <= _MAX_TAIL_FRAC * value participate; the
+    window is then clipped to [u_min, min(_U_CAP, _MAX_WINDOW_RATIO * u_min)]
+    so the fit stays local to the singularity, and must keep _MIN_POINTS
+    points over _MIN_WINDOW_DECADES decades.
     """
     pts = sorted(profile, key=lambda p: p.sigma)
     u_all = np.array([p.sigma - sigma0 for p in pts])
@@ -166,46 +150,47 @@ def fit_singularity(
     t_all = np.array([p.tail_bound for p in pts])
     if np.any(u_all <= 0.0):
         raise FitError("profile contains points at or below sigma0")
-    ok = t_all <= max_tail_frac * F_all
+    ok = t_all <= _MAX_TAIL_FRAC * F_all
     if not np.any(ok):
         raise FitError(
             "tails exceed the permitted fraction at every profile point; "
             "raise the truncation or widen the grid upward"
         )
     u, F = u_all[ok], F_all[ok]
-    # keep the window local: deepest usable point up to max_window_ratio times
-    # it, never past u_cap (a "local" fit at u ~ 2 would see mostly the
+    # keep the window local (a "local" fit at u ~ 2 would see mostly the
     # regular part of F)
-    keep = u <= min(u[0] * max_window_ratio, u_cap)
+    keep = u <= min(u[0] * _MAX_WINDOW_RATIO, _U_CAP)
     u, F = u[keep], F[keep]
-    if len(u) < min_points:
-        raise FitError(f"only {len(u)} usable profile points; need {min_points}")
+    if len(u) < _MIN_POINTS:
+        raise FitError(f"only {len(u)} usable profile points; need {_MIN_POINTS}")
     span = math.log10(u[-1] / u[0])
-    if span < min_window_decades:
+    if span < _MIN_WINDOW_DECADES:
         raise FitError(
-            f"usable window spans {span:.2f} decades < {min_window_decades}; "
+            f"usable window spans {span:.2f} decades < {_MIN_WINDOW_DECADES}; "
             "tails too large for a stable fit"
         )
     if np.any(F <= 0.0):
         raise FitError("profile values must be positive to fit")
 
-    pcoef, ppred = _power_fit(u, np.log(F))
+    logu, one = np.log(u), np.ones_like(u)
+    # log F = a log u + b + c u + d u^2; the analytic part of F contributes
+    # exactly such a series through log(1 + regular/singular) at this depth
+    pcoef, ppred = _lstsq([logu, one, u, u * u], np.log(F))
     rms_power = float(np.sqrt(np.mean((np.exp(ppred) / F - 1.0) ** 2)))
-    lcoef, lpred = _log_fit(u, F)
+    # F = A log(1/u) + B + C u + D u^2
+    lcoef, lpred = _lstsq([-logu, one, u, u * u], F)
     rms_log = float(np.sqrt(np.mean((lpred / F - 1.0) ** 2)))
 
     mid = math.sqrt(u[0] * u[-1])
     deep, shallow = u <= mid, u >= mid
     drift = math.inf  # too few points to split: treat as non-drifting (power)
     if np.count_nonzero(deep) >= 3 and np.count_nonzero(shallow) >= 3:
-        drift = _loglog_slope(u[shallow], F[shallow]) - _loglog_slope(u[deep], F[deep])
+        slope = [_lstsq([np.log(u[h]), one[h]], np.log(F[h]))[0][0] for h in (shallow, deep)]
+        drift = float(slope[0]) - float(slope[1])
 
-    ap3 = np.column_stack([np.log(u), np.ones_like(u), u])
-    cp3, *_ = np.linalg.lstsq(ap3, np.log(F), rcond=None)
-    rp3 = float(np.sqrt(np.mean((np.exp(ap3 @ cp3) / F - 1.0) ** 2)))
-    al3 = np.column_stack([-np.log(u), np.ones_like(u), u])
-    cl3, *_ = np.linalg.lstsq(al3, F, rcond=None)
-    pl3 = al3 @ cl3
+    _, pp3 = _lstsq([logu, one, u], np.log(F))
+    rp3 = float(np.sqrt(np.mean((np.exp(pp3) / F - 1.0) ** 2)))
+    _, pl3 = _lstsq([-logu, one, u], F)
     rl3 = math.inf if np.any(pl3 <= 0.0) else float(np.sqrt(np.mean((pl3 / F - 1.0) ** 2)))
 
     is_log = (drift <= -0.05 and rl3 <= 5.0 * rp3) or abs(pcoef[0]) < 0.1
@@ -257,13 +242,13 @@ def predict_and_compare(fit: SingularityFit, w, x_grid: Sequence[float]) -> list
     return rows
 
 
-def detect_abscissa(w, decades: float = 1.5, points: int = 12) -> float:
+def detect_abscissa(w) -> float:
     """Growth exponent of the partial sums: slope of log S(x) against log x
-    over the top decades.  For S(x) ~ c x^sigma0 (log x)^(-beta) this
-    estimates sigma0 up to a O(beta/log x) drift."""
+    over 12 points on the top 1.5 decades.  For S(x) ~ c x^sigma0 (log x)^(-beta)
+    this estimates sigma0 up to a O(beta/log x) drift."""
     hi = w.limit
-    lo = max(10.0, hi / 10.0**decades)
-    xs = np.unique(np.floor(np.logspace(math.log10(lo), math.log10(hi), points)))
+    lo = max(10.0, hi / 10.0**1.5)
+    xs = np.unique(np.floor(np.logspace(math.log10(lo), math.log10(hi), 12)))
     S = np.array([_weights.sum_upto(w, x) for x in xs])
     if np.any(S <= 0.0):
         raise FitError("partial sums must be positive to estimate the abscissa")

@@ -200,13 +200,12 @@ def catalog(name: str, limit: int, table=None, **params) -> WeightSequence:
 
 
 def partial_sums(w: WeightSequence) -> np.ndarray:
-    """Prefix sums S[k] = sum_{n<=k} w_n (S[0]=0), cached on the sequence."""
+    """Prefix sums S[k] = sum_{n<=k} w_n (S[0]=0), cached on the sequence.
+
+    Infinite weights (kadec_spiked) give the bits of a plain np.cumsum.
+    """
     if w._psums is None:
-        finite = w.w[np.isfinite(w.w)]
-        if finite.size == w.w.size:
-            w._psums = compensated_cumsum(w.w)
-        else:
-            w._psums = np.cumsum(w.w)  # inf-contaminated (spiked demo weights)
+        w._psums = compensated_cumsum(w.w)
         w._psums.setflags(write=False)
     return w._psums
 
@@ -232,25 +231,24 @@ def chebyshev_ratios(w: WeightSequence, xs, alpha: Optional[float] = None) -> np
     return vals * np.log(xs) ** alpha / xs
 
 
-def ratio_envelope(w: WeightSequence, alpha: Optional[float] = None, decades: float = 2.0,
-                   points_per_decade: int = 16) -> tuple:
-    """Measured (min, max) of the normalized ratio over the top decades.
+def ratio_envelope(w: WeightSequence) -> tuple:
+    """Measured (min, max) of the normalized ratio over the top two decades,
+    16 points per decade, at the family's expected exponent.
 
     These are the empirical stand-ins for the two-sided comparability
     constants; they are observations, not certified bounds.
     """
     hi = math.log10(w.limit)
-    lo = max(math.log10(4.0), hi - decades)
-    xs = np.logspace(lo, hi, int(points_per_decade * (hi - lo)) + 1)
-    r = chebyshev_ratios(w, xs, alpha)
+    lo = max(math.log10(4.0), hi - 2.0)
+    xs = np.logspace(lo, hi, int(16 * (hi - lo)) + 1)
+    r = chebyshev_ratios(w, xs)
     return float(np.min(r)), float(np.max(r))
 
 
-def default_fit_grid(limit: int, lo: float = 1e3) -> np.ndarray:
+def default_fit_grid(limit: int) -> np.ndarray:
     """Quarter-decade grid 10^(3 + j/4) capped at the limit."""
-    top = math.log10(limit)
-    count = int(math.floor((top - math.log10(lo)) * 4)) + 1
-    return 10.0 ** (math.log10(lo) + 0.25 * np.arange(max(count, 0)))
+    count = int(math.floor((math.log10(limit) - 3.0) * 4)) + 1
+    return 10.0 ** (3.0 + 0.25 * np.arange(max(count, 0)))
 
 
 def fit_alpha(w: WeightSequence, x_grid=None) -> AsymptoticFit:

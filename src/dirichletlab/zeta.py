@@ -2,11 +2,8 @@
 function, reproducing-kernel formulas, critical abscissas, and
 Dirichlet-series coefficient algebra.
 
-Two genuinely independent evaluation routes are kept for the zeta function:
-an accelerated alternating (eta) series and Euler-Maclaurin summation.  The
-public zeta() prefers the eta route and switches to Euler-Maclaurin near the
-zeros of 1-2^(1-s) (where the eta-to-zeta division is ill conditioned) and
-for large imaginary part.  Tests compare the two directly.
+The zeta function has one evaluation route, Euler-Maclaurin summation, on
+the whole supported region; tests check it against mpmath.
 """
 from __future__ import annotations
 
@@ -34,64 +31,20 @@ _B2J = [
     ]
 ]
 
-_ETA_RATE = math.log(3.0 + math.sqrt(8.0))  # per-term gain of the acceleration
 _T_MAX = 1e5
 
 
-def zeta_eta(s: complex, target: float = 1e-15) -> complex:
-    """Accelerated alternating-series evaluation of zeta.
-
-    Chebyshev-weighted acceleration of eta(s) = sum (-1)^(n-1) n^(-s); the
-    term count grows like |t| because the acceleration error picks up a
-    factor ~exp(pi*|t|/2) off the real axis.
-    """
-    s = complex(s)
-    t = abs(s.imag)
-    digits = -math.log(target)
-    n = int((digits + 0.5 * math.pi * t + math.log(1.0 + 2.0 * t + 4.0) + 3.0) / _ETA_RATE) + 2
-    if n > 380:  # (3+sqrt 8))^n overflows float64 past ~400
-        raise DomainError(f"eta acceleration unsupported at |t|={t:.3g}; use the Euler-Maclaurin route")
-    d = (3.0 + math.sqrt(8.0)) ** n
-    d = (d + 1.0 / d) / 2.0
-    b = -1.0
-    c = -d
-    acc = 0.0 + 0.0j
-    for k in range(n):
-        c = b - c
-        acc += c * complex(k + 1) ** (-s)
-        b = (k + n) * (k - n) * b / ((k + 0.5) * (k + 1.0))
-    eta = acc / d
-    return eta / (1.0 - 2.0 ** (1.0 - s))
-
-
-def zeta_euler_maclaurin(s: complex, tail_terms: int = 14) -> complex:
-    """Euler-Maclaurin evaluation of zeta; independent of the eta route."""
-    s = complex(s)
-    M = max(25, int(1.6 * abs(s.imag)) + 10)
-    n = np.arange(1, M, dtype=np.float64)
-    powers = np.exp(-s * np.log(n))
-    head = complex(compensated_sum(powers.real), compensated_sum(powers.imag))
-    out = head + M ** (1.0 - s) / (s - 1.0) + 0.5 * M ** (-s)
-    # correction terms B_2j/(2j)! * s(s+1)...(s+2j-2) * M^(1-s-2j)
-    poch = s
-    mpow = M ** (-s - 1.0)
-    fact = 2.0
-    for j in range(1, tail_terms + 1):
-        out += _B2J[j - 1] / fact * poch * mpow
-        poch *= (s + 2 * j - 1) * (s + 2 * j)
-        mpow /= M * M
-        fact *= (2 * j + 1) * (2 * j + 2)
-    return out
-
-
 def zeta(s: complex) -> complex:
-    """Riemann zeta on Re s > 0, s != 1 (principal evaluation).
+    """Riemann zeta on Re s > 0, s != 1, by Euler-Maclaurin summation.
 
-    Stated accuracy 1e-10 max(1, |zeta(s)|) for Re s >= 1/2 and |t| <= 100:
-    absolute where |zeta| <= 1, relative near the pole, where double
-    rounding of a value ~ 1/|s-1| alone exceeds any absolute bound.  The
-    same routes remain usable well beyond that strip but carry no promise
-    there.  Points so near s = 1 that 1/|s-1| overflows count as the pole.
+    The first M - 1 terms, M = max(25, 1.6|t| + 10), are summed directly; the
+    tail is the integral M^(1-s)/(s-1), the half term M^(-s)/2 and 14
+    Bernoulli corrections.  Stated accuracy 1e-10 max(1, |zeta(s)|) for
+    Re s >= 1/2 and |t| <= 100: absolute where |zeta| <= 1, relative near the
+    pole, where double rounding of a value ~ 1/|s-1| alone exceeds any
+    absolute bound.  The route stays usable well beyond that strip but
+    carries no promise there.  Points so near s = 1 that 1/|s-1| overflows
+    count as the pole.
     """
     s = complex(s)
     if abs(s - 1.0) * sys.float_info.max < 1.0:
@@ -100,10 +53,23 @@ def zeta(s: complex) -> complex:
         raise DomainError(f"Re s = {s.real:.3g} <= 0 unsupported (no functional-equation branch)")
     if abs(s.imag) > _T_MAX:
         raise DomainError(f"|t| = {abs(s.imag):.3g} beyond supported strip")
-    den = 1.0 - 2.0 ** (1.0 - s)
-    if abs(s.imag) <= 250.0 and abs(den) >= 0.02:
-        return zeta_eta(s)
-    return zeta_euler_maclaurin(s)
+    M = max(25, int(1.6 * abs(s.imag)) + 10)
+    n = np.arange(1, M, dtype=np.float64)
+    with np.errstate(over="ignore"):  # Re s past ~5e307: -s log n is -inf, its power 0
+        powers = np.exp(-s * np.log(n))
+    head = complex(compensated_sum(powers.real), compensated_sum(powers.imag))
+    out = head + M ** (1.0 - s) / (s - 1.0) + 0.5 * M ** (-s)
+    # correction j is B_2j/(2j)! s(s+1)...(s+2j-2) M^(1-s-2j); one running
+    # product, one factor at a time, so it stays 0 (not inf * 0) once
+    # M^(-s-1) underflows at large Re s
+    term = s * M ** (-s - 1.0)
+    fact = 2.0
+    for j in range(1, 15):
+        out += _B2J[j - 1] / fact * term
+        term *= (s + 2 * j - 1) / M
+        term *= (s + 2 * j) / M
+        fact *= (2 * j + 1) * (2 * j + 2)
+    return out
 
 
 _TINY = 1e-300  # stands in for a zero denominator in the Lentz recurrence
@@ -183,18 +149,18 @@ def _mobius_small(k: int) -> int:
     return arithmetic.mobius(arithmetic.factorize(table, k))
 
 
-def prime_zeta(s: complex, cutoff: float = 50.0) -> complex:
+def prime_zeta(s: complex) -> complex:
     """Prime zeta via the Mobius-log expansion sum mu(k)/k log zeta(ks).
 
-    Valid for Re s > 1; terms are dropped once k*Re(s) exceeds the cutoff,
-    where |log zeta(ks)| < 2^-cutoff is below double rounding.
+    Valid for Re s > 1; terms are dropped once k*Re(s) exceeds 50, where
+    |log zeta(ks)| < 2^-50 is below double rounding.
     """
     s = complex(s)
     if s.real <= 1.0:
         raise DomainError(f"prime_zeta needs Re s > 1, got {s.real:.6g}")
     total = 0.0 + 0.0j
     k = 1
-    while k * s.real <= cutoff:
+    while k * s.real <= 50.0:
         mu = _mobius_small(k)
         if mu:
             total += mu / k * cmath.log(zeta(k * s))
@@ -202,26 +168,29 @@ def prime_zeta(s: complex, cutoff: float = 50.0) -> complex:
     return total
 
 
-def _brent(f, xa, xb, fa, fb, xtol, rtol=8.9e-16, maxiter=100):
+_BRENT_STEPS = 100
+
+
+def _brent(f, xa, xb, fa, fb, xtol):
     """Root of f bracketed by xa, xb (fa, fb of opposite signs), Brent's method.
 
     Each step takes the inverse quadratic (or secant) step when it stays well
     inside the bracket and shrinks fast enough, and bisects otherwise; it
-    stops once half the bracket is below (xtol + rtol |x|) / 2 (Brent,
+    stops once half the bracket is below (xtol + 8.9e-16 |x|) / 2 (Brent,
     Algorithms for Minimization without Derivatives, 1973, ch. 4).  Step
     rules and stopping test follow scipy's brentq, so the two agree bit for
     bit on the abscissas.
     """
     xpre, xcur, fpre, fcur = xa, xb, fa, fb
     xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
+    for _ in range(_BRENT_STEPS):
         if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2.0
+        delta = (xtol + 8.9e-16 * abs(xcur)) / 2.0
         sbis = (xblk - xcur) / 2.0
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur
@@ -241,13 +210,13 @@ def _brent(f, xa, xb, fa, fb, xtol, rtol=8.9e-16, maxiter=100):
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else math.copysign(delta, sbis)
         fcur = f(xcur)
-    raise DomainError(f"root bracket did not shrink to {xtol} in {maxiter} steps")
+    raise DomainError(f"root bracket did not shrink to {xtol} in {_BRENT_STEPS} steps")
 
 
-def solve_abscissa(func, target: float, lo: float, hi: float, tol: float = 1e-12) -> float:
+def solve_abscissa(func, target: float, lo: float, hi: float) -> float:
     """Root of func(x) = target on [lo, hi] for strictly monotone func.
 
-    Brent's method (bracketing, with inverse quadratic steps) refined to tol,
+    Brent's method (bracketing, with inverse quadratic steps) refined to 1e-12,
     then the residual is re-checked against 1e-9; a residual above that is
     treated as a failure, not a result.
     """
@@ -259,7 +228,7 @@ def solve_abscissa(func, target: float, lo: float, hi: float, tol: float = 1e-12
         return hi
     if flo * fhi > 0:
         raise DomainError(f"no sign change on [{lo}, {hi}] for target {target}")
-    root = _brent(lambda x: func(x) - target, lo, hi, flo, fhi, tol)
+    root = _brent(lambda x: func(x) - target, lo, hi, flo, fhi, 1e-12)
     residual = abs(func(root) - target)
     if residual > 1e-9:
         raise DomainError(f"abscissa solve residual {residual:.3g} exceeds 1e-9")

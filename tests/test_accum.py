@@ -12,16 +12,10 @@ from dirichletlab.accum import (
     compensated_cumsum,
     compensated_sum,
     dirichlet_sums,
-    fsum,
     fsum_complex,
     moment_sums,
 )
 from dirichletlab.tauberian import mellin_profile
-
-
-def test_fsum_exact_on_cancellation():
-    a = [1.0, 1e100, 1.0, -1e100] * 1000
-    assert fsum(a) == math.fsum(a) == 2000.0
 
 
 def test_compensated_sum_small_terms_after_large():
@@ -58,10 +52,6 @@ def test_cumsum_prefixes_are_exact_sums():
     c = compensated_cumsum(a)
     for k in (1, 17, 999, 4999):
         assert c[k] == pytest.approx(math.fsum(a[: k + 1]), rel=1e-13, abs=1e-12)
-
-
-def test_scalar_fsum_wrapper():
-    assert fsum([0.1] * 10) == math.fsum([0.1] * 10)
 
 
 def direct_sums(a, sigmas):

@@ -140,6 +140,13 @@ def test_partial_sums_match_fsum_prefixes():
         assert S[k] == pytest.approx(math.fsum(w.w[1 : k + 1]), rel=1e-14)
 
 
+@pytest.mark.parametrize("limit", [500, 709, 710, 711, 4095, 4096, 4097, 10**4, 10**5])
+def test_partial_sums_of_infinite_weights_are_plain_cumsum(limit):
+    # spiked weights e^n overflow to inf past n = 709; each prefix from there on is inf
+    w = W.catalog("kadec_spiked", limit, blocks=5)
+    assert W.partial_sums(w).tobytes() == np.cumsum(w.w).tobytes()
+
+
 def test_sum_upto_steps_at_integers():
     w = W.catalog("constant", 100)
     assert W.sum_upto(w, 10.0) == 10.0
