@@ -3,8 +3,12 @@
 Scalar reductions go through math.fsum (exactly rounded).  Prefix sums use a
 chunked cumulative sum whose chunk offsets are themselves exactly rounded, so
 the worst-case relative error of any prefix is ~chunk_len*eps of the local
-chunk plus one rounding of the offset; with the default chunk of 4096 that
-stays below 1e-12 even for 1e7-term sums.
+chunk plus one rounding of the offset; with the chunk of 4096 that stays
+below 1e-12 even for 1e7-term sums.  The exactly rounded chunk totals come
+from a vectorised TwoSum tree whose result is accepted only under a proven
+error bound (Ogita-Rump-Oishi, SIAM J. Sci. Comput. 26, 2005), with a
+math.fsum fallback per chunk, and the offsets from one running exact sum,
+so a prefix-sum pass costs O(N) array work plus O(N / 4096) Python steps.
 
 The Dirichlet-sum engine evaluates sum a_n n^(-s) at many s from per-block
 Taylor moments (the Taylor-block idea of Odlyzko-Schonhage, Trans. AMS 309,
@@ -23,6 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 _CHUNK = 4096
+_ROWS = 32  # chunks per batch of the TwoSum tree: ~0.5 MB per level-1 buffer
 
 # Dirichlet-sum engine: terms n <= _HEAD are summed directly; the rest is cut
 # into blocks of relative width ~_WIDTH, each expanded to _MOMENTS Taylor
@@ -43,29 +48,149 @@ def compensated_sum(a) -> float:
     """Sum of a float array: exactly rounded chunk totals, fsum-combined.
 
     Matches fsum to ~1e-14 relative on positive 1e7-term arrays while staying
-    vectorized (fsum alone walks the array in Python).
+    vectorized (fsum alone walks the array in Python).  A single chunk is its
+    own total; + 0.0 gives fsum's +0.0 for a zero sum.
     """
     a = np.asarray(a, dtype=np.float64)
-    if a.size == 0:
-        return 0.0
+    if a.size <= _CHUNK:
+        return float(np.sum(a)) + 0.0
     return math.fsum(float(np.sum(a[i : i + _CHUNK])) for i in range(0, a.size, _CHUNK))
+
+
+def _two_sum(a, b):
+    """(s, t) with s = fl(a + b) and s + t = a + b exactly (Knuth's TwoSum)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _certified_totals(rows: np.ndarray) -> tuple:
+    """Exactly rounded sums of the rows of a (K, 4096) array, where provable.
+
+    Returns (totals, ok); totals[k] equals math.fsum(rows[k]) wherever ok[k].
+    A 12-level pairwise TwoSum tree leaves each row sum as s + E exactly, E
+    the sum of the tree's rounding errors, and forms e ~ E in floating point
+    with |e - E| < 289 u^2 sum|x| (u = 2^-53; 12 levels of errors, each at
+    most u of that level's sum|s|, summed at depth <= 24).  T = fl(s + e) is
+    then the exactly rounded sum when s + e - T, widened by 2^-96 sum|x| =
+    1024 u^2 sum|x|, lies strictly inside T's rounding cell, whose halves
+    differ at powers of two.  Rows that are not finite, come near overflow
+    or underflow, or sit too close to a rounding tie are left to the caller.
+    """
+    K = rows.shape[0]
+    total = np.empty(K)
+    resid = np.empty(K)
+    absum = np.empty(K)
+    half = _CHUNK // 2
+    s, e, bb = (np.empty((_ROWS, half)) for _ in range(3))
+    with np.errstate(invalid="ignore", over="ignore"):
+        for lo in range(0, K, _ROWS):
+            x = rows[lo : lo + _ROWS]
+            n = x.shape[0]
+            a, b, sk, ek, bk = x[:, :half], x[:, half:], s[:n], e[:n], bb[:n]
+            # the first level in preallocated buffers: it is half the work
+            np.add(a, b, out=sk)
+            np.subtract(sk, a, out=bk)
+            np.subtract(sk, bk, out=ek)
+            np.subtract(a, ek, out=ek)
+            np.subtract(b, bk, out=bk)
+            ek += bk
+            absum[lo : lo + n] = np.abs(a, out=bk).sum(axis=1) + np.abs(b, out=bk).sum(axis=1)
+            width = half
+            while width > 1:
+                width //= 2
+                sk, t = _two_sum(sk[:, :width], sk[:, width:])
+                ek = ek[:, :width] + ek[:, width:]
+                ek += t
+            total[lo : lo + n], resid[lo : lo + n] = _two_sum(sk[:, 0], ek[:, 0])
+        bound = absum * 2.0**-96
+        up = np.nextafter(total, np.inf) - total
+        down = total - np.nextafter(total, -np.inf)
+        ok = (absum >= 2.0**-900) & (absum < 2.0**1020)
+        ok &= (resid + bound < 0.5 * up) & (resid - bound > -0.5 * down)
+    # an all-zero row totals +-0, which adds nothing to the offsets
+    return total, ok | (absum == 0.0)
+
+
+class _RunningFsum:
+    """math.fsum over a growing list of terms, O(1) amortised per term.
+
+    add() runs fsum's own partials update, so value() equals math.fsum of
+    every term added so far, with the same nan, inf and OverflowError
+    outcomes, while the list of terms itself is never re-read.
+    """
+
+    def __init__(self):
+        self.partials: list = []
+        self.special = 0.0  # sum of the nan and inf terms, as fsum keeps it
+        self.inf = 0.0  # sum of the inf terms: nan means both signs were seen
+
+    def add(self, x: float):
+        p, i, x0 = self.partials, 0, x
+        for y in p:
+            if abs(x) < abs(y):
+                x, y = y, x
+            hi = x + y
+            lo = y - (hi - x)
+            if lo != 0.0:
+                p[i] = lo
+                i += 1
+            x = hi
+        del p[i:]
+        if x == 0.0:
+            return
+        if math.isfinite(x):
+            p.append(x)
+            return
+        if math.isfinite(x0):
+            raise OverflowError("intermediate overflow in fsum")
+        if math.isinf(x0):
+            self.inf += x0
+        self.special += x0
+        p.clear()
+
+    def value(self) -> float:
+        if self.special != 0.0:
+            if math.isnan(self.inf):
+                raise ValueError("-inf + inf in fsum")
+            return self.special
+        return math.fsum(self.partials)
 
 
 def compensated_cumsum(a: np.ndarray) -> np.ndarray:
     """Cumulative sum of a 1-D float array with ≤1e-12 relative error.
 
-    Chunks of the input are cumsummed in float64; the running offset added to
-    each chunk is the exactly rounded sum of all previous chunk totals.
+    Each 4096-term chunk is cumsummed in float64, and the offset added to it
+    is the exactly rounded sum of the exactly rounded totals of all previous
+    chunks.  The totals come from _certified_totals, and from
+    math.fsum(chunk) wherever its certificate fails; the offsets from one
+    running exact sum of them, O(number of chunks) in all.  The full chunks
+    are cumsummed in place in the output as one (K, 4096) array.  Results are
+    bit for bit those of cumsumming chunk by chunk and calling math.fsum on
+    each chunk and on the list of earlier totals, non-finite input included.
     """
     a = np.asarray(a, dtype=np.float64)
     out = np.empty_like(a)
-    offset_terms: list[float] = []
-    for start in range(0, a.size, _CHUNK):
-        stop = min(start + _CHUNK, a.size)
-        local = np.cumsum(a[start:stop])
-        out[start:stop] = local + math.fsum(offset_terms)
-        # exact chunk total, so offsets do not inherit cumsum drift
-        offset_terms.append(math.fsum(a[start:stop].tolist()))
+    K, tail = divmod(a.size, _CHUNK)
+    head = K * _CHUNK
+    rows = a[:head].reshape(K, _CHUNK)
+    totals, ok = _certified_totals(rows)
+    offsets = np.empty(K + (tail > 0))
+    running = _RunningFsum()
+    for k in range(offsets.size):
+        offsets[k] = running.value()
+        if k < K and ok[k]:
+            total = float(totals[k])
+        else:  # raises where fsum does
+            total = math.fsum((rows[k] if k < K else a[head:]).tolist())
+        if k + 1 < offsets.size:  # no offset needs the last total
+            running.add(total)
+    out_rows = out[:head].reshape(K, _CHUNK)
+    np.cumsum(rows, axis=1, out=out_rows)
+    out_rows += offsets[:K, None]
+    if tail:
+        np.cumsum(a[head:], out=out[head:])
+        out[head:] += offsets[K]
     return out
 
 

@@ -3,12 +3,15 @@ multiplicative/additive functions built from them.
 
 Everything downstream (weight catalogs, coefficient identities) reads from a
 SieveTable, so factorization cost is amortized to O(1) per query after the
-O(N log log N) build.  The multiplicative and additive tables (d_gamma,
-Omega, prod nu_p!) come from one vectorized pass over the spf array; the
-divisor-count, von Mangoldt and ordered-factorization tables use slice
-arithmetic.  The per-n operations work on an explicit factorization and use
-exact integer arithmetic, rounding once per prime power where the value is
-not an integer.
+O(N log log N) build.  The build finds the primes up to sqrt(N) with a small
+byte sieve, then writes p into every multiple of p from p^2 on, for those
+primes in descending order, so the smallest prime factor is written last;
+the slots left at zero past 1 are the primes.  The multiplicative and
+additive tables (d_gamma, Omega, prod nu_p!) come from one vectorized pass
+over the spf array; the divisor-count, von Mangoldt and ordered-factorization
+tables use slice arithmetic.  The per-n operations work on an explicit
+factorization and use exact integer arithmetic, rounding once per prime
+power where the value is not an integer.
 """
 from __future__ import annotations
 
@@ -43,16 +46,18 @@ def build_sieve(limit: int, budget: int = DEFAULT_BUDGET) -> SieveTable:
         raise RangeError(f"sieve limit must be >= 2, got {limit}")
     if limit > budget:
         raise BudgetError(f"sieve limit {limit} exceeds budget {budget}")
+    root = math.isqrt(limit)
+    small = np.ones(root + 1, dtype=bool)
+    small[:2] = False
+    for p in range(2, math.isqrt(root) + 1):
+        if small[p]:
+            small[p * p :: p] = False
     spf = np.zeros(limit + 1, dtype=np.int32)
-    for p in range(2, math.isqrt(limit) + 1):
-        if spf[p] == 0:
-            seg = spf[p * p :: p]
-            seg[seg == 0] = p
-    rem = np.flatnonzero(spf == 0)
-    rem = rem[rem >= 2]
-    spf[rem] = rem.astype(np.int32)
-    primes = np.flatnonzero(spf == np.arange(limit + 1, dtype=np.int64))
-    primes = primes[primes >= 2]
+    # a composite n has its smallest prime p <= sqrt(n), so it lies in p*p::p
+    for p in np.flatnonzero(small)[::-1].tolist():
+        spf[p * p :: p] = p
+    primes = np.flatnonzero(spf[2:] == 0) + 2
+    spf[primes] = primes
     spf.setflags(write=False)
     primes.setflags(write=False)
     return SieveTable(limit=limit, spf=spf, primes=primes)
@@ -166,8 +171,13 @@ def ordered_factorization_table(limit: int) -> np.ndarray:
 
 
 def divisor_count_table(limit: int) -> np.ndarray:
-    """d(n) for 1..limit via the hyperbola split (pairs i, n/i with i<=sqrt(n))."""
-    d = np.zeros(limit + 1, dtype=np.int64)
+    """d(n) for 1..limit via the hyperbola split (pairs i, n/i with i<=sqrt(n)).
+
+    int32 entries: d(n) < 2^31 for every n an array can index.
+    """
+    if limit < 1:
+        raise RangeError(f"limit must be >= 1, got {limit}")
+    d = np.zeros(limit + 1, dtype=np.int32)
     for i in range(1, math.isqrt(limit) + 1):
         d[i * i :: i] += 2
         d[i * i] -= 1

@@ -98,6 +98,12 @@ def _kadec_weight(limit: int, blocks: int, spiked: bool) -> np.ndarray:
     return w
 
 
+def _upto(values: np.ndarray, limit: int) -> np.ndarray:
+    """A freshly built table cut to 0..limit: itself when it ends there, else
+    a copy, so the longer array is not kept alive behind a view."""
+    return values if values.size == limit + 1 else values[: limit + 1].copy()
+
+
 def catalog(name: str, limit: int, table=None, **params) -> WeightSequence:
     """Construct a catalog weight sequence up to the given limit.
 
@@ -133,7 +139,7 @@ def catalog(name: str, limit: int, table=None, **params) -> WeightSequence:
         g = float(params["gamma"])
         if not 0 < g < math.inf:
             raise DomainError("dgamma needs a finite gamma > 0")
-        w = arithmetic.generalized_divisor_table(g, table)[: limit + 1].copy()
+        w = _upto(arithmetic.generalized_divisor_table(g, table), limit)
         w[0] = 0.0
         expected = 1.0 - g
     elif name == "divisor":
@@ -149,10 +155,10 @@ def catalog(name: str, limit: int, table=None, **params) -> WeightSequence:
         w[0] = 0.0
         expected = 1.0 - 2.0**-a
     elif name == "mangoldt":
-        w = arithmetic.von_mangoldt_table(table)[: limit + 1].copy()
+        w = _upto(arithmetic.von_mangoldt_table(table), limit)
         expected = 0.0
     elif name == "mangoldt_over_log":
-        w = arithmetic.von_mangoldt_table(table)[: limit + 1].copy()
+        w = _upto(arithmetic.von_mangoldt_table(table), limit)
         n = np.arange(limit + 1, dtype=np.float64)
         with np.errstate(divide="ignore", invalid="ignore"):
             w[2:] = w[2:] / np.log(n[2:])

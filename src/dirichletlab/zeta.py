@@ -257,7 +257,8 @@ class KernelSpec:
 
     family "dalpha" takes the smoothness parameter alpha <= 1; "zeta_power"
     and "besov" take a power gamma; "log_zeta" and "mccarthy_pick" take no
-    parameter.  anchor is the fixed second argument xi of the kernel.
+    parameter.  anchor is the fixed second argument xi of the kernel.  Both
+    must be finite.
     """
 
     family: str
@@ -267,6 +268,10 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in _KERNEL_FAMILIES:
             raise DomainError(f"unknown kernel family {self.family!r}")
+        if not math.isfinite(self.param):
+            raise DomainError(f"kernel param must be finite, got {self.param}")
+        if not cmath.isfinite(self.anchor):
+            raise DomainError(f"kernel anchor must be finite, got {self.anchor}")
         if self.family == "dalpha" and self.param > 1.0:
             raise DomainError("dalpha kernels are defined for alpha <= 1")
         if self.family == "zeta_power" and self.param <= 0.0:
@@ -276,8 +281,10 @@ class KernelSpec:
 
 
 def _require_region(z: complex, threshold: float, what: str):
-    if z.real <= threshold + _REGION_MARGIN:
-        raise DomainError(f"{what}: Re(s + conj(anchor)) = {z.real:.9g} not above {threshold:.9g}")
+    # written so that a nan or infinite s fails too
+    if not (threshold + _REGION_MARGIN < z.real < math.inf and math.isfinite(z.imag)):
+        raise DomainError(f"{what}: s + conj(anchor) = {z:.9g} must be finite with real part "
+                          f"above {threshold:.9g}")
 
 
 def kernel_eval(spec: KernelSpec, s: complex) -> complex:

@@ -54,6 +54,125 @@ def test_cumsum_prefixes_are_exact_sums():
         assert c[k] == pytest.approx(math.fsum(a[: k + 1]), rel=1e-13, abs=1e-12)
 
 
+def cumsum_reference(a):
+    """The chunk-by-chunk loop compensated_cumsum replaced: each chunk's
+    cumsum plus fsum of every earlier chunk's fsum total, O(K^2) in all."""
+    a = np.asarray(a, dtype=np.float64)
+    out = np.empty_like(a)
+    offset_terms = []
+    for start in range(0, a.size, 4096):
+        stop = min(start + 4096, a.size)
+        local = np.cumsum(a[start:stop])
+        out[start:stop] = local + math.fsum(offset_terms)
+        offset_terms.append(math.fsum(a[start:stop].tolist()))
+    return out
+
+
+def _outcome(f, a):
+    """f(a)'s bytes and dtype, or the type of the exception it raises."""
+    try:
+        with np.errstate(all="ignore"):
+            r = f(a)
+    except (ValueError, OverflowError) as e:  # what math.fsum raises
+        return type(e)
+    return r.dtype, r.tobytes()
+
+
+CHUNK_EDGE_LENGTHS = st.one_of(
+    st.sampled_from([0, 1, 4095, 4096, 4097]),
+    st.builds(lambda k, d: k * 4096 + d, st.integers(1, 5), st.sampled_from([-1, 0, 1])),
+)
+
+
+def _cumsum_data(kind, n, rng):
+    """n values of one kind; built at length >= 1 so that n = 0 needs no case."""
+    m = max(n, 1)
+    if kind == "wide":  # signed, over +-40 decades
+        x = rng.standard_normal(m) * 10.0 ** rng.uniform(-40, 40, m)
+    elif kind == "integers":
+        x = rng.integers(-(2**40), 2**40, m).astype(np.float64)
+    elif kind == "powers_of_two":  # every full chunk totals exactly 2^12
+        x = np.ones(m)
+        d = rng.choice([0.5, 2.0**-20, 3 * 2.0**-30], m // 2)
+        x[0 : 2 * d.size : 2] += d
+        x[1 : 2 * d.size : 2] -= d
+    elif kind == "near_ties":  # totals a few half-ulps from 2^12, both sides
+        x = np.ones(m)
+        x[rng.integers(0, m, m // 64)] += rng.choice(
+            [2.0**-42, -(2.0**-42), 2.0**-43, -(2.0**-44), 3 * 2.0**-44], m // 64)
+    elif kind == "sparse_logs":  # Lambda-like, with whole zero chunks and -0.0
+        x = np.zeros(m)
+        idx = rng.integers(0, m, m // 500)
+        x[idx] = np.log(idx + 2.0)
+        x[rng.integers(0, m, 2)] = -0.0
+    elif kind == "reciprocals":
+        x = 1.0 / np.arange(1, m + 1)
+    elif kind == "huge":  # near overflow: fsum's OverflowError in a chunk or the offsets
+        if rng.random() < 0.5:
+            x = rng.choice([1e308, -1e308, 8e307, 1.0], m)
+        else:  # chunk totals of +-1.6e308
+            x = np.repeat(rng.choice([4e304, -4e304], m // 4096 + 1), 4096)[:m]
+    else:  # non-finite: inf, -inf or nan, up to three times
+        x = rng.standard_normal(m)
+        k = rng.integers(1, 4)
+        x[rng.integers(0, m, k)] = rng.choice([np.inf, -np.inf, np.nan], k)
+    return x[:n]
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=CHUNK_EDGE_LENGTHS,
+       kind=st.sampled_from(["wide", "integers", "powers_of_two", "near_ties", "sparse_logs",
+                             "reciprocals", "huge", "nonfinite"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_cumsum_equals_reference_bit_for_bit(n, kind, seed):
+    a = _cumsum_data(kind, n, np.random.default_rng(seed))
+    assert _outcome(compensated_cumsum, a) == _outcome(cumsum_reference, a)
+
+
+@pytest.mark.parametrize("side", [1.0, -1.0])
+def test_cumsum_chunk_total_with_lost_error_terms(side):
+    # s = 4096 absorbs every other entry, so the tree's error sum e starts at
+    # t1, just inside the rounding cell of 4096 on one side, and five
+    # 0.44-ulp(e) terms are each rounded away; together they carry the exact
+    # sum across the cell's edge (2^-41 above 4096, 2^-42 below)
+    ulp_e = 2.0**-94 if side > 0 else 2.0**-95
+    t1 = side * (2.0**-41 if side > 0 else 2.0**-42) - side * 2 * ulp_e
+    row = np.zeros(4096)
+    row[0], row[2048] = 4096.0, t1
+    row[[1024, 512, 256, 128, 64]] = side * 7 * ulp_e / 16
+    a = np.concatenate([row, [0.0]])  # the tail shows the offset bare
+    assert math.fsum(row.tolist()) != 4096.0 + t1  # fl(s + e) is not the total
+    assert compensated_cumsum(a).tobytes() == cumsum_reference(a).tobytes()
+
+
+def test_cumsum_last_chunk_total_is_not_summed():
+    # two chunks of total 1.6e308: fsum would overflow adding the second
+    # total, which no offset needs; a third chunk needs it and does overflow
+    a = np.full(8192, 4e304)
+    with np.errstate(over="ignore"):  # the second chunk's prefixes overflow
+        assert compensated_cumsum(a).tobytes() == cumsum_reference(a).tobytes()
+    with pytest.raises(OverflowError):
+        compensated_cumsum(np.full(8193, 4e304))
+
+
+def test_cumsum_equals_reference_on_mangoldt_and_divisor(table_mid):
+    # Lambda's chunk totals often sit on a rounding tie of s + e: the fallback
+    for name in ("mangoldt", "divisor"):
+        w = W.catalog(name, 10**6, table=table_mid).w
+        assert compensated_cumsum(w).tobytes() == cumsum_reference(w).tobytes()
+
+
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=40)
+       | st.builds(lambda n, x: [x] * n, st.integers(0, 4096), st.sampled_from([-0.0, 0.0, 1e-300])))
+def test_compensated_sum_single_chunk_is_fsum_of_its_total(xs):
+    a = np.asarray(xs, dtype=np.float64)
+    with np.errstate(all="ignore"):
+        expected = math.fsum([float(np.sum(a))])
+        got = compensated_sum(a)
+    assert math.copysign(1.0, got) == math.copysign(1.0, expected)
+    assert got == expected or (math.isnan(got) and math.isnan(expected))
+
+
 def direct_sums(a, sigmas):
     """The reference the engine replaces: one compensated pass over all N terms per s."""
     logn = np.log(np.arange(1, a.size, dtype=np.float64))

@@ -210,3 +210,56 @@ def test_sieve_table_fields(table_small):
     assert isinstance(table_small, SieveTable)
     assert table_small.limit == 10**5
     assert table_small.spf[2] == 2 and table_small.spf[4] == 2
+
+
+def sieve_reference(limit):
+    """The per-prime masked sieve build_sieve replaced: (spf, primes)."""
+    spf = np.zeros(limit + 1, dtype=np.int32)
+    for p in range(2, math.isqrt(limit) + 1):
+        if spf[p] == 0:
+            seg = spf[p * p :: p]
+            seg[seg == 0] = p
+    rem = np.flatnonzero(spf == 0)
+    rem = rem[rem >= 2]
+    spf[rem] = rem.astype(np.int32)
+    primes = np.flatnonzero(spf == np.arange(limit + 1, dtype=np.int64))
+    return spf, primes[primes >= 2]
+
+
+def divisor_count_reference(limit):
+    """The int64 hyperbola loop divisor_count_table replaced."""
+    d = np.zeros(limit + 1, dtype=np.int64)
+    for i in range(1, math.isqrt(limit) + 1):
+        d[i * i :: i] += 2
+        d[i * i] -= 1
+    return d
+
+
+def _square_edges():
+    primes = sieve_reference(200)[1].tolist()
+    return sorted({p * p + k for p in primes for k in (-1, 0, 1)})
+
+
+@pytest.mark.parametrize("limits", [range(2, 3001), _square_edges(), [10**6]],
+                         ids=["2..3000", "p^2-1,p^2,p^2+1", "1e6"])
+def test_build_sieve_equals_reference_bit_for_bit(limits):
+    for limit in limits:
+        table = build_sieve(limit)
+        spf, primes = sieve_reference(limit)
+        assert table.spf.dtype == spf.dtype == np.int32
+        assert table.primes.dtype == primes.dtype == np.int64
+        assert np.array_equal(table.spf, spf), limit
+        assert np.array_equal(table.primes, primes), limit
+        assert not table.spf.flags.writeable and not table.primes.flags.writeable
+
+
+def test_divisor_count_table_equals_reference():
+    d = divisor_count_table(10**5)
+    assert d.dtype == np.int32
+    assert np.array_equal(d, divisor_count_reference(10**5))
+
+
+@pytest.mark.parametrize("limit", [0, -1, -5])
+def test_divisor_count_table_rejects_limits_below_one(limit):
+    with pytest.raises(RangeError):
+        divisor_count_table(limit)

@@ -160,6 +160,19 @@ def test_kernel_csv_roundtrips_values(tmp_path):
     assert run("kernel", "--family", "unheard-of", "--out", out) == 2
 
 
+@pytest.mark.parametrize("args, named", [
+    (("--family", "dalpha", "--param", "nan"), "param"),
+    (("--family", "dalpha", "--param=-inf"), "param"),
+    (("--family", "zeta_power", "--param", "nan"), "param"),
+    (("--family", "log_zeta", "--anchor-re", "nan"), "anchor"),
+])
+def test_kernel_rejects_non_finite_parameters(args, named, tmp_path, capsys):
+    out = tmp_path / "kernel.csv"
+    assert run("kernel", *args, "--out", out) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_embed_report(tmp_path):
     out_json = tmp_path / "embed.json"
     out_csv = tmp_path / "embed.csv"

@@ -205,6 +205,68 @@ def test_kernel_families_against_mpmath(family, g, sigma, t):
     assert abs(kernel_eval(spec, s) - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
+def _dalpha_reference(alpha, w):
+    """The dalpha kernel at z = w + 1 from mpmath: for alpha < 1,
+    c / Gamma(1 - alpha) times the Laplace integral of x^(-alpha) e^(-w x)
+    over (0, inf), and -log(w)/pi at alpha = 1.
+
+    The integral runs along the ray x = u^p conj(w)/|w|, p = 1/(1 - alpha),
+    where e^(-w x) does not oscillate (Cauchy: Re(w x) > 0 between the ray
+    and the real axis) and x^(-alpha) dx has no singularity at u = 0.
+    """
+    with mpmath.workdps(30):
+        w = _mp(w)
+        if alpha == 1.0:
+            return complex(-mpmath.log(w) / mpmath.pi)
+        a = mpmath.mpf(alpha)
+        if a < 0:
+            c = -a * mpmath.mpf(2) ** (-a - 1)
+        elif a == 0:
+            c = mpmath.mpf(1)
+        else:
+            c = mpmath.mpf(2) ** (a - 1) / (1 - a)
+        ray, p = mpmath.conj(w) / abs(w), 1 / (1 - a)
+
+        def f(u):
+            return (u**p * ray) ** (-a) * mpmath.exp(-abs(w) * u**p) * ray * p * u ** (p - 1)
+
+        knee = abs(w) ** (a - 1)  # where e^(-|w| u^p) = 1/e
+        return complex(c / mpmath.gamma(1 - a) * mpmath.quad(f, [0, knee, 2 * knee, mpmath.inf]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(alpha=st.one_of(st.floats(min_value=-4.0, max_value=0.99), st.sampled_from([0.0, 1.0])),
+       re_w=st.floats(min_value=0.05, max_value=5.0), t=st.floats(min_value=-50.0, max_value=50.0))
+@example(alpha=-1.0, re_w=0.05, t=50.0)
+@example(alpha=0.5, re_w=5.0, t=-50.0)
+@example(alpha=0.99, re_w=0.05, t=0.0)
+@example(alpha=1.0, re_w=0.05, t=-50.0)
+def test_dalpha_kernel_against_mpmath(alpha, re_w, t):
+    anchor = complex(0.25, -1.5)
+    w = complex(re_w, t)  # z - 1, z = s + conj(anchor)
+    v = kernel_eval(KernelSpec(family="dalpha", param=alpha, anchor=anchor),
+                    w + 1.0 - anchor.conjugate())
+    ref = _dalpha_reference(alpha, w)
+    assert abs(v - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("family", ["dalpha", "zeta_power", "log_zeta", "besov"])
+@pytest.mark.parametrize("param, anchor", [(math.nan, 1.0), (-math.inf, 1.0), (math.inf, 1.0),
+                                           (0.5, complex(math.nan, 0.0)),
+                                           (0.5, complex(1.0, math.inf))])
+def test_kernel_spec_rejects_non_finite_param_and_anchor(family, param, anchor):
+    with pytest.raises(DomainError, match="param" if not math.isfinite(param) else "anchor"):
+        KernelSpec(family=family, param=param, anchor=anchor)
+
+
+def test_kernel_rejects_non_finite_s():
+    spec = KernelSpec(family="dalpha", param=-1.0, anchor=1.0)
+    for s in (complex(math.nan, 0.0), complex(1.0, math.nan), complex(math.inf, 0.0),
+              complex(1.0, -math.inf)):
+        with pytest.raises(DomainError):
+            kernel_eval(spec, s)
+
+
 def test_dirichlet_convolve_divisor_identity():
     ones = np.zeros(201)
     ones[1:] = 1.0
