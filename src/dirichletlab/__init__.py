@@ -27,7 +27,6 @@ from .weights import (
     fit_alpha,
     kadec_indices,
     partial_sums,
-    shift_to_unit_abscissa,
     sum_upto,
 )
 from .zeta import (

@@ -18,16 +18,26 @@ complex s = sigma + it, each further s costing O(blocks), not O(N).  Every
 value carries a proven Taylor remainder.  The block width follows from the
 largest |s| the moments must serve (see _block_width), so the remainder stays
 near 1e-15 of sum |a_n| n^(-sigma) as the t-window widens.
+
+Both passes run in scan(), which reads a sequence as consecutive segments
+(_SEGMENT entries each from the table builders) and carries the chunk and
+the moment block that a segment edge cuts, so a sequence that is never held
+whole gives the same bits as an array: its moments, its chunk offsets and
+S(x) at given checkpoints.  compensated_cumsum and block_moments are that
+scan over the views of one array.
 """
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .errors import RangeError
+
 _CHUNK = 4096
 _ROWS = 32  # chunks per batch of the TwoSum tree: ~0.5 MB per level-1 buffer
+_SEGMENT = 1 << 20  # entries per segment of a scan: 8 MB of float64
 
 # Dirichlet-sum engine: terms n <= _HEAD are summed directly; the rest is cut
 # into blocks of relative width ~_WIDTH, each expanded to _MOMENTS Taylor
@@ -157,41 +167,105 @@ class _RunningFsum:
         return math.fsum(self.partials)
 
 
-def compensated_cumsum(a: np.ndarray) -> np.ndarray:
-    """Cumulative sum of a 1-D float array with ≤1e-12 relative error.
-
-    Each 4096-term chunk is cumsummed in float64, and the offset added to it
-    is the exactly rounded sum of the exactly rounded totals of all previous
-    chunks.  The totals come from _certified_totals, and from
-    math.fsum(chunk) wherever its certificate fails; the offsets from one
-    running exact sum of them, O(number of chunks) in all.  The full chunks
-    are cumsummed in place in the output as one (K, 4096) array.  Results are
-    bit for bit those of cumsumming chunk by chunk and calling math.fsum on
-    each chunk and on the list of earlier totals, non-finite input included.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    out = np.empty_like(a)
-    K, tail = divmod(a.size, _CHUNK)
-    head = K * _CHUNK
-    rows = a[:head].reshape(K, _CHUNK)
-    totals, ok = _certified_totals(rows)
-    offsets = np.empty(K + (tail > 0))
-    running = _RunningFsum()
-    for k in range(offsets.size):
-        offsets[k] = running.value()
-        if k < K and ok[k]:
-            total = float(totals[k])
-        else:  # raises where fsum does
-            total = math.fsum((rows[k] if k < K else a[head:]).tolist())
-        if k + 1 < offsets.size:  # no offset needs the last total
-            running.add(total)
-    out_rows = out[:head].reshape(K, _CHUNK)
-    np.cumsum(rows, axis=1, out=out_rows)
-    out_rows += offsets[:K, None]
-    if tail:
-        np.cumsum(a[head:], out=out[head:])
-        out[head:] += offsets[K]
+def _read_sorted(data, base: int, offsets, xs) -> np.ndarray:
+    """S(x) at the ascending points xs, all inside data = entries base.. of
+    whole chunks (base a multiple of 4096): per chunk, one cumsum up to its
+    last point plus the chunk's offset, the bits compensated_cumsum writes."""
+    out = np.empty(xs.size)
+    chunk = xs // _CHUNK
+    starts = np.flatnonzero(np.diff(chunk, prepend=-1)).tolist()
+    for i, j in zip(starts, starts[1:] + [xs.size]):
+        c0 = int(chunk[i]) * _CHUNK
+        js = xs[i:j] - c0
+        out[i:j] = np.cumsum(data[c0 - base : c0 - base + int(js[-1]) + 1])[js] + offsets[chunk[i]]
     return out
+
+
+class _PrefixPass:
+    """compensated_cumsum's chunk pass over a sequence fed segment by segment.
+
+    Chunk k holds the entries 4096k..4096k+4095 of the whole sequence; a
+    chunk cut by a segment edge is copied together first.  Each chunk's offset
+    is the running exact sum of the earlier totals, so the offsets, every
+    prefix written to out, and S(x) at the checkpoints are the bits that
+    compensated_cumsum gives on the whole array.
+    """
+
+    def __init__(self, size: int, checkpoints, out):
+        self.size = size
+        self.offsets = np.empty(-(-size // _CHUNK))
+        self.running = _RunningFsum()
+        self.k = 0  # chunks closed
+        self.open = np.empty(_CHUNK)  # the cut chunk's entries so far
+        self.filled = 0
+        xs = np.asarray(checkpoints, dtype=np.int64).ravel()
+        if xs.size and not (0 <= xs.min() and xs.max() < size):
+            raise RangeError(f"checkpoints must lie in [0, {size - 1}]")
+        self.order = np.argsort(xs, kind="stable")
+        self.xs = xs[self.order]
+        self.sums = np.empty(xs.size)
+        self.read = 0  # checkpoints read so far, in ascending order
+        self.out = out
+
+    def feed(self, seg: np.ndarray):
+        if self.filled:  # complete the chunk the last segment edge cut
+            take = min(_CHUNK - self.filled, seg.size)
+            self.open[self.filled : self.filled + take] = seg[:take]
+            self.filled += take
+            seg = seg[take:]
+            if self.filled == _CHUNK:
+                self._rows(self.open[None, :])
+            elif self.k * _CHUNK + self.filled == self.size:
+                self._last(self.open[: self.filled])
+            else:
+                return
+            self.filled = 0
+        K = seg.size // _CHUNK
+        if K:
+            self._rows(seg[: K * _CHUNK].reshape(K, _CHUNK))
+        rest = seg[K * _CHUNK :]
+        if self.k * _CHUNK + rest.size == self.size and rest.size:
+            self._last(rest)
+        else:
+            self.open[: rest.size] = rest
+            self.filled = rest.size
+
+    def _close(self, chunk, total):
+        # compensated_cumsum's loop body: no offset needs the last total, and
+        # math.fsum raises where it would
+        self.offsets[self.k] = self.running.value()
+        if total is None:
+            total = math.fsum(chunk.tolist())
+        if self.k + 1 < self.offsets.size:
+            self.running.add(total)
+        self.k += 1
+
+    def _rows(self, rows: np.ndarray):
+        K = rows.shape[0]
+        totals, ok = _certified_totals(rows)
+        for r in range(K):
+            self._close(rows[r], float(totals[r]) if ok[r] else None)
+        k0 = self.k - K
+        if self.out is not None:
+            out_rows = self.out[k0 * _CHUNK : self.k * _CHUNK].reshape(K, _CHUNK)
+            np.cumsum(rows, axis=1, out=out_rows)
+            out_rows += self.offsets[k0 : self.k, None]
+        self._read(rows.reshape(-1), k0 * _CHUNK)
+
+    def _last(self, tail: np.ndarray):
+        self._close(tail, None)
+        base = (self.k - 1) * _CHUNK
+        if self.out is not None:
+            np.cumsum(tail, out=self.out[base:])
+            self.out[base:] += self.offsets[self.k - 1]
+        self._read(tail, base)
+
+    def _read(self, data, base: int):
+        stop = int(np.searchsorted(self.xs, base + data.size))
+        if stop > self.read:
+            sel = self.order[self.read : stop]
+            self.sums[sel] = _read_sorted(data, base, self.offsets, self.xs[self.read : stop])
+            self.read = stop
 
 
 class BlockMoments(NamedTuple):
@@ -213,6 +287,176 @@ def _block_width(s_max: float) -> float:
     return _WIDTH * ratio ** (1.0 / _MOMENTS)
 
 
+class _MomentPass:
+    """block_moments' per-block loop over a sequence fed segment by segment.
+
+    A block inside one segment is read from it directly; a block cut by
+    segment edges is copied together first, so each block's sums run over
+    the same contiguous array as on the whole input, bit for bit.
+    """
+
+    def __init__(self, size: int, s_max: float):
+        N = size - 1
+        width = _block_width(float(s_max))
+        edges = [_HEAD]  # block k holds the integers (edges[k], edges[k + 1]]
+        while edges[-1] < N:
+            edges.append(min(N, max(edges[-1] + 1, int(edges[-1] * (1.0 + width)))))
+        self.edges = edges
+        self.H = max(0, min(N, _HEAD))
+        K = len(edges) - 1
+        self.centre = np.empty(K)
+        self.xmax = np.empty(K)
+        self.mass = np.empty(K)
+        self.k = 0  # blocks done
+        self.open = None  # the cut block's entries so far
+        self.head = self.mom = None  # typed by the first segment
+
+    def _allocate(self, dtype):
+        self.head = np.empty(self.H, dtype=dtype)
+        self.mom = np.empty((self.centre.size, _MOMENTS), dtype=dtype)
+
+    def feed(self, seg: np.ndarray, lo: int):
+        if self.mom is None:
+            self._allocate(np.complex128 if np.iscomplexobj(seg) else np.float64)
+        seg = np.asarray(seg, dtype=self.mom.dtype)
+        hi = lo + seg.size
+        a, b = max(lo, 1), min(hi, self.H + 1)  # the head is a_1..a_H
+        if a < b:
+            self.head[a - 1 : b - 1] = seg[a - lo : b - lo]
+        edges = self.edges
+        # inf weights (the spiked demo family) meet x <= 0 in the moments; the
+        # resulting nans are replaced in result()
+        with np.errstate(invalid="ignore"):
+            while self.k + 1 < len(edges):
+                b0, b1 = edges[self.k] + 1, edges[self.k + 1] + 1  # the block's entries [b0, b1)
+                if b0 >= hi:
+                    return
+                if self.open is None and b1 <= hi:
+                    p = seg[b0 - lo : b1 - lo].copy()
+                else:
+                    if self.open is None:
+                        self.open = np.empty(b1 - b0, dtype=seg.dtype)
+                    a, b = max(b0, lo), min(b1, hi)
+                    self.open[a - b0 : b - b0] = seg[a - lo : b - lo]
+                    if b1 > hi:
+                        return
+                    p, self.open = self.open, None
+                self._block(p)
+
+    def _block(self, p: np.ndarray):
+        k = self.k
+        lo, hi = self.edges[k], self.edges[k + 1]
+        half = 0.5 * (hi - lo - 1)
+        self.centre[k] = lo + 1 + half
+        self.xmax[k] = half / self.centre[k]
+        self.mass[k] = np.abs(p).sum()  # before x: at most two block-long arrays live
+        x = np.arange(hi - lo, dtype=np.float64)
+        x -= half
+        x /= self.centre[k]
+        for m in range(_MOMENTS):
+            self.mom[k, m] = p.sum()
+            if m + 1 < _MOMENTS:
+                p *= x
+        self.k += 1
+
+    def result(self) -> BlockMoments:
+        if self.mom is None:
+            self._allocate(np.float64)
+        # a block holding an infinite weight sums to it, as the direct sum does
+        self.mom[~np.isfinite(self.mom[:, 0]), 1:] = 0.0
+        return BlockMoments(self.head, self.centre, self.xmax, self.mass, self.mom)
+
+
+class Scan(NamedTuple):
+    """What one pass of scan() read from a sequence a_0..a_(size-1)."""
+
+    moments: Optional[BlockMoments]  # block_moments(a, s_max), if s_max was given
+    offsets: Optional[np.ndarray]  # offsets[k]: exactly rounded sum of chunks 0..k-1
+    sums: np.ndarray  # S(x) = a_0 + ... + a_x at each checkpoint, in their order
+
+
+def segment_edges(size: int) -> list:
+    """Consecutive ranges (lo, hi) of at most _SEGMENT entries covering 0..size-1."""
+    return [(lo, min(lo + _SEGMENT, size)) for lo in range(0, size, _SEGMENT)]
+
+
+def _views(a: np.ndarray):
+    return (a[lo:hi] for lo, hi in segment_edges(a.size))
+
+
+def join_segments(segments, size: int, dtype=np.float64) -> np.ndarray:
+    """The concatenation of segments that cover `size` entries, as one array."""
+    out = np.empty(size, dtype=dtype)
+    lo = 0
+    for seg in segments:
+        out[lo : lo + seg.size] = seg
+        lo += seg.size
+    if lo != size:
+        raise RangeError(f"segments cover {lo} entries, not {size}")
+    return out
+
+
+def scan(segments, size: int, s_max=None, checkpoints=None, out=None) -> Scan:
+    """One pass over a_0..a_(size-1), handed in as consecutive segments.
+
+    With s_max it builds block_moments(a, s_max).  With checkpoints (integer
+    points in [0, size)) or out it runs compensated_cumsum's chunk pass: the
+    chunk offsets, S at each checkpoint, and every prefix sum written to out
+    if given; checkpoints=None and out=None skip that pass.  The segments may
+    have any lengths (the builders use _SEGMENT): the chunk and the moment
+    block that a segment edge cuts are carried into the next segment, so
+    every result is bit for bit the whole-array one, while the pass holds
+    one segment, one chunk and one moment block at a time.
+    """
+    moments = None if s_max is None else _MomentPass(size, s_max)
+    prefix = None
+    if checkpoints is not None or out is not None:
+        prefix = _PrefixPass(size, () if checkpoints is None else checkpoints, out)
+    lo = 0
+    for seg in segments:
+        seg = np.asarray(seg)
+        if moments is not None:
+            moments.feed(seg, lo)
+        if prefix is not None:
+            prefix.feed(np.asarray(seg, dtype=np.float64))
+        lo += seg.size
+    if lo != size:
+        raise RangeError(f"segments cover {lo} entries, not {size}")
+    return Scan(None if moments is None else moments.result(),
+                None if prefix is None else prefix.offsets,
+                np.empty(0) if prefix is None else prefix.sums)
+
+
+def read_sums(a: np.ndarray, offsets: np.ndarray, xs) -> np.ndarray:
+    """S(x) = a_0 + ... + a_x at the integer points xs, shaped like xs, from
+    the chunk offsets a scan of a returned: compensated_cumsum(a)[xs] bit for
+    bit, at one chunk cumsum per point instead of an N-length prefix array."""
+    xs = np.asarray(xs, dtype=np.int64)
+    flat = xs.ravel()
+    order = np.argsort(flat, kind="stable")
+    out = np.empty(flat.size)
+    out[order] = _read_sorted(np.asarray(a, dtype=np.float64), 0, offsets, flat[order])
+    return out.reshape(xs.shape)
+
+
+def compensated_cumsum(a: np.ndarray) -> np.ndarray:
+    """Cumulative sum of a 1-D float array with <=1e-12 relative error.
+
+    Each 4096-term chunk is cumsummed in float64, and the offset added to it
+    is the exactly rounded sum of the exactly rounded totals of all previous
+    chunks.  The totals come from _certified_totals, and from
+    math.fsum(chunk) wherever its certificate fails; the offsets from one
+    running exact sum of them, O(number of chunks) in all.  This is scan()'s
+    chunk pass over a, writing every prefix.  Results are bit for bit those
+    of cumsumming chunk by chunk and calling math.fsum on each chunk and on
+    the list of earlier totals, non-finite input included.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    out = np.empty_like(a)
+    scan(_views(a), a.size, out=out)
+    return out
+
+
 def block_moments(a, s_max: float) -> BlockMoments:
     """Moments of a[1..N] (a[0] unused) for evaluation at any |s| <= s_max.
 
@@ -221,36 +465,11 @@ def block_moments(a, s_max: float) -> BlockMoments:
     |s| = 5 by _block_width; block k with centre c and x = n/c - 1 stores
     M_m = sum a_n x^m for m < 10.  a may be real or complex.  A block holds
     at least one integer, so as |s| grows past ~1000 the blocks shrink toward
-    single terms and the engine loses its edge over a direct sum.
+    single terms and the engine loses its edge over a direct sum.  This is
+    scan()'s moment pass over a.
     """
     a = np.asarray(a, dtype=np.complex128 if np.iscomplexobj(a) else np.float64)
-    N = a.size - 1
-    width = _block_width(float(s_max))
-    edges = [_HEAD]  # block k holds the integers (edges[k], edges[k + 1]]
-    while edges[-1] < N:
-        edges.append(min(N, max(edges[-1] + 1, int(edges[-1] * (1.0 + width)))))
-    K = len(edges) - 1
-    centre = np.empty(K)
-    xmax = np.empty(K)
-    mass = np.empty(K)
-    mom = np.empty((K, _MOMENTS), dtype=a.dtype)
-    # inf weights (the spiked demo family) meet x <= 0 in the moments; the
-    # resulting nans are replaced below
-    with np.errstate(invalid="ignore"):
-        for k, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-            half = 0.5 * (hi - lo - 1)
-            centre[k] = lo + 1 + half
-            xmax[k] = half / centre[k]
-            x = (np.arange(hi - lo) - half) / centre[k]
-            p = a[lo + 1 : hi + 1].copy()
-            mass[k] = np.abs(p).sum()
-            for m in range(_MOMENTS):
-                mom[k, m] = p.sum()
-                if m + 1 < _MOMENTS:
-                    p *= x
-    # a block holding an infinite weight sums to it, as the direct sum does
-    mom[~np.isfinite(mom[:, 0]), 1:] = 0.0
-    return BlockMoments(a[1 : min(N, _HEAD) + 1], centre, xmax, mass, mom)
+    return scan(_views(a), a.size, s_max=s_max).moments
 
 
 def moment_sums(bm: BlockMoments, sigmas, ts=None) -> tuple:

@@ -1,17 +1,26 @@
 """Integer tables: smallest-prime-factor sieve, factorizations, and the
 multiplicative/additive functions built from them.
 
-Everything downstream (weight catalogs, coefficient identities) reads from a
-SieveTable, so factorization cost is amortized to O(1) per query after the
-O(N log log N) build.  The build finds the primes up to sqrt(N) with a small
-byte sieve, then writes p into every multiple of p from p^2 on, for those
-primes in descending order, so the smallest prime factor is written last;
-the slots left at zero past 1 are the primes.  The multiplicative and
-additive tables (d_gamma, Omega, prod nu_p!) come from one vectorized pass
-over the spf array; the divisor-count, von Mangoldt and ordered-factorization
-tables use slice arithmetic.  The per-n operations work on an explicit
-factorization and use exact integer arithmetic, rounding once per prime
-power where the value is not an integer.
+Everything downstream that needs factorizations (dgamma, besov, the per-n
+operations) reads from a SieveTable, so factorization cost is amortized to
+O(1) per query after the O(N log log N) build.  The build finds the primes
+up to sqrt(N) with a small byte sieve, then writes p into every multiple of
+p from p^2 on, for those primes in descending order, so the smallest prime
+factor is written last; the slots left at zero past 1 are the primes.  The
+multiplicative and additive tables (d_gamma, Omega, prod nu_p!) come from one
+vectorized pass over the spf array; the ordered-factorization table uses
+slice arithmetic.
+
+The divisor count, the von Mangoldt function and the prime indicator need no
+spf array: each has one segment builder that yields its values over the
+consecutive ranges accum.segment_edges cuts, so a scan holds one segment at
+a time, and its whole table is the concatenation of those segments.  The
+divisor count runs the hyperbola passes restricted to each segment; primes
+and Lambda come from a byte sieve of each segment by the primes <= sqrt(N)
+(a segmented sieve, Bays-Hudson, BIT 17, 1977), with the prime powers p^k,
+k >= 2, added from one short sorted list.  The per-n operations work on an
+explicit factorization and use exact integer arithmetic, rounding once per
+prime power where the value is not an integer.
 """
 from __future__ import annotations
 
@@ -20,12 +29,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .accum import join_segments, segment_edges
 from .errors import BudgetError, RangeError
 
 DEFAULT_BUDGET = 10**8
 
 # A factorization is an ascending tuple of (prime, exponent) pairs; 1 -> ().
 Factorization = tuple
+
+
+def _small_primes(n: int) -> np.ndarray:
+    """The primes <= n (int64), by a byte sieve of 0..n."""
+    small = np.ones(n + 1, dtype=bool)
+    small[:2] = False
+    for p in range(2, math.isqrt(n) + 1):
+        if small[p]:
+            small[p * p :: p] = False
+    return np.flatnonzero(small)
 
 
 @dataclass(frozen=True)
@@ -46,15 +66,9 @@ def build_sieve(limit: int, budget: int = DEFAULT_BUDGET) -> SieveTable:
         raise RangeError(f"sieve limit must be >= 2, got {limit}")
     if limit > budget:
         raise BudgetError(f"sieve limit {limit} exceeds budget {budget}")
-    root = math.isqrt(limit)
-    small = np.ones(root + 1, dtype=bool)
-    small[:2] = False
-    for p in range(2, math.isqrt(root) + 1):
-        if small[p]:
-            small[p * p :: p] = False
     spf = np.zeros(limit + 1, dtype=np.int32)
     # a composite n has its smallest prime p <= sqrt(n), so it lies in p*p::p
-    for p in np.flatnonzero(small)[::-1].tolist():
+    for p in _small_primes(math.isqrt(limit))[::-1].tolist():
         spf[p * p :: p] = p
     primes = np.flatnonzero(spf[2:] == 0) + 2
     spf[primes] = primes
@@ -170,31 +184,84 @@ def ordered_factorization_table(limit: int) -> np.ndarray:
     return F
 
 
-def divisor_count_table(limit: int) -> np.ndarray:
-    """d(n) for 1..limit via the hyperbola split (pairs i, n/i with i<=sqrt(n)).
+def divisor_count_segments(limit: int):
+    """d(n) for n = 0..limit (int32, d(0) = 0), one accum segment at a time.
 
-    int32 entries: d(n) < 2^31 for every n an array can index.
+    The hyperbola split counts the divisor pairs (i, n/i) with i <= sqrt(n):
+    the passes d[i*i::i] += 2 and d[i*i] -= 1, restricted to the segment, for
+    every i with i*i in or below it.  int32 entries: d(n) < 2^31 for every n
+    an array can index.
     """
+    for lo, hi in segment_edges(limit + 1):
+        d = np.zeros(hi - lo, dtype=np.int32)
+        for i in range(1, math.isqrt(hi - 1) + 1):
+            square = i * i
+            d[max(square, -(-lo // i) * i) - lo :: i] += 2
+            if square >= lo:
+                d[square - lo] -= 1
+        yield d
+
+
+def divisor_count_table(limit: int) -> np.ndarray:
+    """d(n) for 0..limit: the concatenation of divisor_count_segments."""
     if limit < 1:
         raise RangeError(f"limit must be >= 1, got {limit}")
-    d = np.zeros(limit + 1, dtype=np.int32)
-    for i in range(1, math.isqrt(limit) + 1):
-        d[i * i :: i] += 2
-        d[i * i] -= 1
-    return d
+    return join_segments(divisor_count_segments(limit), limit + 1, np.int32)
 
 
-def von_mangoldt_table(table: SieveTable) -> np.ndarray:
-    lam = np.zeros(table.limit + 1)
-    primes = table.primes.astype(np.int64)
-    logp = np.log(primes.astype(np.float64))
-    power = primes.copy()
-    k = power.size
-    while k:
-        lam[power[:k]] = logp[:k]
-        power[:k] *= primes[:k]
-        k = int(np.searchsorted(power[:k], table.limit, side="right"))
-    return lam
+def _prime_masks(limit: int, small: np.ndarray):
+    """(lo, mask) per accum segment [lo, hi) of 0..limit, mask[i] true iff
+    lo + i is prime: the primes <= sqrt(limit), `small`, cross out their
+    multiples from max(p*p, lo) on."""
+    small = small.tolist()
+    for lo, hi in segment_edges(limit + 1):
+        mask = np.ones(hi - lo, dtype=bool)
+        mask[: max(0, 2 - lo)] = False  # 0 and 1
+        for p in small:
+            if p * p >= hi:
+                break
+            mask[max(p * p, -(-lo // p) * p) - lo :: p] = False
+        yield lo, mask
+
+
+def prime_segments(limit: int):
+    """The prime indicator of 0..limit (bool), one accum segment at a time."""
+    return (mask for _, mask in _prime_masks(limit, _small_primes(math.isqrt(limit))))
+
+
+def von_mangoldt_segments(limit: int):
+    """Lambda(n) for n = 0..limit, one accum segment at a time.
+
+    log p at each prime p of the segment and at each prime power p^k, k >= 2,
+    that falls in it; every log is np.log of the float64 prime, the values
+    the spf-based table gave.
+    """
+    small = _small_primes(math.isqrt(limit))
+    logp = np.log(small.astype(np.float64))
+    powers, logs = [small[:0]], [logp[:0]]
+    power, k = small, small.size
+    while k:  # p^2, p^3, ... <= limit; p^j ascends with p, so searchsorted cuts
+        power = power[:k] * small[:k]
+        k = int(np.searchsorted(power, limit, side="right"))
+        powers.append(power[:k])
+        logs.append(logp[:k])
+    powers, logs = np.concatenate(powers), np.concatenate(logs)
+    order = np.argsort(powers)
+    powers, logs = powers[order], logs[order]
+    for lo, mask in _prime_masks(limit, small):
+        lam = np.zeros(mask.size)
+        idx = np.flatnonzero(mask)
+        lam[idx] = np.log((idx + lo).astype(np.float64))
+        a, b = np.searchsorted(powers, [lo, lo + mask.size])
+        lam[powers[a:b] - lo] = logs[a:b]
+        yield lam
+
+
+def von_mangoldt_table(limit: int) -> np.ndarray:
+    """Lambda(n) for 0..limit: the concatenation of von_mangoldt_segments."""
+    if limit < 1:
+        raise RangeError(f"limit must be >= 1, got {limit}")
+    return join_segments(von_mangoldt_segments(limit), limit + 1)
 
 
 def _spf_pass(table: SieveTable, *rules) -> list:

@@ -26,8 +26,8 @@ from .accum import compensated_sum
 from .arithmetic import build_sieve
 from .embedding import LocalWindow, block_family, embedding_constant, random_family
 from .errors import DirichletLabError
-from .zeta import (KernelSpec, kernel_eval, prime_zeta, prime_zeta_unit_abscissa, zeta,
-                   zeta_equals_two_abscissa)
+from .zeta import (KernelSpec, kernel_eval, kernel_region, prime_zeta,
+                   prime_zeta_unit_abscissa, zeta, zeta_equals_two_abscissa)
 
 
 class UsageError(Exception):
@@ -124,9 +124,8 @@ def cmd_sums(args):
     if args.points < 2:
         raise UsageError("need at least 2 grid points")
     xs = np.unique(np.geomspace(max(2.0, args.lo), w.limit, args.points).astype(np.int64))
-    S = W.partial_sums(w)
     header = ["x", "S"]
-    cols = [xs.astype(float), S[xs]]
+    cols = [xs.astype(float), W.sums_at(w, xs)]
     alpha = w.expected_alpha if args.ratio_alpha is None else args.ratio_alpha
     if alpha is not None:
         header.append("ratio")
@@ -209,6 +208,12 @@ def cmd_kernel(args):
     if not args.sigma_lo < args.sigma_hi or args.points < 2:
         raise UsageError("kernel grid needs sigma_lo < sigma_hi and >= 2 points")
     sigmas = np.linspace(args.sigma_lo, args.sigma_hi, args.points)
+    for s in sigmas:  # the grid is the user's: check all of it before evaluating
+        try:
+            kernel_region(spec, complex(s, args.t))
+        except DirichletLabError as e:
+            raise UsageError(f"kernel grid point sigma={float(s)!r}, t={args.t!r} lies outside "
+                             f"the kernel's region: {e}")
     v = np.array([kernel_eval(spec, complex(s, args.t)) for s in sigmas])
     reporting.write_csv(args.out, ["sigma", "t", "re", "im"],
                         [sigmas, np.full(sigmas.size, args.t), v.real, v.imag])
@@ -302,7 +307,12 @@ def cmd_tauberian(args):
     lo, hi, pts = args.u_lo, args.u_hi, args.points
     if not (0.0 < lo < hi) or pts < 5:
         raise UsageError("profile grid needs 0 < u_lo < u_hi and >= 5 points")
-    profile = T.mellin_profile(w, w.sigma0 + np.geomspace(lo, hi, pts))
+    sigmas = w.sigma0 + np.geomspace(lo, hi, pts)
+    xs = ()
+    if args.compare_out:
+        xs = np.geomspace(max(10.0, w.limit / 10.0), w.limit, max(2, args.compare_points))
+    T.prescan(w, sigmas, xs)  # one scan of the weights serves every step below
+    profile = T.mellin_profile(w, sigmas)
     fit = T.fit_singularity(profile, w.sigma0)
     blob = {
         "weight": _weight_blob(w),
@@ -316,7 +326,6 @@ def cmd_tauberian(args):
     }
     reporting.write_json(args.out, blob)
     if args.compare_out:
-        xs = np.geomspace(max(10.0, w.limit / 10.0), w.limit, max(2, args.compare_points))
         rows = T.predict_and_compare(fit, w, xs)
         reporting.write_csv(args.compare_out, ["x", "predicted", "measured", "ratio"],
                             zip(*rows))

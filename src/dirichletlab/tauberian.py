@@ -13,6 +13,11 @@ two-parameter power fit is polluted by the regular part of F, so the model
 carries a linear log-correction term, and the logarithmic-singularity case
 is decided by letting the two models compete on relative residuals rather
 than by the slope alone.
+
+Every partial sum and moment the workflow reads comes from the weights'
+scan: prescan reads the profile's moments and the ~80 partial sums that the
+envelope, the abscissa estimate and the comparison need in one pass, so a
+streamed family is never held whole.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .accum import dirichlet_sums
+from . import accum
 from .errors import DomainError, FitError, RangeError
 from . import weights as _weights
 from .zeta import upper_gamma
@@ -51,15 +56,39 @@ class ComparisonRow(NamedTuple):
     ratio: float
 
 
-def _envelope_constant(w, alpha: float, sigma0: float) -> float:
-    """Upper envelope max of S(x) (log x)^alpha / x^sigma0 over the top decades."""
-    S = _weights.partial_sums(w)
-    limit = w.limit
+def _envelope_points(limit: int) -> np.ndarray:
     lo = max(10.0, limit / 100.0)
-    xs = np.unique(np.floor(np.logspace(math.log10(lo), math.log10(limit), 60)).astype(np.int64))
+    return np.unique(np.floor(np.logspace(math.log10(lo), math.log10(limit), 60)).astype(np.int64))
+
+
+def _envelope_constant(xs: np.ndarray, S: np.ndarray, alpha: float, sigma0: float) -> float:
+    """Upper envelope max of S(x) (log x)^alpha / x^sigma0 over the points xs
+    (_envelope_points: the top two decades) with their partial sums S."""
     xf = xs.astype(np.float64)
-    vals = S[xs] * np.log(xf) ** alpha / xf**sigma0
+    vals = S * np.log(xf) ** alpha / xf**sigma0
     return float(np.max(vals))
+
+
+def _abscissa_points(limit: int) -> np.ndarray:
+    lo = max(10.0, limit / 10.0**1.5)
+    return np.unique(np.floor(np.logspace(math.log10(lo), math.log10(limit), 12)))
+
+
+def _s_max(sigmas) -> float:
+    # the largest |s| the moments must serve, as accum.dirichlet_sums sizes them
+    return float(np.max(np.abs(np.asarray(sigmas, dtype=np.float64)), initial=0.0))
+
+
+def prescan(w, sigma_grid, x_grid=()) -> None:
+    """Read in one scan of w what the workflow will ask of it: the moments of
+    mellin_profile(w, sigma_grid) and the partial sums of its envelope, of
+    detect_abscissa(w) and of predict_and_compare(fit, w, x_grid).  Those
+    calls then find them in w's memo (weights.read)."""
+    xs = np.floor(np.asarray(x_grid, dtype=np.float64))
+    xs = xs[(xs >= 0) & (xs <= w.limit)].astype(np.int64)  # the rest is predict's to refuse
+    points = np.concatenate([_envelope_points(w.limit),
+                             _abscissa_points(w.limit).astype(np.int64), xs])
+    _weights.read(w, points, _s_max(sigma_grid))
 
 
 def log_power_tail(u: float, L: float, alpha: float) -> float:
@@ -71,7 +100,9 @@ def mellin_profile(w, sigma_grid: Sequence[float], limit: int | None = None) -> 
     """Truncated F(sigma) with envelope tail bounds, one MellinPoint per sigma.
 
     remainder bounds the block-moment evaluation error of value itself
-    (accum.dirichlet_sums); tail_bound covers the terms past the truncation.
+    (accum.moment_sums); tail_bound covers the terms past the truncation.
+    The moments of w_1..w_limit and the envelope's partial sums come from
+    one scan of w (or from w's memo, see prescan).
     """
     N = w.limit if limit is None else min(int(limit), w.limit)
     sigma0 = w.sigma0
@@ -82,10 +113,16 @@ def mellin_profile(w, sigma_grid: Sequence[float], limit: int | None = None) -> 
             f"sigma = {bad} at or below the divergence abscissa {sigma0}: the sum has no value there"
         )
     alpha = w.expected_alpha if w.expected_alpha is not None else 0.0
-    c_env = _envelope_constant(w, alpha, sigma0)
-    L = math.log(N)
     sig.sort()
-    values, remainders = dirichlet_sums(w.w[: N + 1], sig)
+    xs = _envelope_points(w.limit)
+    if N == w.limit:
+        moments, S = _weights.read(w, xs, _s_max(sig))
+    else:
+        moments = accum.scan(_weights.segments(w, N + 1), N + 1, _s_max(sig)).moments
+        S = _weights.sums_at(w, xs)
+    c_env = _envelope_constant(xs, S, alpha, sigma0)
+    L = math.log(N)
+    values, remainders = accum.moment_sums(moments, sig)
     out = []
     for s, value, rem in zip(sig, values, remainders):
         tail = s * c_env * log_power_tail(s - sigma0, L, alpha)
@@ -228,7 +265,7 @@ def predict_and_compare(fit: SingularityFit, w, x_grid: Sequence[float]) -> list
     def shape(x: float) -> float:
         return x**fit.sigma0 / math.log(x) ** fit.beta_hat
 
-    measured = [_weights.sum_upto(w, x) for x in xs]
+    measured = _weights.sums_at(w, np.floor(xs).astype(np.int64)).tolist()
     mid = len(xs) // 2
     if measured[mid] <= 0.0:
         raise FitError("midpoint partial sum is not positive; cannot calibrate")
@@ -246,10 +283,8 @@ def detect_abscissa(w) -> float:
     """Growth exponent of the partial sums: slope of log S(x) against log x
     over 12 points on the top 1.5 decades.  For S(x) ~ c x^sigma0 (log x)^(-beta)
     this estimates sigma0 up to a O(beta/log x) drift."""
-    hi = w.limit
-    lo = max(10.0, hi / 10.0**1.5)
-    xs = np.unique(np.floor(np.logspace(math.log10(lo), math.log10(hi), 12)))
-    S = np.array([_weights.sum_upto(w, x) for x in xs])
+    xs = _abscissa_points(w.limit)
+    S = _weights.sums_at(w, xs.astype(np.int64))
     if np.any(S <= 0.0):
         raise FitError("partial sums must be positive to estimate the abscissa")
     slope = np.polyfit(np.log(xs), np.log(S), 1)[0]

@@ -5,18 +5,28 @@ space of Dirichlet series; what the rest of the package cares about is the
 growth of the partial sums S(x) = sum_{n<=x} w_n, summarized by the exponent
 alpha in S(x) ~ C x / (log x)^alpha.  Catalog entries carry the predicted
 exponent when one is known, and the abscissa sigma0 of sum w_n n^(-s).
+
+The families in STREAMED (divisor, mangoldt, mangoldt_over_log,
+prime_indicator) are handed out segment by segment from their arithmetic
+builders: a scan of one of them holds one accum segment, one chunk and one
+moment block, never the N-length table, so its memory is bounded by the
+segment size (plus sqrt(N) small primes and the largest moment block, N/33
+entries).  Their array w is built, as the concatenation of the same
+segments, only when something reads it.  Every other family is built whole
+and handed out as views of its array.  S(x) at given points comes from the
+scan's checkpoint reads, bit for bit the entries of partial_sums: a built
+array keeps its chunk offsets, a streamed sequence the sums and moments it
+has read.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import arithmetic
-from .accum import compensated_cumsum
-from .errors import DomainError, FitError, RangeError
+from . import accum, arithmetic
+from .errors import BudgetError, DomainError, FitError, RangeError
 from .zeta import prime_zeta_unit_abscissa, zeta_equals_two_abscissa
 
 CATALOG_NAMES = (
@@ -36,24 +46,76 @@ CATALOG_NAMES = (
 )
 
 # families whose construction needs a SieveTable covering the limit
-NEEDS_TABLE = {"dgamma", "mangoldt", "mangoldt_over_log", "prime_indicator", "besov"}
+NEEDS_TABLE = {"dgamma", "besov"}
 
 # the one parameter a family cannot be built without
 REQUIRED_PARAM = {"log_power": "alpha", "inv_divisor_pow": "alpha", "dgamma": "gamma",
                   "besov": "gamma", "kadec": "blocks", "kadec_spiked": "blocks"}
 
+# the predicted exponent alpha of S(x) ~ C x / (log x)^alpha, where one is known
+_EXPECTED_ALPHA = {
+    "constant": lambda p: 0.0,
+    "log_power": lambda p: -float(p["alpha"]),
+    "dgamma": lambda p: 1.0 - float(p["gamma"]),
+    "divisor": lambda p: -1.0,
+    "inv_divisor_pow": lambda p: 1.0 - 2.0 ** -float(p["alpha"]),
+    "mangoldt": lambda p: 0.0,
+    "mangoldt_over_log": lambda p: 1.0,
+    "prime_indicator": lambda p: 1.0,
+    "kadec": lambda p: 0.0,
+}
 
-@dataclass
+# the abscissa sigma0 of sum w_n n^(-s), where it is not 1
+_SIGMA0 = {"besov": prime_zeta_unit_abscissa, "mccarthy": zeta_equals_two_abscissa}
+
+
+def _mangoldt_over_log_segments(limit: int):
+    lo = 0
+    for lam in arithmetic.von_mangoldt_segments(limit):
+        idx = np.flatnonzero(lam)  # n >= 2: Lambda(0) = Lambda(1) = 0
+        lam[idx] /= np.log((idx + lo).astype(np.float64))
+        lo += lam.size
+        yield lam
+
+
+# segment builders of the streamed families: limit -> float64 segments of w_0..w_limit
+STREAMED = {
+    "divisor": lambda limit: (d.astype(np.float64)
+                              for d in arithmetic.divisor_count_segments(limit)),
+    "mangoldt": arithmetic.von_mangoldt_segments,
+    "mangoldt_over_log": _mangoldt_over_log_segments,
+    "prime_indicator": lambda limit: (m.astype(np.float64)
+                                      for m in arithmetic.prime_segments(limit)),
+}
+
+
 class WeightSequence:
-    """Weights w_1..w_limit stored at matching indices (w[0] stays 0)."""
+    """Weights w_1..w_limit stored at matching indices (w[0] stays 0).
 
-    name: str
-    params: dict
-    limit: int
-    w: np.ndarray
-    expected_alpha: Optional[float] = None
-    sigma0: float = 1.0
-    _psums: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
+    A sequence made without w is a streamed catalog family: segments() reads
+    it from its builder, and w is built on first access.
+    """
+
+    def __init__(self, name: str, params: dict, limit: int, w: Optional[np.ndarray] = None,
+                 expected_alpha: Optional[float] = None, sigma0: float = 1.0):
+        self.name = name
+        self.params = params
+        self.limit = limit
+        self.expected_alpha = expected_alpha
+        self.sigma0 = sigma0
+        self._w = w
+        self._offsets: Optional[np.ndarray] = None  # chunk offsets of a built w
+        self._sums: dict = {}  # S(x) read by scans of a streamed sequence
+        self._moments: dict = {}  # s_max -> accum.BlockMoments
+
+    @property
+    def w(self) -> np.ndarray:
+        if self._w is None:
+            if self.limit > arithmetic.DEFAULT_BUDGET:
+                raise BudgetError(f"a {self.limit}-entry {self.name} table exceeds the budget "
+                                  f"{arithmetic.DEFAULT_BUDGET}")
+            self._w = accum.join_segments(STREAMED[self.name](self.limit), self.limit + 1)
+        return self._w
 
 
 class AsymptoticFit(NamedTuple):
@@ -107,9 +169,10 @@ def _upto(values: np.ndarray, limit: int) -> np.ndarray:
 def catalog(name: str, limit: int, table=None, **params) -> WeightSequence:
     """Construct a catalog weight sequence up to the given limit.
 
-    Families needing prime structure (dgamma, mangoldt, mangoldt_over_log,
-    prime_indicator, besov) require a SieveTable covering the limit; a
-    family named in REQUIRED_PARAM raises DomainError without that parameter.
+    dgamma and besov read their factorizations from a SieveTable covering the
+    limit (the streamed families need none); a family named in REQUIRED_PARAM
+    raises DomainError without that parameter.  A streamed family is built
+    lazily: see WeightSequence.
     """
     if name not in CATALOG_NAMES:
         raise DomainError(f"unknown weight family {name!r}")
@@ -121,30 +184,30 @@ def catalog(name: str, limit: int, table=None, **params) -> WeightSequence:
     if name in NEEDS_TABLE:
         if table is None or table.limit < limit:
             raise RangeError(f"{name} needs a sieve table covering limit {limit}")
-    expected: Optional[float] = None
-    sigma0 = 1.0
+    w = None if name in STREAMED else _build(name, limit, table, params)
+    expected = _EXPECTED_ALPHA.get(name)
+    return WeightSequence(name=name, params=dict(params), limit=limit, w=w,
+                          expected_alpha=None if expected is None else expected(params),
+                          sigma0=_SIGMA0[name]() if name in _SIGMA0 else 1.0)
 
+
+def _build(name: str, limit: int, table, params: dict) -> np.ndarray:
+    """The whole array w_0..w_limit of a family that is not streamed."""
     if name == "constant":
         w = np.ones(limit + 1)
         w[0] = 0.0
-        expected = 0.0
     elif name == "log_power":
         a = float(params["alpha"])
         n = np.arange(limit + 1, dtype=np.float64)
         with np.errstate(divide="ignore", invalid="ignore"):
             w = (1.0 + np.log(n)) ** a  # n = 0 slot produces nan, overwritten below
         w[0] = 0.0
-        expected = -a
     elif name == "dgamma":
         g = float(params["gamma"])
         if not 0 < g < math.inf:
             raise DomainError("dgamma needs a finite gamma > 0")
         w = _upto(arithmetic.generalized_divisor_table(g, table), limit)
         w[0] = 0.0
-        expected = 1.0 - g
-    elif name == "divisor":
-        w = arithmetic.divisor_count_table(limit).astype(np.float64)
-        expected = -1.0
     elif name == "inv_divisor_pow":
         a = float(params["alpha"])
         if a <= 0:
@@ -153,22 +216,6 @@ def catalog(name: str, limit: int, table=None, **params) -> WeightSequence:
         with np.errstate(divide="ignore"):
             w = d**-a
         w[0] = 0.0
-        expected = 1.0 - 2.0**-a
-    elif name == "mangoldt":
-        w = _upto(arithmetic.von_mangoldt_table(table), limit)
-        expected = 0.0
-    elif name == "mangoldt_over_log":
-        w = _upto(arithmetic.von_mangoldt_table(table), limit)
-        n = np.arange(limit + 1, dtype=np.float64)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w[2:] = w[2:] / np.log(n[2:])
-        w[:2] = 0.0
-        expected = 1.0
-    elif name == "prime_indicator":
-        w = np.zeros(limit + 1)
-        primes = table.primes[table.primes <= limit]
-        w[primes] = 1.0
-        expected = 1.0
     elif name == "besov":
         g = float(params["gamma"])
         if not 0 <= g < math.inf:
@@ -186,10 +233,8 @@ def catalog(name: str, limit: int, table=None, **params) -> WeightSequence:
                 rising[k] = rising[k - 1] * (g + k - 1)
         w = rising[om] / np.where(fac > 0, fac, 1.0)
         w[0] = 0.0
-        sigma0 = prime_zeta_unit_abscissa()
     elif name == "mccarthy":
         w = arithmetic.ordered_factorization_table(limit).astype(np.float64)
-        sigma0 = zeta_equals_two_abscissa()
     elif name == "inv_ordered_factorization":
         F = arithmetic.ordered_factorization_table(limit).astype(np.float64)
         with np.errstate(divide="ignore"):
@@ -197,30 +242,72 @@ def catalog(name: str, limit: int, table=None, **params) -> WeightSequence:
         w[0] = 0.0
     elif name == "kadec":
         w = _kadec_weight(limit, int(params["blocks"]), spiked=False)
-        expected = 0.0
     else:  # kadec_spiked: unit-log atoms kept, e^n spikes elsewhere
         w = _kadec_weight(limit, int(params["blocks"]), spiked=True)
+    return w
 
-    return WeightSequence(name=name, params=dict(params), limit=limit, w=w,
-                          expected_alpha=expected, sigma0=sigma0)
+
+def segments(w: WeightSequence, size: Optional[int] = None):
+    """w_0..w_(size-1) (default: the whole sequence) as consecutive segments:
+    from the family's builder while w is not built, else views of w."""
+    size = w.limit + 1 if size is None else size
+    if w._w is None:
+        return STREAMED[w.name](size - 1)
+    return (w._w[lo:hi] for lo, hi in accum.segment_edges(size))
+
+
+def read(w: WeightSequence, xs=(), s_max: Optional[float] = None) -> tuple:
+    """(block moments of w for |s| <= s_max, or None; S at the integer points xs).
+
+    The sums have the shape of xs and equal partial_sums(w)[xs] bit for bit.
+    Whatever w has not read before comes from one accum.scan of its segments:
+    a built w keeps its chunk offsets, so a later point costs one chunk's
+    cumsum; a streamed w keeps the sums and the moments it has read.
+    """
+    xs = np.asarray(xs, dtype=np.int64)
+    if np.any(xs < 0) or np.any(xs > w.limit):
+        raise RangeError(f"partial-sum points must lie in [0, {w.limit}]")
+    built = w._w is not None
+    new_moments = s_max is not None and s_max not in w._moments
+    if built:  # the first scan of a built w reads its chunk offsets
+        points = () if w._offsets is None else None
+    else:
+        points = sorted(set(xs.ravel().tolist()) - w._sums.keys()) or None
+    if new_moments or points is not None:
+        got = accum.scan(segments(w), w.limit + 1, s_max if new_moments else None, points)
+        if new_moments:
+            w._moments[s_max] = got.moments
+        if built and points is not None:
+            w._offsets = got.offsets
+        elif points is not None:
+            w._sums.update(zip(points, got.sums.tolist()))
+    if built:
+        sums = accum.read_sums(w._w, w._offsets, xs)
+    else:
+        sums = np.array([w._sums[x] for x in xs.ravel().tolist()], dtype=np.float64)
+    return (None if s_max is None else w._moments[s_max]), sums.reshape(xs.shape)
+
+
+def sums_at(w: WeightSequence, xs) -> np.ndarray:
+    """S(x) at the integer points xs: read(w, xs)'s sums."""
+    return read(w, xs)[1]
 
 
 def partial_sums(w: WeightSequence) -> np.ndarray:
-    """Prefix sums S[k] = sum_{n<=k} w_n (S[0]=0), cached on the sequence.
+    """Prefix sums S[k] = sum_{n<=k} w_n (S[0]=0), the one N-length prefix array.
 
     Infinite weights (kadec_spiked) give the bits of a plain np.cumsum.
     """
-    if w._psums is None:
-        w._psums = compensated_cumsum(w.w)
-        w._psums.setflags(write=False)
-    return w._psums
+    out = np.empty(w.limit + 1)
+    accum.scan(segments(w), w.limit + 1, out=out)
+    return out
 
 
 def sum_upto(w: WeightSequence, x: float) -> float:
     """S(x) for real x in [1, limit]."""
     if x < 1 or x > w.limit:
         raise RangeError(f"x={x} outside [1, {w.limit}]")
-    return float(partial_sums(w)[int(math.floor(x))])
+    return float(sums_at(w, int(math.floor(x))))
 
 
 def chebyshev_ratios(w: WeightSequence, xs, alpha: Optional[float] = None) -> np.ndarray:
@@ -232,23 +319,8 @@ def chebyshev_ratios(w: WeightSequence, xs, alpha: Optional[float] = None) -> np
     xs = np.asarray(xs, dtype=np.float64)
     if np.any(xs < 2) or np.any(xs > w.limit):
         raise RangeError("ratio points must lie in [2, limit]")
-    S = partial_sums(w)
-    vals = S[np.floor(xs).astype(np.int64)]
+    vals = sums_at(w, np.floor(xs).astype(np.int64))
     return vals * np.log(xs) ** alpha / xs
-
-
-def ratio_envelope(w: WeightSequence) -> tuple:
-    """Measured (min, max) of the normalized ratio over the top two decades,
-    16 points per decade, at the family's expected exponent.
-
-    These are the empirical stand-ins for the two-sided comparability
-    constants; they are observations, not certified bounds.
-    """
-    hi = math.log10(w.limit)
-    lo = max(math.log10(4.0), hi - 2.0)
-    xs = np.logspace(lo, hi, int(16 * (hi - lo)) + 1)
-    r = chebyshev_ratios(w, xs)
-    return float(np.min(r)), float(np.max(r))
 
 
 def default_fit_grid(limit: int) -> np.ndarray:
@@ -273,8 +345,7 @@ def fit_alpha(w: WeightSequence, x_grid=None) -> AsymptoticFit:
         raise FitError("degenerate grid: needs at least two decades of span")
     if np.any(xs < 2) or np.any(xs > w.limit):
         raise RangeError("fit grid must lie within [2, limit]")
-    S = partial_sums(w)
-    vals = S[np.floor(xs).astype(np.int64)]
+    vals = sums_at(w, np.floor(xs).astype(np.int64))
     if np.any(vals <= 0):
         raise FitError("partial sums vanish on part of the grid")
     y = np.log(xs / vals)
@@ -296,26 +367,6 @@ def block_sums(w: WeightSequence, eta: float, xs) -> np.ndarray:
     xs = np.asarray(xs, dtype=np.float64)
     if np.any(xs > w.limit) or np.any(xs < 1):
         raise RangeError("block endpoints must lie in [1, limit]")
-    S = partial_sums(w)
-    return S[np.floor(xs).astype(np.int64)] - S[np.floor(eta * xs).astype(np.int64)]
-
-
-def shift_to_unit_abscissa(w: WeightSequence) -> WeightSequence:
-    """Reweight w_n -> n^(1 - sigma0) w_n, moving the series abscissa to 1.
-
-    The multiplier follows from substituting s -> s + sigma0 - 1 in
-    sum w_n n^(-s); the shifted sequence is what the exponent-fitting
-    machinery (built for abscissa 1) can be applied to.
-    """
-    n = np.arange(w.limit + 1, dtype=np.float64)
-    n[0] = 1.0  # index 0 is unused; keep 0**negative out of the power
-    shifted = w.w * n ** (1.0 - w.sigma0)
-    shifted[0] = 0.0
-    return WeightSequence(
-        name=w.name + "_shifted",
-        params=dict(w.params),
-        limit=w.limit,
-        w=shifted,
-        expected_alpha=None,
-        sigma0=1.0,
-    )
+    idx = np.floor(np.stack([xs, eta * xs])).astype(np.int64)
+    S = sums_at(w, idx)
+    return S[0] - S[1]

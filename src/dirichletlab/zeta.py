@@ -280,11 +280,20 @@ class KernelSpec:
             raise DomainError("besov needs gamma >= 0")
 
 
-def _require_region(z: complex, threshold: float, what: str):
-    # written so that a nan or infinite s fails too
+def kernel_region(spec: KernelSpec, s: complex) -> complex:
+    """z = s + conj(anchor), checked to lie in the family's region: finite,
+    with Re z above 1 (above rho1 for mccarthy_pick, rho for besov).
+    Raises DomainError otherwise, a nan or infinite s included."""
+    z = complex(s) + complex(spec.anchor).conjugate()
+    threshold = 1.0
+    if spec.family == "mccarthy_pick":
+        threshold = zeta_equals_two_abscissa()
+    elif spec.family == "besov":
+        threshold = prime_zeta_unit_abscissa()
     if not (threshold + _REGION_MARGIN < z.real < math.inf and math.isfinite(z.imag)):
-        raise DomainError(f"{what}: s + conj(anchor) = {z:.9g} must be finite with real part "
-                          f"above {threshold:.9g}")
+        raise DomainError(f"{spec.family} kernel: s + conj(anchor) = {z:.9g} must be finite "
+                          f"with real part above {threshold:.9g}")
+    return z
 
 
 def kernel_eval(spec: KernelSpec, s: complex) -> complex:
@@ -292,10 +301,9 @@ def kernel_eval(spec: KernelSpec, s: complex) -> complex:
 
     Powers and logs are principal branch throughout.
     """
-    z = complex(s) + complex(spec.anchor).conjugate()
+    z = kernel_region(spec, s)
     if spec.family == "dalpha":
         a = spec.param
-        _require_region(z, 1.0, "dalpha kernel")
         zz = z - 1.0
         if a == 1.0:
             return -cmath.log(zz) / math.pi
@@ -307,16 +315,12 @@ def kernel_eval(spec: KernelSpec, s: complex) -> complex:
             c = 2.0 ** (a - 1.0) / (1.0 - a)
         return c * zz ** (a - 1.0)
     if spec.family == "zeta_power":
-        _require_region(z, 1.0, "zeta_power kernel")
         return cmath.exp(spec.param * cmath.log(zeta(z)))
     if spec.family == "log_zeta":
-        _require_region(z, 1.0, "log_zeta kernel")
         return cmath.log(zeta(z))
     if spec.family == "mccarthy_pick":
-        _require_region(z, zeta_equals_two_abscissa(), "mccarthy_pick kernel")
         return 1.0 / (2.0 - zeta(z))
     # besov
-    _require_region(z, prime_zeta_unit_abscissa(), "besov kernel")
     g = spec.param
     w = 1.0 - prime_zeta(z)
     if g == 0.0:

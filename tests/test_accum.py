@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dirichletlab import weights as W
+from dirichletlab import accum, weights as W
 from dirichletlab.accum import (
     _HEAD,
     block_moments,
@@ -15,6 +15,7 @@ from dirichletlab.accum import (
     fsum_complex,
     moment_sums,
 )
+from dirichletlab.errors import RangeError
 from dirichletlab.tauberian import mellin_profile
 
 
@@ -310,3 +311,113 @@ def test_complex_grid_at_t_zero_agrees_with_the_real_path():
     grid, grid_rems = moment_sums(bm, sigmas, [0.0])
     assert np.all(np.abs(grid[:, 0] - real) <= 2e-15 * real)  # measured <= 3.6e-16
     assert grid_rems[:, 0] == pytest.approx(real_rems, rel=1e-15)
+
+
+def block_moments_reference(a, s_max):
+    """The whole-array per-block loop that block_moments ran before the scan."""
+    a = np.asarray(a, dtype=np.complex128 if np.iscomplexobj(a) else np.float64)
+    N = a.size - 1
+    width = accum._block_width(float(s_max))
+    edges = [_HEAD]
+    while edges[-1] < N:
+        edges.append(min(N, max(edges[-1] + 1, int(edges[-1] * (1.0 + width)))))
+    K = len(edges) - 1
+    centre, xmax, mass = np.empty(K), np.empty(K), np.empty(K)
+    mom = np.empty((K, 10), dtype=a.dtype)
+    with np.errstate(invalid="ignore"):
+        for k, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+            half = 0.5 * (hi - lo - 1)
+            centre[k] = lo + 1 + half
+            xmax[k] = half / centre[k]
+            x = (np.arange(hi - lo) - half) / centre[k]
+            p = a[lo + 1 : hi + 1].copy()
+            mass[k] = np.abs(p).sum()
+            for m in range(10):
+                mom[k, m] = p.sum()
+                if m + 1 < 10:
+                    p *= x
+    mom[~np.isfinite(mom[:, 0]), 1:] = 0.0
+    return accum.BlockMoments(a[1 : min(N, _HEAD) + 1], centre, xmax, mass, mom)
+
+
+def offsets_reference(a):
+    """fsum of the fsum totals of all earlier 4096-chunks, per chunk."""
+    totals = [math.fsum(a[i : i + 4096].tolist()) for i in range(0, a.size, 4096)]
+    return np.array([math.fsum(totals[:k]) for k in range(len(totals))])
+
+
+def _segments(a, size):
+    return [a[i : i + size] for i in range(0, a.size, size)]
+
+
+def _scan_data(kind, n, rng):
+    if kind == "complex":
+        return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    if kind == "kadec_spiked":  # e^n spikes: inf from n = 710 on
+        return W.catalog("kadec_spiked", n - 1, blocks=5).w.copy()
+    if kind == "nonfinite":
+        x = rng.standard_normal(n)
+        x[rng.integers(0, n, 3)] = rng.choice([np.inf, -np.inf, np.nan], 3)
+        return x
+    return 10.0 ** rng.uniform(-6.0, 6.0, n) * rng.choice([-1.0, 1.0, 1.0, 1.0], n)
+
+
+# segment edges inside a chunk, on a chunk edge, and inside moment blocks
+SEGMENT_SIZES = [1, 4095, 4097, 5000, 3 * 4096]
+
+
+@pytest.mark.parametrize("segment", SEGMENT_SIZES)
+@settings(max_examples=12, deadline=None)
+@given(n=st.sampled_from([4095, 4096, 4097, 4098, 10**5 + 1]),
+       kind=st.sampled_from(["real", "complex", "kadec_spiked", "nonfinite"]),
+       s_max=st.sampled_from([3.3, 12.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_scan_equals_whole_array_bit_for_bit(segment, n, kind, s_max, seed):
+    if segment == 1 and n > 10**4:
+        n = 3 * 4096 + 7  # a segment per entry: the same edges, fewer Python steps
+    a = _scan_data(kind, n, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed + 1)
+    xs = np.concatenate([[0, n - 1, 4095 % n, 4096 % n], rng.integers(0, n, 20)])
+    ref = block_moments_reference(a, s_max)
+    prefix = None if kind == "complex" else _outcome(cumsum_reference, a)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(accum, "_SEGMENT", segment)
+        with np.errstate(all="ignore"):
+            whole = block_moments(a, s_max)
+            try:
+                got = accum.scan(_segments(a, segment), n, s_max,
+                                 checkpoints=None if kind == "complex" else xs)
+            except (ValueError, OverflowError) as e:  # where math.fsum raises
+                assert prefix == type(e)
+                got = accum.scan(_segments(a, segment), n, s_max)
+                prefix = None
+    for bm in (got.moments, whole):
+        for field, want in zip(bm, ref):
+            assert field.dtype == want.dtype
+            assert field.tobytes() == np.ascontiguousarray(want).tobytes()
+    if prefix is not None:
+        S = np.frombuffer(prefix[1])
+        assert got.offsets.tobytes() == offsets_reference(a).tobytes()
+        assert got.sums.tobytes() == S[xs].tobytes()
+        assert accum.read_sums(a, got.offsets, xs).tobytes() == S[xs].tobytes()
+
+
+@pytest.mark.parametrize("segment", SEGMENT_SIZES)
+@settings(max_examples=20, deadline=None)
+@given(n=CHUNK_EDGE_LENGTHS,
+       kind=st.sampled_from(["wide", "near_ties", "sparse_logs", "huge", "nonfinite"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_cumsum_in_segments_equals_reference(segment, n, kind, seed):
+    a = _cumsum_data(kind, n, np.random.default_rng(seed))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(accum, "_SEGMENT", segment)
+        assert _outcome(compensated_cumsum, a) == _outcome(cumsum_reference, a)
+
+
+def test_scan_refuses_short_segments_and_far_checkpoints():
+    a = np.ones(10)
+    with pytest.raises(RangeError):
+        accum.scan([a[:4]], 10, checkpoints=[3])
+    with pytest.raises(RangeError):
+        accum.scan([a], 10, checkpoints=[10])
+    assert accum.scan([a[:3], a[3:]], 10, checkpoints=[9, 0, 2]).sums.tolist() == [10.0, 1.0, 3.0]

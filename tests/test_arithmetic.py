@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dirichletlab import accum
 from dirichletlab.arithmetic import (
     SieveTable,
     build_sieve,
@@ -19,8 +20,10 @@ from dirichletlab.arithmetic import (
     omega_table,
     ordered_factorization_table,
     ordered_factorizations,
+    prime_segments,
     reconstruct,
     von_mangoldt,
+    von_mangoldt_segments,
     von_mangoldt_table,
 )
 from dirichletlab.errors import BudgetError, RangeError
@@ -78,7 +81,7 @@ def test_divisors_listing(table_small):
 
 
 def test_von_mangoldt_supported_on_prime_powers(table_small):
-    lam = von_mangoldt_table(table_small)
+    lam = von_mangoldt_table(table_small.limit)
     for n in range(1, 2000):
         f = trial_factor(n)
         if len(f) == 1:
@@ -263,3 +266,44 @@ def test_divisor_count_table_equals_reference():
 def test_divisor_count_table_rejects_limits_below_one(limit):
     with pytest.raises(RangeError):
         divisor_count_table(limit)
+
+
+def von_mangoldt_reference(limit):
+    """The loop over the spf sieve's prime list that von_mangoldt_table
+    replaced: log p written at p, p^2, p^3, ... up to the limit."""
+    primes = sieve_reference(limit)[1]
+    lam = np.zeros(limit + 1)
+    logp = np.log(primes.astype(np.float64))
+    power = primes.copy()
+    k = power.size
+    while k:
+        lam[power[:k]] = logp[:k]
+        power[:k] *= primes[:k]
+        k = int(np.searchsorted(power[:k], limit, side="right"))
+    return lam
+
+
+def _check_builders(limit):
+    primes = sieve_reference(limit)[1]
+    d = divisor_count_table(limit)
+    assert d.dtype == np.int32 and np.array_equal(d, divisor_count_reference(limit)), limit
+    assert von_mangoldt_table(limit).tobytes() == von_mangoldt_reference(limit).tobytes(), limit
+    mask = np.concatenate(list(prime_segments(limit)))
+    assert mask.dtype == bool and np.array_equal(np.flatnonzero(mask), primes), limit
+
+
+@pytest.mark.parametrize("limits", [range(2, 3001), _square_edges(), [10**6]],
+                         ids=["2..3000", "p^2-1,p^2,p^2+1", "1e6"])
+def test_segment_builders_equal_reference_loops(limits):
+    for limit in limits:
+        _check_builders(limit)
+
+
+@pytest.mark.parametrize("segment", [1, 4095, 4097, 5000, 3 * 4096])
+def test_segment_builders_across_segment_edges(segment, monkeypatch):
+    # segment edges inside the hyperbola's and the sieve's strides
+    monkeypatch.setattr(accum, "_SEGMENT", segment)
+    limit = 3000 if segment == 1 else 10**5 + 3
+    assert [seg.size for seg in von_mangoldt_segments(limit)] == [
+        hi - lo for lo, hi in accum.segment_edges(limit + 1)]
+    _check_builders(limit)

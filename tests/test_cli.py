@@ -1,11 +1,17 @@
 import filecmp
 import json
+import os
+import subprocess
+import sys
 from importlib.resources import files
+from pathlib import Path
 
 import numpy as np
 import pytest
 from jsonschema import validate
 
+import dirichletlab
+from dirichletlab import weights as W
 from dirichletlab.arithmetic import divisor_count_table
 from dirichletlab.cli import main
 
@@ -173,6 +179,20 @@ def test_kernel_rejects_non_finite_parameters(args, named, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args, named", [
+    (("--sigma-lo", "-0.5"), "sigma=-0.5"),
+    (("--t", "nan"), "t=nan"),
+    (("--family", "besov", "--param", "1", "--sigma-lo", "0.2"), "sigma=0.2"),
+])
+def test_kernel_grid_outside_the_region_is_a_usage_error(args, named, tmp_path, capsys):
+    # the grid is the user's input: exit 2 before any kernel value is computed
+    out = tmp_path / "kernel.csv"
+    assert run("kernel", *args, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert named in err and "outside the kernel's region" in err
+    assert not out.exists()
+
+
 def test_embed_report(tmp_path):
     out_json = tmp_path / "embed.json"
     out_csv = tmp_path / "embed.csv"
@@ -247,6 +267,62 @@ def test_tauberian_log_power_past_alpha_one(tmp_path):
     blob = json.loads(out.read_text())
     assert not blob["log_singularity"]
     validate(blob, schema("singularity_fit"))
+
+
+@pytest.mark.parametrize("name", ["divisor", "mangoldt"])
+def test_tauberian_streamed_equals_whole_array(name, tmp_path, monkeypatch):
+    # the job streams its weights; with the catalog array built first it reads
+    # views of that array instead, and both write the same bytes
+    argv = lambda d: ("tauberian", "--name", name, "--N", 10**6,
+                      "--out", d / "t.json", "--compare-out", d / "t.csv")
+    made, catalog = [], W.catalog
+
+    def spy(*a, **k):
+        made.append(catalog(*a, **k))
+        return made[-1]
+
+    def built(*a, **k):
+        w = catalog(*a, **k)
+        w.w  # the whole array, concatenated from the segments
+        return w
+
+    for d in ("s", "w"):
+        (tmp_path / d).mkdir()
+    monkeypatch.setattr(W, "catalog", spy)
+    assert run(*argv(tmp_path / "s")) == 0
+    assert made[0]._w is None  # no N-length weight array was built
+    monkeypatch.setattr(W, "catalog", built)
+    assert run(*argv(tmp_path / "w")) == 0
+    for f in ("t.json", "t.csv"):
+        assert filecmp.cmp(tmp_path / "s" / f, tmp_path / "w" / f, shallow=False), f
+
+
+_PEAK_RSS = """
+import os, sys
+pid = os.fork()
+if pid == 0:
+    os.execv(sys.executable, [sys.executable, "-m", "dirichletlab.cli", *sys.argv[1:]])
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def test_tauberian_memory_does_not_grow_with_n(tmp_path):
+    # a child's ru_maxrss counts the process it was forked from, so each job
+    # is forked from a small launcher, never from this test process
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(dirichletlab.__file__).parent.parent), os.environ.get("PYTHONPATH", "")]))
+    peak = {}
+    for n in (10**6, 8 * 10**6):  # at 1e5 the divisor fit refuses its short window
+        out = subprocess.run(
+            [sys.executable, "-c", _PEAK_RSS, "tauberian", "--name", "divisor", "--N", str(n),
+             "--out", str(tmp_path / f"t{n}.json")],
+            capture_output=True, text=True, env=env, cwd=tmp_path, check=True)
+        code, kb = map(int, out.stdout.split())
+        assert code == 0
+        peak[n] = kb / 1024.0
+    # one float64 array of 8e6 entries is 61 MB; the whole-array job grew by 114 MB
+    assert peak[8 * 10**6] - peak[10**6] < 64.0, peak
 
 
 def test_curves_values_and_marks(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dirichletlab import weights as W
+from dirichletlab import accum, weights as W
 from dirichletlab.errors import DomainError, FitError, RangeError
 from dirichletlab.tauberian import (
     SingularityFit,
@@ -9,6 +9,7 @@ from dirichletlab.tauberian import (
     fit_singularity,
     mellin_profile,
     predict_and_compare,
+    prescan,
 )
 from dirichletlab.zeta import prime_zeta, zeta
 
@@ -171,6 +172,11 @@ def test_detect_abscissa_divisor(table_mid):
     assert abs(v - 1.0) <= 0.15
 
 
+def test_detect_abscissa_mccarthy():
+    w = W.catalog("mccarthy", 20_000)
+    assert detect_abscissa(w) == pytest.approx(w.sigma0, abs=0.02)  # near 1.7286
+
+
 @pytest.mark.parametrize("name", ["constant", "divisor"])
 def test_singularity_exponent_matches_sum_exponent(name, table_mid):
     w, fit = standard_fit(name, 10**6, table_mid)
@@ -185,3 +191,22 @@ def test_prime_zeta_derivative_nonzero_at_unit_crossing():
     assert abs(d.imag) < 1e-9
     assert d.real == pytest.approx(-1.731156, abs=1e-4)
     assert abs(d.real) > 1.0
+
+
+@pytest.mark.parametrize("name", ["divisor", "mangoldt"])
+def test_prescan_serves_the_workflow_from_one_scan(name, monkeypatch):
+    w = W.catalog(name, 10**6)
+    sigmas, xs = w.sigma0 + np.geomspace(0.02, 1.5, 48), np.geomspace(1e5, 1e6, 9)
+    whole = W.catalog(name, 10**6)
+    whole.w  # built: the workflow reads views of the array
+    want_prof = mellin_profile(whole, sigmas)
+    want_fit = fit_singularity(want_prof, whole.sigma0)
+    scans, scan = [], accum.scan
+    monkeypatch.setattr(accum, "scan", lambda *a, **k: scans.append(1) or scan(*a, **k))
+    prescan(w, sigmas, xs)
+    prof = mellin_profile(w, sigmas)
+    fit = fit_singularity(prof, w.sigma0)
+    assert prof == want_prof and fit == want_fit
+    assert detect_abscissa(w) == detect_abscissa(whole)
+    assert predict_and_compare(fit, w, xs) == predict_and_compare(want_fit, whole, xs)
+    assert len(scans) == 1 and w._w is None

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dirichletlab import weights as W
-from dirichletlab.arithmetic import divisor_count_table, von_mangoldt_table
-from dirichletlab.errors import DomainError, FitError, RangeError
+from dirichletlab.accum import block_moments, compensated_cumsum
+from dirichletlab.arithmetic import DEFAULT_BUDGET, divisor_count_table, von_mangoldt_table
+from dirichletlab.errors import BudgetError, DomainError, FitError, RangeError
 
 
 def test_catalog_rejects_unknowns_and_tiny_limits():
@@ -15,7 +16,7 @@ def test_catalog_rejects_unknowns_and_tiny_limits():
     with pytest.raises(RangeError):
         W.catalog("constant", 1)
     with pytest.raises(RangeError):
-        W.catalog("mangoldt", 100)  # needs a sieve table
+        W.catalog("dgamma", 100, gamma=2.0)  # needs a sieve table
 
 
 def test_constant_weights_and_partial_sums():
@@ -40,7 +41,7 @@ def test_dgamma_two_equals_divisor_function(table_small):
 
 def test_mangoldt_weights_match_arithmetic_table(table_small):
     w = W.catalog("mangoldt", 10**5, table=table_small)
-    lam = von_mangoldt_table(table_small)
+    lam = von_mangoldt_table(table_small.limit)
     assert np.array_equal(w.w, lam)
     assert w.expected_alpha == 0.0
 
@@ -199,21 +200,6 @@ def test_block_sums_against_direct_slices():
         W.block_sums(w, 1.5, xs)
 
 
-def test_ratio_envelope_constant_tight():
-    lo, hi = W.ratio_envelope(W.catalog("constant", 10**4))
-    assert 0.98 <= lo <= hi <= 1.0
-
-
-def test_shift_to_unit_abscissa_moves_mccarthy():
-    from dirichletlab.tauberian import detect_abscissa
-
-    w = W.catalog("mccarthy", 20_000)
-    assert detect_abscissa(w) == pytest.approx(w.sigma0, abs=0.02)  # near 1.7286
-    shifted = W.shift_to_unit_abscissa(w)
-    assert shifted.sigma0 == 1.0
-    assert detect_abscissa(shifted) == pytest.approx(1.0, abs=0.02)  # measured 0.9980
-
-
 @given(st.integers(min_value=2, max_value=2000), st.integers(min_value=2, max_value=2000))
 @settings(max_examples=40)
 def test_sum_upto_additive_on_disjoint_ranges(a, b):
@@ -231,3 +217,35 @@ def test_catalog_names_a_missing_family_parameter(name, param, table_small):
         W.catalog(name, 1000, table=table_small)
     with pytest.raises(DomainError, match=repr(param)):
         W.catalog(name, 1000, table=table_small, **{param: None})
+
+
+@pytest.mark.parametrize("name", sorted(W.STREAMED))
+def test_streamed_family_reads_without_its_array(name):
+    w = W.catalog(name, 10**5)
+    xs = np.array([[2, 4095, 4096], [4097, 77_777, 10**5]])
+    moments, sums = W.read(w, xs, 3.3)
+    S = W.partial_sums(w)  # from the builder's segments too
+    assert w._w is None  # nothing N-length was kept
+    assert sums.shape == xs.shape and sums.tobytes() == S[xs].tobytes()
+    whole = W.catalog(name, 10**5).w  # the concatenation of the segments
+    assert whole.tobytes() == w.w.tobytes()
+    assert S.tobytes() == compensated_cumsum(whole).tobytes()
+    for got, want in zip(moments, block_moments(whole, 3.3)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_built_sequence_reads_sums_from_cached_offsets():
+    w = W.catalog("log_power", 10**5, alpha=1.0)
+    S = W.partial_sums(w)
+    xs = np.arange(0, 10**5 + 1, 997)
+    assert W.sums_at(w, xs).tobytes() == S[xs].tobytes()
+    assert w._offsets.size == -(-(10**5 + 1) // 4096)
+    assert W.sum_upto(w, 77_777.5) == S[77_777]
+    with pytest.raises(RangeError):
+        W.sums_at(w, [10**5 + 1])
+
+
+def test_streamed_table_past_the_budget_is_refused():
+    w = W.catalog("mangoldt", DEFAULT_BUDGET + 1)  # nothing is built yet
+    with pytest.raises(BudgetError):
+        w.w
