@@ -31,7 +31,6 @@ from .weights import (
 )
 from .zeta import (
     KernelSpec,
-    dirichlet_convolve,
     dirichlet_inverse,
     kernel_eval,
     prime_zeta,
@@ -41,9 +40,6 @@ from .zeta import (
 )
 from .hspace import (
     DirichletPolynomial,
-    MultiIndexSeries,
-    bohr_inverse,
-    bohr_lift,
     derivative,
     evaluate,
     hw_inner,
@@ -69,9 +65,7 @@ from .sampling import (
     beurling_lower_density,
     carleson_check,
     continuity_at_infinity,
-    interval_mass,
     kadec_atoms,
-    kadec_example,
     lambda_set,
     measure_from_weights,
 )

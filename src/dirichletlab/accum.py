@@ -521,13 +521,3 @@ def moment_sums(bm: BlockMoments, sigmas, ts=None) -> tuple:
             values = head + np.einsum("ijm,imj->ij", binom[..., :_MOMENTS], q)
             remainders = np.abs(binom[..., _MOMENTS]) * per_block.sum(axis=1)[:, None]
     return values, remainders
-
-
-def dirichlet_sums(a, s_values) -> tuple:
-    """Sums sum_{n=1}^{N} a[n] n^(-s) for every real s, N = len(a) - 1 (a[0] unused).
-
-    Returns (values, remainders), two float arrays aligned with s_values:
-    moment_sums over the block_moments of a, sized for the largest |s|.
-    """
-    s = np.asarray(s_values, dtype=np.float64).ravel()
-    return moment_sums(block_moments(a, float(np.max(np.abs(s), initial=0.0))), s)

@@ -94,21 +94,6 @@ def factorize(table: SieveTable, n: int) -> Factorization:
     return tuple(out)
 
 
-def reconstruct(f: Factorization) -> int:
-    n = 1
-    for p, e in f:
-        n *= p**e
-    return n
-
-
-def divisors(f: Factorization) -> list:
-    """All divisors of the factored integer, ascending."""
-    out = [1]
-    for p, e in f:
-        out = [d * p**j for d in out for j in range(e + 1)]
-    return sorted(out)
-
-
 def divisor_count(f: Factorization) -> int:
     out = 1
     for _, e in f:
@@ -121,13 +106,6 @@ def mobius(f: Factorization) -> int:
         if e >= 2:
             return 0
     return -1 if len(f) % 2 else 1
-
-
-def von_mangoldt(f: Factorization) -> float:
-    """log p on prime powers p^k, zero elsewhere (including 1)."""
-    if len(f) == 1:
-        return math.log(f[0][0])
-    return 0.0
 
 
 def generalized_divisor(gamma, f: Factorization) -> float:
@@ -149,24 +127,6 @@ def generalized_divisor(gamma, f: Factorization) -> float:
             den *= j * b
         total *= num / den
     return total
-
-
-def ordered_factorizations(n: int, table: SieveTable) -> int:
-    """Count ordered factorizations of n into parts > 1 (1 has exactly one,
-    the empty product).  Exact integer arithmetic; memoized over the divisor
-    lattice of n."""
-    f = factorize(table, n)
-    divs = divisors(f)
-    counts = {1: 1}
-    for m in divs[1:]:
-        acc = 1  # the one-part factorization (m) itself
-        for d in divs:
-            if d >= m:
-                break
-            if d > 1 and m % d == 0:
-                acc += counts[d]
-        counts[m] = acc
-    return counts[divs[-1]]
 
 
 def ordered_factorization_table(limit: int) -> np.ndarray:
@@ -257,13 +217,6 @@ def von_mangoldt_segments(limit: int):
         yield lam
 
 
-def von_mangoldt_table(limit: int) -> np.ndarray:
-    """Lambda(n) for 0..limit: the concatenation of von_mangoldt_segments."""
-    if limit < 1:
-        raise RangeError(f"limit must be >= 1, got {limit}")
-    return join_segments(von_mangoldt_segments(limit), limit + 1)
-
-
 def _spf_pass(table: SieveTable, *rules) -> list:
     """Tables over 0..limit of f(p^e m) = op(g(e), f(m)), p the smallest prime
     factor and p not dividing m, one per rule (g, op, dtype).
@@ -307,16 +260,8 @@ def generalized_divisor_table(gamma, table: SieveTable) -> np.ndarray:
     return _spf_pass(table, rule)[0]
 
 
-def omega_table(table: SieveTable) -> np.ndarray:
-    """Number of prime factors counted with multiplicity, for 0..limit."""
-    return _spf_pass(table, _OMEGA)[0]
-
-
-def exponent_factorial_table(table: SieveTable) -> np.ndarray:
-    """Product of exponent factorials prod(nu_p!) for each n (1 at n=1)."""
-    return _spf_pass(table, _EXPONENT_FACTORIAL)[0]
-
-
 def omega_and_exponent_factorial_tables(table: SieveTable) -> tuple:
-    """omega_table and exponent_factorial_table from one pass over the spf array."""
+    """From one pass over the spf array: Omega(n), the number of prime factors
+    counted with multiplicity (int8), and prod(nu_p!), the product of the
+    exponent factorials (float64, 1 at n=1), for n in 0..limit."""
     return tuple(_spf_pass(table, _OMEGA, _EXPONENT_FACTORIAL))

@@ -76,25 +76,32 @@ def float_list(v):
 _PARAM_FLAGS = {"gamma": "--gamma", "alpha": "--alpha-param", "blocks": "--blocks"}
 
 
-def _weight_params(args):
-    params = {"gamma": args.gamma, "alpha": args.alpha_param, "blocks": args.blocks}
-    need = W.REQUIRED_PARAM.get(args.name)
-    if need is not None and params[need] is None:
-        raise UsageError(f"weight family {args.name!r} needs {_PARAM_FLAGS[need]}")
-    return {k: v for k, v in params.items() if v is not None}
-
-
-def _load_weight(args):
+def _weight_spec(args, n_values):
+    """(the truncations n_values as ints, the family parameters), once the
+    family name, every N (n_values None: --N was not given) and the family's
+    required parameter pass their checks; nothing is built before."""
     if args.name is None:
         raise UsageError("a weight --name is required")
     if args.name not in W.CATALOG_NAMES:
         raise UsageError(f"unknown weight family {args.name!r}")
-    if args.N is None:
+    if n_values is None:
         raise UsageError("--N is required")
-    n = int(args.N)
-    if n < 2:
-        raise UsageError(f"--N must be >= 2, got {n}")
-    params = _weight_params(args)
+    ns = []
+    for v in n_values:
+        if not math.isfinite(v):
+            raise UsageError(f"--N must be finite, got {v}")
+        if int(v) < 2:
+            raise UsageError(f"--N must be >= 2, got {int(v)}")
+        ns.append(int(v))
+    params = {"gamma": args.gamma, "alpha": args.alpha_param, "blocks": args.blocks}
+    need = W.REQUIRED_PARAM.get(args.name)
+    if need is not None and params[need] is None:
+        raise UsageError(f"weight family {args.name!r} needs {_PARAM_FLAGS[need]}")
+    return ns, {k: v for k, v in params.items() if v is not None}
+
+
+def _load_weight(args):
+    (n,), params = _weight_spec(args, None if args.N is None else [args.N])
     table = build_sieve(n) if args.name in W.NEEDS_TABLE else None
     return W.catalog(args.name, n, table=table, **params)
 
@@ -222,19 +229,14 @@ def cmd_kernel(args):
 
 def cmd_embed(args):
     name, alpha, kind = args.name, args.alpha, args.family
-    if name is None or name not in W.CATALOG_NAMES:
-        raise UsageError(f"unknown or missing weight family {name!r}")
+    n_list, params = _weight_spec(args, args.N_list)
     if alpha is None:
         raise UsageError("--alpha is required")
-    if not args.N_list:
+    if not n_list:
         raise UsageError("--N-list is empty")
-    if not all(math.isfinite(v) for v in args.N_list):
-        raise UsageError(f"--N-list entries must be finite, got {args.N_list}")
-    n_list = [int(v) for v in args.N_list]
     if kind not in ("blocks", "random"):
         raise UsageError(f"family must be blocks|random, got {kind!r}")
     win = LocalWindow(args.a, args.b, args.sigma_cap)
-    params = _weight_params(args)
     table = build_sieve(max(n_list)) if name in W.NEEDS_TABLE else None
     rows = []
     for n in sorted(n_list):

@@ -3,8 +3,7 @@
 Everything here is finite-dimensional on purpose: a polynomial carries its
 truncation level N, norms and inner products are exact finite sums, and the
 reproducing identity <F, k_xi> = F(xi) holds algebraically on shared support
-(no tail enters).  The Bohr lift is pure bookkeeping between integer indices
-and prime-exponent vectors.
+(no tail enters).
 """
 
 from __future__ import annotations
@@ -12,12 +11,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from dataclasses import dataclass
 
 from .accum import fsum_complex
-from .arithmetic import SieveTable, factorize
-from .errors import MembershipError, RangeError, TruncationError
+from .errors import MembershipError, RangeError
 
 
 @dataclass(frozen=True)
@@ -57,24 +54,6 @@ def monomial(n: int, limit: int | None = None, c: complex = 1.0) -> DirichletPol
     arr = np.zeros(limit + 1, dtype=np.complex128)
     arr[n] = c
     return DirichletPolynomial(limit=limit, coeffs=arr)
-
-
-def poly_to_dict(F: DirichletPolynomial) -> dict:
-    """JSON form {"N": int, "re": [...], "im": [...]}, coefficients a_1..a_N."""
-    return {
-        "N": F.limit,
-        "re": [float(x) for x in F.coeffs[1:].real],
-        "im": [float(x) for x in F.coeffs[1:].imag],
-    }
-
-
-def poly_from_dict(d: dict) -> DirichletPolynomial:
-    n = int(d["N"])
-    re = np.asarray(d["re"], dtype=np.float64)
-    im = np.asarray(d["im"], dtype=np.float64)
-    if re.shape != (n,) or im.shape != (n,):
-        raise RangeError("re/im arrays must both have length N")
-    return poly_from_coeffs(re + 1j * im)
 
 
 def derivative(F: DirichletPolynomial) -> DirichletPolynomial:
@@ -143,74 +122,3 @@ def hw_kernel(w, xi: complex) -> DirichletPolynomial:
     arr = arr.astype(np.complex128)
     arr[0] = 0.0
     return DirichletPolynomial(limit=w.limit, coeffs=arr)
-
-
-@dataclass(frozen=True)
-class MultiIndexSeries:
-    """Sparse power series sum c_nu z^nu on the infinite polytorus.
-
-    Keys are prime-exponent tuples indexed by prime *index* (z_0 <-> 2^{-s}),
-    with trailing zeros trimmed; () is the constant term.
-    """
-
-    terms: Dict[Tuple[int, ...], complex] = field(default_factory=dict)
-
-    def __post_init__(self):
-        for nu in self.terms:
-            if any((e < 0 or not isinstance(e, (int, np.integer))) for e in nu):
-                raise RangeError(f"exponent vector {nu} must be nonnegative integers")
-            if nu and nu[-1] == 0:
-                raise RangeError(f"exponent vector {nu} must have trailing zeros trimmed")
-
-
-def _exponent_vector(n: int, table: SieveTable) -> Tuple[int, ...]:
-    if n == 1:
-        return ()
-    fac = factorize(table, n)
-    top = int(np.searchsorted(table.primes, fac[-1][0]))
-    vec = [0] * (top + 1)
-    for p, e in fac:
-        vec[int(np.searchsorted(table.primes, p))] = e
-    return tuple(vec)
-
-
-def bohr_lift(F: DirichletPolynomial, table: SieveTable) -> MultiIndexSeries:
-    """Map a_n to the coefficient of z^(exponent vector of n)."""
-    if F.limit > table.limit:
-        raise RangeError(f"polynomial truncation {F.limit} exceeds sieve limit {table.limit}")
-    terms: Dict[Tuple[int, ...], complex] = {}
-    for n in F.support():
-        terms[_exponent_vector(int(n), table)] = complex(F.coeffs[n])
-    return MultiIndexSeries(terms=terms)
-
-
-def bohr_inverse(G: MultiIndexSeries, table: SieveTable, limit: int) -> DirichletPolynomial:
-    """Inverse bookkeeping: z^nu back to the integer prod p_i^nu_i <= limit."""
-    arr = np.zeros(limit + 1, dtype=np.complex128)
-    primes = table.primes
-    for nu, c in G.terms.items():
-        if len(nu) > len(primes):
-            raise RangeError(
-                f"exponent vector of length {len(nu)} needs more primes than the sieve holds"
-            )
-        n = 1
-        for i, e in enumerate(nu):
-            if e:
-                n *= int(primes[i]) ** int(e)
-        if n > limit:
-            raise TruncationError(f"monomial reconstructs to n={n} beyond truncation {limit}")
-        arr[n] += c
-    return DirichletPolynomial(limit=limit, coeffs=arr)
-
-
-def evaluate_multiindex(G: MultiIndexSeries, table: SieveTable, s: complex) -> complex:
-    """Evaluate the lifted series at z_i = p_i^(-s)."""
-    s = complex(s)
-    vals = []
-    for nu, c in G.terms.items():
-        z = complex(c)
-        for i, e in enumerate(nu):
-            if e:
-                z *= float(table.primes[i]) ** (-s * e)
-        vals.append(z)
-    return fsum_complex(np.asarray(vals, dtype=np.complex128))

@@ -1,14 +1,16 @@
 """Atomic measures on the log-integer line and density/sampling diagnostics.
 
 The measure of interest puts mass w_n/n at log n (optionally mirrored to
--log n).  Everything downstream is exact finite combinatorics: interval
+-log n).  Everything downstream is exact finite combinatorics: window
 masses come from compensated cumulative sums, the Beurling-type lower
 density is an exact sweep over the critical window positions, and the
 Carleson / continuity-at-infinity checks scan window anchors.
 
-Interval convention: [a, b) half-open everywhere, which makes additivity
-interval_mass(a,c) = interval_mass(a,b) + interval_mass(b,c) exact in
-floating point (each atom lands in exactly one side).
+Window convention: every window [x, x + h) whose mass carleson_check,
+lambda_set and continuity_at_infinity read is half-open, its mass the
+difference of the cumulative sums at the atoms' left insertion points, so
+abutting windows [x, y) and [y, z) split the atoms exactly (each atom lands
+in exactly one side) and their masses add to that of [x, z) up to rounding.
 
 All quantities are truncation-honest: positions above the horizon are
 unknown rather than absent, so queries past domain_bound raise instead of
@@ -101,22 +103,6 @@ def measure_from_weights(w, symmetric: bool = False) -> AtomicMeasure:
     return AtomicMeasure(
         positions=pos_all, masses=mas_all, domain_bound=bound, domain_low=-bound
     )
-
-
-def interval_mass(m: AtomicMeasure, a: float, b: float) -> float:
-    """Mass of [a, b); exact additivity at shared endpoints."""
-    tol = 1e-12 * max(1.0, abs(m.domain_bound))
-    if b > m.domain_bound + tol:
-        raise HorizonError(
-            f"query endpoint {b} beyond the truncation horizon {m.domain_bound}"
-        )
-    if a < m.domain_low - tol:
-        raise HorizonError(f"query endpoint {a} below the covered range {m.domain_low}")
-    if a >= b:
-        return 0.0
-    lo = int(np.searchsorted(m.positions, a, side="left"))
-    hi = int(np.searchsorted(m.positions, b, side="left"))
-    return float(m.cum[hi] - m.cum[lo])
 
 
 def _window_masses(m: AtomicMeasure, anchors: np.ndarray, h: float) -> np.ndarray:
@@ -231,11 +217,6 @@ def continuity_at_infinity(m: AtomicMeasure, beta: float, eps: float) -> Continu
         blocking = float(bad[np.argmax(np.abs(bad))])
         h /= 2.0
     return ContinuityResult(passed=False, radius=math.inf, block=2.0 * h, blocking_x=blocking)
-
-
-def kadec_example(blocks: int, table) -> "_weights.WeightSequence":
-    """w_{n_k} = n_k on the integers whose log is nearest each k, zero elsewhere."""
-    return _weights.catalog("kadec", table.limit, blocks=blocks)
 
 
 def kadec_atoms(blocks: int) -> AtomicMeasure:

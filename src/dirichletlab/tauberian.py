@@ -75,7 +75,7 @@ def _abscissa_points(limit: int) -> np.ndarray:
 
 
 def _s_max(sigmas) -> float:
-    # the largest |s| the moments must serve, as accum.dirichlet_sums sizes them
+    # the largest |s| the moments must serve: block_moments' s_max for these sigmas
     return float(np.max(np.abs(np.asarray(sigmas, dtype=np.float64)), initial=0.0))
 
 
@@ -96,7 +96,7 @@ def log_power_tail(u: float, L: float, alpha: float) -> float:
     return u ** (alpha - 1.0) * upper_gamma(1.0 - alpha, u * L)
 
 
-def mellin_profile(w, sigma_grid: Sequence[float], limit: int | None = None) -> list:
+def mellin_profile(w, sigma_grid: Sequence[float]) -> list:
     """Truncated F(sigma) with envelope tail bounds, one MellinPoint per sigma.
 
     remainder bounds the block-moment evaluation error of value itself
@@ -104,7 +104,6 @@ def mellin_profile(w, sigma_grid: Sequence[float], limit: int | None = None) -> 
     The moments of w_1..w_limit and the envelope's partial sums come from
     one scan of w (or from w's memo, see prescan).
     """
-    N = w.limit if limit is None else min(int(limit), w.limit)
     sigma0 = w.sigma0
     sig = [float(s) for s in sigma_grid]
     if any(s <= sigma0 for s in sig):
@@ -115,13 +114,9 @@ def mellin_profile(w, sigma_grid: Sequence[float], limit: int | None = None) -> 
     alpha = w.expected_alpha if w.expected_alpha is not None else 0.0
     sig.sort()
     xs = _envelope_points(w.limit)
-    if N == w.limit:
-        moments, S = _weights.read(w, xs, _s_max(sig))
-    else:
-        moments = accum.scan(_weights.segments(w, N + 1), N + 1, _s_max(sig)).moments
-        S = _weights.sums_at(w, xs)
+    moments, S = _weights.read(w, xs, _s_max(sig))
     c_env = _envelope_constant(xs, S, alpha, sigma0)
-    L = math.log(N)
+    L = math.log(w.limit)
     values, remainders = accum.moment_sums(moments, sig)
     out = []
     for s, value, rem in zip(sig, values, remainders):
@@ -176,7 +171,7 @@ def fit_singularity(profile: Sequence[MellinPoint], sigma0: float) -> Singularit
     badly; both gates must agree before the log branch is taken.  A
     degenerate full-window slope |a| < 0.1 forces the log branch outright.
 
-    Only points with tail_bound <= _MAX_TAIL_FRAC * value participate; the
+    Only finite points with tail_bound <= _MAX_TAIL_FRAC * value participate; the
     window is then clipped to [u_min, min(_U_CAP, _MAX_WINDOW_RATIO * u_min)]
     so the fit stays local to the singularity, and must keep _MIN_POINTS
     points over _MIN_WINDOW_DECADES decades.
@@ -187,8 +182,16 @@ def fit_singularity(profile: Sequence[MellinPoint], sigma0: float) -> Singularit
     t_all = np.array([p.tail_bound for p in pts])
     if np.any(u_all <= 0.0):
         raise FitError("profile contains points at or below sigma0")
-    ok = t_all <= _MAX_TAIL_FRAC * F_all
+    finite = np.isfinite(F_all) & np.isfinite(t_all)
+    ok = finite & (t_all <= _MAX_TAIL_FRAC * F_all)
     if not np.any(ok):
+        if not np.all(finite):
+            i = int(np.flatnonzero(~finite)[0])
+            raise FitError(
+                f"{np.count_nonzero(~finite)} of {len(pts)} profile points are not "
+                f"finite (value {float(F_all[i])!r}, tail bound {float(t_all[i])!r} "
+                f"at sigma = {pts[i].sigma!r}) and no finite point passes the tail gate"
+            )
         raise FitError(
             "tails exceed the permitted fraction at every profile point; "
             "raise the truncation or widen the grid upward"
@@ -285,6 +288,10 @@ def detect_abscissa(w) -> float:
     this estimates sigma0 up to a O(beta/log x) drift."""
     xs = _abscissa_points(w.limit)
     S = _weights.sums_at(w, xs.astype(np.int64))
+    if not np.all(np.isfinite(S)):
+        i = int(np.flatnonzero(~np.isfinite(S))[0])
+        raise FitError(f"partial sum S({int(xs[i])}) = {float(S[i])!r} is not finite: "
+                       "no growth exponent to estimate")
     if np.any(S <= 0.0):
         raise FitError("partial sums must be positive to estimate the abscissa")
     slope = np.polyfit(np.log(xs), np.log(S), 1)[0]

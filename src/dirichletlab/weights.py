@@ -247,13 +247,12 @@ def _build(name: str, limit: int, table, params: dict) -> np.ndarray:
     return w
 
 
-def segments(w: WeightSequence, size: Optional[int] = None):
-    """w_0..w_(size-1) (default: the whole sequence) as consecutive segments:
-    from the family's builder while w is not built, else views of w."""
-    size = w.limit + 1 if size is None else size
+def segments(w: WeightSequence):
+    """w_0..w_limit as consecutive segments: from the family's builder while
+    w is not built, else views of w."""
     if w._w is None:
-        return STREAMED[w.name](size - 1)
-    return (w._w[lo:hi] for lo, hi in accum.segment_edges(size))
+        return STREAMED[w.name](w.limit)
+    return (w._w[lo:hi] for lo, hi in accum.segment_edges(w.limit + 1))
 
 
 def read(w: WeightSequence, xs=(), s_max: Optional[float] = None) -> tuple:

@@ -328,25 +328,6 @@ def kernel_eval(spec: KernelSpec, s: complex) -> complex:
     return cmath.exp(-g * cmath.log(w))
 
 
-def dirichlet_convolve(a, b):
-    """Dirichlet convolution of coefficient arrays indexed from 1 (index 0 unused).
-
-    Exact when both inputs are Python/numpy integers, float64 otherwise.
-    """
-    a = list(a)
-    b = list(b)
-    N = min(len(a), len(b)) - 1
-    exact = all(isinstance(x, (int, np.integer)) for x in a[1 : N + 1] + b[1 : N + 1])
-    c = [0] * (N + 1) if exact else np.zeros(N + 1)
-    for n in range(1, N + 1):
-        an = a[n]
-        if an == 0:
-            continue
-        for k in range(1, N // n + 1):
-            c[n * k] += an * b[k]
-    return c
-
-
 def dirichlet_inverse(a, limit: int | None = None):
     """Coefficients of the reciprocal Dirichlet series, a_1 != 0 required.
 

@@ -4,27 +4,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dirichletlab import accum
+from dirichletlab import accum, arithmetic
 from dirichletlab.arithmetic import (
     SieveTable,
     build_sieve,
     divisor_count,
     divisor_count_table,
-    divisors,
-    exponent_factorial_table,
     factorize,
     generalized_divisor,
     generalized_divisor_table,
     mobius,
     omega_and_exponent_factorial_tables,
-    omega_table,
     ordered_factorization_table,
-    ordered_factorizations,
     prime_segments,
-    reconstruct,
-    von_mangoldt,
     von_mangoldt_segments,
-    von_mangoldt_table,
 )
 from dirichletlab.errors import BudgetError, RangeError
 
@@ -40,6 +33,15 @@ def trial_factor(n):
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def divisors(f):
+    """All divisors of the factored integer, ascending: the oracle of the
+    divisor-sum identities below."""
+    out = [1]
+    for p, e in f:
+        out = [d * p**j for d in out for j in range(e + 1)]
+    return sorted(out)
 
 
 def test_spf_against_trial_division(table_small):
@@ -63,7 +65,7 @@ def test_prime_list_against_sieve_of_eratosthenes(table_small):
 @settings(max_examples=200)
 def test_factorize_reconstruct_roundtrip(table_small, n):
     f = factorize(table_small, n)
-    assert reconstruct(f) == n
+    assert math.prod(p**e for p, e in f) == n
     assert dict(f) == trial_factor(n)
 
 
@@ -81,7 +83,7 @@ def test_divisors_listing(table_small):
 
 
 def test_von_mangoldt_supported_on_prime_powers(table_small):
-    lam = von_mangoldt_table(table_small.limit)
+    lam = np.concatenate(list(von_mangoldt_segments(table_small.limit)))
     for n in range(1, 2000):
         f = trial_factor(n)
         if len(f) == 1:
@@ -89,7 +91,7 @@ def test_von_mangoldt_supported_on_prime_powers(table_small):
             assert lam[n] == pytest.approx(math.log(p), rel=1e-15)
         else:
             assert lam[n] == 0.0
-    assert von_mangoldt(factorize(table_small, 81)) == pytest.approx(math.log(3))
+    assert lam[81] == pytest.approx(math.log(3))
 
 
 def test_mobius_values_and_dirichlet_identity(table_small):
@@ -103,7 +105,7 @@ def test_mobius_values_and_dirichlet_identity(table_small):
 
 
 def test_omega_table_counts_with_multiplicity(table_small):
-    om = omega_table(table_small)
+    om = omega_and_exponent_factorial_tables(table_small)[0]
     for n in range(2, 2000):
         assert om[n] == sum(trial_factor(n).values())
     assert om[1] == 0
@@ -111,7 +113,7 @@ def test_omega_table_counts_with_multiplicity(table_small):
 
 
 def test_exponent_factorial_table(table_small):
-    ef = exponent_factorial_table(table_small)
+    ef = omega_and_exponent_factorial_tables(table_small)[1]
     for n in range(1, 1000):
         expect = 1
         for e in trial_factor(n).values():
@@ -122,8 +124,9 @@ def test_exponent_factorial_table(table_small):
 def test_omega_and_exponent_factorial_tables_from_one_pass(table_small):
     om, ef = omega_and_exponent_factorial_tables(table_small)
     assert om.dtype == np.int8 and ef.dtype == np.float64
-    assert np.array_equal(om, omega_table(table_small))
-    assert np.array_equal(ef, exponent_factorial_table(table_small))
+    # the two rules of one pass give the tables of two single-rule passes
+    assert np.array_equal(om, arithmetic._spf_pass(table_small, arithmetic._OMEGA)[0])
+    assert np.array_equal(ef, arithmetic._spf_pass(table_small, arithmetic._EXPONENT_FACTORIAL)[0])
 
 
 def test_generalized_divisor_gamma2_is_divisor_count(table_small):
@@ -161,7 +164,7 @@ def test_generalized_divisor_table_equals_per_n_value(table_small):
 @pytest.mark.parametrize("limit", [2, 3, 4, 7, 8, 9, 15, 16, 17, 2**10 - 1, 2**10 + 1])
 def test_spf_tables_at_dyadic_edges(limit):
     table = build_sieve(limit)
-    om, ef = omega_table(table), exponent_factorial_table(table)
+    om, ef = omega_and_exponent_factorial_tables(table)
     gd = generalized_divisor_table(1 / 3, table)
     assert (om[0], om[1], ef[0], ef[1], gd[0], gd[1]) == (0, 0, 0.0, 1.0, 0.0, 1.0)
     for n in range(2, limit + 1):
@@ -184,19 +187,19 @@ def ordered_factorizations_oracle(n, memo={1: 1}):
     return total
 
 
-def test_ordered_factorizations_against_recurrence(table_small):
+def test_ordered_factorizations_against_recurrence():
     F = ordered_factorization_table(400)
     for n in range(1, 401):
         assert F[n] == ordered_factorizations_oracle(n)
     assert F[10] == 3  # 10, 2*5, 5*2
-    assert ordered_factorizations(10, table_small) == 3
 
 
-def test_ordered_factorizations_exact_for_large_counts(table_small):
+def test_ordered_factorizations_exact_for_large_counts():
     # for a prime power p^k the orderings biject with compositions of k,
-    # so the count is exactly 2^(k-1); python ints keep it exact
-    assert ordered_factorizations(2**16, table_small) == 2**15
-    assert ordered_factorizations(3**10, table_small) == 2**9
+    # so the count is exactly 2^(k-1); int64 entries keep it exact
+    F = ordered_factorization_table(2**16)
+    assert F[2**16] == 2**15
+    assert F[3**10] == 2**9
 
 
 def test_build_sieve_budget():
@@ -269,7 +272,7 @@ def test_divisor_count_table_rejects_limits_below_one(limit):
 
 
 def von_mangoldt_reference(limit):
-    """The loop over the spf sieve's prime list that von_mangoldt_table
+    """The loop over the spf sieve's prime list that von_mangoldt_segments
     replaced: log p written at p, p^2, p^3, ... up to the limit."""
     primes = sieve_reference(limit)[1]
     lam = np.zeros(limit + 1)
@@ -287,7 +290,8 @@ def _check_builders(limit):
     primes = sieve_reference(limit)[1]
     d = divisor_count_table(limit)
     assert d.dtype == np.int32 and np.array_equal(d, divisor_count_reference(limit)), limit
-    assert von_mangoldt_table(limit).tobytes() == von_mangoldt_reference(limit).tobytes(), limit
+    lam = np.concatenate(list(von_mangoldt_segments(limit)))
+    assert lam.tobytes() == von_mangoldt_reference(limit).tobytes(), limit
     mask = np.concatenate(list(prime_segments(limit)))
     assert mask.dtype == bool and np.array_equal(np.flatnonzero(mask), primes), limit
 

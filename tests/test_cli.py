@@ -59,6 +59,7 @@ def test_weights_usage_errors(tmp_path, capsys):
     assert "required" in capsys.readouterr().err
     assert run("weights", "--name", "nonsense", "--N", 100) == 2
     assert run("weights", "--name", "constant", "--N", 1) == 2
+    assert run("weights", "--name", "constant", "--N", "inf") == 2
 
 
 MISSING_PARAM_FLAGS = {"log_power": "--alpha-param", "inv_divisor_pow": "--alpha-param",
@@ -71,7 +72,7 @@ def test_missing_family_parameter_is_a_usage_error(name, tmp_path, capsys):
     flag = MISSING_PARAM_FLAGS[name]
     assert run("weights", "--name", name, "--N", 1000, "--out", tmp_path / "w.csv") == 2
     assert flag in capsys.readouterr().err
-    # embed builds its weights through catalog directly, not _load_weight
+    # embed checks each --N-list entry where the other commands check --N
     assert run("embed", "--name", name, "--alpha", 0, "--N-list", "1000",
                "--out-csv", tmp_path / "e.csv", "--out-json", tmp_path / "e.json") == 2
     assert flag in capsys.readouterr().err
@@ -241,6 +242,16 @@ def test_sampling_horizon_violation_exits_one(tmp_path):
                "--r-list", "900", "--out", tmp_path / "s.json") == 1
 
 
+def test_tauberian_non_finite_profile_exits_one(tmp_path, capsys):
+    out = tmp_path / "t.json"
+    assert run("tauberian", "--name", "kadec_spiked", "--blocks", 6, "--N", 100000,
+               "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("compute error:") and "not finite" in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_tauberian_report(tmp_path):
     out = tmp_path / "t.json"
     cmp_out = tmp_path / "t.csv"
@@ -389,11 +400,14 @@ def test_list_flags_parse_by_either_route(tmp_path, capsys):
             run(*argv)
         assert exc.value.code == 2
         assert "list" in capsys.readouterr().err
-    # inf and nan parse as numbers but name no truncation
-    for bad in ("inf", "nan", "1e3,inf"):
+    # inf, nan and entries below 2 parse as numbers but name no truncation:
+    # --N's message, before any file is written
+    for bad, why in (("inf", "finite"), ("nan", "finite"), ("1e3,inf", "finite"),
+                     ("1", ">= 2"), ("0.5", ">= 2"), ("100,1", ">= 2")):
         assert run("embed", "--name", "constant", "--alpha", 0.0, "--N-list", bad,
                    "--out-csv", tmp_path / "x.csv", "--out-json", tmp_path / "x.json") == 2
-        assert "finite" in capsys.readouterr().err
+        assert f"--N must be {why}" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists() and not (tmp_path / "x.json").exists()
     cfg = tmp_path / "opts.json"
     cfg.write_text(json.dumps({"embed": {"N_list": ["abc"]}}))
     assert run("--config", cfg, "embed", "--name", "constant", "--alpha", 0.0) == 2

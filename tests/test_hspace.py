@@ -7,18 +7,13 @@ from hypothesis import given, settings, strategies as st
 from dirichletlab import weights as W
 from dirichletlab.errors import MembershipError, RangeError
 from dirichletlab.hspace import (
-    bohr_inverse,
-    bohr_lift,
     derivative,
     evaluate,
-    evaluate_multiindex,
     hw_inner,
     hw_kernel,
     hw_norm,
     monomial,
     poly_from_coeffs,
-    poly_from_dict,
-    poly_to_dict,
 )
 
 
@@ -114,35 +109,3 @@ def test_kernel_reproduces_point_evaluations():
         xi = complex(1.6 + rng.random(), rng.standard_normal())
         lhs = hw_inner(F, hw_kernel(w, xi), w)
         assert lhs == pytest.approx(evaluate(F, xi), rel=1e-12, abs=1e-12)
-
-
-def test_bohr_roundtrip_exact(table_small):
-    rng = np.random.default_rng(9)
-    d = {int(n): complex(rng.standard_normal(), rng.standard_normal())
-         for n in rng.choice(np.arange(1, 121), size=25, replace=False)}
-    F = sparse(d, 120)
-    G = bohr_lift(F, table_small)
-    back = bohr_inverse(G, table_small, F.limit)
-    assert np.array_equal(back.coeffs, F.coeffs)
-
-
-def test_bohr_lift_evaluates_identically(table_small):
-    F = sparse({1: 1.0, 2: -2.0, 12: 0.5 + 1.0j, 97: 3.0}, 97)
-    G = bohr_lift(F, table_small)
-    for s in (1.2 + 0.0j, 0.8 - 2.0j):
-        assert evaluate_multiindex(G, table_small, s) == pytest.approx(
-            evaluate(F, s), rel=1e-13
-        )
-
-
-def test_bohr_lift_indexes_by_prime_exponents(table_small):
-    G = bohr_lift(sparse({12: 1.0}, 12), table_small)  # 12 = 2^2 * 3
-    assert dict(G.terms) == {(2, 1): 1.0 + 0.0j}
-
-
-def test_poly_dict_codec_roundtrip():
-    F = sparse({3: 1.0, 17: -2.5 + 1.0j}, 20)
-    blob = poly_to_dict(F)
-    back = poly_from_dict(blob)
-    assert back.limit == F.limit
-    assert np.array_equal(back.coeffs, F.coeffs)

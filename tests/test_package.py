@@ -59,3 +59,53 @@ def test_third_party_imports_are_declared_dependencies():
     third_party = {m for m in used if m not in sys.stdlib_module_names and m != "dirichletlab"}
     assert third_party <= declared, f"imported but not declared: {sorted(third_party - declared)}"
     assert third_party == {"numpy"}
+
+
+# public names that only tests call, each kept for a stated reason
+TEST_FACING = {
+    # acceptance oracles (tests/test_acceptance.py imports them)
+    "evaluate": "criterion 05 evaluates F at the kernel's anchor",
+    "poly_from_coeffs": "criterion 05 builds its random polynomials",
+    "hw_inner": "criterion 05's reproducing identity <F, k_xi>",
+    "hw_kernel": "criterion 05's reproducing kernel k_xi",
+    "sum_upto": "criterion 01 reads S(x) at real x",
+    "weighted_zeta": "criterion 06 compares the sum at 2 sigma near the abscissa",
+    "dirichlet_inverse": "criterion 04's ordered factorizations from 1/(2 - zeta)",
+    "factorize": "criterion 01 factors n for its direct sum",
+    "build_sieve": "criterion 01 and the conftest fixtures build sieve tables",
+    # reference and fixture helpers
+    "divisor_count": "per-n reference for the divisor tables",
+    "monomial": "hspace fixtures: the monomial n^(-s)",
+    # the dual-bump lower bound the embed command is to report
+    "make_bump": "the dual bump of the exact two-sided embedding constant",
+    "TestBump": "the dual bump of the exact two-sided embedding constant",
+    "duality_sum": "the dual bump of the exact two-sided embedding constant",
+}
+
+
+def test_public_names_are_reached():
+    # a public top-level def or class must be referenced outside its own body
+    # by a package module other than __init__.py, or be listed in TEST_FACING
+    root = Path(dirichletlab.__file__).parent
+    defs, refs = [], []
+    for path in sorted(root.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defs += [(path.name, node) for node in tree.body
+                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                 and not node.name.startswith("_")]
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.append((path.name, node.lineno, node.id))
+            elif isinstance(node, ast.Attribute):
+                refs.append((path.name, node.lineno, node.attr))
+            elif isinstance(node, ast.ImportFrom):
+                refs += [(path.name, node.lineno, alias.name) for alias in node.names]
+    assert set(TEST_FACING) <= {node.name for _, node in defs}
+    unreached = [f"{module}:{node.name}" for module, node in defs
+                 if node.name not in TEST_FACING
+                 and not any(name == node.name and not (
+                     module == where and node.lineno <= line <= node.end_lineno)
+                     for where, line, name in refs)]
+    assert not unreached, f"public names nothing in the package reaches: {unreached}"

@@ -12,12 +12,17 @@ from dirichletlab.sampling import (
     beurling_lower_density,
     carleson_check,
     continuity_at_infinity,
-    interval_mass,
     kadec_atoms,
-    kadec_example,
     lambda_set,
     measure_from_weights,
 )
+
+
+def window_mass(m, a, b):
+    """Mass of the half-open window [a, b): the cumulative-sum difference
+    that carleson_check, lambda_set and continuity_at_infinity read."""
+    lo, hi = np.searchsorted(m.positions, [a, b], side="left")
+    return float(m.cum[hi] - m.cum[lo])
 
 
 @pytest.fixture(scope="module")
@@ -54,10 +59,9 @@ def test_symmetric_measure_mirrors_and_merges_origin():
     # origin atom carries 2 w_1, the mirror pair collapsed into one
     i = int(np.searchsorted(m.positions, 0.0))
     assert m.positions[i] == 0.0 and m.masses[i] == 2.0
-    eps = 1e-9
-    assert interval_mass(m, -math.log(3) - eps, -math.log(3) + eps) == pytest.approx(
-        1.0 / 3.0
-    )
+    j = int(np.searchsorted(m.positions, -math.log(3)))
+    assert m.positions[j] == -math.log(3)
+    assert m.masses[j] == pytest.approx(1.0 / 3.0)
 
 
 def test_measure_validation():
@@ -71,24 +75,24 @@ def test_measure_validation():
 
 def test_interval_mass_empty_and_basic():
     m = measure_from_weights(W.catalog("constant", 10))
-    assert interval_mass(m, 1.0, 1.0) == 0.0
-    assert interval_mass(m, math.log(2), math.log(4)) == pytest.approx(
+    assert window_mass(m, 1.0, 1.0) == 0.0
+    assert window_mass(m, math.log(2), math.log(4)) == pytest.approx(
         5.0 / 6.0, rel=1e-15
     )
 
 
 def test_interval_mass_unit_log_window(unit_measure):
     # sum of 1/n over n in [e^5, e^6) is about 1
-    v = interval_mass(unit_measure, 5.0, 6.0)
+    v = carleson_check(unit_measure, 0.0, [5.0]).c_hat
     assert v == pytest.approx(0.999590, abs=1e-6)  # frozen direct sum
     assert 0.9 <= v <= 1.1
 
 
 def test_interval_mass_horizon(unit_measure):
     with pytest.raises(HorizonError):
-        interval_mass(unit_measure, 5.0, unit_measure.domain_bound + 1.0)
+        carleson_check(unit_measure, 0.0, [unit_measure.domain_bound - 0.5])
     with pytest.raises(HorizonError):
-        interval_mass(unit_measure, -1.0, 5.0)  # asymmetric: nothing below 0
+        carleson_check(unit_measure, 0.0, [-1.0])  # asymmetric: nothing below 0
 
 
 @settings(max_examples=200, deadline=None)
@@ -98,8 +102,8 @@ def test_interval_additivity(abc):
     # to an ulp (cumulative differencing rounds once per term)
     m = test_interval_additivity.m
     a, b, c = sorted(abc)
-    lhs = interval_mass(m, a, c)
-    rhs = interval_mass(m, a, b) + interval_mass(m, b, c)
+    lhs = window_mass(m, a, c)
+    rhs = window_mass(m, a, b) + window_mass(m, b, c)
     assert lhs == pytest.approx(rhs, rel=1e-14, abs=1e-14)
     count = lambda x, y: int(
         np.searchsorted(m.positions, y) - np.searchsorted(m.positions, x)
@@ -166,7 +170,7 @@ def test_lambda_set_kadec_selects_occupied_blocks():
     )  # frozen
     # centered at the integers the one-atom-per-block picture is exact
     for k in range(1, 20):
-        assert interval_mass(m, k - 0.5, k + 0.5) == 1.0
+        assert carleson_check(m, 0.0, [k - 0.5]).c_hat == 1.0
 
 
 def test_beurling_integers():
@@ -243,13 +247,6 @@ def test_continuity_zero_measure():
 def test_continuity_eps_check(unit_measure):
     with pytest.raises(RangeError):
         continuity_at_infinity(unit_measure, 0.0, 0.0)
-
-
-def test_kadec_example_matches_catalog(table_small):
-    w = kadec_example(8, table_small)
-    assert w.w[3] == 3.0 and w.w[7] == 7.0
-    m = measure_from_weights(w)
-    assert np.all(m.masses == 1.0)
 
 
 def test_kadec_atom_positions_near_integers():

@@ -113,6 +113,25 @@ def test_fit_refuses_tail_dominated_profile():
         fit_singularity(prof, 1.0)
 
 
+def test_fit_refuses_non_finite_profile():
+    # e^n weights overflow past n ~ 709: every profile value and tail bound
+    # is inf, and inf <= 0.01 * inf must not pass the tail gate
+    w = W.catalog("kadec_spiked", 10**5, blocks=6)
+    prof = mellin_profile(w, w.sigma0 + np.geomspace(0.02, 1.5, 48))
+    assert all(p.value == p.tail_bound == np.inf for p in prof)
+    with pytest.raises(FitError, match=r"48 of 48 profile points are not finite \(value inf"):
+        fit_singularity(prof, w.sigma0)
+
+
+def test_fit_keeps_finite_points_beside_non_finite_ones():
+    w = W.catalog("constant", 10**6)
+    prof = mellin_profile(w, w.sigma0 + np.geomspace(0.02, 1.5, 48))
+    spoilt = [p._replace(value=np.inf, tail_bound=np.inf) if i % 2 else p
+              for i, p in enumerate(prof)]
+    got = fit_singularity(spoilt + [prof[1]._replace(value=np.nan)], w.sigma0)
+    assert got == fit_singularity(prof[::2], w.sigma0)
+
+
 def test_fit_refuses_too_few_points():
     w = W.catalog("constant", 10**4)
     prof = mellin_profile(w, [1.5, 1.8, 2.1])
@@ -170,6 +189,11 @@ def test_detect_abscissa_divisor(table_mid):
     v = detect_abscissa(W.catalog("divisor", 10**5, table=table_mid))
     assert v == pytest.approx(1.101256347034861, rel=1e-12)  # frozen
     assert abs(v - 1.0) <= 0.15
+
+
+def test_detect_abscissa_refuses_non_finite_sums():
+    with pytest.raises(FitError, match=r"S\(\d+\) = inf is not finite"):
+        detect_abscissa(W.catalog("kadec_spiked", 10**5, blocks=6))
 
 
 def test_detect_abscissa_mccarthy():

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from dirichletlab import weights as W
 from dirichletlab.accum import block_moments, compensated_cumsum
-from dirichletlab.arithmetic import DEFAULT_BUDGET, divisor_count_table, von_mangoldt_table
+from dirichletlab.arithmetic import DEFAULT_BUDGET, divisor_count_table, von_mangoldt_segments
 from dirichletlab.errors import BudgetError, DomainError, FitError, RangeError
 
 
@@ -41,7 +41,7 @@ def test_dgamma_two_equals_divisor_function(table_small):
 
 def test_mangoldt_weights_match_arithmetic_table(table_small):
     w = W.catalog("mangoldt", 10**5, table=table_small)
-    lam = von_mangoldt_table(table_small.limit)
+    lam = np.concatenate(list(von_mangoldt_segments(table_small.limit)))
     assert np.array_equal(w.w, lam)
     assert w.expected_alpha == 0.0
 

