@@ -19,10 +19,11 @@ value carries a proven Taylor remainder.  The block width follows from the
 largest |s| the moments must serve (see _block_width), so the remainder stays
 near 1e-15 of sum |a_n| n^(-sigma) as the t-window widens.
 
-Both passes run in scan(), which reads a sequence as consecutive segments
-(_SEGMENT entries each from the table builders) and carries the chunk and
-the moment block that a segment edge cuts, so a sequence that is never held
-whole gives the same bits as an array: its moments, its chunk offsets and
+Both passes run in scan(), which reads a sequence as the segments that
+segment_edges cuts (_SEGMENT entries each, whole 4096-chunks) and refuses
+any other cut.  A chunk never straddles a segment edge; the moment block
+that one cuts is carried into the next segment, so a sequence that is never
+held whole gives the same bits as an array: its moments, its prefix sums and
 S(x) at given checkpoints.  compensated_cumsum and block_moments are that
 scan over the views of one array.
 """
@@ -167,37 +168,21 @@ class _RunningFsum:
         return math.fsum(self.partials)
 
 
-def _read_sorted(data, base: int, offsets, xs) -> np.ndarray:
-    """S(x) at the ascending points xs, all inside data = entries base.. of
-    whole chunks (base a multiple of 4096): per chunk, one cumsum up to its
-    last point plus the chunk's offset, the bits compensated_cumsum writes."""
-    out = np.empty(xs.size)
-    chunk = xs // _CHUNK
-    starts = np.flatnonzero(np.diff(chunk, prepend=-1)).tolist()
-    for i, j in zip(starts, starts[1:] + [xs.size]):
-        c0 = int(chunk[i]) * _CHUNK
-        js = xs[i:j] - c0
-        out[i:j] = np.cumsum(data[c0 - base : c0 - base + int(js[-1]) + 1])[js] + offsets[chunk[i]]
-    return out
-
-
 class _PrefixPass:
     """compensated_cumsum's chunk pass over a sequence fed segment by segment.
 
-    Chunk k holds the entries 4096k..4096k+4095 of the whole sequence; a
-    chunk cut by a segment edge is copied together first.  Each chunk's offset
-    is the running exact sum of the earlier totals, so the offsets, every
-    prefix written to out, and S(x) at the checkpoints are the bits that
+    Chunk k holds the entries 4096k..4096k+4095 of the whole sequence, and
+    every segment starts on a chunk edge (scan checks the cut), so a segment
+    is whole chunks and, the last one only, a short tail.  Each chunk's
+    offset is the running exact sum of the earlier totals, so every prefix
+    written to out and S(x) at the checkpoints are the bits that
     compensated_cumsum gives on the whole array.
     """
 
     def __init__(self, size: int, checkpoints, out):
-        self.size = size
-        self.offsets = np.empty(-(-size // _CHUNK))
+        self.chunks = -(-size // _CHUNK)
         self.running = _RunningFsum()
         self.k = 0  # chunks closed
-        self.open = np.empty(_CHUNK)  # the cut chunk's entries so far
-        self.filled = 0
         xs = np.asarray(checkpoints, dtype=np.int64).ravel()
         if xs.size and not (0 <= xs.min() and xs.max() < size):
             raise RangeError(f"checkpoints must lie in [0, {size - 1}]")
@@ -207,65 +192,48 @@ class _PrefixPass:
         self.read = 0  # checkpoints read so far, in ascending order
         self.out = out
 
-    def feed(self, seg: np.ndarray):
-        if self.filled:  # complete the chunk the last segment edge cut
-            take = min(_CHUNK - self.filled, seg.size)
-            self.open[self.filled : self.filled + take] = seg[:take]
-            self.filled += take
-            seg = seg[take:]
-            if self.filled == _CHUNK:
-                self._rows(self.open[None, :])
-            elif self.k * _CHUNK + self.filled == self.size:
-                self._last(self.open[: self.filled])
-            else:
-                return
-            self.filled = 0
+    def feed(self, seg: np.ndarray, lo: int):
         K = seg.size // _CHUNK
-        if K:
-            self._rows(seg[: K * _CHUNK].reshape(K, _CHUNK))
-        rest = seg[K * _CHUNK :]
-        if self.k * _CHUNK + rest.size == self.size and rest.size:
-            self._last(rest)
-        else:
-            self.open[: rest.size] = rest
-            self.filled = rest.size
+        rows, tail = seg[: K * _CHUNK].reshape(K, _CHUNK), seg[K * _CHUNK :]
+        totals, ok = _certified_totals(rows)
+        offsets = [self._close(rows[r], float(totals[r]) if ok[r] else None) for r in range(K)]
+        if tail.size:
+            offsets.append(self._close(tail, None))
+        offsets = np.array(offsets)
+        if self.out is not None:
+            out_rows = self.out[lo : lo + K * _CHUNK].reshape(K, _CHUNK)
+            np.cumsum(rows, axis=1, out=out_rows)
+            out_rows += offsets[:K, None]
+            out_tail = self.out[lo + K * _CHUNK : lo + seg.size]
+            np.cumsum(tail, out=out_tail)
+            out_tail += offsets[K:]
+        self._read(seg, lo, offsets)
 
-    def _close(self, chunk, total):
-        # compensated_cumsum's loop body: no offset needs the last total, and
-        # math.fsum raises where it would
-        self.offsets[self.k] = self.running.value()
+    def _close(self, chunk, total) -> float:
+        # compensated_cumsum's loop body: the chunk's offset; no offset needs
+        # the last total, and math.fsum raises where it would
+        offset = self.running.value()
         if total is None:
             total = math.fsum(chunk.tolist())
-        if self.k + 1 < self.offsets.size:
-            self.running.add(total)
         self.k += 1
+        if self.k < self.chunks:
+            self.running.add(total)
+        return offset
 
-    def _rows(self, rows: np.ndarray):
-        K = rows.shape[0]
-        totals, ok = _certified_totals(rows)
-        for r in range(K):
-            self._close(rows[r], float(totals[r]) if ok[r] else None)
-        k0 = self.k - K
-        if self.out is not None:
-            out_rows = self.out[k0 * _CHUNK : self.k * _CHUNK].reshape(K, _CHUNK)
-            np.cumsum(rows, axis=1, out=out_rows)
-            out_rows += self.offsets[k0 : self.k, None]
-        self._read(rows.reshape(-1), k0 * _CHUNK)
-
-    def _last(self, tail: np.ndarray):
-        self._close(tail, None)
-        base = (self.k - 1) * _CHUNK
-        if self.out is not None:
-            np.cumsum(tail, out=self.out[base:])
-            self.out[base:] += self.offsets[self.k - 1]
-        self._read(tail, base)
-
-    def _read(self, data, base: int):
-        stop = int(np.searchsorted(self.xs, base + data.size))
-        if stop > self.read:
-            sel = self.order[self.read : stop]
-            self.sums[sel] = _read_sorted(data, base, self.offsets, self.xs[self.read : stop])
-            self.read = stop
+    def _read(self, seg, lo: int, offsets):
+        """S(x) at the checkpoints inside seg: per chunk, one cumsum up to its
+        last point plus the chunk's offset, the bits compensated_cumsum writes."""
+        stop = int(np.searchsorted(self.xs, lo + seg.size))
+        xs = self.xs[self.read : stop] - lo
+        sums = np.empty(xs.size)
+        chunk = xs // _CHUNK
+        starts = np.flatnonzero(np.diff(chunk, prepend=-1)).tolist()
+        for i, j in zip(starts, starts[1:] + [xs.size]):
+            c0 = int(chunk[i]) * _CHUNK
+            js = xs[i:j] - c0
+            sums[i:j] = np.cumsum(seg[c0 : c0 + int(js[-1]) + 1])[js] + offsets[chunk[i]]
+        self.sums[self.order[self.read : stop]] = sums
+        self.read = stop
 
 
 class BlockMoments(NamedTuple):
@@ -371,7 +339,6 @@ class Scan(NamedTuple):
     """What one pass of scan() read from a sequence a_0..a_(size-1)."""
 
     moments: Optional[BlockMoments]  # block_moments(a, s_max), if s_max was given
-    offsets: Optional[np.ndarray]  # offsets[k]: exactly rounded sum of chunks 0..k-1
     sums: np.ndarray  # S(x) = a_0 + ... + a_x at each checkpoint, in their order
 
 
@@ -397,46 +364,38 @@ def join_segments(segments, size: int, dtype=np.float64) -> np.ndarray:
 
 
 def scan(segments, size: int, s_max=None, checkpoints=None, out=None) -> Scan:
-    """One pass over a_0..a_(size-1), handed in as consecutive segments.
+    """One pass over a_0..a_(size-1), handed in as the segments that
+    segment_edges(size) cuts.
 
     With s_max it builds block_moments(a, s_max).  With checkpoints (integer
-    points in [0, size)) or out it runs compensated_cumsum's chunk pass: the
-    chunk offsets, S at each checkpoint, and every prefix sum written to out
-    if given; checkpoints=None and out=None skip that pass.  The segments may
-    have any lengths (the builders use _SEGMENT): the chunk and the moment
-    block that a segment edge cuts are carried into the next segment, so
-    every result is bit for bit the whole-array one, while the pass holds
-    one segment, one chunk and one moment block at a time.
+    points in [0, size)) or out it runs compensated_cumsum's chunk pass: S at
+    each checkpoint, and every prefix sum written to out if given;
+    checkpoints=None and out=None skip that pass.  A segment of any other
+    length, and a _SEGMENT that would split a 4096-chunk, raise RangeError:
+    each segment is then whole chunks, and only the moment block that a
+    segment edge cuts is carried into the next one.  Every result is bit
+    for bit the whole-array one, while the pass holds one segment and one
+    moment block at a time.
     """
+    if _SEGMENT % _CHUNK:
+        raise RangeError(f"a {_SEGMENT}-entry segment would split a {_CHUNK}-entry chunk")
     moments = None if s_max is None else _MomentPass(size, s_max)
     prefix = None
     if checkpoints is not None or out is not None:
         prefix = _PrefixPass(size, () if checkpoints is None else checkpoints, out)
-    lo = 0
-    for seg in segments:
-        seg = np.asarray(seg)
+    segments = iter(segments)
+    for lo, hi in segment_edges(size):
+        seg = np.asarray(next(segments, np.empty(0)))
+        if seg.size != hi - lo:
+            raise RangeError(f"the segment at {lo} has {seg.size} entries, not {hi - lo}")
         if moments is not None:
             moments.feed(seg, lo)
         if prefix is not None:
-            prefix.feed(np.asarray(seg, dtype=np.float64))
-        lo += seg.size
-    if lo != size:
-        raise RangeError(f"segments cover {lo} entries, not {size}")
+            prefix.feed(np.asarray(seg, dtype=np.float64), lo)
+    if next(segments, None) is not None:
+        raise RangeError(f"segments run past {size} entries")
     return Scan(None if moments is None else moments.result(),
-                None if prefix is None else prefix.offsets,
                 np.empty(0) if prefix is None else prefix.sums)
-
-
-def read_sums(a: np.ndarray, offsets: np.ndarray, xs) -> np.ndarray:
-    """S(x) = a_0 + ... + a_x at the integer points xs, shaped like xs, from
-    the chunk offsets a scan of a returned: compensated_cumsum(a)[xs] bit for
-    bit, at one chunk cumsum per point instead of an N-length prefix array."""
-    xs = np.asarray(xs, dtype=np.int64)
-    flat = xs.ravel()
-    order = np.argsort(flat, kind="stable")
-    out = np.empty(flat.size)
-    out[order] = _read_sorted(np.asarray(a, dtype=np.float64), 0, offsets, flat[order])
-    return out.reshape(xs.shape)
 
 
 def compensated_cumsum(a: np.ndarray) -> np.ndarray:

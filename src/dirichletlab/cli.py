@@ -73,6 +73,15 @@ def float_list(v):
     return [float(x) for x in v]
 
 
+def _truncation(flag, v):
+    """The truncation v as an int, once it is finite and at least 2."""
+    if not math.isfinite(v):
+        raise UsageError(f"{flag} must be finite, got {v}")
+    if int(v) < 2:
+        raise UsageError(f"{flag} must be >= 2, got {int(v)}")
+    return int(v)
+
+
 _PARAM_FLAGS = {"gamma": "--gamma", "alpha": "--alpha-param", "blocks": "--blocks"}
 
 
@@ -86,13 +95,7 @@ def _weight_spec(args, n_values):
         raise UsageError(f"unknown weight family {args.name!r}")
     if n_values is None:
         raise UsageError("--N is required")
-    ns = []
-    for v in n_values:
-        if not math.isfinite(v):
-            raise UsageError(f"--N must be finite, got {v}")
-        if int(v) < 2:
-            raise UsageError(f"--N must be >= 2, got {int(v)}")
-        ns.append(int(v))
+    ns = [_truncation("--N", v) for v in n_values]
     params = {"gamma": args.gamma, "alpha": args.alpha_param, "blocks": args.blocks}
     need = W.REQUIRED_PARAM.get(args.name)
     if need is not None and params[need] is None:
@@ -102,8 +105,7 @@ def _weight_spec(args, n_values):
 
 def _load_weight(args):
     (n,), params = _weight_spec(args, None if args.N is None else [args.N])
-    table = build_sieve(n) if args.name in W.NEEDS_TABLE else None
-    return W.catalog(args.name, n, table=table, **params)
+    return W.catalog(args.name, n, **params)
 
 
 def _weight_blob(w):
@@ -127,10 +129,16 @@ def cmd_weights(args):
 
 
 def cmd_sums(args):
-    w = _load_weight(args)
     if args.points < 2:
         raise UsageError("need at least 2 grid points")
+    if args.eta is not None and not 0.0 < args.eta < 1.0:
+        raise UsageError(f"--eta must lie in (0, 1), got {args.eta}")
+    w = _load_weight(args)
     xs = np.unique(np.geomspace(max(2.0, args.lo), w.limit, args.points).astype(np.int64))
+    points = [xs]
+    if args.eta is not None:
+        points.append(np.floor(args.eta * xs.astype(float)).astype(np.int64))
+    W.read(w, np.concatenate(points))  # one scan serves every column below
     header = ["x", "S"]
     cols = [xs.astype(float), W.sums_at(w, xs)]
     alpha = w.expected_alpha if args.ratio_alpha is None else args.ratio_alpha
@@ -172,6 +180,10 @@ def cmd_fit(args):
 
 def cmd_zeta(args):
     if args.what == "abscissas":
+        if args.cross_check_N is not None:
+            cross_n = _truncation("--cross-check-N", args.cross_check_N)
+            if not 1.0 < args.sigma < math.inf:
+                raise UsageError(f"the cross-check needs a finite --sigma > 1, got {args.sigma}")
         rho = prime_zeta_unit_abscissa()
         rho1 = zeta_equals_two_abscissa()
         blob = {
@@ -181,7 +193,6 @@ def cmd_zeta(args):
             "rho1_residual": abs(zeta(rho1).real - 2.0),
         }
         if args.cross_check_N is not None:
-            cross_n = int(args.cross_check_N)
             table = build_sieve(cross_n)
             s = args.sigma
             direct = compensated_sum(table.primes.astype(np.float64) ** (-s))
@@ -234,13 +245,19 @@ def cmd_embed(args):
         raise UsageError("--alpha is required")
     if not n_list:
         raise UsageError("--N-list is empty")
+    if not (math.isfinite(alpha) and alpha < 2.0):
+        raise UsageError(f"--alpha must be finite and below 2 (the supported scale), got {alpha}")
     if kind not in ("blocks", "random"):
         raise UsageError(f"family must be blocks|random, got {kind!r}")
-    win = LocalWindow(args.a, args.b, args.sigma_cap)
-    table = build_sieve(max(n_list)) if name in W.NEEDS_TABLE else None
+    if kind == "random" and args.size < 1:
+        raise UsageError(f"a random family needs --size >= 1, got {args.size}")
+    try:
+        win = LocalWindow(args.a, args.b, args.sigma_cap)
+    except DirichletLabError as e:
+        raise UsageError(str(e))
     rows = []
     for n in sorted(n_list):
-        w = W.catalog(name, n, table=table, **params)
+        w = W.catalog(name, n, **params)
         fam = block_family(w) if kind == "blocks" else random_family(w, args.size, args.seed)
         est = embedding_constant(w, alpha, win, fam)
         rows.append({"N": n, "constant_estimate": est.value,

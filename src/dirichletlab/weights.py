@@ -13,10 +13,10 @@ moment block, never the N-length table, so its memory is bounded by the
 segment size (plus sqrt(N) small primes and the largest moment block, N/33
 entries).  Their array w is built, as the concatenation of the same
 segments, only when something reads it.  Every other family is built whole
-and handed out as views of its array.  S(x) at given points comes from the
-scan's checkpoint reads, bit for bit the entries of partial_sums: a built
-array keeps its chunk offsets, a streamed sequence the sums and moments it
-has read.
+and handed out as views of its array, cut at the same segment edges.  S(x)
+at given points comes from the scan's checkpoint reads, bit for bit the
+entries of partial_sums, and every sequence, built or streamed, keeps one
+memo of the sums and the moments it has read.
 """
 from __future__ import annotations
 
@@ -45,8 +45,8 @@ CATALOG_NAMES = (
     "kadec_spiked",
 )
 
-# families whose construction needs a SieveTable covering the limit
-NEEDS_TABLE = {"dgamma", "besov"}
+# families whose construction reads a SieveTable covering the limit
+_NEEDS_TABLE = {"dgamma", "besov"}
 
 # the one parameter a family cannot be built without
 REQUIRED_PARAM = {"log_power": "alpha", "inv_divisor_pow": "alpha", "dgamma": "gamma",
@@ -104,8 +104,7 @@ class WeightSequence:
         self.expected_alpha = expected_alpha
         self.sigma0 = sigma0
         self._w = w
-        self._offsets: Optional[np.ndarray] = None  # chunk offsets of a built w
-        self._sums: dict = {}  # S(x) read by scans of a streamed sequence
+        self._sums: dict = {}  # x -> S(x) read by scans
         self._moments: dict = {}  # s_max -> accum.BlockMoments
 
     @property
@@ -170,9 +169,9 @@ def catalog(name: str, limit: int, table=None, **params) -> WeightSequence:
     """Construct a catalog weight sequence up to the given limit.
 
     dgamma and besov read their factorizations from a SieveTable covering the
-    limit (the streamed families need none); a family named in REQUIRED_PARAM
-    raises DomainError without that parameter.  A streamed family is built
-    lazily: see WeightSequence.
+    limit: `table` if given, else one built here (the other families need
+    none); a family named in REQUIRED_PARAM raises DomainError without that
+    parameter.  A streamed family is built lazily: see WeightSequence.
     """
     if name not in CATALOG_NAMES:
         raise DomainError(f"unknown weight family {name!r}")
@@ -181,8 +180,10 @@ def catalog(name: str, limit: int, table=None, **params) -> WeightSequence:
     need = REQUIRED_PARAM.get(name)
     if need is not None and params.get(need) is None:
         raise DomainError(f"{name} needs the parameter {need!r}")
-    if name in NEEDS_TABLE:
-        if table is None or table.limit < limit:
+    if name in _NEEDS_TABLE:
+        if table is None:
+            table = arithmetic.build_sieve(limit)
+        elif table.limit < limit:
             raise RangeError(f"{name} needs a sieve table covering limit {limit}")
     w = None if name in STREAMED else _build(name, limit, table, params)
     expected = _EXPECTED_ALPHA.get(name)
@@ -259,31 +260,22 @@ def read(w: WeightSequence, xs=(), s_max: Optional[float] = None) -> tuple:
     """(block moments of w for |s| <= s_max, or None; S at the integer points xs).
 
     The sums have the shape of xs and equal partial_sums(w)[xs] bit for bit.
-    Whatever w has not read before comes from one accum.scan of its segments:
-    a built w keeps its chunk offsets, so a later point costs one chunk's
-    cumsum; a streamed w keeps the sums and the moments it has read.
+    w keeps a memo of the sums (by point) and the moments (by s_max) it has
+    read; whatever is not in it comes from one accum.scan of w's segments,
+    and a read the memo serves whole scans nothing.
     """
     xs = np.asarray(xs, dtype=np.int64)
     if np.any(xs < 0) or np.any(xs > w.limit):
         raise RangeError(f"partial-sum points must lie in [0, {w.limit}]")
-    built = w._w is not None
     new_moments = s_max is not None and s_max not in w._moments
-    if built:  # the first scan of a built w reads its chunk offsets
-        points = () if w._offsets is None else None
-    else:
-        points = sorted(set(xs.ravel().tolist()) - w._sums.keys()) or None
-    if new_moments or points is not None:
-        got = accum.scan(segments(w), w.limit + 1, s_max if new_moments else None, points)
+    points = sorted(set(xs.ravel().tolist()) - w._sums.keys())
+    if new_moments or points:
+        got = accum.scan(segments(w), w.limit + 1, s_max if new_moments else None,
+                         points or None)
         if new_moments:
             w._moments[s_max] = got.moments
-        if built and points is not None:
-            w._offsets = got.offsets
-        elif points is not None:
-            w._sums.update(zip(points, got.sums.tolist()))
-    if built:
-        sums = accum.read_sums(w._w, w._offsets, xs)
-    else:
-        sums = np.array([w._sums[x] for x in xs.ravel().tolist()], dtype=np.float64)
+        w._sums.update(zip(points, got.sums.tolist()))
+    sums = np.array([w._sums[x] for x in xs.ravel().tolist()], dtype=np.float64)
     return (None if s_max is None else w._moments[s_max]), sums.reshape(xs.shape)
 
 

@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dirichletlab import accum, weights as W
 from dirichletlab.accum import (
@@ -336,12 +336,6 @@ def block_moments_reference(a, s_max):
     return accum.BlockMoments(a[1 : min(N, _HEAD) + 1], centre, xmax, mass, mom)
 
 
-def offsets_reference(a):
-    """fsum of the fsum totals of all earlier 4096-chunks, per chunk."""
-    totals = [math.fsum(a[i : i + 4096].tolist()) for i in range(0, a.size, 4096)]
-    return np.array([math.fsum(totals[:k]) for k in range(len(totals))])
-
-
 def _segments(a, size):
     return [a[i : i + size] for i in range(0, a.size, size)]
 
@@ -358,19 +352,19 @@ def _scan_data(kind, n, rng):
     return 10.0 ** rng.uniform(-6.0, 6.0, n) * rng.choice([-1.0, 1.0, 1.0, 1.0], n)
 
 
-# segment edges inside a chunk, on a chunk edge, and inside moment blocks
-SEGMENT_SIZES = [1, 4095, 4097, 5000, 3 * 4096]
+# the cuts scan accepts: whole chunks per segment, edges inside moment blocks;
+# at n = 3e5 and 4096 entries a segment, a moment block spans three segments
+SEGMENT_SIZES = [4096, 2 * 4096, 3 * 4096, 4 * 4096, 5 * 4096]
 
 
 @pytest.mark.parametrize("segment", SEGMENT_SIZES)
 @settings(max_examples=12, deadline=None)
-@given(n=st.sampled_from([4095, 4096, 4097, 4098, 10**5 + 1]),
+@given(n=st.sampled_from([4095, 4096, 4097, 4098, 10**5 + 1, 3 * 10**5 + 3]),
        kind=st.sampled_from(["real", "complex", "kadec_spiked", "nonfinite"]),
        s_max=st.sampled_from([3.3, 12.0]),
        seed=st.integers(0, 2**32 - 1))
+@example(n=3 * 10**5 + 3, kind="real", s_max=3.3, seed=0)
 def test_scan_equals_whole_array_bit_for_bit(segment, n, kind, s_max, seed):
-    if segment == 1 and n > 10**4:
-        n = 3 * 4096 + 7  # a segment per entry: the same edges, fewer Python steps
     a = _scan_data(kind, n, np.random.default_rng(seed))
     rng = np.random.default_rng(seed + 1)
     xs = np.concatenate([[0, n - 1, 4095 % n, 4096 % n], rng.integers(0, n, 20)])
@@ -393,9 +387,7 @@ def test_scan_equals_whole_array_bit_for_bit(segment, n, kind, s_max, seed):
             assert field.tobytes() == np.ascontiguousarray(want).tobytes()
     if prefix is not None:
         S = np.frombuffer(prefix[1])
-        assert got.offsets.tobytes() == offsets_reference(a).tobytes()
         assert got.sums.tobytes() == S[xs].tobytes()
-        assert accum.read_sums(a, got.offsets, xs).tobytes() == S[xs].tobytes()
 
 
 @pytest.mark.parametrize("segment", SEGMENT_SIZES)
@@ -416,4 +408,27 @@ def test_scan_refuses_short_segments_and_far_checkpoints():
         accum.scan([a[:4]], 10, checkpoints=[3])
     with pytest.raises(RangeError):
         accum.scan([a], 10, checkpoints=[10])
-    assert accum.scan([a[:3], a[3:]], 10, checkpoints=[9, 0, 2]).sums.tolist() == [10.0, 1.0, 3.0]
+    assert accum.scan([a], 10, checkpoints=[9, 0, 2]).sums.tolist() == [10.0, 1.0, 3.0]
+
+
+def test_scan_refuses_cuts_other_than_segment_edges(monkeypatch):
+    a = np.arange(20_000, dtype=np.float64)
+    monkeypatch.setattr(accum, "_SEGMENT", 2 * 4096)
+    want = compensated_cumsum(a)
+    got = accum.scan(_segments(a, 2 * 4096), a.size, 3.3, checkpoints=[0, 8191, 8192, 19_999])
+    assert got.sums.tobytes() == want[[0, 8191, 8192, 19_999]].tobytes()
+    cuts = [_segments(a, 4096),  # finer than segment_edges
+            [a],  # coarser
+            _segments(a, 2 * 4096)[:-1],  # short of the end
+            _segments(a, 2 * 4096) + [a[:0]]]  # past it
+    for cut in cuts:
+        for kw in ({"s_max": 3.3}, {"checkpoints": [0]}):
+            with pytest.raises(RangeError):
+                accum.scan(cut, a.size, **kw)
+    for segment in (4095, 5000, 3 * 4096 + 1):  # a segment edge inside a chunk
+        monkeypatch.setattr(accum, "_SEGMENT", segment)
+        for f in (compensated_cumsum, lambda a: block_moments(a, 3.3)):
+            with pytest.raises(RangeError):
+                f(a)
+        with pytest.raises(RangeError):
+            accum.scan(_segments(a, segment), a.size, 3.3)

@@ -137,6 +137,21 @@ def test_zeta_abscissas_report(tmp_path):
     validate(blob, schema("abscissa_report"))
 
 
+@pytest.mark.parametrize("args, named", [
+    (("--cross-check-N", "inf"), "--cross-check-N"),
+    (("--cross-check-N", "nan"), "--cross-check-N"),
+    (("--cross-check-N", "1"), "--cross-check-N"),
+    (("--cross-check-N", "1000", "--sigma", "1"), "--sigma"),
+    (("--cross-check-N", "1000", "--sigma", "0.5"), "--sigma"),
+    (("--cross-check-N", "1000", "--sigma", "nan"), "--sigma"),
+])
+def test_zeta_cross_check_input_is_a_usage_error(args, named, tmp_path, capsys):
+    out = tmp_path / "z.json"
+    assert run("zeta", *args, "--out", out) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_zeta_grid_csv(tmp_path):
     from dirichletlab.zeta import zeta
 
@@ -209,8 +224,29 @@ def test_embed_report(tmp_path):
                "--out-json", out_json, "--out-csv", out_csv) == 0
     validate(json.loads(out_json.read_text()), schema("embed_report"))
     assert run("embed", "--name", "constant", "--alpha", 2.0, "--N-list", "100",
-               "--out-json", out_json, "--out-csv", out_csv) == 1  # off the scale
+               "--out-json", out_json, "--out-csv", out_csv) == 2  # off the scale
     assert run("embed", "--name", "constant", "--N-list", "100") == 2  # no alpha
+
+
+@pytest.mark.parametrize("argv, named", [
+    (("embed", "--name", "constant", "--alpha", "0", "--a", "1", "--b", "0"), "a < b"),
+    (("embed", "--name", "constant", "--alpha", "0", "--sigma-cap", "0.4"), "sigma_cap"),
+    (("embed", "--name", "constant", "--alpha", "3"), "--alpha"),
+    (("embed", "--name", "constant", "--alpha", "nan"), "--alpha"),
+    (("embed", "--name", "constant", "--alpha=-inf"), "--alpha"),
+    (("embed", "--name", "constant", "--alpha", "0", "--family", "random", "--size", "0"),
+     "--size"),
+    (("sums", "--name", "constant", "--N", "1000", "--eta", "1.5"), "--eta"),
+    (("sums", "--name", "constant", "--N", "1000", "--eta", "nan"), "--eta"),
+])
+def test_embed_and_sums_input_is_a_usage_error(argv, named, tmp_path, capsys, monkeypatch):
+    # the input is the user's: exit 2 before any weight is built or file written
+    built = []
+    monkeypatch.setattr(W, "catalog", lambda *a, **k: built.append(a))
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv) == 2
+    assert named in capsys.readouterr().err
+    assert built == [] and list(tmp_path.iterdir()) == []
 
 
 def test_sampling_constant_report(tmp_path):

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dirichletlab import weights as W
+from dirichletlab import accum, weights as W
 from dirichletlab.accum import block_moments, compensated_cumsum
-from dirichletlab.arithmetic import DEFAULT_BUDGET, divisor_count_table, von_mangoldt_segments
+from dirichletlab.arithmetic import (DEFAULT_BUDGET, build_sieve, divisor_count_table,
+                                     von_mangoldt_segments)
 from dirichletlab.errors import BudgetError, DomainError, FitError, RangeError
 
 
@@ -15,8 +16,15 @@ def test_catalog_rejects_unknowns_and_tiny_limits():
         W.catalog("no_such_family", 100)
     with pytest.raises(RangeError):
         W.catalog("constant", 1)
-    with pytest.raises(RangeError):
-        W.catalog("dgamma", 100, gamma=2.0)  # needs a sieve table
+
+
+@pytest.mark.parametrize("name, gamma", [("dgamma", 1.5), ("besov", 0.5)])
+def test_catalog_builds_the_sieve_table_it_needs(name, gamma, table_small):
+    own = W.catalog(name, 20_000, gamma=gamma)  # no table passed: one is built
+    passed = W.catalog(name, 20_000, table=table_small, gamma=gamma)
+    assert own.w.tobytes() == passed.w.tobytes()
+    with pytest.raises(RangeError):  # a passed table must cover the limit
+        W.catalog(name, 20_000, table=build_sieve(10_000), gamma=gamma)
 
 
 def test_constant_weights_and_partial_sums():
@@ -234,15 +242,37 @@ def test_streamed_family_reads_without_its_array(name):
         assert got.tobytes() == want.tobytes()
 
 
-def test_built_sequence_reads_sums_from_cached_offsets():
+def test_built_sequence_reads_each_new_point_set_in_one_scan(monkeypatch):
     w = W.catalog("log_power", 10**5, alpha=1.0)
     S = W.partial_sums(w)
+    scans, scan = [], accum.scan
+    monkeypatch.setattr(accum, "scan", lambda *a, **k: scans.append(1) or scan(*a, **k))
     xs = np.arange(0, 10**5 + 1, 997)
     assert W.sums_at(w, xs).tobytes() == S[xs].tobytes()
-    assert w._offsets.size == -(-(10**5 + 1) // 4096)
-    assert W.sum_upto(w, 77_777.5) == S[77_777]
+    assert len(scans) == 1
+    moments, sums = W.read(w, xs[::-1], 3.3)  # known points, new moments
+    assert sums.tobytes() == S[xs[::-1]].tobytes() and len(scans) == 2
+    assert W.read(w, xs[:5], 3.3)[0] is moments and len(scans) == 2  # all in the memo
+    assert W.sum_upto(w, 77_777.5) == S[77_777] and len(scans) == 3
+    assert W.sums_at(w, [77_777, 0]).tobytes() == S[[77_777, 0]].tobytes()
+    assert len(scans) == 3
     with pytest.raises(RangeError):
         W.sums_at(w, [10**5 + 1])
+
+
+@pytest.mark.parametrize("segment", [4096, accum._SEGMENT])
+@pytest.mark.parametrize("limit", [4095, 3 * 4096, 10**5 + 3])
+def test_every_sequence_is_cut_at_segment_edges(segment, limit, monkeypatch):
+    monkeypatch.setattr(accum, "_SEGMENT", segment)
+    want = [hi - lo for lo, hi in accum.segment_edges(limit + 1)]
+    for name, build in W.STREAMED.items():
+        assert [seg.size for seg in build(limit)] == want, name
+        w = W.catalog(name, limit)
+        assert [seg.size for seg in W.segments(w)] == want, name  # from the builder
+        w.w
+        assert [seg.size for seg in W.segments(w)] == want, name  # views of the array
+    w = W.catalog("constant", limit)
+    assert [seg.size for seg in W.segments(w)] == want
 
 
 def test_streamed_table_past_the_budget_is_refused():
