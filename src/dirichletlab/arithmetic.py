@@ -217,14 +217,18 @@ def von_mangoldt_segments(limit: int):
         yield lam
 
 
+_SPF_RANGE = 1 << 18  # the most n one step of _spf_pass handles
+
+
 def _spf_pass(table: SieveTable, *rules) -> list:
     """Tables over 0..limit of f(p^e m) = op(g(e), f(m)), p the smallest prime
     factor and p not dividing m, one per rule (g, op, dtype).
 
     op=np.multiply builds a multiplicative table, op=np.add an additive one;
-    slot 1 holds op's identity and slot 0 is 0.  n runs through the dyadic
-    ranges [2^k, 2^(k+1)): n // spf(n) <= n/2 lies in an earlier range, so
-    every entry read is final.  Beside the tables the pass keeps the exponent
+    slot 1 holds op's identity and slot 0 is 0.  n runs through the ranges
+    [lo, min(2 lo, lo + _SPF_RANGE)): n // spf(n) <= n/2 < lo lies in an
+    earlier range, so every entry read is final, and no range's temporaries
+    exceed _SPF_RANGE entries.  Beside the tables the pass keeps the exponent
     e of spf(n) in n and the cofactor m = n / spf(n)^e, shared by all rules.
     """
     spf, limit = table.spf, table.limit
@@ -237,7 +241,7 @@ def _spf_pass(table: SieveTable, *rules) -> list:
     cof = np.ones(limit + 1, dtype=np.int32)
     lo = 2
     while lo <= limit:
-        hi = min(2 * lo, limit + 1)
+        hi = min(2 * lo, lo + _SPF_RANGE, limit + 1)
         p = spf[lo:hi]
         m = np.arange(lo, hi, dtype=np.int32) // p
         same = spf[m] == p

@@ -24,7 +24,8 @@ from . import tauberian as T
 from . import weights as W
 from .accum import compensated_sum
 from .arithmetic import build_sieve
-from .embedding import LocalWindow, block_family, embedding_constant, random_family
+from .embedding import (ALPHA_HIGH, ALPHA_LOW, LocalWindow, block_family, embedding_constant,
+                        random_family)
 from .errors import DirichletLabError
 from .zeta import (KernelSpec, kernel_eval, kernel_region, prime_zeta,
                    prime_zeta_unit_abscissa, zeta, zeta_equals_two_abscissa)
@@ -245,8 +246,9 @@ def cmd_embed(args):
         raise UsageError("--alpha is required")
     if not n_list:
         raise UsageError("--N-list is empty")
-    if not (math.isfinite(alpha) and alpha < 2.0):
-        raise UsageError(f"--alpha must be finite and below 2 (the supported scale), got {alpha}")
+    if not ALPHA_LOW < alpha < ALPHA_HIGH:  # also rejects nan
+        raise UsageError(f"--alpha must lie in the supported scale {ALPHA_LOW:g} < alpha < "
+                         f"{ALPHA_HIGH:g}, got {alpha}")
     if kind not in ("blocks", "random"):
         raise UsageError(f"family must be blocks|random, got {kind!r}")
     if kind == "random" and args.size < 1:

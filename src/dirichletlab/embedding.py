@@ -75,6 +75,12 @@ def _leggauss(n: int):
     return x, w
 
 
+# The alpha scale the local norms evaluate: below 2 the sigma integral
+# converges at the boundary, and above -1024 the sigma rule's mass scale
+# 2^(-alpha) is a finite float64.
+ALPHA_LOW, ALPHA_HIGH = -1024.0, 2.0
+
+
 @lru_cache(maxsize=64)
 def _jacgauss(n: int, e: float):
     """Gauss-Jacobi rule for integral_{-1}^{1} f(x) (1+x)^e dx, e > -1.
@@ -196,8 +202,9 @@ def dalpha_local_norm(
     alpha < 2; at alpha >= 2 the sigma integral diverges at the boundary.
     """
     alpha = float(alpha)
-    if not alpha < 2.0:  # also rejects nan
-        raise DomainError(f"alpha = {alpha} is outside the supported scale alpha < 2")
+    if not ALPHA_LOW < alpha < ALPHA_HIGH:  # also rejects nan
+        raise DomainError(f"alpha = {alpha} is outside the supported scale "
+                          f"{ALPHA_LOW:g} < alpha < {ALPHA_HIGH:g}")
     if alpha == 0.0:
         raise DomainError("alpha = 0 is the sup-L2 case; use local_sup_l2")
     bm = _moments(F if alpha < 0 else derivative(F), win)

@@ -4,16 +4,26 @@ Every writer goes through one atomic temp+rename (`_atomic_open`): a
 failed run leaves no half-written file and keeps any earlier artifact, and
 a new file gets the mode a plain ``open(path, "w")`` would give it (0o666
 less the umask).  The CSV writer is column-wise and streamed: `write_csv`
-takes equal-length 1-D columns, builds one row format from their dtypes
-(``%.17g`` for floats, ``%d`` for integers) and formats fixed blocks of rows
-straight into the temp file.  Every float is printed with 17 significant
-digits ('.' decimal, no locale), so a re-run with the same inputs is
-byte-identical and values round-trip exactly through float64.
+takes equal-length 1-D columns and writes fixed blocks of rows straight
+into the temp file.  The bytes are exactly those of ``'%.17g' %`` per float
+and ``'%d' %`` per integer: 17 significant digits ('.' decimal, no locale),
+so a re-run with the same inputs is byte-identical and values round-trip
+exactly through float64.
+
+A numpy kernel builds each block's bytes at once.  Floats: the correctly
+rounded 17-digit significand comes from a double-double product (Dekker's
+TwoProduct) of |x| with 10^(16-k); a value within 1e-6 of a rounding tie,
+nan, +-inf, or outside [1e-280, 1e280] takes the ``%`` call instead, one
+value at a time.  Digits come four at a time from a table of 0..9999.
+Each column gets a fixed-width field per row and a keep mask of the bytes
+its %g (or %d) layout shows; one boolean compaction per block yields the
+CSV text.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import os
 from typing import Iterable, Sequence
@@ -27,12 +37,12 @@ __all__ = [
     "curve_svg",
 ]
 
-_CSV_BLOCK = 1 << 16  # rows formatted per write
+_CSV_BLOCK = 1 << 14  # rows per block: the kernel's 8-byte temporaries stay at 128 KB
 
 
 @contextlib.contextmanager
 def _atomic_open(path: str):
-    """A text file that replaces `path` only if the block exits cleanly."""
+    """A binary file that replaces `path` only if the block exits cleanly."""
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
     tmp = os.path.join(d, f".tmp-{os.urandom(8).hex()}~")
@@ -40,7 +50,7 @@ def _atomic_open(path: str):
     # tempfile.mkstemp forces 0o600, and os.replace keeps the mode
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+        with os.fdopen(fd, "wb") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -53,15 +63,246 @@ def _atomic_open(path: str):
 
 def atomic_write_text(path: str, text: str) -> None:
     with _atomic_open(path) as fh:
-        fh.write(text)
+        fh.write(text.encode("utf-8"))
 
 
-def _column_format(col: np.ndarray) -> str:
-    if col.dtype.kind == "f":
-        return "%.17g"
-    if col.dtype.kind in "iu":
-        return "%d"
-    raise TypeError(f"CSV columns must be float or integer arrays, got dtype {col.dtype}")
+# --- CSV kernel: floats -------------------------------------------------------
+
+_SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitter for float64
+_TIE_MARGIN = 1e-6  # in units of the 17th digit: closer to a tie goes to %
+_FAST_LO, _FAST_HI = 1e-280, 1e280  # every double-double product stays normal here
+_U = np.uint64
+_POW10 = np.array([10**j for j in range(20)], np.uint64)
+
+
+@functools.lru_cache(maxsize=None)
+def _pow10_dd(p: int) -> tuple:
+    """10^p as a double-double (hi, lo): hi correctly rounded, lo the rounded rest."""
+    if p >= 0:
+        e = 10**p
+        hi = float(e)
+        return hi, float(e - int(hi))
+    q = 10**-p
+    hi = 1 / q  # int / int is correctly rounded
+    num, den = hi.as_integer_ratio()
+    return hi, (den - num * q) / (den * q)
+
+
+def _split(a: np.ndarray) -> tuple:
+    c = a * _SPLIT
+    ah = c - (c - a)
+    return ah, a - ah
+
+
+def _scaled(a: np.ndarray, k: np.ndarray) -> tuple:
+    """a * 10^(16 - k) as a double-double (hi, lo), by Dekker's TwoProduct."""
+    p = 16 - k
+    p0 = int(p.min())
+    ph, pl = np.array([_pow10_dd(q) for q in range(p0, int(p.max()) + 1)]).T
+    ph, pl = np.take(ph, p - p0), np.take(pl, p - p0)
+    hi = a * ph
+    ah, al = _split(a)
+    bh, bl = _split(ph)
+    return hi, ((ah * bh - hi) + ah * bl + al * bh) + al * bl + a * pl
+
+
+def _significand17(a: np.ndarray) -> tuple:
+    """(D, X, ok): D * 10^(X - 16) is the 17-digit correct rounding of each a
+    in [1e-280, 1e280], 10^16 <= D < 10^17, unless ok is False: a lies within
+    _TIE_MARGIN of a rounding tie, where D may be off by one."""
+    k = np.floor(np.log10(a)).astype(np.int64)
+    hi, lo = _scaled(a, k)
+    # log10 can miss the decade next to a power of ten: both tests read the
+    # first estimate, and each value moves at most once, to k - 1 or k + 1
+    for step, wrong in ((-1, (hi - 1e16) + lo < 0.0), (1, (hi - 1e17) + lo >= 0.0)):
+        j = np.flatnonzero(wrong)
+        if j.size:
+            k[j] += step
+            hi[j], lo[j] = _scaled(a[j], k[j])
+    r = np.rint(hi)
+    f = (hi - r) + lo  # hi - r is exact (Sterbenz)
+    g = np.rint(f)
+    ok = np.abs(f - g) < 0.5 - _TIE_MARGIN
+    D = (r.astype(np.int64) + g.astype(np.int64)).astype(np.uint64)
+    top = D == 10**17  # rounded up into the next decade
+    D[top] = 10**16
+    k[top] += 1
+    ok &= (D >= 10**16) & (D < 10**17)
+    return D, k, ok
+
+
+@functools.lru_cache(maxsize=None)
+def _digit_table() -> np.ndarray:
+    """The 4 ASCII digits of 0..9999 as one uint32 each, in memory order."""
+    pairs = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), np.uint8).reshape(100, 2)
+    quads = np.empty((100, 100, 4), np.uint8)
+    quads[:, :, :2] = pairs[:, None]
+    quads[:, :, 2:] = pairs
+    return quads.view(np.uint32).ravel()
+
+
+def _digits(v: np.ndarray, groups: int) -> np.ndarray:
+    """(n, 4 * groups) ASCII digits of each uint64 v < 10^(4 * groups), leading zeros kept."""
+    table = _digit_table()
+    out = np.empty((v.size, groups), np.uint32)
+    for g in range(groups - 1, 0, -1):
+        q = v // _U(10000)
+        out[:, g] = np.take(table, v - q * _U(10000))
+        v = q
+    out[:, 0] = np.take(table, v)
+    return out.view(np.uint8)
+
+
+def _decimal_trailing_zeros(v: np.ndarray) -> np.ndarray:
+    """How many times 10 divides each positive uint64 v < 10^17."""
+    t = np.zeros(v.size, np.int64)
+    for s in (16, 8, 4, 2, 1):
+        p = _U(10**s)
+        q = v // p
+        hit = q * p == v
+        v = np.where(hit, q, v)
+        t += s * hit
+    return t
+
+
+# A float field is _F_WIDTH bytes before its separator:
+#   sign | lead (5) | A (17) | '.' | B (16) | e (1), exponent sign (1), 3 digits
+# The 17 digits D of the value split at the decimal point: A holds the
+# integer part right-aligned and B the fraction left-aligned, so the shown
+# "A tail . B head" is one run of bytes whatever the point's place.  Layout
+# classes, by the decimal exponent X of the rounded value:
+#   0..16      fixed form, X >= 0: X + 1 digits in A, the rest in B;
+#   17 + z     fixed form "0." + z zeros + D, X = -1 - z, z = 0..3: the
+#              "0." and zeros are the tail of the lead, D is all in A;
+#   21, 22     exponent form, X < -4 or X > 16: one digit in A, 16 in B,
+#              then "e+dd" (21) or "e+ddd" (22).
+# Only the trailing zeros of the fraction are dropped, as %g drops them.
+_LEAD, _A, _DOT, _B, _E = 1, 6, 23, 24, 40
+_F_WIDTH = 45
+_SMALL, _EXP = 17, 21
+_X_MAX = 300  # lead and exponent bytes are tabulated for |X| <= _X_MAX
+
+
+@functools.lru_cache(maxsize=None)
+def _float_tables() -> tuple:
+    """(keep, xbytes): keep[18 * layout class + shown digits] is a float
+    field's keep mask, sign aside; xbytes[X + _X_MAX] its lead and exponent."""
+    keep = np.zeros((23, 18, _F_WIDTH), bool)
+    for thr in range(1, 18):
+        for X in range(17):
+            keep[X, thr, _A + 16 - X:_DOT] = True
+            keep[X, thr, _DOT:_B + thr - X - 1] = thr > X + 1
+        for z in range(4):
+            keep[_SMALL + z, thr, _LEAD + 3 - z:_A + thr] = True
+        for c, e in ((_EXP, 2), (_EXP + 1, 3)):
+            keep[c, thr, _DOT - 1] = True
+            keep[c, thr, _DOT:_B + thr - 1] = thr > 1
+            keep[c, thr, _E:_E + 2] = True
+            keep[c, thr, _E + 5 - e:_E + 5] = True
+    text = "".join(("0" * (4 + X) + "0." + "0" * (-1 - X) if -4 <= X < 0 else "00000")
+                   + "e%+04d" % X for X in range(-_X_MAX, _X_MAX + 1))
+    xbytes = np.frombuffer(text.encode(), np.uint8).reshape(2 * _X_MAX + 1, 10)
+    return keep.reshape(23 * 18, _F_WIDTH), xbytes
+
+
+def _float_rows(a: np.ndarray, buf: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Fill buf's rows with the %.17g bytes of each a in [1e-280, 1e280] and
+    keep with the bytes shown, sign aside; return False where a needs %."""
+    D, X, ok = _significand17(a)
+    m = np.full(a.size, 17)  # digits left after the trailing zeros
+    j = np.flatnonzero(D % _U(10) == 0)
+    m[j] -= _decimal_trailing_zeros(D[j])
+    expo = (X < -4) | (X > 16)
+    small = ~expo & (X < 0)
+    cls = np.where(expo, _EXP + (np.abs(X) >= 100), np.where(small, _SMALL - 1 - X, X))
+    thr = np.where(expo | small, m, np.maximum(m, X + 1))  # digits 0..thr-1 are shown
+    split = np.where(expo, 0, np.where(small, 16, X))  # digits 0..split go to A
+    unit = _POW10[16 - split]
+    L = D // unit
+    keep_table, xbytes = _float_tables()
+
+    na = min(len(str(int(L.max()))), 17)  # A's slots that can hold a shown digit
+    buf[:, _DOT - na:_DOT] = _digits(L, -(-na // 4))[:, -na:]
+    buf[:, _DOT] = ord(".")
+    buf[:, _B:_E] = _digits((D - L * unit) * _POW10[split], 4)
+    if (expo | small).any():
+        xb = np.take(xbytes, X + _X_MAX, axis=0)
+        buf[:, _LEAD:_A] = xb[:, :5]
+        buf[:, _E:] = xb[:, 5:]
+    keep[:] = np.take(keep_table, 18 * cls + thr, axis=0)
+    return ok
+
+
+def _float_field(x: np.ndarray, buf: np.ndarray, keep: np.ndarray) -> None:
+    """Fill buf's rows (_F_WIDTH wide) with %.17g of x and keep with the bytes shown."""
+    x = x.astype(np.float64, copy=False)
+    ax = np.abs(x)
+    fast = (ax >= _FAST_LO) & (ax <= _FAST_HI)
+    slow = ~fast & (ax != 0.0)  # nan, inf, and the outskirts of the range
+    rows = np.flatnonzero(fast)
+    # zeros print as "0" or "-0"; a column of mostly zeros formats only the rest
+    buf[:, _DOT - 1] = ord("0")
+    keep[:] = False
+    keep[:, _DOT - 1] = True
+    if rows.size == x.size:
+        slow[~_float_rows(ax, buf, keep)] = True
+    elif rows.size:
+        b = np.empty((rows.size, _F_WIDTH), np.uint8)
+        k = np.empty(b.shape, bool)
+        slow[rows[~_float_rows(ax[rows], b, k)]] = True
+        buf[rows] = b
+        keep[rows] = k
+    buf[:, 0] = ord("-")
+    keep[:, 0] = np.signbit(x)
+
+    rows = np.flatnonzero(slow)
+    if rows.size:  # the % fallback, one value at a time
+        text = ["%.17g" % v for v in x[rows].tolist()]
+        buf[rows] = np.array(text, dtype=f"S{_F_WIDTH}").view(np.uint8).reshape(rows.size, -1)
+        keep[rows] = np.arange(_F_WIDTH) < np.array([len(s) for s in text])[:, None]
+
+
+# --- CSV kernel: integers and blocks --------------------------------------------
+
+
+def _int_width(v: np.ndarray) -> int:
+    """Digits of the largest magnitude in the non-empty v."""
+    return len(str(max(int(v.max()), -int(v.min()))))
+
+
+def _int_field(v: np.ndarray, nd: int, buf: np.ndarray, keep: np.ndarray) -> None:
+    """Fill buf's rows (sign, then nd digit slots) with %d of v and keep with the bytes shown."""
+    if v.dtype.kind == "u":
+        mag = v.astype(np.uint64)
+        neg = np.zeros(v.size, bool)
+    else:
+        v = v.astype(np.int64, copy=False)
+        neg = v < 0
+        mag = v.astype(np.uint64)
+        np.negative(mag, out=mag, where=neg)  # two's complement: exact down to -2^63
+    ndig = np.searchsorted(_POW10[1:], mag, side="right") + 1
+    buf[:, 0] = ord("-")
+    buf[:, 1:] = _digits(mag, -(-nd // 4))[:, -nd:]
+    keep[:, 0] = neg
+    keep[:, 1:] = np.arange(nd) >= nd - ndig[:, None]
+
+
+def _csv_block(cols: list) -> np.ndarray:
+    """The CSV bytes of one block of rows, as a uint8 array."""
+    widths = [_F_WIDTH if c.dtype.kind == "f" else 1 + _int_width(c) for c in cols]
+    buf = np.empty((cols[0].size, sum(widths) + len(cols)), np.uint8)
+    keep = np.empty(buf.shape, bool)
+    a = 0
+    for c, w in zip(cols, widths):
+        if c.dtype.kind == "f":
+            _float_field(c, buf[:, a:a + w], keep[:, a:a + w])
+        else:
+            _int_field(c, w - 1, buf[:, a:a + w], keep[:, a:a + w])
+        buf[:, a + w] = ord(",")
+        keep[:, a + w] = True
+        a += w + 1
+    buf[:, -1] = ord("\n")
+    return buf[keep]
 
 
 def write_csv(path: str, header: Sequence[str], columns: Iterable) -> None:
@@ -74,12 +315,13 @@ def write_csv(path: str, header: Sequence[str], columns: Iterable) -> None:
     n = cols[0].size if cols else 0
     if any(c.size != n for c in cols):
         raise ValueError(f"ragged CSV columns: lengths {[c.size for c in cols]}")
-    fmt = ",".join(map(_column_format, cols)) + "\n"
+    for c in cols:
+        if c.dtype.kind not in "fiu":
+            raise TypeError(f"CSV columns must be float or integer arrays, got dtype {c.dtype}")
     with _atomic_open(path) as fh:
-        fh.write(",".join(header) + "\n")
+        fh.write((",".join(header) + "\n").encode("utf-8"))
         for a in range(0, n, _CSV_BLOCK):
-            rows = zip(*(c[a:a + _CSV_BLOCK].tolist() for c in cols))
-            fh.write("".join(map(fmt.__mod__, rows)))
+            fh.write(_csv_block([c[a:a + _CSV_BLOCK] for c in cols]))
 
 
 def _jsonable(obj):

@@ -189,32 +189,60 @@ def beurling_lower_density(
     )
 
 
+def _insertion_near(pos: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """searchsorted(pos, t, "left") where t[j] lies next to pos[j]: a local
+    comparison, with a binary search only where the neighbours disagree."""
+    j = np.arange(t.size)
+    hi = j + (pos < t)
+    n = pos.size
+    right_ok = (hi == n) | (pos[np.minimum(hi, n - 1)] >= t)
+    left_ok = (hi == 0) | (pos[np.maximum(hi - 1, 0)] < t)
+    far = np.flatnonzero(~(right_ok & left_ok))
+    if far.size:
+        hi[far] = np.searchsorted(pos, t[far], side="left")
+    return hi
+
+
+def _bad_anchors(m: AtomicMeasure, x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                 h: float, beta: float, eps: float) -> np.ndarray:
+    """The anchors x in the scan range whose window [x, x + h), atoms lo..hi-1,
+    breaks nu/(1+x^2)^beta <= eps."""
+    q = (m.cum[hi] - m.cum[lo]) / (1.0 + x**2) ** beta
+    return x[(x >= m.domain_low) & (x + h <= m.domain_bound) & (q > eps)]
+
+
 def continuity_at_infinity(m: AtomicMeasure, beta: float, eps: float) -> ContinuityResult:
     """Search (R, h) with nu[x, x+h)/(1+x^2)^beta <= eps for all |x| >= R.
 
     h walks down 1, 1/2, 1/4, ..., 2^-12; for each h the violating anchors are
-    scanned (atoms and atoms - h, the attainable extrema).  A witness only
-    counts if the clean zone [R, horizon] keeps 5 units of headroom,
-    since beyond the horizon the measure is unknown, not zero.  Failure
-    reports the blocking atom nearest the horizon for the smallest h tried.
+    scanned: the atoms and the atoms - h, the attainable extrema.  A window
+    anchored at an atom starts at its own index, and one anchored h before
+    atom j ends next to j, so each family needs one binary search, not a
+    sort of both.  A witness only counts if the clean zone [R, horizon]
+    keeps 5 units of headroom, since beyond the horizon the measure is
+    unknown, not zero.  Failure reports the blocking anchor nearest the
+    horizon for the smallest h tried (of -a and +a, the first: -a).
     """
     if eps <= 0.0:
         raise RangeError("eps must be positive")
+    pos = m.positions
     h = 1.0
     blocking = None
     while h >= 2.0**-12:
-        anchors = np.unique(np.concatenate([m.positions, m.positions - h]))
-        anchors = anchors[(anchors >= m.domain_low) & (anchors + h <= m.domain_bound)]
-        if anchors.size == 0:
-            return ContinuityResult(passed=True, radius=0.0, block=h, blocking_x=None)
-        q = _window_masses(m, anchors, h) / (1.0 + anchors**2) ** beta
-        bad = anchors[q > eps]
+        starts = pos - h
+        bad = np.concatenate([
+            _bad_anchors(m, pos, np.arange(pos.size),
+                         np.searchsorted(pos, pos + h, side="left"), h, beta, eps),
+            _bad_anchors(m, starts, np.searchsorted(pos, starts, side="left"),
+                         _insertion_near(pos, starts + h), h, beta, eps),
+        ])
         if bad.size == 0:
             return ContinuityResult(passed=True, radius=0.0, block=h, blocking_x=None)
-        need = float(np.max(np.abs(bad))) + h
+        far = float(np.max(np.abs(bad)))
+        need = far + h
         if need <= m.domain_bound - 5.0:
             return ContinuityResult(passed=True, radius=need, block=h, blocking_x=None)
-        blocking = float(bad[np.argmax(np.abs(bad))])
+        blocking = float(np.min(bad[np.abs(bad) == far]))
         h /= 2.0
     return ContinuityResult(passed=False, radius=math.inf, block=2.0 * h, blocking_x=blocking)
 

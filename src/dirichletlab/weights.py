@@ -339,6 +339,9 @@ def fit_alpha(w: WeightSequence, x_grid=None) -> AsymptoticFit:
     vals = sums_at(w, np.floor(xs).astype(np.int64))
     if np.any(vals <= 0):
         raise FitError("partial sums vanish on part of the grid")
+    over = np.flatnonzero(~np.isfinite(vals))
+    if over.size:
+        raise FitError(f"partial sums are not finite on the grid from x = {xs[over[0]]:g} on")
     y = np.log(xs / vals)
     t = np.log(np.log(xs))
     slope, intercept = np.polyfit(t, y, 1)
@@ -360,4 +363,8 @@ def block_sums(w: WeightSequence, eta: float, xs) -> np.ndarray:
         raise RangeError("block endpoints must lie in [1, limit]")
     idx = np.floor(np.stack([xs, eta * xs])).astype(np.int64)
     S = sums_at(w, idx)
+    clash = np.flatnonzero(np.isinf(S[0]) & (S[0] == S[1]))
+    if clash.size:
+        raise DomainError(f"block sum over ({eta:g} x, x] at x = {xs[clash[0]]:g} is inf - inf: "
+                          "S(x) and S(eta x) overflow float64")
     return S[0] - S[1]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -127,6 +128,40 @@ def test_omega_and_exponent_factorial_tables_from_one_pass(table_small):
     # the two rules of one pass give the tables of two single-rule passes
     assert np.array_equal(om, arithmetic._spf_pass(table_small, arithmetic._OMEGA)[0])
     assert np.array_equal(ef, arithmetic._spf_pass(table_small, arithmetic._EXPONENT_FACTORIAL)[0])
+
+
+def spf_tables(table):
+    return (*omega_and_exponent_factorial_tables(table), generalized_divisor_table(1.5, table))
+
+
+@pytest.mark.parametrize("limit, cap", [
+    (2**18 - 1, None), (2**18, None), (2**18 + 1, None), (2**19 + 1, None),
+    (2**19 + 2**18 + 3, None), (2**20 + 5, None),
+    (999, 8), (1000, 8), (1024, 8), (1025, 7), (4099, 64),
+])
+def test_spf_pass_capped_ranges_equal_the_dyadic_ranges(limit, cap, monkeypatch):
+    # n // spf(n) <= n/2 lies in an earlier range however the ranges are cut
+    table = build_sieve(limit)
+    if cap is not None:
+        monkeypatch.setattr(arithmetic, "_SPF_RANGE", cap)
+    capped = spf_tables(table)
+    monkeypatch.setattr(arithmetic, "_SPF_RANGE", 2**62)
+    for got, want in zip(capped, spf_tables(table)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_spf_pass_temporaries_stay_within_one_range():
+    limit = 2**21 + 1
+    table = build_sieve(limit)
+    tracemalloc.start()
+    try:
+        omega_and_exponent_factorial_tables(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 14 bytes per entry stay: the int8 and float64 tables, exponent and cofactor;
+    # the rest is one range's temporaries (~7 MiB; the last dyadic range took 29 MiB)
+    assert peak - 14 * (limit + 1) < 40 * arithmetic._SPF_RANGE
 
 
 def test_generalized_divisor_gamma2_is_divisor_count(table_small):

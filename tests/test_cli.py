@@ -238,6 +238,8 @@ def test_embed_report(tmp_path):
      "--size"),
     (("sums", "--name", "constant", "--N", "1000", "--eta", "1.5"), "--eta"),
     (("sums", "--name", "constant", "--N", "1000", "--eta", "nan"), "--eta"),
+    (("embed", "--name", "constant", "--alpha=-1100", "--N-list", "100"), "-1100"),
+    (("embed", "--name", "constant", "--alpha=-1e308", "--N-list", "100"), "-1e+308"),
 ])
 def test_embed_and_sums_input_is_a_usage_error(argv, named, tmp_path, capsys, monkeypatch):
     # the input is the user's: exit 2 before any weight is built or file written
@@ -247,6 +249,30 @@ def test_embed_and_sums_input_is_a_usage_error(argv, named, tmp_path, capsys, mo
     assert run(*argv) == 2
     assert named in capsys.readouterr().err
     assert built == [] and list(tmp_path.iterdir()) == []
+
+
+def test_embed_alpha_deep_on_the_scale_still_runs(tmp_path):
+    # 2^900, the sigma rule's mass scale at alpha = -900, is a finite float64
+    assert run("embed", "--name", "constant", "--alpha=-900", "--N-list", "100",
+               "--out-csv", tmp_path / "e.csv", "--out-json", tmp_path / "e.json") == 0
+
+
+@pytest.mark.parametrize("argv, named", [
+    (("fit", "--name", "kadec_spiked", "--blocks", "5", "--N", "1e5", "--out", "f.json"),
+     "x = 1000"),
+    (("sums", "--name", "kadec_spiked", "--blocks", "5", "--N", "1e5", "--eta", "0.5",
+      "--out", "s.csv"), "x = 1441"),
+])
+def test_overflowing_partial_sums_are_a_compute_error(argv, named, tmp_path, capsys,
+                                                      monkeypatch):
+    # the e^n spikes overflow S(x) to inf: a fit through it or a block sum
+    # inf - inf has no value, so the command refuses instead of writing nan
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("compute error:") and err.count("\n") == 1
+    assert named in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sampling_constant_report(tmp_path):

@@ -91,6 +91,9 @@ def test_alpha_above_one_unsupported():
         dalpha_local_norm(monomial(2), math.nan, WIN)
     with pytest.raises(DomainError):
         dalpha_local_norm(monomial(2), 0.0, WIN)  # sup-L2 lives elsewhere
+    with pytest.raises(DomainError):
+        dalpha_local_norm(monomial(2), -1100.0, WIN)  # 2^1100 overflows the sigma rule
+    assert math.isfinite(dalpha_local_norm(monomial(2), -900.0, WIN).value)
 
 
 def _random_poly(seed, n):

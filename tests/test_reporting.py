@@ -1,6 +1,7 @@
 import errno
 import math
 import os
+from decimal import Decimal
 from unittest import mock
 
 import numpy as np
@@ -194,3 +195,94 @@ def test_sampling_atoms_match_reference(tmp_path):
     mu = sampling.measure_from_weights(W.catalog("mangoldt", N, table=build_sieve(N)))
     assert atoms.read_text() == ref_csv(["position", "mass"],
                                         zip(mu.positions.tolist(), mu.masses.tolist()))
+
+
+# --- the vectorised digit kernel prints exactly what % prints ------------------
+
+
+def percent_csv(header, cols) -> bytes:
+    """The CSV that one '%.17g' or '%d' per value writes."""
+    fmts = ["%.17g" if c.dtype.kind == "f" else "%d" for c in cols]
+    lines = [",".join(header)]
+    for row in zip(*(c.tolist() for c in cols)):
+        lines.append(",".join(f % v for f, v in zip(fmts, row)))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def assert_prints_as_percent(tmp_path, *cols):
+    header = [f"c{i}" for i in range(len(cols))]
+    path = tmp_path / "t.csv"
+    reporting.write_csv(str(path), header, cols)
+    got, want = path.read_bytes().split(b"\n"), percent_csv(header, cols).split(b"\n")
+    # name the first differing row, not a megabyte diff
+    bad = next(((a, b) for a, b in zip(got, want) if a != b), None)
+    assert bad is None, f"wrote {bad[0]!r} where % prints {bad[1]!r}"
+    assert len(got) == len(want)
+
+
+def test_kernel_on_a_million_random_bit_patterns(tmp_path):
+    bits = np.random.default_rng(20261018).integers(0, 2**64, 10**6, dtype=np.uint64)
+    assert_prints_as_percent(tmp_path, bits.view(np.float64))
+
+
+def test_kernel_next_to_the_powers_of_ten(tmp_path):
+    p = np.array([float(f"1e{k}") for k in range(-300, 301)])
+    up1, down1 = np.nextafter(p, np.inf), np.nextafter(p, 0.0)
+    up2, down2 = np.nextafter(up1, np.inf), np.nextafter(down1, 0.0)
+    x = np.concatenate([p, up1, up2, down1, down2])
+    assert_prints_as_percent(tmp_path, np.concatenate([x, -x]))
+
+
+def exact_ties():
+    """Doubles N / 2^q whose exact decimal expansion has 18 significant digits,
+    the last a 5: the 17-digit rounding of each is a tie, broken to even."""
+    rng = np.random.default_rng(7)
+    out = []
+    for q in range(1, 57):
+        lo, hi = -(-10**17 // 5**q), (10**18 - 1) // 5**q
+        hi = min(hi, 2**53 - 1)
+        if lo > hi:
+            continue
+        for N in rng.integers(lo, hi + 1, 60).tolist():
+            N |= 1
+            if N <= hi:
+                out.append(N / 2**q)
+    return np.unique(out)
+
+
+def test_kernel_on_exact_ties_of_the_eighteenth_digit(tmp_path):
+    x = exact_ties()
+    assert x.size > 1000
+    for v in x[::25]:  # exactly 18 significant digits, the last a 5: ties
+        digits = Decimal(float(v)).as_tuple().digits
+        assert len(digits) == 18 and digits[-1] == 5
+    x = np.concatenate([x, -x, np.nextafter(x, np.inf), np.nextafter(x, 0.0)])
+    assert_prints_as_percent(tmp_path, x)
+
+
+def test_kernel_on_special_values(tmp_path):
+    tiny = np.float64(5e-324)
+    x = np.array([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, tiny, -tiny,
+                  2.2250738585072009e-308, 2.2250738585072014e-308, -2.2250738585072014e-308,
+                  1.7976931348623157e308, -1.7976931348623157e308, 1e-280, 1e280,
+                  np.nextafter(1e-280, 0.0), np.nextafter(1e280, np.inf),
+                  0.5, 1.0, 1e-5, 1e-4, 9.9999999999999995e-5, 1e16, 1e17, 2.0**53 + 2])
+    subnormals = np.arange(1, 2000, dtype=np.uint64).view(np.float64) * 7.0
+    assert_prints_as_percent(tmp_path, np.concatenate([x, subnormals, -subnormals]))
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint64, np.int32, np.uint8, np.int16])
+def test_kernel_on_integer_extremes(dtype, tmp_path):
+    info = np.iinfo(dtype)
+    edges = {info.min, info.min + 1, info.max, info.max - 1, 0, 1, 9, 10, 99, 100}
+    edges |= {s * 10**k + d for k in range(20) for s in (-1, 1) for d in (-1, 0, 1)}
+    v = np.array(sorted(e for e in edges if info.min <= e <= info.max), dtype=dtype)
+    assert_prints_as_percent(tmp_path, v, v[::-1].copy())
+
+
+def test_kernel_on_a_mostly_zero_column_beside_the_row_number(tmp_path):
+    # the shape of the mangoldt dump: n, then log p at prime powers and 0 elsewhere
+    n = np.arange(1, 3 * reporting._CSV_BLOCK + 7)
+    w = np.where(n % 11 == 0, np.log(n.astype(np.float64)), 0.0)
+    w[5] = -0.0
+    assert_prints_as_percent(tmp_path, n, w)

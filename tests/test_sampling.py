@@ -249,6 +249,74 @@ def test_continuity_eps_check(unit_measure):
         continuity_at_infinity(unit_measure, 0.0, 0.0)
 
 
+def continuity_reference(m, beta, eps):
+    """The scan continuity_at_infinity replaced: per h, the sorted union of
+    the atoms and the atoms - h, two binary searches over it."""
+    h = 1.0
+    blocking = None
+    while h >= 2.0**-12:
+        anchors = np.unique(np.concatenate([m.positions, m.positions - h]))
+        anchors = anchors[(anchors >= m.domain_low) & (anchors + h <= m.domain_bound)]
+        if anchors.size == 0:
+            return (True, 0.0, h, None)
+        lo = np.searchsorted(m.positions, anchors, side="left")
+        hi = np.searchsorted(m.positions, anchors + h, side="left")
+        q = (m.cum[hi] - m.cum[lo]) / (1.0 + anchors**2) ** beta
+        bad = anchors[q > eps]
+        if bad.size == 0:
+            return (True, 0.0, h, None)
+        need = float(np.max(np.abs(bad))) + h
+        if need <= m.domain_bound - 5.0:
+            return (True, need, h, None)
+        blocking = float(bad[np.argmax(np.abs(bad))])
+        h /= 2.0
+    return (False, math.inf, 2.0 * h, blocking)
+
+
+@st.composite
+def small_measures(draw):
+    # grid positions (k / 8: the atoms - h land on atoms) or arbitrary floats,
+    # optionally mirrored the way measure_from_weights(symmetric=True) mirrors
+    if draw(st.booleans()):
+        pos = {k / 8.0 for k in draw(st.lists(st.integers(0, 120), max_size=30))}
+    else:
+        pos = set(draw(st.lists(st.floats(0.0, 15.0), max_size=30)))
+    pos = np.array(sorted(pos))
+    symmetric = draw(st.booleans())
+    if symmetric:
+        pos = np.unique(np.concatenate([-pos, pos]))
+    mas = np.array(draw(st.lists(st.floats(0.01, 3.0), min_size=pos.size, max_size=pos.size)))
+    top = (float(pos[-1]) if pos.size else 0.0) + draw(st.floats(0.0, 8.0))
+    low = -top if symmetric else min(0.0, float(pos[0]) if pos.size else 0.0)
+    return AtomicMeasure(pos, mas, domain_bound=top, domain_low=low)
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=small_measures(), beta=st.sampled_from([0.0, 0.5, -0.5, 1.0]),
+       eps=st.sampled_from([0.05, 0.3, 1.0, 2.5]))
+def test_continuity_equals_the_sorted_union_scan(m, beta, eps):
+    got = continuity_at_infinity(m, beta, eps)
+    want = continuity_reference(m, beta, eps)
+    assert tuple(got) == want
+    if want[3] is not None:  # -a before +a, as the sorted order gives
+        assert math.copysign(1.0, got.blocking_x) == math.copysign(1.0, want[3])
+
+
+def test_continuity_symmetric_blocking_is_the_negative_atom():
+    pos = np.concatenate([-np.arange(10.0, 0.0, -1.0), np.arange(1.0, 11.0)])
+    m = AtomicMeasure(pos, np.ones(20), domain_bound=10.2, domain_low=-10.2)
+    res = continuity_at_infinity(m, 0.0, 0.5)
+    assert tuple(res) == continuity_reference(m, 0.0, 0.5)
+    assert res.blocking_x == -10.0
+
+
+@pytest.mark.parametrize("beta, eps", [(0.0, 0.1), (0.0, 0.05), (0.5, 0.01), (1.0, 0.001),
+                                       (-0.5, 0.3)])
+def test_continuity_equals_the_sorted_union_scan_at_scale(unit_measure, beta, eps):
+    assert tuple(continuity_at_infinity(unit_measure, beta, eps)) == \
+        continuity_reference(unit_measure, beta, eps)
+
+
 def test_kadec_atom_positions_near_integers():
     m = kadec_atoms(50)
     ks = np.rint(m.positions)
