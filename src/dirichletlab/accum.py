@@ -4,10 +4,12 @@ Scalar reductions go through math.fsum (exactly rounded).  Prefix sums use a
 chunked cumulative sum whose chunk offsets are themselves exactly rounded, so
 the worst-case relative error of any prefix is ~chunk_len*eps of the local
 chunk plus one rounding of the offset; with the chunk of 4096 that stays
-below 1e-12 even for 1e7-term sums.  The exactly rounded chunk totals come
-from a vectorised TwoSum tree whose result is accepted only under a proven
-error bound (Ogita-Rump-Oishi, SIAM J. Sci. Comput. 26, 2005), with a
-math.fsum fallback per chunk, and the offsets from one running exact sum,
+below 1e-12 even for 1e7-term sums.  The exactly rounded chunk totals of
+float data come from a vectorised TwoSum tree whose result is accepted only
+under a proven error bound (Ogita-Rump-Oishi, SIAM J. Sci. Comput. 26,
+2005), with a math.fsum fallback per chunk; bool and integer data of at most
+32 bits is summed as it is, each chunk total an exact int64 row sum, with no
+float64 copy of the segment.  The offsets come from one running exact sum,
 so a prefix-sum pass costs O(N) array work plus O(N / 4096) Python steps.
 
 The Dirichlet-sum engine evaluates sum a_n n^(-s) at many s from per-block
@@ -176,7 +178,9 @@ class _PrefixPass:
     is whole chunks and, the last one only, a short tail.  Each chunk's
     offset is the running exact sum of the earlier totals, so every prefix
     written to out and S(x) at the checkpoints are the bits that
-    compensated_cumsum gives on the whole array.
+    compensated_cumsum gives on the whole array, read as float64.  A bool or
+    integer segment is read as it is: its chunk totals are exact int64 row
+    sums, not _certified_totals, and its cumsums are exact in any dtype.
     """
 
     def __init__(self, size: int, checkpoints, out):
@@ -193,10 +197,19 @@ class _PrefixPass:
         self.out = out
 
     def feed(self, seg: np.ndarray, lo: int):
+        # bool or integers of at most 32 bits: every chunk total (|total| < 2^44)
+        # and every prefix inside a chunk is an exact float64
+        exact = seg.dtype.kind in "biu" and seg.dtype.itemsize <= 4
+        if not exact:
+            seg = np.asarray(seg, dtype=np.float64)
         K = seg.size // _CHUNK
         rows, tail = seg[: K * _CHUNK].reshape(K, _CHUNK), seg[K * _CHUNK :]
-        totals, ok = _certified_totals(rows)
-        offsets = [self._close(rows[r], float(totals[r]) if ok[r] else None) for r in range(K)]
+        if exact:  # an int64 row sum is exact, and so is its float64 value
+            totals = rows.sum(axis=1, dtype=np.int64).astype(np.float64).tolist()
+        else:
+            totals, ok = _certified_totals(rows)
+            totals = [t if c else None for t, c in zip(totals.tolist(), ok.tolist())]
+        offsets = [self._close(rows[r], totals[r]) for r in range(K)]
         if tail.size:
             offsets.append(self._close(tail, None))
         offsets = np.array(offsets)
@@ -258,9 +271,11 @@ def _block_width(s_max: float) -> float:
 class _MomentPass:
     """block_moments' per-block loop over a sequence fed segment by segment.
 
-    A block inside one segment is read from it directly; a block cut by
-    segment edges is copied together first, so each block's sums run over
-    the same contiguous array as on the whole input, bit for bit.
+    A block inside one segment is copied out of it, a block cut by segment
+    edges is copied together from its pieces, each into the moments' float
+    or complex dtype, so each block's sums run over the same contiguous array
+    as on the whole input, bit for bit, and a segment of another dtype (the
+    integer weights) is never converted whole.
     """
 
     def __init__(self, size: int, s_max: float):
@@ -286,7 +301,6 @@ class _MomentPass:
     def feed(self, seg: np.ndarray, lo: int):
         if self.mom is None:
             self._allocate(np.complex128 if np.iscomplexobj(seg) else np.float64)
-        seg = np.asarray(seg, dtype=self.mom.dtype)
         hi = lo + seg.size
         a, b = max(lo, 1), min(hi, self.H + 1)  # the head is a_1..a_H
         if a < b:
@@ -300,10 +314,10 @@ class _MomentPass:
                 if b0 >= hi:
                     return
                 if self.open is None and b1 <= hi:
-                    p = seg[b0 - lo : b1 - lo].copy()
+                    p = seg[b0 - lo : b1 - lo].astype(self.mom.dtype)
                 else:
                     if self.open is None:
-                        self.open = np.empty(b1 - b0, dtype=seg.dtype)
+                        self.open = np.empty(b1 - b0, dtype=self.mom.dtype)
                     a, b = max(b0, lo), min(b1, hi)
                     self.open[a - b0 : b - b0] = seg[a - lo : b - lo]
                     if b1 > hi:
@@ -391,7 +405,7 @@ def scan(segments, size: int, s_max=None, checkpoints=None, out=None) -> Scan:
         if moments is not None:
             moments.feed(seg, lo)
         if prefix is not None:
-            prefix.feed(np.asarray(seg, dtype=np.float64), lo)
+            prefix.feed(seg, lo)
     if next(segments, None) is not None:
         raise RangeError(f"segments run past {size} entries")
     return Scan(None if moments is None else moments.result(),

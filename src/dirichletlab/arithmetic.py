@@ -15,8 +15,11 @@ The divisor count, the von Mangoldt function and the prime indicator need no
 spf array: each has one segment builder that yields its values over the
 consecutive ranges accum.segment_edges cuts, so a scan holds one segment at
 a time, and its whole table is the concatenation of those segments.  The
-divisor count runs the hyperbola passes restricted to each segment; primes
-and Lambda come from a byte sieve of each segment by the primes <= sqrt(N)
+divisor count runs the hyperbola passes restricted to each segment, in
+uint16: the passes i <= 12 are one tile of period lcm(1..12) = 27 720
+copied into the segment, the rest strided adds; the prime indicator is a
+bool segment; both go to the scan as the integers they are.  Primes and
+Lambda come from a byte sieve of each segment by the primes <= sqrt(N)
 (a segmented sieve, Bays-Hudson, BIT 17, 1977), with the prime powers p^k,
 k >= 2, added from one short sorted list.  The per-n operations work on an
 explicit factorization and use exact integer arithmetic, rounding once per
@@ -144,17 +147,37 @@ def ordered_factorization_table(limit: int) -> np.ndarray:
     return F
 
 
+_TILED = 12  # the hyperbola passes i <= _TILED come from one periodic tile
+_TILE = math.lcm(*range(1, _TILED + 1))  # 27 720 entries, 54 KB of uint16
+_DIVISOR_LIMIT = 10**15  # d(n) <= 26 880 < 2^16 up to here
+
+
 def divisor_count_segments(limit: int):
-    """d(n) for n = 0..limit (int32, d(0) = 0), one accum segment at a time.
+    """d(n) for n = 0..limit (uint16, d(0) = 0), one accum segment at a time.
 
     The hyperbola split counts the divisor pairs (i, n/i) with i <= sqrt(n):
     the passes d[i*i::i] += 2 and d[i*i] -= 1, restricted to the segment, for
-    every i with i*i in or below it.  int32 entries: d(n) < 2^31 for every n
-    an array can index.
+    every i with i*i in or below it.  Past n = _TILED^2 the passes i <= _TILED
+    add 2 for each such i dividing n, a pattern of period lcm(1.._TILED), so
+    each segment starts as that tile, read from its offset, with n <= _TILED^2
+    overwritten by the passes themselves; the passes i > _TILED run as
+    strided adds.  uint16 entries: d(n) <= 26 880 for n <= 10^15, and larger
+    limits raise RangeError.
     """
+    if limit > _DIVISOR_LIMIT:
+        raise RangeError(f"d(n) past n = {_DIVISOR_LIMIT:.0e} may not fit in 16 bits, "
+                         f"got limit {limit}")
+    tile = np.zeros(_TILE, dtype=np.uint16)
+    head = np.zeros(_TILED**2 + 1, dtype=np.uint16)  # the passes i <= _TILED on 0.._TILED^2
+    for i in range(1, _TILED + 1):
+        tile[::i] += 2
+        head[i * i :: i] += 2
+        head[i * i] -= 1
     for lo, hi in segment_edges(limit + 1):
-        d = np.zeros(hi - lo, dtype=np.int32)
-        for i in range(1, math.isqrt(hi - 1) + 1):
+        d = np.resize(np.roll(tile, -(lo % _TILE)), hi - lo)  # the tile from n = lo on
+        if lo < head.size:
+            d[: head.size - lo] = head[lo : lo + d.size]
+        for i in range(_TILED + 1, math.isqrt(hi - 1) + 1):
             square = i * i
             d[max(square, -(-lo // i) * i) - lo :: i] += 2
             if square >= lo:

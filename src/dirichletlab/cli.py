@@ -22,10 +22,10 @@ import numpy as np
 from . import reporting, sampling
 from . import tauberian as T
 from . import weights as W
-from .accum import compensated_sum
-from .arithmetic import build_sieve
-from .embedding import (ALPHA_HIGH, ALPHA_LOW, LocalWindow, block_family, embedding_constant,
-                        random_family)
+from .accum import compensated_sum, segment_edges
+from .arithmetic import prime_segments
+from .embedding import (ALPHA_HIGH, ALPHA_LOW, LocalWindow, block_family, check_sigma_rules,
+                        embedding_constant, random_family)
 from .errors import DirichletLabError
 from .zeta import (KernelSpec, kernel_eval, kernel_region, prime_zeta,
                    prime_zeta_unit_abscissa, zeta, zeta_equals_two_abscissa)
@@ -194,9 +194,10 @@ def cmd_zeta(args):
             "rho1_residual": abs(zeta(rho1).real - 2.0),
         }
         if args.cross_check_N is not None:
-            table = build_sieve(cross_n)
+            primes = np.concatenate([np.flatnonzero(mask) + lo for (lo, _), mask in
+                                     zip(segment_edges(cross_n + 1), prime_segments(cross_n))])
             s = args.sigma
-            direct = compensated_sum(table.primes.astype(np.float64) ** (-s))
+            direct = compensated_sum(primes.astype(np.float64) ** (-s))
             # li-based tail: integral of x^-s dpi(x) with pi ~ li - li(sqrt)/2,
             # each piece a log-power tail at alpha = 1
             L = math.log(cross_n)
@@ -257,6 +258,11 @@ def cmd_embed(args):
         win = LocalWindow(args.a, args.b, args.sigma_cap)
     except DirichletLabError as e:
         raise UsageError(str(e))
+    if alpha != 0.0:
+        try:
+            check_sigma_rules(alpha, win)
+        except DirichletLabError as e:
+            raise UsageError(f"--alpha and --sigma-cap: {e}")
     rows = []
     for n in sorted(n_list):
         w = W.catalog(name, n, **params)

@@ -183,6 +183,24 @@ def _dalpha_value(bm, alpha, win, t_nodes, s_nodes):
     return float(ws @ (m @ wt)), float(ws @ (err @ wt))
 
 
+def check_sigma_rules(alpha: float, win: LocalWindow, sigma_nodes: int = 64) -> None:
+    """Raise DomainError unless every weight of the two sigma rules that
+    dalpha_local_norm(F, alpha, win, sigma_nodes=sigma_nodes) uses is a normal
+    float64.
+
+    Each weight carries the factor (V/2)^(-alpha), V = sigma_cap - 1/2: far
+    down the alpha scale it underflows (at sigma_cap = 1 from alpha ~ -512 on),
+    and a 0 or subnormal weight would make the local norm read 0, or lose its
+    digits, with no sign of it.  A larger sigma_cap lifts the factor.
+    """
+    for nodes in (sigma_nodes, max(2, sigma_nodes // 2)):
+        ws = _sigma_rule(alpha, win.sigma_cap, nodes)[1]
+        bad = ws[~(np.isfinite(ws) & (ws >= np.finfo(np.float64).tiny))]
+        if bad.size:
+            raise DomainError(f"a sigma-rule weight at alpha = {alpha}, sigma_cap = "
+                              f"{win.sigma_cap} is {bad[0]:g}, not a normal float64")
+
+
 def dalpha_local_norm(
     F: DirichletPolynomial,
     alpha: float,
@@ -200,6 +218,8 @@ def dalpha_local_norm(
     gamma(2-alpha, (2 sigma_cap - 1) log n) / (2 log n)^(2-alpha), which is
     finite and ~ Gamma(2-alpha) 2^(alpha-2) (log n)^alpha / n for every
     alpha < 2; at alpha >= 2 the sigma integral diverges at the boundary.
+    A sigma rule whose weights leave the normal float64 range raises
+    DomainError (see check_sigma_rules).
     """
     alpha = float(alpha)
     if not ALPHA_LOW < alpha < ALPHA_HIGH:  # also rejects nan
@@ -207,6 +227,7 @@ def dalpha_local_norm(
                           f"{ALPHA_LOW:g} < alpha < {ALPHA_HIGH:g}")
     if alpha == 0.0:
         raise DomainError("alpha = 0 is the sup-L2 case; use local_sup_l2")
+    check_sigma_rules(alpha, win, sigma_nodes)
     bm = _moments(F if alpha < 0 else derivative(F), win)
     v, err = _dalpha_value(bm, alpha, win, t_nodes_per_unit, sigma_nodes)
     v_half, _ = _dalpha_value(

@@ -78,14 +78,15 @@ def _mangoldt_over_log_segments(limit: int):
         yield lam
 
 
-# segment builders of the streamed families: limit -> float64 segments of w_0..w_limit
+# segment builders of the streamed families: limit -> segments of w_0..w_limit,
+# float64 or, for divisor (uint16) and prime_indicator (bool), the builder's
+# integers as they are: accum.scan sums those exactly and converts only the
+# moment blocks it copies, and w is their float64 concatenation
 STREAMED = {
-    "divisor": lambda limit: (d.astype(np.float64)
-                              for d in arithmetic.divisor_count_segments(limit)),
+    "divisor": arithmetic.divisor_count_segments,
     "mangoldt": arithmetic.von_mangoldt_segments,
     "mangoldt_over_log": _mangoldt_over_log_segments,
-    "prime_indicator": lambda limit: (m.astype(np.float64)
-                                      for m in arithmetic.prime_segments(limit)),
+    "prime_indicator": arithmetic.prime_segments,
 }
 
 

@@ -340,7 +340,29 @@ def _segments(a, size):
     return [a[i : i + size] for i in range(0, a.size, size)]
 
 
+# integer segments: bool, uint16 and int32 take scan's exact integer chunk
+# totals; int64 past 2^53, which rounds when read as float64, the float path
+INTEGER_KINDS = ["bool", "uint16", "int32", "int64_past_2^53"]
+
+
+def _integer_data(kind, n, rng):
+    m = max(n, 1)
+    if kind == "bool":
+        x = rng.random(m) < 0.3
+    elif kind == "uint16":
+        x = rng.integers(0, 2**16, m, dtype=np.uint16)
+        x[rng.integers(0, m, 8)] = 2**16 - 1
+    elif kind == "int32":  # signed, with +-(2^31 - 1) sprinkled in
+        x = rng.integers(-(2**31 - 1), 2**31, m, dtype=np.int32)
+        x[rng.integers(0, m, 16)] = rng.choice([2**31 - 1, -(2**31 - 1)], 16)
+    else:  # odd int64 past 2^53: an int64 row sum would not round like the float one
+        x = (rng.integers(2**52, 2**61, m) * 2 + 1) * rng.choice([-1, 1], m)
+    return x[:n]
+
+
 def _scan_data(kind, n, rng):
+    if kind in INTEGER_KINDS:
+        return _integer_data(kind, n, rng)
     if kind == "complex":
         return rng.standard_normal(n) + 1j * rng.standard_normal(n)
     if kind == "kadec_spiked":  # e^n spikes: inf from n = 710 on
@@ -360,10 +382,14 @@ SEGMENT_SIZES = [4096, 2 * 4096, 3 * 4096, 4 * 4096, 5 * 4096]
 @pytest.mark.parametrize("segment", SEGMENT_SIZES)
 @settings(max_examples=12, deadline=None)
 @given(n=st.sampled_from([4095, 4096, 4097, 4098, 10**5 + 1, 3 * 10**5 + 3]),
-       kind=st.sampled_from(["real", "complex", "kadec_spiked", "nonfinite"]),
+       kind=st.sampled_from(["real", "complex", "kadec_spiked", "nonfinite", *INTEGER_KINDS]),
        s_max=st.sampled_from([3.3, 12.0]),
        seed=st.integers(0, 2**32 - 1))
 @example(n=3 * 10**5 + 3, kind="real", s_max=3.3, seed=0)
+@example(n=10**5 + 1, kind="bool", s_max=3.3, seed=1)
+@example(n=10**5 + 1, kind="uint16", s_max=12.0, seed=2)
+@example(n=10**5 + 1, kind="int32", s_max=3.3, seed=3)
+@example(n=10**5 + 1, kind="int64_past_2^53", s_max=3.3, seed=4)
 def test_scan_equals_whole_array_bit_for_bit(segment, n, kind, s_max, seed):
     a = _scan_data(kind, n, np.random.default_rng(seed))
     rng = np.random.default_rng(seed + 1)
@@ -393,13 +419,27 @@ def test_scan_equals_whole_array_bit_for_bit(segment, n, kind, s_max, seed):
 @pytest.mark.parametrize("segment", SEGMENT_SIZES)
 @settings(max_examples=20, deadline=None)
 @given(n=CHUNK_EDGE_LENGTHS,
-       kind=st.sampled_from(["wide", "near_ties", "sparse_logs", "huge", "nonfinite"]),
+       kind=st.sampled_from(["wide", "near_ties", "sparse_logs", "huge", "nonfinite",
+                             *INTEGER_KINDS]),
        seed=st.integers(0, 2**32 - 1))
+@example(n=3 * 4096 + 1, kind="bool", seed=0)
+@example(n=3 * 4096 - 1, kind="uint16", seed=1)
+@example(n=5 * 4096, kind="int32", seed=2)
+@example(n=4097, kind="int64_past_2^53", seed=3)
 def test_cumsum_in_segments_equals_reference(segment, n, kind, seed):
-    a = _cumsum_data(kind, n, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    a = _integer_data(kind, n, rng) if kind in INTEGER_KINDS else _cumsum_data(kind, n, rng)
+
+    def scanned(a):  # the segments as they are: integers are not converted first
+        out = np.empty(a.size)
+        accum.scan(_segments(a, segment), a.size, out=out)
+        return out
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(accum, "_SEGMENT", segment)
-        assert _outcome(compensated_cumsum, a) == _outcome(cumsum_reference, a)
+        want = _outcome(cumsum_reference, a)
+        assert _outcome(compensated_cumsum, a) == want
+        assert _outcome(scanned, a) == want
 
 
 def test_scan_refuses_short_segments_and_far_checkpoints():

@@ -10,6 +10,7 @@ from dirichletlab.arithmetic import (
     SieveTable,
     build_sieve,
     divisor_count,
+    divisor_count_segments,
     divisor_count_table,
     factorize,
     generalized_divisor,
@@ -306,6 +307,12 @@ def test_divisor_count_table_rejects_limits_below_one(limit):
         divisor_count_table(limit)
 
 
+def test_divisor_count_segments_refuse_limits_past_16_bits():
+    # d(n) <= 26 880 < 2^16 holds up to 10^15; past it uint16 could wrap
+    with pytest.raises(RangeError):
+        next(divisor_count_segments(10**15 + 1))
+
+
 def von_mangoldt_reference(limit):
     """The loop over the spf sieve's prime list that von_mangoldt_segments
     replaced: log p written at p, p^2, p^3, ... up to the limit."""
@@ -325,14 +332,22 @@ def _check_builders(limit):
     primes = sieve_reference(limit)[1]
     d = divisor_count_table(limit)
     assert d.dtype == np.int32 and np.array_equal(d, divisor_count_reference(limit)), limit
+    assert {seg.dtype for seg in divisor_count_segments(limit)} == {np.dtype(np.uint16)}, limit
     lam = np.concatenate(list(von_mangoldt_segments(limit)))
     assert lam.tobytes() == von_mangoldt_reference(limit).tobytes(), limit
     mask = np.concatenate(list(prime_segments(limit)))
     assert mask.dtype == bool and np.array_equal(np.flatnonzero(mask), primes), limit
 
 
-@pytest.mark.parametrize("limits", [range(2, 3001), _square_edges(), [10**6]],
-                         ids=["2..3000", "p^2-1,p^2,p^2+1", "1e6"])
+def _tile_and_segment_edges():
+    # the small-divisor tile's period lcm(1..12) and the 2^20-entry segment
+    edges = [k * 27_720 for k in (1, 2, 3)] + [accum._SEGMENT - 1, 2 * accum._SEGMENT - 1]
+    return [edge + d for edge in edges for d in (-1, 0, 1)]
+
+
+@pytest.mark.parametrize("limits", [range(2, 3001), _square_edges(), [10**6],
+                                    _tile_and_segment_edges()],
+                         ids=["2..3000", "p^2-1,p^2,p^2+1", "1e6", "k*27720+-1,2^20 k-1+-1"])
 def test_segment_builders_equal_reference_loops(limits):
     for limit in limits:
         _check_builders(limit)

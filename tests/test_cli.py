@@ -1,5 +1,6 @@
 import filecmp
 import json
+import math
 import os
 import subprocess
 import sys
@@ -240,6 +241,11 @@ def test_embed_report(tmp_path):
     (("sums", "--name", "constant", "--N", "1000", "--eta", "nan"), "--eta"),
     (("embed", "--name", "constant", "--alpha=-1100", "--N-list", "100"), "-1100"),
     (("embed", "--name", "constant", "--alpha=-1e308", "--N-list", "100"), "-1e+308"),
+    # the sigma rule's weights (V/2)^(-alpha) underflow: the estimate would read 0
+    (("embed", "--name", "constant", "--alpha=-700", "--N-list", "100"), "--sigma-cap"),
+    (("embed", "--name", "constant", "--alpha=-1000", "--N-list", "100"), "alpha = -1000"),
+    (("embed", "--name", "constant", "--alpha=-600", "--sigma-cap", "0.75", "--N-list", "100"),
+     "sigma_cap = 0.75"),
 ])
 def test_embed_and_sums_input_is_a_usage_error(argv, named, tmp_path, capsys, monkeypatch):
     # the input is the user's: exit 2 before any weight is built or file written
@@ -252,9 +258,13 @@ def test_embed_and_sums_input_is_a_usage_error(argv, named, tmp_path, capsys, mo
 
 
 def test_embed_alpha_deep_on_the_scale_still_runs(tmp_path):
-    # 2^900, the sigma rule's mass scale at alpha = -900, is a finite float64
-    assert run("embed", "--name", "constant", "--alpha=-900", "--N-list", "100",
-               "--out-csv", tmp_path / "e.csv", "--out-json", tmp_path / "e.json") == 0
+    # 2^900, the sigma rule's mass scale at alpha = -900, is a finite float64,
+    # and at sigma_cap = 2.5 the factor (V/2)^(-alpha) is 1, so no weight underflows
+    assert run("embed", "--name", "constant", "--alpha=-900", "--sigma-cap", "2.5",
+               "--N-list", "100", "--out-csv", tmp_path / "e.csv",
+               "--out-json", tmp_path / "e.json") == 0
+    row = json.loads((tmp_path / "e.json").read_text())["rows"][0]
+    assert math.isfinite(row["constant_estimate"]) and row["constant_estimate"] > 0.0
 
 
 @pytest.mark.parametrize("argv, named", [
@@ -342,7 +352,7 @@ def test_tauberian_log_power_past_alpha_one(tmp_path):
     validate(blob, schema("singularity_fit"))
 
 
-@pytest.mark.parametrize("name", ["divisor", "mangoldt"])
+@pytest.mark.parametrize("name", ["divisor", "mangoldt", "prime_indicator"])
 def test_tauberian_streamed_equals_whole_array(name, tmp_path, monkeypatch):
     # the job streams its weights; with the catalog array built first it reads
     # views of that array instead, and both write the same bytes

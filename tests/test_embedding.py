@@ -93,7 +93,13 @@ def test_alpha_above_one_unsupported():
         dalpha_local_norm(monomial(2), 0.0, WIN)  # sup-L2 lives elsewhere
     with pytest.raises(DomainError):
         dalpha_local_norm(monomial(2), -1100.0, WIN)  # 2^1100 overflows the sigma rule
-    assert math.isfinite(dalpha_local_norm(monomial(2), -900.0, WIN).value)
+    for alpha in (-600.0, -900.0):  # (1/4)^(-alpha) underflows at sigma_cap = 1
+        with pytest.raises(DomainError, match="sigma_cap = 1.0"):
+            dalpha_local_norm(monomial(2), alpha, WIN)
+    # at sigma_cap = 2.5 the factor (V/2)^(-alpha) is 1: the rule's mass is 2^900
+    deep = dalpha_local_norm(monomial(2), -900.0, LocalWindow(0.0, 1.0, 2.5)).value
+    assert math.isfinite(deep) and deep > 0.0
+    assert dalpha_local_norm(monomial(2), -500.0, WIN).value > 0.0
 
 
 def _random_poly(seed, n):

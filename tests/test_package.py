@@ -42,6 +42,40 @@ def test_cli_start_up_imports_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+# every CLI job pays what the package's modules allocate when imported
+_IMPORT_ALLOCATIONS = """
+import sys, tracemalloc
+import numpy  # not the package's: imported before the tracing starts
+tracemalloc.start(50)
+import dirichletlab.cli
+package, per_module = sys.argv[1], {}
+for trace in tracemalloc.take_snapshot().traces:
+    # charge an allocation to the innermost package frame that made it, directly
+    # or through a library call, but not to one that only imported the module
+    for frame in reversed(trace.traceback):
+        if frame.filename.startswith("<frozen importlib"):
+            break
+        if frame.filename.startswith(package):
+            per_module[frame.filename] = per_module.get(frame.filename, 0) + trace.size
+            break
+for path, size in sorted(per_module.items()):
+    print(size, path)
+"""
+
+
+def test_cli_import_allocates_little_per_module():
+    package = str(Path(dirichletlab.__file__).parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(package).parent), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", _IMPORT_ALLOCATIONS, package],
+                         capture_output=True, text=True, env=env, check=True)
+    sizes = {path: int(size) for size, path in (line.split(" ", 1)
+                                                for line in out.stdout.splitlines())}
+    assert Path(package, "cli.py") in map(Path, sizes)  # the walk found the package
+    heavy = {path: size for path, size in sizes.items() if size > 256 * 1024}
+    assert not heavy, f"import-time allocations over 256 KB: {heavy}"
+
+
 def test_third_party_imports_are_declared_dependencies():
     tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
     root = Path(dirichletlab.__file__).parent
