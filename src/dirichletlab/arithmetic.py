@@ -1,29 +1,27 @@
-"""Integer tables: smallest-prime-factor sieve, factorizations, and the
-multiplicative/additive functions built from them.
+"""Integer tables: the arithmetic functions behind the weight catalog, one
+accum segment at a time, plus a smallest-prime-factor sieve and per-n
+operations on explicit factorizations, kept as oracles.
 
-Everything downstream that needs factorizations (dgamma, besov, the per-n
-operations) reads from a SieveTable, so factorization cost is amortized to
-O(1) per query after the O(N log log N) build.  The build finds the primes
-up to sqrt(N) with a small byte sieve, then writes p into every multiple of
-p from p^2 on, for those primes in descending order, so the smallest prime
-factor is written last; the slots left at zero past 1 are the primes.  The
-multiplicative and additive tables (d_gamma, Omega, prod nu_p!) come from one
-vectorized pass over the spf array; the ordered-factorization table uses
-slice arithmetic.
+Each segment builder here yields its values over the consecutive ranges
+accum.segment_edges cuts, so a scan holds one segment at a time, and a
+whole table is the concatenation of those segments.  The divisor count runs
+the hyperbola passes restricted to each segment, in uint16: the passes
+i <= 12 are one tile of period lcm(1..12) = 27 720 copied into the segment,
+the rest strided adds; the prime indicator is a bool segment; both go to the
+scan as the integers they are.  Primes and Lambda come from a byte sieve of
+each segment by the primes <= sqrt(N) (a segmented sieve, Bays-Hudson,
+BIT 17, 1977), with the prime powers p^k, k >= 2, added from one short
+sorted list.  The multiplicative and additive tables (d_gamma, Omega,
+prod nu_p!) come from one segmented factor pass by the same small primes.
+Only the ordered-factorization table, a divisor-lattice pass, is built
+whole.
 
-The divisor count, the von Mangoldt function and the prime indicator need no
-spf array: each has one segment builder that yields its values over the
-consecutive ranges accum.segment_edges cuts, so a scan holds one segment at
-a time, and its whole table is the concatenation of those segments.  The
-divisor count runs the hyperbola passes restricted to each segment, in
-uint16: the passes i <= 12 are one tile of period lcm(1..12) = 27 720
-copied into the segment, the rest strided adds; the prime indicator is a
-bool segment; both go to the scan as the integers they are.  Primes and
-Lambda come from a byte sieve of each segment by the primes <= sqrt(N)
-(a segmented sieve, Bays-Hudson, BIT 17, 1977), with the prime powers p^k,
-k >= 2, added from one short sorted list.  The per-n operations work on an
-explicit factorization and use exact integer arithmetic, rounding once per
-prime power where the value is not an integer.
+build_sieve writes the smallest prime factor into every n <= N (the primes
+up to sqrt(N) from a small byte sieve, then each prime into its multiples
+from p^2 on, in descending order, so the smallest lands last); factorize
+reads it.  The per-n operations work on an explicit factorization and use
+exact integer arithmetic, rounding once per prime power where the value is
+not an integer.
 """
 from __future__ import annotations
 
@@ -32,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accum import join_segments, segment_edges
+from .accum import segment_edges
 from .errors import BudgetError, RangeError
 
 DEFAULT_BUDGET = 10**8
@@ -118,7 +116,7 @@ def generalized_divisor(gamma, f: Factorization) -> float:
     prime-power value prod_j (a + (j-1) b) / (j b) is an exact integer
     ratio, rounded once by int true division; the rounded values are
     multiplied from the largest prime down, the order
-    generalized_divisor_table uses, so the two agree bit for bit.  Integer
+    generalized_divisor_segments uses, so the two agree bit for bit.  Integer
     gamma gives integer values, exact as floats (gamma=2 is divisor_count).
     """
     a, b = float(gamma).as_integer_ratio()
@@ -162,8 +160,10 @@ def divisor_count_segments(limit: int):
     each segment starts as that tile, read from its offset, with n <= _TILED^2
     overwritten by the passes themselves; the passes i > _TILED run as
     strided adds.  uint16 entries: d(n) <= 26 880 for n <= 10^15, and larger
-    limits raise RangeError.
+    limits raise RangeError, as do limits below 1.
     """
+    if limit < 1:
+        raise RangeError(f"limit must be >= 1, got {limit}")
     if limit > _DIVISOR_LIMIT:
         raise RangeError(f"d(n) past n = {_DIVISOR_LIMIT:.0e} may not fit in 16 bits, "
                          f"got limit {limit}")
@@ -183,13 +183,6 @@ def divisor_count_segments(limit: int):
             if square >= lo:
                 d[square - lo] -= 1
         yield d
-
-
-def divisor_count_table(limit: int) -> np.ndarray:
-    """d(n) for 0..limit: the concatenation of divisor_count_segments."""
-    if limit < 1:
-        raise RangeError(f"limit must be >= 1, got {limit}")
-    return join_segments(divisor_count_segments(limit), limit + 1, np.int32)
 
 
 def _prime_masks(limit: int, small: np.ndarray):
@@ -240,55 +233,60 @@ def von_mangoldt_segments(limit: int):
         yield lam
 
 
-_SPF_RANGE = 1 << 18  # the most n one step of _spf_pass handles
+OMEGA = (lambda e: e, np.add, np.int8)  # Omega(n), prime factors with multiplicity
+EXPONENT_FACTORIAL = (math.factorial, np.multiply, np.float64)  # prod nu_p!
 
 
-def _spf_pass(table: SieveTable, *rules) -> list:
-    """Tables over 0..limit of f(p^e m) = op(g(e), f(m)), p the smallest prime
-    factor and p not dividing m, one per rule (g, op, dtype).
+def factor_segments(limit: int, *rules):
+    """Per accum segment of 0..limit, one table per rule (g, op, dtype) of
+    f(p^e m) = op(g(e), f(m)), p prime and not dividing m.
 
     op=np.multiply builds a multiplicative table, op=np.add an additive one;
-    slot 1 holds op's identity and slot 0 is 0.  n runs through the ranges
-    [lo, min(2 lo, lo + _SPF_RANGE)): n // spf(n) <= n/2 < lo lies in an
-    earlier range, so every entry read is final, and no range's temporaries
-    exceed _SPF_RANGE entries.  Beside the tables the pass keeps the exponent
-    e of spf(n) in n and the cofactor m = n / spf(n)^e, shared by all rules.
+    slot 1 holds op's identity and slot 0 is 0.  Pass 1 multiplies
+    prod[p^k multiples] *= p for the primes p <= sqrt(limit), so n has a
+    prime factor above sqrt(limit), to the first power, exactly where
+    prod != n; each table starts there at g(1), at op's identity elsewhere.
+    Pass 2 walks the small primes in descending order and sets
+    f[multiples of p] = op(g(e), f), the exponents e from strided += 1 over
+    the p^k multiples: the largest prime is innermost, so a float table's
+    bits are those of the recursion from the smallest prime factor down,
+    whatever the segment cut.
     """
-    spf, limit = table.spf, table.limit
+    small = _small_primes(math.isqrt(limit)).tolist()
     values = [np.array([g(e) for e in range(limit.bit_length())], dtype=dtype)
               for g, _, dtype in rules]
-    tables = [np.full(limit + 1, op.identity, dtype=dtype) for _, op, dtype in rules]
-    for f in tables:
-        f[0] = 0
-    exp = np.zeros(limit + 1, dtype=np.int8)
-    cof = np.ones(limit + 1, dtype=np.int32)
-    lo = 2
-    while lo <= limit:
-        hi = min(2 * lo, lo + _SPF_RANGE, limit + 1)
-        p = spf[lo:hi]
-        m = np.arange(lo, hi, dtype=np.int32) // p
-        same = spf[m] == p
-        exp[lo:hi] = np.where(same, exp[m] + 1, 1)
-        cof[lo:hi] = np.where(same, cof[m], m)
-        e, c = exp[lo:hi], cof[lo:hi]
-        for f, v, (_, op, _) in zip(tables, values, rules):
-            f[lo:hi] = op(v[e], f[c])
-        lo = hi
-    return tables
+    for lo, hi in segment_edges(limit + 1):
+        prod = np.ones(hi - lo, dtype=np.int64)
+        for p in small:
+            pk = p
+            while (t := max(pk, -(-lo // pk) * pk)) < hi:  # the first multiple of p^k
+                prod[t - lo :: pk] *= p
+                pk *= p
+        large = prod != np.arange(lo, hi)
+        del prod
+        tables = []
+        for v, (_, op, dtype) in zip(values, rules):
+            f = np.full(hi - lo, op.identity, dtype=dtype)
+            f[large] = v[1]
+            f[: max(0, 1 - lo)] = 0  # n = 0
+            tables.append(f)
+        for p in reversed(small):
+            s = max(p, -(-lo // p) * p) - lo  # the first multiple of p, as an offset
+            pk = p * p
+            e = 1  # p's exponent in each multiple: 1 while no multiple of p^2 lies here
+            if max(pk, -(-lo // pk) * pk) < hi:
+                e = np.ones(len(range(s, hi - lo, p)), dtype=np.intp)
+                while (t := max(pk, -(-lo // pk) * pk)) < hi:
+                    e[(t - lo - s) // p :: pk // p] += 1
+                    pk *= p
+            for f, v, (_, op, _) in zip(tables, values, rules):
+                fp = f[s::p]
+                op(v[e], fp, out=fp)
+        yield tables
 
 
-_OMEGA = (lambda e: e, np.add, np.int8)
-_EXPONENT_FACTORIAL = (math.factorial, np.multiply, np.float64)
-
-
-def generalized_divisor_table(gamma, table: SieveTable) -> np.ndarray:
-    """generalized_divisor for every n in 0..limit (0 at n=0), bit for bit."""
+def generalized_divisor_segments(gamma, limit: int):
+    """generalized_divisor at n = 0..limit (0 at n = 0), bit for bit, one
+    accum segment at a time."""
     rule = (lambda e: generalized_divisor(gamma, ((2, e),)), np.multiply, np.float64)
-    return _spf_pass(table, rule)[0]
-
-
-def omega_and_exponent_factorial_tables(table: SieveTable) -> tuple:
-    """From one pass over the spf array: Omega(n), the number of prime factors
-    counted with multiplicity (int8), and prod(nu_p!), the product of the
-    exponent factorials (float64, 1 at n=1), for n in 0..limit."""
-    return tuple(_spf_pass(table, _OMEGA, _EXPONENT_FACTORIAL))
+    return (f for f, in factor_segments(limit, rule))

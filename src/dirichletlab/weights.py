@@ -6,15 +6,17 @@ growth of the partial sums S(x) = sum_{n<=x} w_n, summarized by the exponent
 alpha in S(x) ~ C x / (log x)^alpha.  Catalog entries carry the predicted
 exponent when one is known, and the abscissa sigma0 of sum w_n n^(-s).
 
-The families in STREAMED (divisor, mangoldt, mangoldt_over_log,
-prime_indicator) are handed out segment by segment from their arithmetic
-builders: a scan of one of them holds one accum segment, one chunk and one
-moment block, never the N-length table, so its memory is bounded by the
-segment size (plus sqrt(N) small primes and the largest moment block, N/33
-entries).  Their array w is built, as the concatenation of the same
-segments, only when something reads it.  Every other family is built whole
-and handed out as views of its array, cut at the same segment edges.  S(x)
-at given points comes from the scan's checkpoint reads, bit for bit the
+The families in STREAMED, every sieve-derived one (dgamma, divisor,
+inv_divisor_pow, mangoldt, mangoldt_over_log, prime_indicator and besov),
+are handed out segment by segment from their arithmetic builders: a scan of
+one of them holds one accum segment, one chunk and one moment block, never
+the N-length table, so its memory is bounded by the segment size (plus
+sqrt(N) small primes and the largest moment block, N/33 entries).  Their
+array w is built, as the concatenation of the same segments, only when
+something reads it.  Every other family, mccarthy and
+inv_ordered_factorization (one divisor-lattice pass) among them, is built
+whole and handed out as views of its array, cut at the same segment edges.
+S(x) at given points comes from the scan's checkpoint reads, bit for bit the
 entries of partial_sums, and every sequence, built or streamed, keeps one
 memo of the sums and the moments it has read.
 """
@@ -45,9 +47,6 @@ CATALOG_NAMES = (
     "kadec_spiked",
 )
 
-# families whose construction reads a SieveTable covering the limit
-_NEEDS_TABLE = {"dgamma", "besov"}
-
 # the one parameter a family cannot be built without
 REQUIRED_PARAM = {"log_power": "alpha", "inv_divisor_pow": "alpha", "dgamma": "gamma",
                   "besov": "gamma", "kadec": "blocks", "kadec_spiked": "blocks"}
@@ -69,7 +68,7 @@ _EXPECTED_ALPHA = {
 _SIGMA0 = {"besov": prime_zeta_unit_abscissa, "mccarthy": zeta_equals_two_abscissa}
 
 
-def _mangoldt_over_log_segments(limit: int):
+def _mangoldt_over_log_segments(limit: int, params: dict):
     lo = 0
     for lam in arithmetic.von_mangoldt_segments(limit):
         idx = np.flatnonzero(lam)  # n >= 2: Lambda(0) = Lambda(1) = 0
@@ -78,15 +77,46 @@ def _mangoldt_over_log_segments(limit: int):
         yield lam
 
 
-# segment builders of the streamed families: limit -> segments of w_0..w_limit,
-# float64 or, for divisor (uint16) and prime_indicator (bool), the builder's
-# integers as they are: accum.scan sums those exactly and converts only the
-# moment blocks it copies, and w is their float64 concatenation
+def _inv_divisor_pow_segments(limit: int, params: dict):
+    a = float(params["alpha"])
+    for d in arithmetic.divisor_count_segments(limit):
+        with np.errstate(divide="ignore"):
+            w = d.astype(np.float64) ** -a
+        w[d == 0] = 0.0  # n = 0
+        yield w
+
+
+def _besov_segments(limit: int, params: dict):
+    """rising[Omega(n)] / prod nu_p! with rising[k] = g (g + 1) ... (g + k - 1);
+    at g = 0, (k - 1)!, the coefficients of -log(1 - prime zeta)."""
+    g = float(params["gamma"])
+    rising = np.ones(limit.bit_length())  # Omega(n) <= log2(n)
+    if g == 0.0:
+        rising[0] = 0.0  # no constant term in -log(1 - prime zeta)
+        for k in range(1, rising.size):
+            rising[k] = math.factorial(k - 1)
+    else:
+        for k in range(1, rising.size):
+            rising[k] = rising[k - 1] * (g + k - 1)
+    for om, fac in arithmetic.factor_segments(limit, arithmetic.OMEGA,
+                                              arithmetic.EXPONENT_FACTORIAL):
+        # fac is 0 at n = 0 only, where w_0 = 0
+        yield np.divide(rising[om], fac, out=np.zeros(fac.size), where=fac > 0)
+
+
+# segment builders of the streamed families: (limit, family parameters) ->
+# segments of w_0..w_limit, float64 or, for divisor (uint16) and
+# prime_indicator (bool), the builder's integers as they are: accum.scan sums
+# those exactly and converts only the moment blocks it copies, and w is their
+# float64 concatenation
 STREAMED = {
-    "divisor": arithmetic.divisor_count_segments,
-    "mangoldt": arithmetic.von_mangoldt_segments,
+    "dgamma": lambda limit, p: arithmetic.generalized_divisor_segments(float(p["gamma"]), limit),
+    "divisor": lambda limit, p: arithmetic.divisor_count_segments(limit),
+    "inv_divisor_pow": _inv_divisor_pow_segments,
+    "mangoldt": lambda limit, p: arithmetic.von_mangoldt_segments(limit),
     "mangoldt_over_log": _mangoldt_over_log_segments,
-    "prime_indicator": arithmetic.prime_segments,
+    "prime_indicator": lambda limit, p: arithmetic.prime_segments(limit),
+    "besov": _besov_segments,
 }
 
 
@@ -114,7 +144,8 @@ class WeightSequence:
             if self.limit > arithmetic.DEFAULT_BUDGET:
                 raise BudgetError(f"a {self.limit}-entry {self.name} table exceeds the budget "
                                   f"{arithmetic.DEFAULT_BUDGET}")
-            self._w = accum.join_segments(STREAMED[self.name](self.limit), self.limit + 1)
+            self._w = accum.join_segments(STREAMED[self.name](self.limit, self.params),
+                                           self.limit + 1)
         return self._w
 
 
@@ -160,40 +191,38 @@ def _kadec_weight(limit: int, blocks: int, spiked: bool) -> np.ndarray:
     return w
 
 
-def _upto(values: np.ndarray, limit: int) -> np.ndarray:
-    """A freshly built table cut to 0..limit: itself when it ends there, else
-    a copy, so the longer array is not kept alive behind a view."""
-    return values if values.size == limit + 1 else values[: limit + 1].copy()
-
-
-def catalog(name: str, limit: int, table=None, **params) -> WeightSequence:
+def catalog(name: str, limit: int, **params) -> WeightSequence:
     """Construct a catalog weight sequence up to the given limit.
 
-    dgamma and besov read their factorizations from a SieveTable covering the
-    limit: `table` if given, else one built here (the other families need
-    none); a family named in REQUIRED_PARAM raises DomainError without that
-    parameter.  A streamed family is built lazily: see WeightSequence.
+    params are the family parameters gamma, alpha and blocks; any other
+    keyword, a family named in REQUIRED_PARAM without its parameter, and a
+    parameter outside its family's domain raise DomainError before anything
+    is built.  A streamed family is built lazily: see WeightSequence.
     """
     if name not in CATALOG_NAMES:
         raise DomainError(f"unknown weight family {name!r}")
     if limit < 2:
         raise RangeError(f"limit must be >= 2, got {limit}")
+    unknown = sorted(params.keys() - {"gamma", "alpha", "blocks"})
+    if unknown:
+        raise DomainError(f"unknown family parameters {unknown}: catalog takes gamma, alpha, blocks")
     need = REQUIRED_PARAM.get(name)
     if need is not None and params.get(need) is None:
         raise DomainError(f"{name} needs the parameter {need!r}")
-    if name in _NEEDS_TABLE:
-        if table is None:
-            table = arithmetic.build_sieve(limit)
-        elif table.limit < limit:
-            raise RangeError(f"{name} needs a sieve table covering limit {limit}")
-    w = None if name in STREAMED else _build(name, limit, table, params)
+    if name == "dgamma" and not 0 < float(params["gamma"]) < math.inf:
+        raise DomainError("dgamma needs a finite gamma > 0")
+    if name == "besov" and not 0 <= float(params["gamma"]) < math.inf:
+        raise DomainError("besov needs a finite gamma >= 0")
+    if name == "inv_divisor_pow" and float(params["alpha"]) <= 0:
+        raise DomainError("inv_divisor_pow needs alpha > 0")
+    w = None if name in STREAMED else _build(name, limit, params)
     expected = _EXPECTED_ALPHA.get(name)
     return WeightSequence(name=name, params=dict(params), limit=limit, w=w,
                           expected_alpha=None if expected is None else expected(params),
                           sigma0=_SIGMA0[name]() if name in _SIGMA0 else 1.0)
 
 
-def _build(name: str, limit: int, table, params: dict) -> np.ndarray:
+def _build(name: str, limit: int, params: dict) -> np.ndarray:
     """The whole array w_0..w_limit of a family that is not streamed."""
     if name == "constant":
         w = np.ones(limit + 1)
@@ -203,37 +232,6 @@ def _build(name: str, limit: int, table, params: dict) -> np.ndarray:
         n = np.arange(limit + 1, dtype=np.float64)
         with np.errstate(divide="ignore", invalid="ignore"):
             w = (1.0 + np.log(n)) ** a  # n = 0 slot produces nan, overwritten below
-        w[0] = 0.0
-    elif name == "dgamma":
-        g = float(params["gamma"])
-        if not 0 < g < math.inf:
-            raise DomainError("dgamma needs a finite gamma > 0")
-        w = _upto(arithmetic.generalized_divisor_table(g, table), limit)
-        w[0] = 0.0
-    elif name == "inv_divisor_pow":
-        a = float(params["alpha"])
-        if a <= 0:
-            raise DomainError("inv_divisor_pow needs alpha > 0")
-        d = arithmetic.divisor_count_table(limit).astype(np.float64)
-        with np.errstate(divide="ignore"):
-            w = d**-a
-        w[0] = 0.0
-    elif name == "besov":
-        g = float(params["gamma"])
-        if not 0 <= g < math.inf:
-            raise DomainError("besov needs a finite gamma >= 0")
-        om, fac = arithmetic.omega_and_exponent_factorial_tables(table)
-        om, fac = om[: limit + 1], fac[: limit + 1]
-        kmax = int(om.max())
-        rising = np.ones(kmax + 1)
-        if g == 0.0:
-            rising[0] = 0.0  # no constant term in -log(1 - prime zeta)
-            for k in range(1, kmax + 1):
-                rising[k] = math.factorial(k - 1)
-        else:
-            for k in range(1, kmax + 1):
-                rising[k] = rising[k - 1] * (g + k - 1)
-        w = rising[om] / np.where(fac > 0, fac, 1.0)
         w[0] = 0.0
     elif name == "mccarthy":
         w = arithmetic.ordered_factorization_table(limit).astype(np.float64)
@@ -253,7 +251,7 @@ def segments(w: WeightSequence):
     """w_0..w_limit as consecutive segments: from the family's builder while
     w is not built, else views of w."""
     if w._w is None:
-        return STREAMED[w.name](w.limit)
+        return STREAMED[w.name](w.limit, w.params)
     return (w._w[lo:hi] for lo, hi in accum.segment_edges(w.limit + 1))
 
 

@@ -7,14 +7,3 @@ from dirichletlab.arithmetic import build_sieve
 def table_small():
     # enough for every module-level test; prime list reaches 99991
     return build_sieve(10**5)
-
-
-@pytest.fixture(scope="session")
-def table_mid():
-    return build_sieve(10**6)
-
-
-@pytest.fixture(scope="session")
-def table_big():
-    # shared by the acceptance criteria that run at N = 1e7
-    return build_sieve(10**7)

@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 from dirichletlab import weights as W
-from dirichletlab.accum import compensated_sum
-from dirichletlab.arithmetic import build_sieve, factorize
+from dirichletlab.accum import compensated_sum, join_segments
+from dirichletlab.arithmetic import build_sieve, factorize, prime_segments
 from dirichletlab.cli import main as cli_main
 from dirichletlab.embedding import LocalWindow, block_family, embedding_constant
 from dirichletlab.hspace import evaluate, hw_inner, hw_kernel, poly_from_coeffs
@@ -45,11 +45,11 @@ WIN = LocalWindow(0.0, 1.0, 1.0)
 def test_criterion_01_summatory_mangoldt_tracks_x():
     t0 = perf_counter()
     table = build_sieve(10**7)  # timed: the criterion caps the whole run
-    w7 = W.catalog("mangoldt", 10**7, table=table)
+    w7 = W.catalog("mangoldt", 10**7)
     S7 = W.sum_upto(w7, 10**7)
     elapsed = perf_counter() - t0
     assert abs(S7 / 1e7 - 1.0) <= 0.01  # measured 1.46e-4
-    w6 = W.catalog("mangoldt", 10**6, table=table)
+    w6 = W.catalog("mangoldt", 10**6)
     assert abs(W.sum_upto(w6, 10**6) / 1e6 - 1.0) <= 0.02  # measured 4.13e-4
     # independent oracle: factor each n <= 1e4, log p on prime powers
     direct = math.fsum(
@@ -62,8 +62,8 @@ def test_criterion_01_summatory_mangoldt_tracks_x():
     assert elapsed <= 60.0, f"10^7 run took {elapsed:.1f} s"
 
 
-def test_criterion_02_divisor_weight_exponent(table_big):
-    w = W.catalog("divisor", 10**7, table=table_big)
+def test_criterion_02_divisor_weight_exponent():
+    w = W.catalog("divisor", 10**7)
     fit = W.fit_alpha(w, np.geomspace(1e4, 1e7, 25))
     assert -1.15 <= fit.alpha_hat <= -0.85  # measured -0.985
 
@@ -114,7 +114,7 @@ def test_criterion_05_reproducing_identity_hundred_cases():
     assert perf_counter() - t0 <= 5.0
 
 
-def test_criterion_06_near_boundary_comparability(table_mid):
+def test_criterion_06_near_boundary_comparability():
     sigmas = [0.5 + 1e-2, 0.5 + 1e-3, 0.5 + 1e-4]
 
     def full(w, s):
@@ -124,12 +124,12 @@ def test_criterion_06_near_boundary_comparability(table_mid):
     wd = W.catalog("divisor", 10**6)
     q = [full(wd, s) * (2 * s - 1) ** 2 for s in sigmas]
     assert max(q) / min(q) <= 2.0  # measured 1.024
-    wl = W.catalog("mangoldt_over_log", 10**6, table=table_mid)
+    wl = W.catalog("mangoldt_over_log", 10**6)
     q = [full(wl, s) / math.log(1.0 / (2 * s - 1)) for s in sigmas]
     assert max(q) / min(q) <= 2.0  # measured 1.046
 
 
-def test_criterion_07_abscissas_and_cross_check(table_big):
+def test_criterion_07_abscissas_and_cross_check():
     from scipy.special import exp1
 
     rho = prime_zeta_unit_abscissa()
@@ -138,12 +138,13 @@ def test_criterion_07_abscissas_and_cross_check(table_big):
     assert abs(zeta(rho1).real - 2.0) <= 1e-9
     # two-term li tail closes the direct prime sum onto the Mobius-log series
     s, L = 1.5, math.log(10**7)
-    direct = compensated_sum(table_big.primes.astype(np.float64) ** -s)
+    primes = np.flatnonzero(join_segments(prime_segments(10**7), 10**7 + 1, bool))
+    direct = compensated_sum(primes.astype(np.float64) ** -s)
     tail = exp1((s - 1.0) * L) - 0.5 * exp1((s - 0.5) * L)
     assert abs(direct + tail - prime_zeta(s).real) <= 1e-8  # measured 2.6e-9
 
 
-def test_criterion_08_embedding_growth_separation(table_small):
+def test_criterion_08_embedding_growth_separation():
     # The block g_k on (e^k, e^(k+1)] has norm^2 ~ e^k k^-alpha and local
     # alpha'-norm ~ e^k k^(alpha'-2 alpha), so its ratio is r_k ~ k^(alpha'-alpha):
     # flat at the expected exponent, growing like (log N)^(1/2) at the shift.
@@ -160,7 +161,7 @@ def test_criterion_08_embedding_growth_separation(table_small):
     def estimates(name, params, alpha_shift):
         out = []
         for n in (10**3, 10**4, 10**5):
-            w = W.catalog(name, n, table=table_small, **params)
+            w = W.catalog(name, n, **params)
             alpha = w.expected_alpha + alpha_shift
             out.append(embedding_constant(w, alpha, WIN, block_family(w)))
         return out
@@ -204,8 +205,8 @@ def test_criterion_09_kadec_construction_and_continuity():
 
 
 @pytest.mark.parametrize("name", ["constant", "divisor", "mangoldt"])
-def test_criterion_10_tauberian_round_trip(name, table_big):
-    w = W.catalog(name, 10**7, table=table_big)
+def test_criterion_10_tauberian_round_trip(name):
+    w = W.catalog(name, 10**7)
     prof = mellin_profile(w, w.sigma0 + np.geomspace(0.02, 1.5, 48))
     fit = fit_singularity(prof, w.sigma0)
     afit = W.fit_alpha(w)

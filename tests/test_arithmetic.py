@@ -1,27 +1,41 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dirichletlab import accum, arithmetic
+from dirichletlab import accum
 from dirichletlab.arithmetic import (
+    EXPONENT_FACTORIAL,
+    OMEGA,
     SieveTable,
     build_sieve,
     divisor_count,
     divisor_count_segments,
-    divisor_count_table,
+    factor_segments,
     factorize,
     generalized_divisor,
-    generalized_divisor_table,
+    generalized_divisor_segments,
     mobius,
-    omega_and_exponent_factorial_tables,
     ordered_factorization_table,
     prime_segments,
     von_mangoldt_segments,
 )
 from dirichletlab.errors import BudgetError, RangeError
+
+
+def divisor_count_table(limit):
+    return accum.join_segments(divisor_count_segments(limit), limit + 1, np.int32)
+
+
+def generalized_divisor_table(gamma, limit):
+    return accum.join_segments(generalized_divisor_segments(gamma, limit), limit + 1)
+
+
+def factor_tables(limit, *rules):
+    """The factor pass's table of each rule over 0..limit, the concatenation
+    of its segments."""
+    return tuple(np.concatenate(parts) for parts in zip(*factor_segments(limit, *rules)))
 
 
 def trial_factor(n):
@@ -107,7 +121,7 @@ def test_mobius_values_and_dirichlet_identity(table_small):
 
 
 def test_omega_table_counts_with_multiplicity(table_small):
-    om = omega_and_exponent_factorial_tables(table_small)[0]
+    om = factor_tables(table_small.limit, OMEGA, EXPONENT_FACTORIAL)[0]
     for n in range(2, 2000):
         assert om[n] == sum(trial_factor(n).values())
     assert om[1] == 0
@@ -115,7 +129,7 @@ def test_omega_table_counts_with_multiplicity(table_small):
 
 
 def test_exponent_factorial_table(table_small):
-    ef = omega_and_exponent_factorial_tables(table_small)[1]
+    ef = factor_tables(table_small.limit, OMEGA, EXPONENT_FACTORIAL)[1]
     for n in range(1, 1000):
         expect = 1
         for e in trial_factor(n).values():
@@ -124,15 +138,15 @@ def test_exponent_factorial_table(table_small):
 
 
 def test_omega_and_exponent_factorial_tables_from_one_pass(table_small):
-    om, ef = omega_and_exponent_factorial_tables(table_small)
+    om, ef = factor_tables(table_small.limit, OMEGA, EXPONENT_FACTORIAL)
     assert om.dtype == np.int8 and ef.dtype == np.float64
     # the two rules of one pass give the tables of two single-rule passes
-    assert np.array_equal(om, arithmetic._spf_pass(table_small, arithmetic._OMEGA)[0])
-    assert np.array_equal(ef, arithmetic._spf_pass(table_small, arithmetic._EXPONENT_FACTORIAL)[0])
+    assert np.array_equal(om, factor_tables(table_small.limit, OMEGA)[0])
+    assert np.array_equal(ef, factor_tables(table_small.limit, EXPONENT_FACTORIAL)[0])
 
 
-def spf_tables(table):
-    return (*omega_and_exponent_factorial_tables(table), generalized_divisor_table(1.5, table))
+def spf_tables(limit):
+    return (*factor_tables(limit, OMEGA, EXPONENT_FACTORIAL), generalized_divisor_table(1.5, limit))
 
 
 @pytest.mark.parametrize("limit, cap", [
@@ -141,32 +155,19 @@ def spf_tables(table):
     (999, 8), (1000, 8), (1024, 8), (1025, 7), (4099, 64),
 ])
 def test_spf_pass_capped_ranges_equal_the_dyadic_ranges(limit, cap, monkeypatch):
-    # n // spf(n) <= n/2 lies in an earlier range however the ranges are cut
-    table = build_sieve(limit)
+    # the factor pass's tables do not depend on how 0..limit is cut: segments
+    # of `cap` entries (cap None: the 2^20-entry segments) give the bits of
+    # one segment over the whole range
     if cap is not None:
-        monkeypatch.setattr(arithmetic, "_SPF_RANGE", cap)
-    capped = spf_tables(table)
-    monkeypatch.setattr(arithmetic, "_SPF_RANGE", 2**62)
-    for got, want in zip(capped, spf_tables(table)):
+        monkeypatch.setattr(accum, "_SEGMENT", cap)
+    capped = spf_tables(limit)
+    monkeypatch.setattr(accum, "_SEGMENT", 2**62)
+    for got, want in zip(capped, spf_tables(limit)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
-def test_spf_pass_temporaries_stay_within_one_range():
-    limit = 2**21 + 1
-    table = build_sieve(limit)
-    tracemalloc.start()
-    try:
-        omega_and_exponent_factorial_tables(table)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # 14 bytes per entry stay: the int8 and float64 tables, exponent and cofactor;
-    # the rest is one range's temporaries (~7 MiB; the last dyadic range took 29 MiB)
-    assert peak - 14 * (limit + 1) < 40 * arithmetic._SPF_RANGE
-
-
 def test_generalized_divisor_gamma2_is_divisor_count(table_small):
-    g2 = generalized_divisor_table(2.0, table_small)
+    g2 = generalized_divisor_table(2.0, table_small.limit)
     d = divisor_count_table(10**5)
     assert np.array_equal(g2[1:], d[1:].astype(np.float64))
     assert generalized_divisor(2.0, factorize(table_small, 72)) == divisor_count(
@@ -176,7 +177,7 @@ def test_generalized_divisor_gamma2_is_divisor_count(table_small):
 
 def test_generalized_divisor_gamma3_by_convolution(table_small):
     # d_3 = d_2 * 1 pointwise via divisor sums
-    g3 = generalized_divisor_table(3.0, table_small)
+    g3 = generalized_divisor_table(3.0, table_small.limit)
     d = divisor_count_table(500)
     for n in range(1, 501):
         expect = sum(d[k] for k in range(1, n + 1) if n % k == 0)
@@ -184,13 +185,13 @@ def test_generalized_divisor_gamma3_by_convolution(table_small):
 
 
 def test_generalized_divisor_gamma1_is_one(table_small):
-    g1 = generalized_divisor_table(1.0, table_small)
+    g1 = generalized_divisor_table(1.0, table_small.limit)
     assert np.all(g1[1:2000] == 1.0)
 
 
 def test_generalized_divisor_table_equals_per_n_value(table_small):
     gammas = (1 / 3, 0.7, 1.5, 2.5, 3.0)
-    tables = [generalized_divisor_table(g, table_small) for g in gammas]
+    tables = [generalized_divisor_table(g, table_small.limit) for g in gammas]
     for n in range(1, table_small.limit + 1):
         f = factorize(table_small, n)
         for g, t in zip(gammas, tables):
@@ -200,8 +201,8 @@ def test_generalized_divisor_table_equals_per_n_value(table_small):
 @pytest.mark.parametrize("limit", [2, 3, 4, 7, 8, 9, 15, 16, 17, 2**10 - 1, 2**10 + 1])
 def test_spf_tables_at_dyadic_edges(limit):
     table = build_sieve(limit)
-    om, ef = omega_and_exponent_factorial_tables(table)
-    gd = generalized_divisor_table(1 / 3, table)
+    om, ef = factor_tables(limit, OMEGA, EXPONENT_FACTORIAL)
+    gd = generalized_divisor_table(1 / 3, limit)
     assert (om[0], om[1], ef[0], ef[1], gd[0], gd[1]) == (0, 0, 0.0, 1.0, 0.0, 1.0)
     for n in range(2, limit + 1):
         f = factorize(table, n)
@@ -304,7 +305,7 @@ def test_divisor_count_table_equals_reference():
 @pytest.mark.parametrize("limit", [0, -1, -5])
 def test_divisor_count_table_rejects_limits_below_one(limit):
     with pytest.raises(RangeError):
-        divisor_count_table(limit)
+        next(divisor_count_segments(limit))
 
 
 def test_divisor_count_segments_refuse_limits_past_16_bits():
@@ -326,6 +327,41 @@ def von_mangoldt_reference(limit):
         power[:k] *= primes[:k]
         k = int(np.searchsorted(power[:k], limit, side="right"))
     return lam
+
+
+def factor_pass_reference(limit, *rules):
+    """The pass over the spf sieve that factor_segments replaced: one table
+    per rule (g, op, dtype) of f(n) = op(g(e), f(n / p^e)), p = spf(n) to the
+    exponent e, over the dyadic ranges [lo, 2 lo), where n / p^e < lo."""
+    spf = sieve_reference(limit)[0]
+    values = [np.array([g(e) for e in range(limit.bit_length())], dtype=dtype)
+              for g, _, dtype in rules]
+    tables = [np.full(limit + 1, op.identity, dtype=dtype) for _, op, dtype in rules]
+    for f in tables:
+        f[0] = 0
+    exp = np.zeros(limit + 1, dtype=np.int64)
+    cof = np.ones(limit + 1, dtype=np.int64)
+    lo = 2
+    while lo <= limit:
+        hi = min(2 * lo, limit + 1)
+        p = spf[lo:hi]
+        m = np.arange(lo, hi) // p
+        same = spf[m] == p
+        exp[lo:hi] = np.where(same, exp[m] + 1, 1)
+        cof[lo:hi] = np.where(same, cof[m], m)
+        for f, v, (_, op, _) in zip(tables, values, rules):
+            f[lo:hi] = op(v[exp[lo:hi]], f[cof[lo:hi]])
+        lo = hi
+    return tables
+
+
+D_THIRD = (lambda e: generalized_divisor(1 / 3, ((2, e),)), np.multiply, np.float64)
+
+
+def _check_factor_pass(limit):
+    got = (*factor_tables(limit, OMEGA, EXPONENT_FACTORIAL), generalized_divisor_table(1 / 3, limit))
+    for g, want in zip(got, factor_pass_reference(limit, OMEGA, EXPONENT_FACTORIAL, D_THIRD)):
+        assert g.dtype == want.dtype and g.tobytes() == want.tobytes(), limit
 
 
 def _check_builders(limit):
@@ -358,6 +394,8 @@ def test_segment_builders_across_segment_edges(segment, monkeypatch):
     # segment edges inside the hyperbola's and the sieve's strides
     monkeypatch.setattr(accum, "_SEGMENT", segment)
     limit = 3000 if segment == 1 else 10**5 + 3
-    assert [seg.size for seg in von_mangoldt_segments(limit)] == [
-        hi - lo for lo, hi in accum.segment_edges(limit + 1)]
+    want = [hi - lo for lo, hi in accum.segment_edges(limit + 1)]
+    assert [seg.size for seg in von_mangoldt_segments(limit)] == want
+    assert [seg.size for seg in generalized_divisor_segments(1.5, limit)] == want
     _check_builders(limit)
+    _check_factor_pass(limit)

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from dirichletlab import reporting, sampling
 from dirichletlab import weights as W
-from dirichletlab.arithmetic import build_sieve
 from dirichletlab.cli import main
 
 
@@ -180,7 +179,7 @@ def test_weights_dump_matches_reference(tmp_path):
     out, sums = tmp_path / "w.csv", tmp_path / "ws.csv"
     assert main(["weights", "--name", "mangoldt", "--N", str(N),
                  "--out", str(out), "--sums-out", str(sums)]) == 0
-    w = W.catalog("mangoldt", N, table=build_sieve(N))
+    w = W.catalog("mangoldt", N)
     S = W.partial_sums(w)
     ns = range(1, N + 1)
     assert out.read_text() == ref_csv(["n", "w_n"], ((n, float(w.w[n])) for n in ns))
@@ -192,7 +191,7 @@ def test_sampling_atoms_match_reference(tmp_path):
     atoms = tmp_path / "a.csv"
     assert main(["sampling", "--name", "mangoldt", "--N", str(N), "--atoms-out", str(atoms),
                  "--out", str(tmp_path / "s.json")]) == 0
-    mu = sampling.measure_from_weights(W.catalog("mangoldt", N, table=build_sieve(N)))
+    mu = sampling.measure_from_weights(W.catalog("mangoldt", N))
     assert atoms.read_text() == ref_csv(["position", "mass"],
                                         zip(mu.positions.tolist(), mu.masses.tolist()))
 

@@ -37,8 +37,8 @@ def test_atoms_from_constant_weights():
     assert m.domain_bound == math.log(3)
 
 
-def test_atoms_from_prime_indicator(table_small):
-    m = measure_from_weights(W.catalog("prime_indicator", 100, table=table_small))
+def test_atoms_from_prime_indicator():
+    m = measure_from_weights(W.catalog("prime_indicator", 100))
     primes = [2, 3, 5, 7, 11, 13]
     assert np.allclose(m.positions[:6], np.log(primes))
     assert np.allclose(m.masses[:6], [1.0 / p for p in primes])
@@ -342,10 +342,10 @@ LOWER_CHEBYSHEV_CASES = [
 
 
 @pytest.mark.parametrize("name,params", LOWER_CHEBYSHEV_CASES)
-def test_lower_growth_keeps_blocks_charged(name, params, table_small):
+def test_lower_growth_keeps_blocks_charged(name, params):
     # weights with partial sums ~ x (log x)^-alpha keep every unit log-window
     # charged after the (1+xi^2)^(alpha/2) rescaling
-    w = W.catalog(name, 10**5, table=table_small, **params)
+    w = W.catalog(name, 10**5, **params)
     alpha = w.expected_alpha
     assert alpha is not None
     m = measure_from_weights(w)

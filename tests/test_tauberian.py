@@ -16,8 +16,8 @@ from dirichletlab.zeta import prime_zeta, zeta
 RHO = 1.3994333287263299  # prime zeta = 1
 
 
-def standard_fit(name, limit, table=None, **params):
-    w = W.catalog(name, limit, table=table, **params)
+def standard_fit(name, limit, **params):
+    w = W.catalog(name, limit, **params)
     grid = w.sigma0 + np.geomspace(0.02, 1.5, 48)
     return w, fit_singularity(mellin_profile(w, grid), w.sigma0)
 
@@ -29,8 +29,8 @@ def test_profile_matches_zeta_within_tail():
         assert 0.0 <= gap <= p.tail_bound
 
 
-def test_profile_divisor_matches_zeta_squared(table_big):
-    w = W.catalog("divisor", 10**7, table=table_big)
+def test_profile_divisor_matches_zeta_squared():
+    w = W.catalog("divisor", 10**7)
     p15, p20 = mellin_profile(w, [1.5, 2.0])
     # at sigma = 1.5 the truncation tail itself is ~1e-2; the identity is
     # checkable only through the bracket there, and directly from 2.0 on
@@ -44,9 +44,9 @@ def test_profile_large_sigma_leaves_first_term():
     assert p.value == pytest.approx(1.0, rel=1e-9)
 
 
-def test_profile_strictly_decreasing(table_mid):
+def test_profile_strictly_decreasing():
     for name in ("constant", "divisor", "prime_indicator"):
-        w = W.catalog(name, 10**5, table=table_mid)
+        w = W.catalog(name, 10**5)
         vals = [p.value for p in mellin_profile(w, np.linspace(1.2, 4.0, 15))]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
@@ -59,8 +59,8 @@ def test_profile_rejects_sigma_at_abscissa():
         mellin_profile(w, [1.0])
 
 
-def test_fit_constant_simple_pole(table_mid):
-    _, fit = standard_fit("constant", 10**6, table_mid)
+def test_fit_constant_simple_pole():
+    _, fit = standard_fit("constant", 10**6)
     assert not fit.log_singularity
     assert -0.1 <= fit.beta_hat <= 0.1
     assert fit.beta_hat == pytest.approx(0.079964296516, abs=1e-9)  # frozen
@@ -69,19 +69,19 @@ def test_fit_constant_simple_pole(table_mid):
     assert fit.residual_rms < 1e-2
 
 
-def test_fit_divisor_double_pole(table_big):
+def test_fit_divisor_double_pole():
     # 10^7 terms: with fewer the tail-clean window starts too shallow and
     # the regular part of zeta^2 drags the slope above -0.85
-    _, fit = standard_fit("divisor", 10**7, table_big)
+    _, fit = standard_fit("divisor", 10**7)
     assert not fit.log_singularity
     assert -1.15 <= fit.beta_hat <= -0.85
     assert fit.beta_hat == pytest.approx(-0.873544314196, abs=1e-9)  # frozen
 
 
-def test_fit_summatory_mangoldt_stays_power(table_mid):
+def test_fit_summatory_mangoldt_stays_power():
     # the analytic part of -zeta'/zeta enters negatively, which also steepens
     # the shallow slopes; the shape contest keeps this on the power branch
-    _, fit = standard_fit("mangoldt", 10**6, table_mid)
+    _, fit = standard_fit("mangoldt", 10**6)
     assert not fit.log_singularity
     assert abs(fit.beta_hat) <= 0.1  # frozen 0.075768
 
@@ -90,17 +90,17 @@ def test_fit_summatory_mangoldt_stays_power(table_mid):
     "name,g_frozen",
     [("mangoldt_over_log", 0.947039691606), ("prime_indicator", 0.864862266704)],
 )
-def test_fit_log_singularities(name, g_frozen, table_mid):
-    _, fit = standard_fit(name, 10**6, table_mid)
+def test_fit_log_singularities(name, g_frozen):
+    _, fit = standard_fit(name, 10**6)
     assert fit.log_singularity
     assert fit.beta_hat == 1.0
     assert fit.g_at_sigma0 == pytest.approx(g_frozen, abs=1e-9)
 
 
-def test_fit_refuses_short_window(table_mid):
+def test_fit_refuses_short_window():
     # (log x)^2-type growth keeps tails heavy: at 10^6 terms fewer than
     # 0.3 decades of the profile are tail-clean
-    w = W.catalog("dgamma", 10**6, table=table_mid, gamma=3)
+    w = W.catalog("dgamma", 10**6, gamma=3)
     prof = mellin_profile(w, w.sigma0 + np.geomspace(0.02, 1.5, 48))
     with pytest.raises(FitError, match="decades"):
         fit_singularity(prof, w.sigma0)
@@ -147,8 +147,8 @@ def test_predict_constant_ideal_shape():
     assert all(0.99 <= r.ratio <= 1.01 for r in rows)
 
 
-def test_predict_constant_fitted_pipeline(table_mid):
-    w, fit = standard_fit("constant", 10**6, table_mid)
+def test_predict_constant_fitted_pipeline():
+    w, fit = standard_fit("constant", 10**6)
     rows = predict_and_compare(fit, w, np.geomspace(1e5, 1e6, 9))
     ratios = [r.ratio for r in rows]
     assert 0.97 <= min(ratios) and max(ratios) <= 1.03  # measured [0.9924, 1.0070]
@@ -157,14 +157,14 @@ def test_predict_constant_fitted_pipeline(table_mid):
     assert all(r.measured == pytest.approx(r.ratio * r.predicted) for r in rows)
 
 
-def test_predict_summatory_mangoldt_last_decade(table_mid):
-    w, fit = standard_fit("mangoldt", 10**6, table_mid)
+def test_predict_summatory_mangoldt_last_decade():
+    w, fit = standard_fit("mangoldt", 10**6)
     rows = predict_and_compare(fit, w, np.geomspace(1e5, 1e6, 9))
     assert all(0.95 <= r.ratio <= 1.05 for r in rows)  # measured [0.9939, 1.0068]
 
 
-def test_predict_prime_counts_with_unit_log_power(table_big):
-    w = W.catalog("prime_indicator", 10**7, table=table_big)
+def test_predict_prime_counts_with_unit_log_power():
+    w = W.catalog("prime_indicator", 10**7)
     fit = SingularityFit(1.0, 1.0, 1.0, (0.0, 0.0), 0.0, True)
     rows = predict_and_compare(fit, w, np.geomspace(1e6, 1e7, 5))
     assert all(0.9 <= r.ratio <= 1.1 for r in rows)  # measured [0.9942, 1.0065]
@@ -184,9 +184,9 @@ def test_detect_abscissa_constant():
     assert v == pytest.approx(1.0, abs=1e-12)
 
 
-def test_detect_abscissa_divisor(table_mid):
+def test_detect_abscissa_divisor():
     # the (log x)^1 factor drags the finite-range slope above 1
-    v = detect_abscissa(W.catalog("divisor", 10**5, table=table_mid))
+    v = detect_abscissa(W.catalog("divisor", 10**5))
     assert v == pytest.approx(1.101256347034861, rel=1e-12)  # frozen
     assert abs(v - 1.0) <= 0.15
 
@@ -202,8 +202,8 @@ def test_detect_abscissa_mccarthy():
 
 
 @pytest.mark.parametrize("name", ["constant", "divisor"])
-def test_singularity_exponent_matches_sum_exponent(name, table_mid):
-    w, fit = standard_fit(name, 10**6, table_mid)
+def test_singularity_exponent_matches_sum_exponent(name):
+    w, fit = standard_fit(name, 10**6)
     afit = W.fit_alpha(w)
     assert abs(fit.beta_hat - afit.alpha_hat) <= 0.25  # measured 0.080 / 0.134
 

@@ -6,9 +6,17 @@ from hypothesis import given, settings, strategies as st
 
 from dirichletlab import accum, weights as W
 from dirichletlab.accum import block_moments, compensated_cumsum
-from dirichletlab.arithmetic import (DEFAULT_BUDGET, build_sieve, divisor_count_table,
+from dirichletlab.arithmetic import (DEFAULT_BUDGET, divisor_count_segments,
                                      von_mangoldt_segments)
 from dirichletlab.errors import BudgetError, DomainError, FitError, RangeError
+
+# the family parameters of the streamed families that need one
+STREAMED_PARAMS = {"dgamma": {"gamma": 1.5}, "inv_divisor_pow": {"alpha": 1.0},
+                   "besov": {"gamma": 0.5}}
+
+
+def divisor_count_table(limit):
+    return accum.join_segments(divisor_count_segments(limit), limit + 1, np.int32)
 
 
 def test_catalog_rejects_unknowns_and_tiny_limits():
@@ -16,15 +24,9 @@ def test_catalog_rejects_unknowns_and_tiny_limits():
         W.catalog("no_such_family", 100)
     with pytest.raises(RangeError):
         W.catalog("constant", 1)
-
-
-@pytest.mark.parametrize("name, gamma", [("dgamma", 1.5), ("besov", 0.5)])
-def test_catalog_builds_the_sieve_table_it_needs(name, gamma, table_small):
-    own = W.catalog(name, 20_000, gamma=gamma)  # no table passed: one is built
-    passed = W.catalog(name, 20_000, table=table_small, gamma=gamma)
-    assert own.w.tobytes() == passed.w.tobytes()
-    with pytest.raises(RangeError):  # a passed table must cover the limit
-        W.catalog(name, 20_000, table=build_sieve(10_000), gamma=gamma)
+    # a keyword that is no family parameter is refused, not carried into w.params
+    with pytest.raises(DomainError):
+        W.catalog("dgamma", 100, gamma=1.5, table=None)
 
 
 def test_constant_weights_and_partial_sums():
@@ -35,27 +37,27 @@ def test_constant_weights_and_partial_sums():
     assert w.expected_alpha == 0.0 and w.sigma0 == 1.0
 
 
-def test_dgamma_two_equals_divisor_function(table_small):
-    w = W.catalog("dgamma", 20_000, table=table_small, gamma=2.0)
+def test_dgamma_two_equals_divisor_function():
+    w = W.catalog("dgamma", 20_000, gamma=2.0)
     d = divisor_count_table(20_000)
     assert np.array_equal(w.w[1:], d[1:].astype(np.float64))
     for bad in (0.0, math.nan, math.inf):
         with pytest.raises(DomainError):
-            W.catalog("dgamma", 100, table=table_small, gamma=bad)
+            W.catalog("dgamma", 100, gamma=bad)
     for bad in (-1.0, math.nan, math.inf):
         with pytest.raises(DomainError):
-            W.catalog("besov", 100, table=table_small, gamma=bad)
+            W.catalog("besov", 100, gamma=bad)
 
 
 def test_mangoldt_weights_match_arithmetic_table(table_small):
-    w = W.catalog("mangoldt", 10**5, table=table_small)
+    w = W.catalog("mangoldt", 10**5)
     lam = np.concatenate(list(von_mangoldt_segments(table_small.limit)))
     assert np.array_equal(w.w, lam)
     assert w.expected_alpha == 0.0
 
 
-def test_mangoldt_over_log_is_prime_power_indicatorish(table_small):
-    w = W.catalog("mangoldt_over_log", 5000, table=table_small)
+def test_mangoldt_over_log_is_prime_power_indicatorish():
+    w = W.catalog("mangoldt_over_log", 5000)
     # Lambda(n)/log n equals 1/k at p^k, zero elsewhere
     assert w.w[1] == 0.0
     assert w.w[7] == pytest.approx(1.0)
@@ -65,7 +67,7 @@ def test_mangoldt_over_log_is_prime_power_indicatorish(table_small):
 
 
 def test_prime_indicator(table_small):
-    w = W.catalog("prime_indicator", 5000, table=table_small)
+    w = W.catalog("prime_indicator", 5000)
     primes = set(table_small.primes[table_small.primes <= 5000].tolist())
     assert np.array_equal(np.flatnonzero(w.w), np.array(sorted(primes)))
     assert np.all(w.w[np.flatnonzero(w.w)] == 1.0)
@@ -78,7 +80,7 @@ def test_log_power_shape():
     assert w.expected_alpha == -0.5
 
 
-def test_inv_divisor_pow(table_small):
+def test_inv_divisor_pow():
     w = W.catalog("inv_divisor_pow", 1000, alpha=1.0)
     d = divisor_count_table(1000)
     assert np.allclose(w.w[1:], 1.0 / d[1:], rtol=1e-15)
@@ -110,7 +112,9 @@ def test_kadec_needs_room():
         W.catalog("kadec", 100, blocks=8)
 
 
-@pytest.mark.parametrize("name,params,needs_table,limit", [
+# sieved: the family is read off a sieve by the primes <= sqrt(limit); the
+# column labels the cases and keeps their ids
+@pytest.mark.parametrize("name,params,sieved,limit", [
     ("constant", {}, False, 2000),
     ("log_power", {"alpha": 0.5}, False, 2000),
     ("divisor", {}, False, 2000),
@@ -126,8 +130,8 @@ def test_kadec_needs_room():
     # spiked entries are e^n, finite only up to n ~ 709 (the demo's domain)
     ("kadec_spiked", {"blocks": 6}, False, 700),
 ])
-def test_catalog_prefix_sums_nondecreasing(table_small, name, params, needs_table, limit):
-    w = W.catalog(name, limit, table=table_small if needs_table else None, **params)
+def test_catalog_prefix_sums_nondecreasing(name, params, sieved, limit):
+    w = W.catalog(name, limit, **params)
     S = W.partial_sums(w)
     assert np.all(np.isfinite(w.w))
     assert np.all(np.diff(S[1:]) >= 0.0)
@@ -220,22 +224,23 @@ def test_sum_upto_additive_on_disjoint_ranges(a, b):
 
 
 @pytest.mark.parametrize("name, param", sorted(W.REQUIRED_PARAM.items()))
-def test_catalog_names_a_missing_family_parameter(name, param, table_small):
+def test_catalog_names_a_missing_family_parameter(name, param):
     with pytest.raises(DomainError, match=repr(param)):
-        W.catalog(name, 1000, table=table_small)
+        W.catalog(name, 1000)
     with pytest.raises(DomainError, match=repr(param)):
-        W.catalog(name, 1000, table=table_small, **{param: None})
+        W.catalog(name, 1000, **{param: None})
 
 
 @pytest.mark.parametrize("name", sorted(W.STREAMED))
 def test_streamed_family_reads_without_its_array(name):
-    w = W.catalog(name, 10**5)
+    params = STREAMED_PARAMS.get(name, {})
+    w = W.catalog(name, 10**5, **params)
     xs = np.array([[2, 4095, 4096], [4097, 77_777, 10**5]])
     moments, sums = W.read(w, xs, 3.3)
     S = W.partial_sums(w)  # from the builder's segments too
     assert w._w is None  # nothing N-length was kept
     assert sums.shape == xs.shape and sums.tobytes() == S[xs].tobytes()
-    whole = W.catalog(name, 10**5).w  # the concatenation of the segments
+    whole = W.catalog(name, 10**5, **params).w  # the concatenation of the segments
     assert whole.tobytes() == w.w.tobytes()
     assert S.tobytes() == compensated_cumsum(whole).tobytes()
     for got, want in zip(moments, block_moments(whole, 3.3)):
@@ -266,8 +271,9 @@ def test_every_sequence_is_cut_at_segment_edges(segment, limit, monkeypatch):
     monkeypatch.setattr(accum, "_SEGMENT", segment)
     want = [hi - lo for lo, hi in accum.segment_edges(limit + 1)]
     for name, build in W.STREAMED.items():
-        assert [seg.size for seg in build(limit)] == want, name
-        w = W.catalog(name, limit)
+        params = STREAMED_PARAMS.get(name, {})
+        assert [seg.size for seg in build(limit, params)] == want, name
+        w = W.catalog(name, limit, **params)
         assert [seg.size for seg in W.segments(w)] == want, name  # from the builder
         w.w
         assert [seg.size for seg in W.segments(w)] == want, name  # views of the array

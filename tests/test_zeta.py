@@ -280,9 +280,10 @@ def test_dirichlet_convolve_divisor_identity():
     ones = np.zeros(201)
     ones[1:] = 1.0
     d = dirichlet_convolve(ones, ones)
-    from dirichletlab.arithmetic import divisor_count_table
+    from dirichletlab.accum import join_segments
+    from dirichletlab.arithmetic import divisor_count_segments
 
-    expect = divisor_count_table(200)
+    expect = join_segments(divisor_count_segments(200), 201, np.int32)
     assert np.array_equal(d[1:201], expect[1:201].astype(np.float64))
 
 
