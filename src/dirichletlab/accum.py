@@ -367,10 +367,12 @@ def _views(a: np.ndarray):
 
 def join_segments(segments, size: int, dtype=np.float64) -> np.ndarray:
     """The concatenation of segments that cover `size` entries, as one array."""
-    out = np.empty(size, dtype=dtype)
-    lo = 0
+    out, lo = np.empty(0, dtype=dtype), 0
     for seg in segments:
-        out[lo : lo + seg.size] = seg
+        if lo == 0:  # a lone segment of this size and dtype is the array, not copied
+            out = seg if seg.size == size and seg.dtype == dtype else np.empty(size, dtype=dtype)
+        if seg is not out:
+            out[lo : lo + seg.size] = seg
         lo += seg.size
     if lo != size:
         raise RangeError(f"segments cover {lo} entries, not {size}")

@@ -130,14 +130,17 @@ def generalized_divisor(gamma, f: Factorization) -> float:
     return total
 
 
-def ordered_factorization_table(limit: int) -> np.ndarray:
+def ordered_factorization_table(limit: int, budget: int = DEFAULT_BUDGET) -> np.ndarray:
     """Ordered-factorization counts for 1..limit in one divisor-lattice pass.
 
     F[n] = 1 + sum of F[m] over proper divisors m > 1; processing m ascending
-    makes each F[m] final before it is pushed onto its multiples.
+    makes each F[m] final before it is pushed onto its multiples.  The table
+    is built whole: limits past the budget raise BudgetError, as in build_sieve.
     """
     if limit < 1:
         raise RangeError(f"limit must be >= 1, got {limit}")
+    if limit > budget:
+        raise BudgetError(f"ordered-factorization limit {limit} exceeds budget {budget}")
     F = np.zeros(limit + 1, dtype=np.int64)
     F[1:] = 1
     for m in range(2, limit // 2 + 1):

@@ -3,11 +3,12 @@
 Commands: weights | sums | fit | zeta | kernel | embed | sampling |
 tauberian | curves.  Every default lives on the parser.  --config names a
 JSON file (a section named after the command, or a flat object) whose
-values replace those defaults; each value is parsed by its flag's type.
+values replace those defaults, each parsed and checked as its flag is.
 Precedence: flag > config > parser default.  Exit codes: 0 ok, 1
 compute/runtime failure, 2 usage/config error, including a config value
-its flag's type rejects.  All outputs go through `reporting`, so a repeated
-run with the same options and seed is byte-identical.
+its flag rejects and a weight family input that catalog refuses.  All
+outputs go through `reporting`, so a repeated run with the same options
+and seed is byte-identical.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ def _config_section(path, command):
 
 
 def _config_defaults(parser, section):
-    """The section's values for `parser`'s options, each parsed by its flag's type."""
+    """The section's values for `parser`'s options, each parsed and checked as its flag is."""
     out = {}
     for action in parser._actions:
         if action.dest not in section:
@@ -63,6 +64,8 @@ def _config_defaults(parser, section):
             except (TypeError, ValueError):
                 raise UsageError(f"config value {action.dest}={v!r} is not a valid "
                                  f"{action.type.__name__}")
+        if action.choices is not None and v not in action.choices:
+            raise UsageError(f"config value {action.dest}={v!r} is not in {action.choices}")
         out[action.dest] = v
     return out
 
@@ -86,14 +89,11 @@ def _truncation(flag, v):
 _PARAM_FLAGS = {"gamma": "--gamma", "alpha": "--alpha-param", "blocks": "--blocks"}
 
 
-def _weight_spec(args, n_values):
-    """(the truncations n_values as ints, the family parameters), once the
-    family name, every N (n_values None: --N was not given) and the family's
-    required parameter pass their checks; nothing is built before."""
+def _weight_sequences(args, n_values):
+    """The named family's catalog sequences at the truncations n_values (None: --N
+    was not given); catalog builds nothing, so each error it raises is a usage error."""
     if args.name is None:
         raise UsageError("a weight --name is required")
-    if args.name not in W.CATALOG_NAMES:
-        raise UsageError(f"unknown weight family {args.name!r}")
     if n_values is None:
         raise UsageError("--N is required")
     ns = [_truncation("--N", v) for v in n_values]
@@ -101,12 +101,15 @@ def _weight_spec(args, n_values):
     need = W.REQUIRED_PARAM.get(args.name)
     if need is not None and params[need] is None:
         raise UsageError(f"weight family {args.name!r} needs {_PARAM_FLAGS[need]}")
-    return ns, {k: v for k, v in params.items() if v is not None}
+    params = {k: v for k, v in params.items() if v is not None}
+    try:
+        return [W.catalog(args.name, n, **params) for n in ns]
+    except DirichletLabError as e:
+        raise UsageError(str(e))
 
 
 def _load_weight(args):
-    (n,), params = _weight_spec(args, None if args.N is None else [args.N])
-    return W.catalog(args.name, n, **params)
+    return _weight_sequences(args, None if args.N is None else [args.N])[0]
 
 
 def _weight_blob(w):
@@ -118,7 +121,7 @@ def _weight_blob(w):
 
 def cmd_weights(args):
     w = _load_weight(args)
-    n = np.arange(1, w.limit + 1)
+    n = np.arange(1, w.w.size)  # w first: past the budget it refuses before n is allocated
     reporting.write_csv(args.out, ["n", "w_n"], [n, w.w[1:]])
     sums_out = args.sums_out
     if sums_out is None:
@@ -206,17 +209,15 @@ def cmd_zeta(args):
             blob["cross_check_gap"] = abs(direct + tail - prime_zeta(s).real)
         reporting.write_json("abscissas.json" if args.out is None else args.out, blob)
         return 0
-    if args.what == "grid":
-        lo, hi, pts = args.sigma_lo, args.sigma_hi, args.points
-        if not (1.0 < lo < hi) or pts < 2:
-            raise UsageError("grid needs 1 < sigma_lo < sigma_hi and >= 2 points")
-        sigmas = np.linspace(lo, hi, pts)
-        reporting.write_csv("zeta.csv" if args.out is None else args.out,
-                            ["sigma", "zeta", "prime_zeta"],
-                            [sigmas, [zeta(s).real for s in sigmas],
-                             [prime_zeta(s).real for s in sigmas]])
-        return 0
-    raise UsageError(f"unknown zeta request {args.what!r} (abscissas|grid)")
+    lo, hi, pts = args.sigma_lo, args.sigma_hi, args.points  # --what grid
+    if not (1.0 < lo < hi) or pts < 2:
+        raise UsageError("grid needs 1 < sigma_lo < sigma_hi and >= 2 points")
+    sigmas = np.linspace(lo, hi, pts)
+    reporting.write_csv("zeta.csv" if args.out is None else args.out,
+                        ["sigma", "zeta", "prime_zeta"],
+                        [sigmas, [zeta(s).real for s in sigmas],
+                         [prime_zeta(s).real for s in sigmas]])
+    return 0
 
 
 def cmd_kernel(args):
@@ -241,17 +242,12 @@ def cmd_kernel(args):
 
 
 def cmd_embed(args):
-    name, alpha, kind = args.name, args.alpha, args.family
-    n_list, params = _weight_spec(args, args.N_list)
+    alpha, kind = args.alpha, args.family
     if alpha is None:
         raise UsageError("--alpha is required")
-    if not n_list:
-        raise UsageError("--N-list is empty")
     if not ALPHA_LOW < alpha < ALPHA_HIGH:  # also rejects nan
         raise UsageError(f"--alpha must lie in the supported scale {ALPHA_LOW:g} < alpha < "
                          f"{ALPHA_HIGH:g}, got {alpha}")
-    if kind not in ("blocks", "random"):
-        raise UsageError(f"family must be blocks|random, got {kind!r}")
     if kind == "random" and args.size < 1:
         raise UsageError(f"a random family needs --size >= 1, got {args.size}")
     try:
@@ -263,19 +259,24 @@ def cmd_embed(args):
             check_sigma_rules(alpha, win)
         except DirichletLabError as e:
             raise UsageError(f"--alpha and --sigma-cap: {e}")
+    if not args.N_list:
+        raise UsageError("--N-list is empty")
+    # every N is checked before any weight is built; each is let go after its row
+    sequences = sorted(_weight_sequences(args, args.N_list), key=lambda w: w.limit)
+    weight = {"name": args.name, "params": sequences[0].params}
     rows = []
-    for n in sorted(n_list):
-        w = W.catalog(name, n, **params)
+    while sequences:
+        w = sequences.pop(0)
         fam = block_family(w) if kind == "blocks" else random_family(w, args.size, args.seed)
         est = embedding_constant(w, alpha, win, fam)
-        rows.append({"N": n, "constant_estimate": est.value,
+        rows.append({"N": w.limit, "constant_estimate": est.value,
                      "quad_error_max": est.quad_error_max,
                      "family_size": est.family_size})
     reporting.write_csv(args.out_csv, ["N", "alpha", "constant_estimate"],
                         [[r["N"] for r in rows], [alpha] * len(rows),
                          [r["constant_estimate"] for r in rows]])
     blob = {
-        "weight": {"name": name, "params": params},
+        "weight": weight,
         "alpha": alpha,
         "window": {"a": win.a, "b": win.b, "sigma_cap": win.sigma_cap},
         "family": {"kind": kind, "size": args.size,

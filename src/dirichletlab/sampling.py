@@ -255,10 +255,7 @@ def kadec_atoms(blocks: int) -> AtomicMeasure:
     strictly better than double precision, so the position is written as k
     exactly.  Either way |position - k| <= 1/5.
     """
-    if blocks < 1:
-        raise RangeError("need at least one block")
-    k_exact = min(blocks, 36)
-    idx = _weights.kadec_indices(k_exact)
+    idx = _weights.kadec_indices(min(blocks, 36))  # RangeError below one block
     pos = [math.log(n) for n in idx]
     pos.extend(float(k) for k in range(37, blocks + 1))
     return AtomicMeasure(

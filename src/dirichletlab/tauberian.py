@@ -16,8 +16,8 @@ than by the slope alone.
 
 Every partial sum and moment the workflow reads comes from the weights'
 scan: prescan reads the profile's moments and the ~80 partial sums that the
-envelope, the abscissa estimate and the comparison need in one pass, so a
-streamed family is never held whole.
+envelope, the abscissa estimate and the comparison need in one pass, so no
+N-length weight array is built.
 """
 
 from __future__ import annotations

@@ -6,19 +6,18 @@ growth of the partial sums S(x) = sum_{n<=x} w_n, summarized by the exponent
 alpha in S(x) ~ C x / (log x)^alpha.  Catalog entries carry the predicted
 exponent when one is known, and the abscissa sigma0 of sum w_n n^(-s).
 
-The families in STREAMED, every sieve-derived one (dgamma, divisor,
-inv_divisor_pow, mangoldt, mangoldt_over_log, prime_indicator and besov),
-are handed out segment by segment from their arithmetic builders: a scan of
-one of them holds one accum segment, one chunk and one moment block, never
-the N-length table, so its memory is bounded by the segment size (plus
-sqrt(N) small primes and the largest moment block, N/33 entries).  Their
-array w is built, as the concatenation of the same segments, only when
-something reads it.  Every other family, mccarthy and
-inv_ordered_factorization (one divisor-lattice pass) among them, is built
-whole and handed out as views of its array, cut at the same segment edges.
-S(x) at given points comes from the scan's checkpoint reads, bit for bit the
-entries of partial_sums, and every sequence, built or streamed, keeps one
-memo of the sums and the moments it has read.
+Every family is handed out segment by segment from its builder in BUILDERS:
+a scan holds one accum segment, one chunk and one moment block, never the
+N-length table, so its memory is bounded by the segment size (plus sqrt(N)
+small primes and the largest moment block, N/33 entries).  The closed forms
+(constant, log_power, kadec, kadec_spiked) compute each segment from its n;
+the sieve families read theirs from the arithmetic builders; mccarthy and
+inv_ordered_factorization cut theirs from one divisor-lattice table, the
+one family pair whose table is built whole.  The array w is built, as the
+concatenation of the same segments, only when something reads it.  S(x) at
+given points comes from the scan's checkpoint reads, bit for bit the
+entries of partial_sums, and every sequence keeps one memo of the sums and
+the moments it has read.
 """
 from __future__ import annotations
 
@@ -30,22 +29,6 @@ import numpy as np
 from . import accum, arithmetic
 from .errors import BudgetError, DomainError, FitError, RangeError
 from .zeta import prime_zeta_unit_abscissa, zeta_equals_two_abscissa
-
-CATALOG_NAMES = (
-    "constant",
-    "log_power",
-    "dgamma",
-    "divisor",
-    "inv_divisor_pow",
-    "mangoldt",
-    "mangoldt_over_log",
-    "prime_indicator",
-    "besov",
-    "mccarthy",
-    "inv_ordered_factorization",
-    "kadec",
-    "kadec_spiked",
-)
 
 # the one parameter a family cannot be built without
 REQUIRED_PARAM = {"log_power": "alpha", "inv_divisor_pow": "alpha", "dgamma": "gamma",
@@ -66,6 +49,49 @@ _EXPECTED_ALPHA = {
 
 # the abscissa sigma0 of sum w_n n^(-s), where it is not 1
 _SIGMA0 = {"besov": prime_zeta_unit_abscissa, "mccarthy": zeta_equals_two_abscissa}
+
+
+def _constant_segments(limit: int, params: dict):
+    for lo, hi in accum.segment_edges(limit + 1):
+        w = np.ones(hi - lo)
+        w[: max(0, 1 - lo)] = 0.0  # n = 0
+        yield w
+
+
+def _log_power_segments(limit: int, params: dict):
+    a = float(params["alpha"])
+    for lo, hi in accum.segment_edges(limit + 1):
+        w = np.arange(lo, hi, dtype=np.float64)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.log(w, out=w)
+            w += 1.0
+            w **= a
+        w[: max(0, 1 - lo)] = 0.0  # n = 0, where the formula gives nan
+        yield w
+
+
+def _kadec_segments(limit: int, params: dict, spiked: bool):
+    """w_n = n at the kadec_indices atoms; elsewhere 0 or, spiked, e^n (w_0 = 0)."""
+    atoms = np.array(kadec_indices(int(params["blocks"])))
+    for lo, hi in accum.segment_edges(limit + 1):
+        w = np.zeros(hi - lo)
+        if spiked:
+            with np.errstate(over="ignore"):
+                np.exp(np.arange(lo, hi, dtype=np.float64), out=w)
+            w[: max(0, 1 - lo)] = 0.0  # n = 0
+        inside = atoms[(lo <= atoms) & (atoms < hi)]
+        w[inside - lo] = inside
+        yield w
+
+
+def _ordered_factorizations(limit: int, invert: bool):
+    """F(n) or, inverted, 1 / F(n) (w_0 = 0), cut from the one divisor-lattice table."""
+    F = arithmetic.ordered_factorization_table(limit)
+    for lo, hi in accum.segment_edges(limit + 1):
+        w = F[lo:hi].astype(np.float64)
+        if invert:
+            np.divide(1.0, w, out=w, where=w > 0)  # w_0 = F(0) = 0 stays
+        yield w
 
 
 def _mangoldt_over_log_segments(limit: int, params: dict):
@@ -104,12 +130,14 @@ def _besov_segments(limit: int, params: dict):
         yield np.divide(rising[om], fac, out=np.zeros(fac.size), where=fac > 0)
 
 
-# segment builders of the streamed families: (limit, family parameters) ->
-# segments of w_0..w_limit, float64 or, for divisor (uint16) and
-# prime_indicator (bool), the builder's integers as they are: accum.scan sums
-# those exactly and converts only the moment blocks it copies, and w is their
-# float64 concatenation
-STREAMED = {
+# the segment builder of every family, in catalog order: (limit, family
+# parameters) -> segments of w_0..w_limit, float64 or, for divisor (uint16)
+# and prime_indicator (bool), the builder's integers as they are: accum.scan
+# sums those exactly and converts only the moment blocks it copies, and w is
+# their float64 concatenation
+BUILDERS = {
+    "constant": _constant_segments,
+    "log_power": _log_power_segments,
     "dgamma": lambda limit, p: arithmetic.generalized_divisor_segments(float(p["gamma"]), limit),
     "divisor": lambda limit, p: arithmetic.divisor_count_segments(limit),
     "inv_divisor_pow": _inv_divisor_pow_segments,
@@ -117,14 +145,19 @@ STREAMED = {
     "mangoldt_over_log": _mangoldt_over_log_segments,
     "prime_indicator": lambda limit, p: arithmetic.prime_segments(limit),
     "besov": _besov_segments,
+    "mccarthy": lambda limit, p: _ordered_factorizations(limit, invert=False),
+    "inv_ordered_factorization": lambda limit, p: _ordered_factorizations(limit, invert=True),
+    "kadec": lambda limit, p: _kadec_segments(limit, p, spiked=False),
+    "kadec_spiked": lambda limit, p: _kadec_segments(limit, p, spiked=True),
 }
+CATALOG_NAMES = tuple(BUILDERS)
 
 
 class WeightSequence:
     """Weights w_1..w_limit stored at matching indices (w[0] stays 0).
 
-    A sequence made without w is a streamed catalog family: segments() reads
-    it from its builder, and w is built on first access.
+    A catalog sequence is made without w: segments() reads it from its
+    builder, and w is built on first access.
     """
 
     def __init__(self, name: str, params: dict, limit: int, w: Optional[np.ndarray] = None,
@@ -144,7 +177,7 @@ class WeightSequence:
             if self.limit > arithmetic.DEFAULT_BUDGET:
                 raise BudgetError(f"a {self.limit}-entry {self.name} table exceeds the budget "
                                   f"{arithmetic.DEFAULT_BUDGET}")
-            self._w = accum.join_segments(STREAMED[self.name](self.limit, self.params),
+            self._w = accum.join_segments(BUILDERS[self.name](self.limit, self.params),
                                            self.limit + 1)
         return self._w
 
@@ -177,27 +210,13 @@ def kadec_indices(blocks: int) -> list:
     return out
 
 
-def _kadec_weight(limit: int, blocks: int, spiked: bool) -> np.ndarray:
-    if math.exp(blocks + 0.2) > limit:
-        raise RangeError(f"block count {blocks} needs limit >= e^(K+1/5) ~ {math.exp(blocks + 0.2):.3g}")
-    if spiked:
-        with np.errstate(over="ignore"):
-            w = np.exp(np.arange(limit + 1, dtype=np.float64))
-        w[0] = 0.0
-    else:
-        w = np.zeros(limit + 1)
-    for n in kadec_indices(blocks):
-        w[n] = float(n)
-    return w
-
-
 def catalog(name: str, limit: int, **params) -> WeightSequence:
     """Construct a catalog weight sequence up to the given limit.
 
     params are the family parameters gamma, alpha and blocks; any other
     keyword, a family named in REQUIRED_PARAM without its parameter, and a
-    parameter outside its family's domain raise DomainError before anything
-    is built.  A streamed family is built lazily: see WeightSequence.
+    parameter outside its family's domain raise DomainError (RangeError for a
+    kadec block count).  Nothing is built here: see WeightSequence.
     """
     if name not in CATALOG_NAMES:
         raise DomainError(f"unknown weight family {name!r}")
@@ -215,43 +234,21 @@ def catalog(name: str, limit: int, **params) -> WeightSequence:
         raise DomainError("besov needs a finite gamma >= 0")
     if name == "inv_divisor_pow" and float(params["alpha"]) <= 0:
         raise DomainError("inv_divisor_pow needs alpha > 0")
-    w = None if name in STREAMED else _build(name, limit, params)
+    if name in ("kadec", "kadec_spiked"):
+        kadec_indices(blocks := int(params["blocks"]))  # 1 <= blocks <= 36
+        if math.exp(blocks + 0.2) > limit:
+            raise RangeError(f"block count {blocks} needs limit >= e^(K+1/5) ~ {math.exp(blocks + 0.2):.3g}")
     expected = _EXPECTED_ALPHA.get(name)
-    return WeightSequence(name=name, params=dict(params), limit=limit, w=w,
+    return WeightSequence(name=name, params=dict(params), limit=limit,
                           expected_alpha=None if expected is None else expected(params),
                           sigma0=_SIGMA0[name]() if name in _SIGMA0 else 1.0)
-
-
-def _build(name: str, limit: int, params: dict) -> np.ndarray:
-    """The whole array w_0..w_limit of a family that is not streamed."""
-    if name == "constant":
-        w = np.ones(limit + 1)
-        w[0] = 0.0
-    elif name == "log_power":
-        a = float(params["alpha"])
-        n = np.arange(limit + 1, dtype=np.float64)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w = (1.0 + np.log(n)) ** a  # n = 0 slot produces nan, overwritten below
-        w[0] = 0.0
-    elif name == "mccarthy":
-        w = arithmetic.ordered_factorization_table(limit).astype(np.float64)
-    elif name == "inv_ordered_factorization":
-        F = arithmetic.ordered_factorization_table(limit).astype(np.float64)
-        with np.errstate(divide="ignore"):
-            w = 1.0 / F
-        w[0] = 0.0
-    elif name == "kadec":
-        w = _kadec_weight(limit, int(params["blocks"]), spiked=False)
-    else:  # kadec_spiked: unit-log atoms kept, e^n spikes elsewhere
-        w = _kadec_weight(limit, int(params["blocks"]), spiked=True)
-    return w
 
 
 def segments(w: WeightSequence):
     """w_0..w_limit as consecutive segments: from the family's builder while
     w is not built, else views of w."""
     if w._w is None:
-        return STREAMED[w.name](w.limit, w.params)
+        return BUILDERS[w.name](w.limit, w.params)
     return (w._w[lo:hi] for lo, hi in accum.segment_edges(w.limit + 1))
 
 

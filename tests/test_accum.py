@@ -472,3 +472,17 @@ def test_scan_refuses_cuts_other_than_segment_edges(monkeypatch):
                 f(a)
         with pytest.raises(RangeError):
             accum.scan(_segments(a, segment), a.size, 3.3)
+
+
+def test_join_segments_hands_back_a_lone_segment():
+    # a one-segment table is its segment: joining it must not double the memory
+    seg = np.arange(10, dtype=np.float64)
+    assert accum.join_segments([seg], 10) is seg
+    ints = np.arange(10, dtype=np.uint16)  # another dtype is converted into a new array
+    joined = accum.join_segments([ints], 10)
+    assert joined.dtype == np.float64 and np.array_equal(joined, ints)
+    two = accum.join_segments([seg[:4], seg[4:]], 10)
+    assert two is not seg and two.tobytes() == seg.tobytes()
+    for cut, size in (([seg[:4]], 10), ([seg], 11)):  # segments short of the size
+        with pytest.raises(RangeError):
+            accum.join_segments(cut, size)

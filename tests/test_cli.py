@@ -64,6 +64,37 @@ def test_weights_usage_errors(tmp_path, capsys):
     assert run("weights", "--name", "constant", "--N", "inf") == 2
 
 
+@pytest.mark.parametrize("name, n", [("mccarthy", "1e11"), ("constant", "1e12")])
+def test_weights_past_the_budget_is_a_compute_error(name, n, tmp_path, capsys, monkeypatch):
+    # the whole table is refused before any N-length array is allocated
+    monkeypatch.chdir(tmp_path)
+    assert run("weights", "--name", name, "--N", n, "--out", "w.csv") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("compute error:") and err.count("\n") == 1 and "budget" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, named", [
+    (("fit", "--name", "dgamma", "--gamma=-1", "--N", "1000", "--out", "f.json"), "gamma > 0"),
+    (("fit", "--name", "kadec", "--blocks", "12", "--N", "1000", "--out", "f.json"),
+     "block count 12"),
+    (("sampling", "--name", "kadec_spiked", "--blocks", "40", "--N", "1e5",
+      "--out", "s.json"), "k=36"),
+    (("tauberian", "--name", "inv_divisor_pow", "--alpha-param", "0", "--N", "1000",
+      "--out", "t.json"), "alpha > 0"),
+    (("weights", "--name", "nonsense", "--N", "100"), "unknown weight family 'nonsense'"),
+    # every N is checked before the first row is computed
+    (("embed", "--name", "kadec", "--blocks", "8", "--alpha", "0", "--N-list", "5000,1000",
+      "--out-csv", "e.csv", "--out-json", "e.json"), "block count 8"),
+])
+def test_catalog_input_errors_are_usage_errors(argv, named, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and named in err
+    assert list(tmp_path.iterdir()) == []
+
+
 MISSING_PARAM_FLAGS = {"log_power": "--alpha-param", "inv_divisor_pow": "--alpha-param",
                        "dgamma": "--gamma", "besov": "--gamma",
                        "kadec": "--blocks", "kadec_spiked": "--blocks"}
@@ -396,7 +427,8 @@ def test_tauberian_memory_does_not_grow_with_n(tmp_path):
     # is forked from a small launcher, never from this test process
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(dirichletlab.__file__).parent.parent), os.environ.get("PYTHONPATH", "")]))
-    for weight in (("divisor",), ("dgamma", "--gamma", "1.5")):
+    for weight in (("divisor",), ("dgamma", "--gamma", "1.5"), ("constant",),
+                   ("log_power", "--alpha-param", "1")):
         peak = {}
         for n in (10**6, 8 * 10**6):  # at 1e5 the divisor fit refuses its short window
             out = subprocess.run(
@@ -407,7 +439,8 @@ def test_tauberian_memory_does_not_grow_with_n(tmp_path):
             assert code == 0
             peak[n] = kb / 1024.0
         # one float64 array of 8e6 entries is 61 MB; the whole-array divisor job
-        # grew by 114 MB, the dgamma job on its spf table by 117 MB
+        # grew by 114 MB, the dgamma job on its spf table by 117 MB, the
+        # whole-array log_power job by 160 MB and the constant one by 57 MB
         assert peak[8 * 10**6] - peak[10**6] < 64.0, (weight, peak)
 
 
@@ -454,6 +487,22 @@ def test_config_flat_form(tmp_path):
     assert (tmp_path / "w.csv").exists()
     cfg.write_text("[1, 2]")
     assert run("--config", cfg, "weights") == 2
+
+
+@pytest.mark.parametrize("command, section, key", [
+    ("embed", {"name": "constant", "alpha": 0, "N_list": "100", "family": "blockz"}, "family"),
+    ("zeta", {"what": "x"}, "what"),
+])
+def test_config_value_outside_the_choices_exits_two(command, section, key, tmp_path, capsys,
+                                                    monkeypatch):
+    # a config value meets its flag's choices, as the same value given as a flag does
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({command: section}))
+    assert run("--config", cfg, command) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config value") and f"{key}=" in err
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 def test_config_malformed_value_exits_two(tmp_path, capsys):

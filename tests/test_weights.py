@@ -1,22 +1,82 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dirichletlab import accum, weights as W
+from dirichletlab import accum, arithmetic, weights as W
 from dirichletlab.accum import block_moments, compensated_cumsum
-from dirichletlab.arithmetic import (DEFAULT_BUDGET, divisor_count_segments,
+from dirichletlab.arithmetic import (DEFAULT_BUDGET, EXPONENT_FACTORIAL, OMEGA,
+                                     divisor_count_segments, factor_segments,
+                                     generalized_divisor_segments, prime_segments,
                                      von_mangoldt_segments)
 from dirichletlab.errors import BudgetError, DomainError, FitError, RangeError
 
-# the family parameters of the streamed families that need one
-STREAMED_PARAMS = {"dgamma": {"gamma": 1.5}, "inv_divisor_pow": {"alpha": 1.0},
-                   "besov": {"gamma": 0.5}}
+# a parameter for each family that needs one; kadec's blocks fit limits >= 3641
+FAMILY_PARAMS = {"log_power": {"alpha": 1.0}, "dgamma": {"gamma": 1.5},
+                 "inv_divisor_pow": {"alpha": 1.0}, "besov": {"gamma": 0.5},
+                 "kadec": {"blocks": 8}, "kadec_spiked": {"blocks": 6}}
 
 
 def divisor_count_table(limit):
     return accum.join_segments(divisor_count_segments(limit), limit + 1, np.int32)
+
+
+def whole_array_reference(name, limit, params):
+    """w_0..w_limit as one array: the whole-array formulas the segment
+    builders of the closed-form and divisor-lattice families replaced, and
+    each sieve family's formula over its whole arithmetic tables (those are
+    checked against the spf sieve in test_arithmetic)."""
+    if name == "constant":
+        w = np.ones(limit + 1)
+        w[0] = 0.0
+    elif name == "log_power":
+        n = np.arange(limit + 1, dtype=np.float64)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = (1.0 + np.log(n)) ** float(params["alpha"])  # n = 0 gives nan
+        w[0] = 0.0
+    elif name == "mccarthy":
+        w = arithmetic.ordered_factorization_table(limit).astype(np.float64)
+    elif name == "inv_ordered_factorization":
+        F = arithmetic.ordered_factorization_table(limit).astype(np.float64)
+        with np.errstate(divide="ignore"):
+            w = 1.0 / F
+        w[0] = 0.0
+    elif name in ("kadec", "kadec_spiked"):
+        if name == "kadec_spiked":
+            with np.errstate(over="ignore"):
+                w = np.exp(np.arange(limit + 1, dtype=np.float64))
+            w[0] = 0.0
+        else:
+            w = np.zeros(limit + 1)
+        for n in W.kadec_indices(int(params["blocks"])):
+            w[n] = float(n)
+    elif name == "dgamma":
+        w = np.concatenate(list(generalized_divisor_segments(params["gamma"], limit)))
+    elif name in ("divisor", "inv_divisor_pow"):
+        w = divisor_count_table(limit).astype(np.float64)
+        if name == "inv_divisor_pow":
+            with np.errstate(divide="ignore"):
+                w = w ** -float(params["alpha"])
+            w[0] = 0.0
+    elif name in ("mangoldt", "mangoldt_over_log"):
+        w = np.concatenate(list(von_mangoldt_segments(limit)))
+        if name == "mangoldt_over_log":
+            idx = np.flatnonzero(w)
+            w[idx] /= np.log(idx.astype(np.float64))
+    elif name == "prime_indicator":
+        w = np.concatenate(list(prime_segments(limit))).astype(np.float64)
+    else:  # besov
+        om, fac = (np.concatenate(t) for t in zip(*factor_segments(limit, OMEGA,
+                                                                    EXPONENT_FACTORIAL)))
+        g = float(params["gamma"])
+        rising = np.ones(limit.bit_length())
+        for k in range(1, rising.size):
+            rising[k] = math.factorial(k - 1) if g == 0.0 else rising[k - 1] * (g + k - 1)
+        rising[0] = 0.0 if g == 0.0 else 1.0
+        w = np.divide(rising[om], fac, out=np.zeros(fac.size), where=fac > 0)
+    return w
 
 
 def test_catalog_rejects_unknowns_and_tiny_limits():
@@ -231,9 +291,9 @@ def test_catalog_names_a_missing_family_parameter(name, param):
         W.catalog(name, 1000, **{param: None})
 
 
-@pytest.mark.parametrize("name", sorted(W.STREAMED))
+@pytest.mark.parametrize("name", sorted(W.BUILDERS))
 def test_streamed_family_reads_without_its_array(name):
-    params = STREAMED_PARAMS.get(name, {})
+    params = FAMILY_PARAMS.get(name, {})
     w = W.catalog(name, 10**5, **params)
     xs = np.array([[2, 4095, 4096], [4097, 77_777, 10**5]])
     moments, sums = W.read(w, xs, 3.3)
@@ -249,6 +309,7 @@ def test_streamed_family_reads_without_its_array(name):
 
 def test_built_sequence_reads_each_new_point_set_in_one_scan(monkeypatch):
     w = W.catalog("log_power", 10**5, alpha=1.0)
+    w.w  # built: reads are scans of views of the array
     S = W.partial_sums(w)
     scans, scan = [], accum.scan
     monkeypatch.setattr(accum, "scan", lambda *a, **k: scans.append(1) or scan(*a, **k))
@@ -270,18 +331,43 @@ def test_built_sequence_reads_each_new_point_set_in_one_scan(monkeypatch):
 def test_every_sequence_is_cut_at_segment_edges(segment, limit, monkeypatch):
     monkeypatch.setattr(accum, "_SEGMENT", segment)
     want = [hi - lo for lo, hi in accum.segment_edges(limit + 1)]
-    for name, build in W.STREAMED.items():
-        params = STREAMED_PARAMS.get(name, {})
+    for name, build in W.BUILDERS.items():
+        params = FAMILY_PARAMS.get(name, {})
         assert [seg.size for seg in build(limit, params)] == want, name
         w = W.catalog(name, limit, **params)
         assert [seg.size for seg in W.segments(w)] == want, name  # from the builder
         w.w
         assert [seg.size for seg in W.segments(w)] == want, name  # views of the array
-    w = W.catalog("constant", limit)
-    assert [seg.size for seg in W.segments(w)] == want
 
 
 def test_streamed_table_past_the_budget_is_refused():
-    w = W.catalog("mangoldt", DEFAULT_BUDGET + 1)  # nothing is built yet
-    with pytest.raises(BudgetError):
-        w.w
+    for name in W.CATALOG_NAMES:
+        w = W.catalog(name, DEFAULT_BUDGET + 1, **FAMILY_PARAMS.get(name, {}))  # nothing built
+        with pytest.raises(BudgetError):
+            w.w
+    # a scan of a divisor-lattice family needs its whole table, refused as the sieve is
+    for name in ("mccarthy", "inv_ordered_factorization"):
+        with pytest.raises(BudgetError):
+            W.sums_at(W.catalog(name, DEFAULT_BUDGET + 1), [2])
+
+
+@pytest.mark.parametrize("limit", [4095, 2**20 - 1, 2**20 + 1])
+def test_every_family_equals_its_whole_array_reference(limit, monkeypatch):
+    # one divisor-lattice pass per limit serves the reference and every scan
+    monkeypatch.setattr(arithmetic, "ordered_factorization_table",
+                        functools.cache(arithmetic.ordered_factorization_table))
+    xs, default = np.array([0, 1, 4095, limit // 3, limit]), accum._SEGMENT
+    for name in W.CATALOG_NAMES:
+        params = FAMILY_PARAMS.get(name, {})
+        want = whole_array_reference(name, limit, params)
+        want_sums, want_moments = compensated_cumsum(want), block_moments(want, 3.3)
+        for segment in (4096, default):
+            monkeypatch.setattr(accum, "_SEGMENT", segment)
+            w = W.catalog(name, limit, **params)
+            S = np.empty(limit + 1)  # one scan of the builder's segments reads all three
+            moments, sums = accum.scan(W.segments(w), limit + 1, 3.3, xs, out=S)
+            assert w.w.dtype == np.float64 and w.w.tobytes() == want.tobytes(), (name, segment)
+            assert S.tobytes() == want_sums.tobytes(), (name, segment)
+            assert sums.tobytes() == want_sums[xs].tobytes(), (name, segment)
+            for got, ref in zip(moments, want_moments):
+                assert got.tobytes() == ref.tobytes(), (name, segment)
