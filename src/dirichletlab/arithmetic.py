@@ -130,21 +130,29 @@ def generalized_divisor(gamma, f: Factorization) -> float:
     return total
 
 
-def ordered_factorization_table(limit: int, budget: int = DEFAULT_BUDGET) -> np.ndarray:
-    """Ordered-factorization counts for 1..limit in one divisor-lattice pass.
+def ordered_factorization_table(limit: int) -> np.ndarray:
+    """Ordered-factorization counts for 1..limit in one divisor-lattice pass,
+    built whole: limits past DEFAULT_BUDGET raise BudgetError, as in build_sieve.
 
     F[n] = 1 + sum of F[m] over proper divisors m > 1; processing m ascending
-    makes each F[m] final before it is pushed onto its multiples.  The table
-    is built whole: limits past the budget raise BudgetError, as in build_sieve.
+    makes each F[m] final before it is pushed onto its multiples.  Past
+    limit // J the m with limit // m = j form a run whose divisors all lie
+    below it and whose multiples k m (k = 2..j) all lie above it, so each k
+    pushes the whole run as one strided add (exact: the entries are int64).
     """
     if limit < 1:
         raise RangeError(f"limit must be >= 1, got {limit}")
-    if limit > budget:
-        raise BudgetError(f"ordered-factorization limit {limit} exceeds budget {budget}")
+    if limit > DEFAULT_BUDGET:
+        raise BudgetError(f"ordered-factorization limit {limit} exceeds budget {DEFAULT_BUDGET}")
     F = np.zeros(limit + 1, dtype=np.int64)
     F[1:] = 1
-    for m in range(2, limit // 2 + 1):
+    J = max(2, round(limit ** (1 / 3)))  # ~limit / J single pushes, ~J^2 / 2 run pushes
+    for m in range(2, limit // J + 1):
         F[2 * m :: m] += F[m]
+    for j in range(J - 1, 1, -1):
+        lo, hi = limit // (j + 1) + 1, limit // j + 1
+        for k in range(2, j + 1):
+            F[k * lo : k * hi : k] += F[lo:hi]
     return F
 
 

@@ -292,7 +292,10 @@ def cmd_sampling(args):
         # atom-level construction: block counts beyond log(limit) have no
         # dense weight array, but the measure itself is a few numbers
         blocks = 50 if args.blocks is None else args.blocks
-        mu = sampling.kadec_atoms(blocks)
+        try:
+            mu = sampling.kadec_atoms(blocks)
+        except DirichletLabError as e:  # a block count below one
+            raise UsageError(str(e))
         blob_weight = {"name": "kadec", "params": {"blocks": blocks}, "limit": None}
     else:
         w = _load_weight(args)

@@ -235,24 +235,13 @@ def fit_singularity(profile: Sequence[MellinPoint], sigma0: float) -> Singularit
 
     is_log = (drift <= -0.05 and rl3 <= 5.0 * rp3) or abs(pcoef[0]) < 0.1
 
-    window = (float(u[0]), float(u[-1]))
     if is_log:
-        return SingularityFit(
-            sigma0=float(sigma0),
-            beta_hat=1.0,
-            g_at_sigma0=float(lcoef[0]),
-            fit_window=window,
-            residual_rms=rms_log,
-            log_singularity=True,
-        )
-    return SingularityFit(
-        sigma0=float(sigma0),
-        beta_hat=float(1.0 + pcoef[0]),
-        g_at_sigma0=float(math.exp(pcoef[1])),
-        fit_window=window,
-        residual_rms=rms_power,
-        log_singularity=False,
-    )
+        beta, g, rms = 1.0, float(lcoef[0]), rms_log
+    else:
+        beta, g, rms = float(1.0 + pcoef[0]), float(math.exp(pcoef[1])), rms_power
+    return SingularityFit(sigma0=float(sigma0), beta_hat=beta, g_at_sigma0=g,
+                          fit_window=(float(u[0]), float(u[-1])), residual_rms=rms,
+                          log_singularity=bool(is_log))
 
 
 def predict_and_compare(fit: SingularityFit, w, x_grid: Sequence[float]) -> list:

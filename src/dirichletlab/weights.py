@@ -12,8 +12,8 @@ N-length table, so its memory is bounded by the segment size (plus sqrt(N)
 small primes and the largest moment block, N/33 entries).  The closed forms
 (constant, log_power, kadec, kadec_spiked) compute each segment from its n;
 the sieve families read theirs from the arithmetic builders; mccarthy and
-inv_ordered_factorization cut theirs from one divisor-lattice table, the
-one family pair whose table is built whole.  The array w is built, as the
+inv_ordered_factorization cut theirs from one divisor-lattice table, built
+whole and again by every scan.  The array w is built, as the
 concatenation of the same segments, only when something reads it.  S(x) at
 given points comes from the scan's checkpoint reads, bit for bit the
 entries of partial_sums, and every sequence keeps one memo of the sums and

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from dirichletlab import accum
 from dirichletlab.arithmetic import (
+    DEFAULT_BUDGET,
     EXPONENT_FACTORIAL,
     OMEGA,
     SieveTable,
@@ -237,6 +238,19 @@ def test_ordered_factorizations_exact_for_large_counts():
     F = ordered_factorization_table(2**16)
     assert F[2**16] == 2**15
     assert F[3**10] == 2**9
+
+
+def test_ordered_factorization_runs_match_the_single_pushes():
+    # the runs pushed by one strided add per multiplier give every entry of
+    # the pass that pushes each m on its own
+    for limit in [*range(1, 130), 4095, 2**20 + 5]:
+        F = np.zeros(limit + 1, dtype=np.int64)
+        F[1:] = 1
+        for m in range(2, limit // 2 + 1):
+            F[2 * m :: m] += F[m]
+        assert ordered_factorization_table(limit).tobytes() == F.tobytes(), limit
+    with pytest.raises(BudgetError):
+        ordered_factorization_table(DEFAULT_BUDGET + 1)
 
 
 def test_build_sieve_budget():

@@ -80,6 +80,8 @@ def test_weights_past_the_budget_is_a_compute_error(name, n, tmp_path, capsys, m
      "block count 12"),
     (("sampling", "--name", "kadec_spiked", "--blocks", "40", "--N", "1e5",
       "--out", "s.json"), "k=36"),
+    # kadec's atoms come without a catalog sequence, and their block count is checked too
+    (("sampling", "--name", "kadec", "--blocks", "0", "--out", "s.json"), "at least one block"),
     (("tauberian", "--name", "inv_divisor_pow", "--alpha-param", "0", "--N", "1000",
       "--out", "t.json"), "alpha > 0"),
     (("weights", "--name", "nonsense", "--N", "100"), "unknown weight family 'nonsense'"),
