@@ -9,8 +9,9 @@ float data come from a vectorised TwoSum tree whose result is accepted only
 under a proven error bound (Ogita-Rump-Oishi, SIAM J. Sci. Comput. 26,
 2005), with a math.fsum fallback per chunk; bool and integer data of at most
 32 bits is summed as it is, each chunk total an exact int64 row sum, with no
-float64 copy of the segment.  The offsets come from one running exact sum,
-so a prefix-sum pass costs O(N) array work plus O(N / 4096) Python steps.
+float64 copy of the segment.  The offsets are one exact integer sum of the
+totals, rounded once per offset, so a prefix-sum pass costs O(N) array work
+plus O(N / 4096) Python steps.
 
 The Dirichlet-sum engine evaluates sum a_n n^(-s) at many s from per-block
 Taylor moments (the Taylor-block idea of Odlyzko-Schonhage, Trans. AMS 309,
@@ -61,12 +62,9 @@ def compensated_sum(a) -> float:
     """Sum of a float array: exactly rounded chunk totals, fsum-combined.
 
     Matches fsum to ~1e-14 relative on positive 1e7-term arrays while staying
-    vectorized (fsum alone walks the array in Python).  A single chunk is its
-    own total; + 0.0 gives fsum's +0.0 for a zero sum.
+    vectorized (fsum alone walks the array in Python).
     """
     a = np.asarray(a, dtype=np.float64)
-    if a.size <= _CHUNK:
-        return float(np.sum(a)) + 0.0
     return math.fsum(float(np.sum(a[i : i + _CHUNK])) for i in range(0, a.size, _CHUNK))
 
 
@@ -125,58 +123,15 @@ def _certified_totals(rows: np.ndarray) -> tuple:
     return total, ok | (absum == 0.0)
 
 
-class _RunningFsum:
-    """math.fsum over a growing list of terms, O(1) amortised per term.
-
-    add() runs fsum's own partials update, so value() equals math.fsum of
-    every term added so far, with the same nan, inf and OverflowError
-    outcomes, while the list of terms itself is never re-read.
-    """
-
-    def __init__(self):
-        self.partials: list = []
-        self.special = 0.0  # sum of the nan and inf terms, as fsum keeps it
-        self.inf = 0.0  # sum of the inf terms: nan means both signs were seen
-
-    def add(self, x: float):
-        p, i, x0 = self.partials, 0, x
-        for y in p:
-            if abs(x) < abs(y):
-                x, y = y, x
-            hi = x + y
-            lo = y - (hi - x)
-            if lo != 0.0:
-                p[i] = lo
-                i += 1
-            x = hi
-        del p[i:]
-        if x == 0.0:
-            return
-        if math.isfinite(x):
-            p.append(x)
-            return
-        if math.isfinite(x0):
-            raise OverflowError("intermediate overflow in fsum")
-        if math.isinf(x0):
-            self.inf += x0
-        self.special += x0
-        p.clear()
-
-    def value(self) -> float:
-        if self.special != 0.0:
-            if math.isnan(self.inf):
-                raise ValueError("-inf + inf in fsum")
-            return self.special
-        return math.fsum(self.partials)
-
-
 class _PrefixPass:
     """compensated_cumsum's chunk pass over a sequence fed segment by segment.
 
     Chunk k holds the entries 4096k..4096k+4095 of the whole sequence, and
     every segment starts on a chunk edge (scan checks the cut), so a segment
-    is whole chunks and, the last one only, a short tail.  Each chunk's
-    offset is the running exact sum of the earlier totals, so every prefix
+    is whole chunks and, the last one only, a short tail.  The finite
+    totals are added up exactly, as one Python integer in units of 2^-1074,
+    and each chunk's offset is that sum rounded once by int / int, which is
+    correctly rounded: math.fsum of the earlier totals.  So every prefix
     written to out and S(x) at the checkpoints are the bits that
     compensated_cumsum gives on the whole array, read as float64.  A bool or
     integer segment is read as it is: its chunk totals are exact int64 row
@@ -184,9 +139,8 @@ class _PrefixPass:
     """
 
     def __init__(self, size: int, checkpoints, out):
-        self.chunks = -(-size // _CHUNK)
-        self.running = _RunningFsum()
-        self.k = 0  # chunks closed
+        self.exact = 0  # the finite totals since the last nan or inf one, times 2^1074
+        self.special: list = []  # the nan and inf totals
         xs = np.asarray(checkpoints, dtype=np.int64).ravel()
         if xs.size and not (0 <= xs.min() and xs.max() < size):
             raise RangeError(f"checkpoints must lie in [0, {size - 1}]")
@@ -223,14 +177,22 @@ class _PrefixPass:
         self._read(seg, lo, offsets)
 
     def _close(self, chunk, total) -> float:
-        # compensated_cumsum's loop body: the chunk's offset; no offset needs
-        # the last total, and math.fsum raises where it would
-        offset = self.running.value()
+        # compensated_cumsum's loop body: the chunk's offset, then its total.
+        # The division raises OverflowError past the float64 range, as fsum
+        # does, also on the finite totals after a nan or inf one: fsum drops
+        # its finite sum at such a total, and its value is then the sum of
+        # the nan and inf totals (ValueError for inf - inf)
+        offset = self.exact / 2**1074
+        if self.special:
+            offset = math.fsum(self.special)
         if total is None:
             total = math.fsum(chunk.tolist())
-        self.k += 1
-        if self.k < self.chunks:
-            self.running.add(total)
+        if math.isfinite(total):
+            n, d = total.as_integer_ratio()  # d = 2^k, k <= 1074
+            self.exact += n << (1075 - d.bit_length())
+        else:
+            self.special.append(total)
+            self.exact = 0
         return offset
 
     def _read(self, seg, lo: int, offsets):
@@ -271,11 +233,10 @@ def _block_width(s_max: float) -> float:
 class _MomentPass:
     """block_moments' per-block loop over a sequence fed segment by segment.
 
-    A block inside one segment is copied out of it, a block cut by segment
-    edges is copied together from its pieces, each into the moments' float
-    or complex dtype, so each block's sums run over the same contiguous array
-    as on the whole input, bit for bit, and a segment of another dtype (the
-    integer weights) is never converted whole.
+    Each block is copied together from its pieces in one or more segments
+    into the moments' float or complex dtype, so each block's sums run over
+    the same contiguous array as on the whole input, bit for bit, and a
+    segment of another dtype (the integer weights) is never converted whole.
     """
 
     def __init__(self, size: int, s_max: float):
@@ -291,7 +252,7 @@ class _MomentPass:
         self.xmax = np.empty(K)
         self.mass = np.empty(K)
         self.k = 0  # blocks done
-        self.open = None  # the cut block's entries so far
+        self.open = None  # the current block's entries so far
         self.head = self.mom = None  # typed by the first segment
 
     def _allocate(self, dtype):
@@ -313,16 +274,13 @@ class _MomentPass:
                 b0, b1 = edges[self.k] + 1, edges[self.k + 1] + 1  # the block's entries [b0, b1)
                 if b0 >= hi:
                     return
-                if self.open is None and b1 <= hi:
-                    p = seg[b0 - lo : b1 - lo].astype(self.mom.dtype)
-                else:
-                    if self.open is None:
-                        self.open = np.empty(b1 - b0, dtype=self.mom.dtype)
-                    a, b = max(b0, lo), min(b1, hi)
-                    self.open[a - b0 : b - b0] = seg[a - lo : b - lo]
-                    if b1 > hi:
-                        return
-                    p, self.open = self.open, None
+                if self.open is None:
+                    self.open = np.empty(b1 - b0, dtype=self.mom.dtype)
+                a, b = max(b0, lo), min(b1, hi)
+                self.open[a - b0 : b - b0] = seg[a - lo : b - lo]
+                if b1 > hi:
+                    return
+                p, self.open = self.open, None
                 self._block(p)
 
     def _block(self, p: np.ndarray):
@@ -421,10 +379,13 @@ def compensated_cumsum(a: np.ndarray) -> np.ndarray:
     is the exactly rounded sum of the exactly rounded totals of all previous
     chunks.  The totals come from _certified_totals, and from
     math.fsum(chunk) wherever its certificate fails; the offsets from one
-    running exact sum of them, O(number of chunks) in all.  This is scan()'s
-    chunk pass over a, writing every prefix.  Results are bit for bit those
-    of cumsumming chunk by chunk and calling math.fsum on each chunk and on
-    the list of earlier totals, non-finite input included.
+    exact integer sum of them, rounded once per offset, O(number of chunks)
+    in all.  This is scan()'s chunk pass over a, writing every prefix.
+    Results are bit for bit those of cumsumming chunk by chunk and calling
+    math.fsum on each chunk and on the list of earlier totals, non-finite
+    input included, but for one edge: where fsum's partials overflow though
+    the exact sum of the earlier totals rounds to +-DBL_MAX, the offset is
+    that value, not fsum's OverflowError.
     """
     a = np.asarray(a, dtype=np.float64)
     out = np.empty_like(a)

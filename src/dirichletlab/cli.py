@@ -169,15 +169,8 @@ def cmd_fit(args):
     grid = np.geomspace(lo, hi, pts)
     fit = W.fit_alpha(w, grid)
     ratios = W.chebyshev_ratios(w, grid, fit.alpha_hat)
-    blob = {
-        "weight": _weight_blob(w),
-        "alpha_hat": fit.alpha_hat,
-        "C_hat": fit.C_hat,
-        "residual_rms": fit.residual_rms,
-        "grid": list(map(float, fit.grid)),
-        "ratios": [float(r) for r in ratios],
-        "ratio_alpha": fit.alpha_hat,
-    }
+    blob = {**fit._asdict(), "weight": _weight_blob(w), "ratios": [float(r) for r in ratios],
+            "ratio_alpha": fit.alpha_hat}
     reporting.write_json(args.out, blob)
     return 0
 
@@ -345,16 +338,7 @@ def cmd_tauberian(args):
     T.prescan(w, sigmas, xs)  # one scan of the weights serves every step below
     profile = T.mellin_profile(w, sigmas)
     fit = T.fit_singularity(profile, w.sigma0)
-    blob = {
-        "weight": _weight_blob(w),
-        "sigma0": fit.sigma0,
-        "beta_hat": fit.beta_hat,
-        "g_at_sigma0": fit.g_at_sigma0,
-        "fit_window": [fit.fit_window[0], fit.fit_window[1]],
-        "residual_rms": fit.residual_rms,
-        "log_singularity": fit.log_singularity,
-        "abscissa_hat": T.detect_abscissa(w),
-    }
+    blob = {**fit._asdict(), "weight": _weight_blob(w), "abscissa_hat": T.detect_abscissa(w)}
     reporting.write_json(args.out, blob)
     if args.compare_out:
         rows = T.predict_and_compare(fit, w, xs)

@@ -169,7 +169,7 @@ class WeightSequence:
         self.sigma0 = sigma0
         self._w = w
         self._sums: dict = {}  # x -> S(x) read by scans
-        self._moments: dict = {}  # s_max -> accum.BlockMoments
+        self._moments: dict = {}  # block width -> accum.BlockMoments
 
     @property
     def w(self) -> np.ndarray:
@@ -256,23 +256,25 @@ def read(w: WeightSequence, xs=(), s_max: Optional[float] = None) -> tuple:
     """(block moments of w for |s| <= s_max, or None; S at the integer points xs).
 
     The sums have the shape of xs and equal partial_sums(w)[xs] bit for bit.
-    w keeps a memo of the sums (by point) and the moments (by s_max) it has
+    w keeps a memo of the sums (by point) and the moments (by block width,
+    which is all they take from s_max: every s_max <= 5 shares one) it has
     read; whatever is not in it comes from one accum.scan of w's segments,
     and a read the memo serves whole scans nothing.
     """
     xs = np.asarray(xs, dtype=np.int64)
     if np.any(xs < 0) or np.any(xs > w.limit):
         raise RangeError(f"partial-sum points must lie in [0, {w.limit}]")
-    new_moments = s_max is not None and s_max not in w._moments
+    width = None if s_max is None else accum._block_width(float(s_max))
+    new_moments = width is not None and width not in w._moments
     points = sorted(set(xs.ravel().tolist()) - w._sums.keys())
     if new_moments or points:
         got = accum.scan(segments(w), w.limit + 1, s_max if new_moments else None,
                          points or None)
         if new_moments:
-            w._moments[s_max] = got.moments
+            w._moments[width] = got.moments
         w._sums.update(zip(points, got.sums.tolist()))
     sums = np.array([w._sums[x] for x in xs.ravel().tolist()], dtype=np.float64)
-    return (None if s_max is None else w._moments[s_max]), sums.reshape(xs.shape)
+    return (None if width is None else w._moments[width]), sums.reshape(xs.shape)
 
 
 def sums_at(w: WeightSequence, xs) -> np.ndarray:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import mpmath
@@ -152,6 +153,31 @@ def test_cumsum_last_chunk_total_is_not_summed():
         assert compensated_cumsum(a).tobytes() == cumsum_reference(a).tobytes()
     with pytest.raises(OverflowError):
         compensated_cumsum(np.full(8193, 4e304))
+
+
+def test_cumsum_restarts_its_offsets_after_a_nonfinite_total():
+    # fsum drops its finite partials at a nan or inf total, yet still raises
+    # OverflowError on the finite totals after it: every order of near-overflow
+    # chunks (totals +-1.6e308), special chunks and plain ones
+    special = [np.ones(4096) for _ in range(3)]
+    for x, v in zip(special, [np.inf, -np.inf, np.nan]):
+        x[100] = v
+    kinds = [np.full(4096, 4e304), np.full(4096, -4e304), *special, np.ones(4096)]
+    for order in itertools.product(kinds, repeat=4):
+        a = np.concatenate([*order, np.ones(5)])
+        assert _outcome(compensated_cumsum, a) == _outcome(cumsum_reference, a)
+
+
+def test_cumsum_offset_is_the_exact_sum_where_fsum_overflows_in_between():
+    # fsum([M, -2^-1074, 2^970]) raises: its partials meet M + 2^970, a tie
+    # that rounds past the float64 range, while the exact sum rounds to M
+    M = np.finfo(np.float64).max
+    a = np.zeros(3 * 4096 + 1)
+    a[0], a[4096], a[8192] = M, -(2.0**-1074), 2.0**970
+    with np.errstate(over="ignore"):  # the third chunk's prefixes overflow
+        with pytest.raises(OverflowError):
+            cumsum_reference(a)
+        assert compensated_cumsum(a)[-1] == M
 
 
 def test_cumsum_equals_reference_on_mangoldt_and_divisor():

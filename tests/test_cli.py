@@ -306,11 +306,16 @@ def test_embed_alpha_deep_on_the_scale_still_runs(tmp_path):
      "x = 1000"),
     (("sums", "--name", "kadec_spiked", "--blocks", "5", "--N", "1e5", "--eta", "0.5",
       "--out", "s.csv"), "x = 1441"),
+    (("embed", "--name", "kadec_spiked", "--blocks", "6", "--alpha", "0.5", "--family",
+      "blocks", "--N-list", "700"), "N = 700"),
+    (("embed", "--name", "kadec_spiked", "--blocks", "6", "--alpha", "0", "--family",
+      "blocks", "--N-list", "700"), "N = 700"),
 ])
 def test_overflowing_partial_sums_are_a_compute_error(argv, named, tmp_path, capsys,
                                                       monkeypatch):
-    # the e^n spikes overflow S(x) to inf: a fit through it or a block sum
-    # inf - inf has no value, so the command refuses instead of writing nan
+    # the e^n spikes overflow S(x) or a member's norms to inf: a fit through
+    # it, a block sum inf - inf or a ratio inf / inf has no value, so the
+    # command refuses instead of writing nan
     monkeypatch.chdir(tmp_path)
     assert run(*argv) == 1
     err = capsys.readouterr().err

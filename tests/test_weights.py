@@ -319,6 +319,7 @@ def test_built_sequence_reads_each_new_point_set_in_one_scan(monkeypatch):
     moments, sums = W.read(w, xs[::-1], 3.3)  # known points, new moments
     assert sums.tobytes() == S[xs[::-1]].tobytes() and len(scans) == 2
     assert W.read(w, xs[:5], 3.3)[0] is moments and len(scans) == 2  # all in the memo
+    assert W.read(w, xs[:5], 2.0)[0] is moments and len(scans) == 2  # the same block width
     assert W.sum_upto(w, 77_777.5) == S[77_777] and len(scans) == 3
     assert W.sums_at(w, [77_777, 0]).tobytes() == S[[77_777, 0]].tobytes()
     assert len(scans) == 3
