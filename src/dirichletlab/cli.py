@@ -281,6 +281,16 @@ def cmd_embed(args):
 
 
 def cmd_sampling(args):
+    # the flags are the user's: check them before any weight is built
+    if not math.isfinite(args.beta):
+        raise UsageError(f"--beta must be finite, got {args.beta}")
+    positive = [("--eps", args.eps), ("--lambda-delta", args.lambda_delta)]
+    positive += [("--r-list", r) for r in args.r_list]
+    if args.lambda_r is not None:
+        positive.append(("--lambda-r", args.lambda_r))
+    for flag, v in positive:
+        if not (math.isfinite(v) and v > 0.0):
+            raise UsageError(f"{flag} must be a finite number > 0, got {v}")
     if args.name == "kadec":
         # atom-level construction: block counts beyond log(limit) have no
         # dense weight array, but the measure itself is a few numbers

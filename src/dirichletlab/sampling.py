@@ -119,8 +119,11 @@ def carleson_check(m: AtomicMeasure, beta: float, xi_grid=None) -> CarlesonRepor
     domain's low end.
     """
     if xi_grid is None:
-        anchors = m.positions[m.positions <= m.domain_bound - 1.0]
-        anchors = np.concatenate([[m.domain_low], anchors])
+        # the atoms are strictly increasing, so the window at atom k starts
+        # at index k, and the one at domain_low at index 0
+        atoms = m.positions[m.positions <= m.domain_bound - 1.0]
+        anchors = np.concatenate([[m.domain_low], atoms])
+        lo = np.concatenate([[0], np.arange(atoms.size)])
     else:
         anchors = np.asarray(list(xi_grid), dtype=np.float64)
         if anchors.size == 0:
@@ -129,9 +132,9 @@ def carleson_check(m: AtomicMeasure, beta: float, xi_grid=None) -> CarlesonRepor
             anchors < m.domain_low - 1e-12
         ):
             raise HorizonError("scan grid leaves the covered range")
-    if anchors.size == 0:
-        return CarlesonReport(c_hat=0.0, worst_xi=m.domain_low)
-    q = _window_masses(m, anchors, 1.0) / (1.0 + anchors**2) ** beta
+        lo = np.searchsorted(m.positions, anchors, side="left")
+    hi = np.searchsorted(m.positions, anchors + 1.0, side="left")
+    q = (m.cum[hi] - m.cum[lo]) / (1.0 + anchors**2) ** beta
     i = int(np.argmax(q))
     return CarlesonReport(c_hat=float(q[i]), worst_xi=float(anchors[i]))
 
@@ -142,8 +145,8 @@ def lambda_set(m: AtomicMeasure, beta: float, r: float, delta: float) -> np.ndar
     Returns the point set (not the indices k): its density is what gets
     compared against interval length / 2 pi downstream.
     """
-    if r <= 0.0 or delta <= 0.0:
-        raise RangeError("r and delta must be positive")
+    if not all(math.isfinite(v) and v > 0.0 for v in (r, delta)):
+        raise RangeError(f"r and delta must be finite and positive, got {r}, {delta}")
     k_lo = math.ceil(m.domain_low / r - 1e-12)
     k_hi = math.floor(m.domain_bound / r + 1e-12) - 1
     if k_hi < k_lo:
@@ -175,6 +178,8 @@ def beurling_lower_density(
     rs = sorted(float(r) for r in r_list)
     if not rs:
         raise RangeError("need at least one window length")
+    if not all(math.isfinite(r) and r > 0.0 for r in rs):
+        raise RangeError(f"window lengths must be finite and positive, got {rs}")
     if rs[-1] > T / 5.0:
         raise RangeError(f"window length {rs[-1]} too coarse for the range {T} (need r <= T/5)")
     infs = []
@@ -189,11 +194,11 @@ def beurling_lower_density(
     )
 
 
-def _insertion_near(pos: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """searchsorted(pos, t, "left") where t[j] lies next to pos[j]: a local
-    comparison, with a binary search only where the neighbours disagree."""
-    j = np.arange(t.size)
-    hi = j + (pos < t)
+def _insertion_near(pos: np.ndarray, t: np.ndarray, first: int) -> np.ndarray:
+    """searchsorted(pos, t, "left") where t[k] lies next to pos[first + k]: a
+    local comparison, with a binary search only where the neighbours disagree."""
+    j = np.arange(first, first + t.size)
+    hi = j + (pos[first:first + t.size] < t)
     n = pos.size
     right_ok = (hi == n) | (pos[np.minimum(hi, n - 1)] >= t)
     left_ok = (hi == 0) | (pos[np.maximum(hi - 1, 0)] < t)
@@ -211,38 +216,92 @@ def _bad_anchors(m: AtomicMeasure, x: np.ndarray, lo: np.ndarray, hi: np.ndarray
     return x[(x >= m.domain_low) & (x + h <= m.domain_bound) & (q > eps)]
 
 
+_CHUNK = 4096  # the first chunk at either end of the outside-in scan
+
+
+def _chunk_bad(m: AtomicMeasure, i: int, j: int, h: float, beta: float,
+               eps: float) -> np.ndarray:
+    """The bad anchors of both families for the atoms i..j-1."""
+    pos = m.positions
+    x = pos[i:j]
+    starts = x - h
+    return np.concatenate([
+        _bad_anchors(m, x, np.arange(i, j), np.searchsorted(pos, x + h, side="left"),
+                     h, beta, eps),
+        _bad_anchors(m, starts, np.searchsorted(pos, starts, side="left"),
+                     _insertion_near(pos, starts + h, i), h, beta, eps),
+    ])
+
+
+def _farthest_bad(m: AtomicMeasure, h: float, beta: float, eps: float):
+    """(far, blocking) for window length h: far = max |x| over the bad
+    anchors, blocking = the least bad anchor with |x| = far; None if no
+    anchor is bad.
+
+    The atoms a..b-1 carry the unscanned anchors pos[k] and pos[k] - h.  The
+    scan takes chunks from both ends of the atoms inward, each end's chunk
+    doubling from _CHUNK, and an end stops once none of its unscanned
+    anchors can lie outside (-far, far] (a -far found later would become
+    the blocking anchor): none lies below max(pos[a] - h, domain_low) or
+    above pos[b-1], and none above far has a window [x, x + h) that fits
+    under domain_bound once the next double after far has none.
+    """
+    pos = m.positions
+    a, b = 0, pos.size
+    grow_low = grow_high = _CHUNK
+    far = blocking = None
+    while a < b:
+        chunks = []
+        if far is None or (pos[b - 1] > far and math.nextafter(far, math.inf) + h
+                           <= m.domain_bound):
+            chunks.append((max(b - grow_high, a), b))
+            b, grow_high = chunks[-1][0], 2 * grow_high
+        if a < b and (far is None or max(pos[a] - h, m.domain_low) <= -far):
+            chunks.append((a, min(a + grow_low, b)))
+            a, grow_low = chunks[-1][1], 2 * grow_low
+        if not chunks:
+            break
+        for i, j in chunks:
+            bad = _chunk_bad(m, i, j, h, beta, eps)
+            if bad.size:
+                mags = np.abs(bad)
+                f = float(np.max(mags))
+                least = float(np.min(bad[mags == f]))
+                if far is None or f > far:
+                    far, blocking = f, least
+                elif f == far:
+                    blocking = min(blocking, least)
+    return None if far is None else (far, blocking)
+
+
 def continuity_at_infinity(m: AtomicMeasure, beta: float, eps: float) -> ContinuityResult:
     """Search (R, h) with nu[x, x+h)/(1+x^2)^beta <= eps for all |x| >= R.
 
-    h walks down 1, 1/2, 1/4, ..., 2^-12; for each h the violating anchors are
-    scanned: the atoms and the atoms - h, the attainable extrema.  A window
-    anchored at an atom starts at its own index, and one anchored h before
-    atom j ends next to j, so each family needs one binary search, not a
-    sort of both.  A witness only counts if the clean zone [R, horizon]
-    keeps 5 units of headroom, since beyond the horizon the measure is
-    unknown, not zero.  Failure reports the blocking anchor nearest the
-    horizon for the smallest h tried (of -a and +a, the first: -a).
+    h walks down 1, 1/2, 1/4, ..., 2^-12; for each h the anchors that can
+    break the bound are the atoms and the atoms - h, the attainable extrema.
+    Only the farthest bad anchor matters, so each h scans the atoms from
+    both ends inward in doubling chunks and stops once no unscanned anchor
+    can lie farther out (_farthest_bad): an h that fails near the horizon
+    costs two chunks, and the worst case is one pass.  A window anchored at
+    an atom starts at its own index, and one anchored h before atom j ends
+    next to j, so each family needs one binary search per anchor.  A
+    witness only counts if the clean zone [R, horizon] keeps 5 units of
+    headroom, since beyond the horizon the measure is unknown, not zero.
+    Failure reports the blocking anchor nearest the horizon for the
+    smallest h tried (of -a and +a, the first: -a).
     """
-    if eps <= 0.0:
-        raise RangeError("eps must be positive")
-    pos = m.positions
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise RangeError(f"eps must be a finite number > 0, got {eps}")
     h = 1.0
     blocking = None
     while h >= 2.0**-12:
-        starts = pos - h
-        bad = np.concatenate([
-            _bad_anchors(m, pos, np.arange(pos.size),
-                         np.searchsorted(pos, pos + h, side="left"), h, beta, eps),
-            _bad_anchors(m, starts, np.searchsorted(pos, starts, side="left"),
-                         _insertion_near(pos, starts + h), h, beta, eps),
-        ])
-        if bad.size == 0:
+        hit = _farthest_bad(m, h, beta, eps)
+        if hit is None:
             return ContinuityResult(passed=True, radius=0.0, block=h, blocking_x=None)
-        far = float(np.max(np.abs(bad)))
+        far, blocking = hit
         need = far + h
         if need <= m.domain_bound - 5.0:
             return ContinuityResult(passed=True, radius=need, block=h, blocking_x=None)
-        blocking = float(np.min(bad[np.abs(bad) == far]))
         h /= 2.0
     return ContinuityResult(passed=False, radius=math.inf, block=2.0 * h, blocking_x=blocking)
 

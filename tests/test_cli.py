@@ -280,6 +280,19 @@ def test_embed_report(tmp_path):
     (("embed", "--name", "constant", "--alpha=-1000", "--N-list", "100"), "alpha = -1000"),
     (("embed", "--name", "constant", "--alpha=-600", "--sigma-cap", "0.75", "--N-list", "100"),
      "sigma_cap = 0.75"),
+    # sampling's thresholds and window lengths are finite and positive, beta finite
+    (("sampling", "--name", "constant", "--N", "1000", "--eps", "nan"), "--eps"),
+    (("sampling", "--name", "constant", "--N", "1000", "--eps", "inf"), "--eps"),
+    (("sampling", "--name", "constant", "--N", "1000", "--eps", "0"), "--eps"),
+    (("sampling", "--name", "constant", "--N", "1000", "--beta", "nan"), "--beta"),
+    (("sampling", "--name", "constant", "--N", "1000", "--beta", "inf"), "--beta"),
+    (("sampling", "--name", "constant", "--N", "1000", "--r-list", "nan"), "--r-list"),
+    (("sampling", "--name", "constant", "--N", "1000", "--r-list", "0"), "--r-list"),
+    (("sampling", "--name", "constant", "--N", "1000", "--lambda-r", "nan"), "--lambda-r"),
+    (("sampling", "--name", "constant", "--N", "1000", "--lambda-r=-1"), "--lambda-r"),
+    (("sampling", "--name", "constant", "--N", "1000", "--lambda-r", "1",
+      "--lambda-delta", "nan"), "--lambda-delta"),
+    (("sampling", "--name", "kadec", "--blocks", "50", "--eps", "nan"), "--eps"),
 ])
 def test_embed_and_sums_input_is_a_usage_error(argv, named, tmp_path, capsys, monkeypatch):
     # the input is the user's: exit 2 before any weight is built or file written

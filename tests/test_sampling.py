@@ -1,10 +1,12 @@
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dirichletlab import sampling as S
 from dirichletlab import weights as W
 from dirichletlab.errors import HorizonError, RangeError
 from dirichletlab.sampling import (
@@ -245,8 +247,35 @@ def test_continuity_zero_measure():
 
 
 def test_continuity_eps_check(unit_measure):
-    with pytest.raises(RangeError):
-        continuity_at_infinity(unit_measure, 0.0, 0.0)
+    for eps in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(RangeError):
+            continuity_at_infinity(unit_measure, 0.0, eps)
+
+
+def test_window_lengths_and_thresholds_must_be_finite_and_positive(unit_measure):
+    for r, delta in ((math.nan, 0.5), (math.inf, 0.5), (1.0, math.nan), (1.0, 0.0)):
+        with pytest.raises(RangeError):
+            lambda_set(unit_measure, 0.0, r, delta)
+    for r_list in ([math.nan], [0.0], [1.0, -2.0], [math.inf]):
+        with pytest.raises(RangeError):
+            beurling_lower_density(np.arange(100.0), r_list)
+
+
+def test_continuity_stops_at_the_farthest_bad_anchor(unit_measure, monkeypatch):
+    # every h but the last fails near the horizon and the last passes near
+    # the origin: two chunks per failing h and one pass for the passing one,
+    # where a full scan per h would examine 2 x 5 x the atom count
+    seen = []
+    bad_anchors = S._bad_anchors
+
+    def counting(m, x, *args):
+        seen.append(x.size)
+        return bad_anchors(m, x, *args)
+
+    monkeypatch.setattr(S, "_bad_anchors", counting)
+    res = continuity_at_infinity(unit_measure, 0.0, 0.1)
+    assert res.block == 0.0625  # five window lengths tried
+    assert sum(seen) < 3 * unit_measure.positions.size
 
 
 def continuity_reference(m, beta, eps):
@@ -302,6 +331,43 @@ def test_continuity_equals_the_sorted_union_scan(m, beta, eps):
         assert math.copysign(1.0, got.blocking_x) == math.copysign(1.0, want[3])
 
 
+@settings(max_examples=300, deadline=None)
+@given(m=small_measures(), beta=st.sampled_from([0.0, 0.5, -0.5, 1.0]),
+       eps=st.sampled_from([0.05, 0.3, 1.0, 2.5]), chunk=st.sampled_from([1, 2, 3, 5]))
+def test_continuity_in_small_chunks_equals_the_sorted_union_scan(m, beta, eps, chunk):
+    # chunks far below the atom count make both ends stop, meet and merge ties
+    with patch.object(S, "_CHUNK", chunk):
+        got = continuity_at_infinity(m, beta, eps)
+    want = continuity_reference(m, beta, eps)
+    assert tuple(got) == want
+    if want[3] is not None:
+        assert math.copysign(1.0, got.blocking_x) == math.copysign(1.0, want[3])
+
+
+def test_top_end_scans_an_anchor_rounded_under_the_horizon():
+    # (15 + ulp) + 1 rounds to 16, so the bad anchor 15 + ulp fits and lies
+    # beyond 16 - 1 = 15, the bad anchor the first top chunk finds
+    p = math.nextafter(15.0, math.inf)
+    m = AtomicMeasure(np.array([0.0, 1.0, 2.0, p, 16.0]), np.ones(5), domain_bound=16.0)
+    with patch.object(S, "_CHUNK", 1):
+        assert S._farthest_bad(m, 1.0, 0.0, 0.5) == (p, p)
+
+
+@pytest.mark.parametrize("pos, heavy, low, bound", [
+    # +5.5 (window [5.5, 6.5) from the top atom) comes first, and -5.5
+    # (window [-5.5, -4.5) from atom 1) only in the bottom's second chunk
+    ([-5.2, -4.5, 0.0, 1.0, 2.0, 6.0, 6.5], [0, 5], -6.0, 6.9),
+    # -5.5 (atom 0) comes first, and +5.5 (atom 3) only in the top's second chunk
+    ([-5.5, 0.0, 1.0, 5.5, 6.7, 6.9], [0, 3], -6.0, 7.0),
+])
+def test_a_tie_at_the_far_end_keeps_the_negative_anchor(pos, heavy, low, bound):
+    mas = np.full(len(pos), 0.01)
+    mas[heavy] = 1.0
+    m = AtomicMeasure(np.array(pos), mas, domain_bound=bound, domain_low=low)
+    with patch.object(S, "_CHUNK", 1):
+        assert S._farthest_bad(m, 1.0, 0.0, 0.5) == (5.5, -5.5)
+
+
 def test_continuity_symmetric_blocking_is_the_negative_atom():
     pos = np.concatenate([-np.arange(10.0, 0.0, -1.0), np.arange(1.0, 11.0)])
     m = AtomicMeasure(pos, np.ones(20), domain_bound=10.2, domain_low=-10.2)
@@ -310,11 +376,23 @@ def test_continuity_symmetric_blocking_is_the_negative_atom():
     assert res.blocking_x == -10.0
 
 
+@pytest.fixture(scope="module")
+def scale_measures(unit_measure):
+    # one-sided and dense; mirrored, with bad anchors at both ends; sparse
+    return [unit_measure,
+            measure_from_weights(W.catalog("constant", 10**5), symmetric=True),
+            measure_from_weights(W.catalog("prime_indicator", 10**5))]
+
+
 @pytest.mark.parametrize("beta, eps", [(0.0, 0.1), (0.0, 0.05), (0.5, 0.01), (1.0, 0.001),
                                        (-0.5, 0.3)])
-def test_continuity_equals_the_sorted_union_scan_at_scale(unit_measure, beta, eps):
-    assert tuple(continuity_at_infinity(unit_measure, beta, eps)) == \
-        continuity_reference(unit_measure, beta, eps)
+def test_continuity_equals_the_sorted_union_scan_at_scale(scale_measures, beta, eps):
+    for m in scale_measures:
+        got = continuity_at_infinity(m, beta, eps)
+        want = continuity_reference(m, beta, eps)
+        assert tuple(got) == want
+        if want[3] is not None:
+            assert math.copysign(1.0, got.blocking_x) == math.copysign(1.0, want[3])
 
 
 def test_kadec_atom_positions_near_integers():
