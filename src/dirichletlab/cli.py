@@ -137,6 +137,10 @@ def cmd_sums(args):
         raise UsageError("need at least 2 grid points")
     if args.eta is not None and not 0.0 < args.eta < 1.0:
         raise UsageError(f"--eta must lie in (0, 1), got {args.eta}")
+    if not math.isfinite(args.lo) or (args.N is not None and args.lo > args.N):
+        raise UsageError(f"--lo must be finite and at most --N, got {args.lo}")
+    if args.ratio_alpha is not None and not math.isfinite(args.ratio_alpha):
+        raise UsageError(f"--ratio-alpha must be finite, got {args.ratio_alpha}")
     w = _load_weight(args)
     xs = np.unique(np.geomspace(max(2.0, args.lo), w.limit, args.points).astype(np.int64))
     points = [xs]
@@ -203,8 +207,8 @@ def cmd_zeta(args):
         reporting.write_json("abscissas.json" if args.out is None else args.out, blob)
         return 0
     lo, hi, pts = args.sigma_lo, args.sigma_hi, args.points  # --what grid
-    if not (1.0 < lo < hi) or pts < 2:
-        raise UsageError("grid needs 1 < sigma_lo < sigma_hi and >= 2 points")
+    if not (1.0 < lo < hi < math.inf) or pts < 2:
+        raise UsageError("grid needs 1 < --sigma-lo < --sigma-hi < inf and --points >= 2")
     sigmas = np.linspace(lo, hi, pts)
     reporting.write_csv("zeta.csv" if args.out is None else args.out,
                         ["sigma", "zeta", "prime_zeta"],
@@ -337,10 +341,10 @@ def cmd_sampling(args):
 
 
 def cmd_tauberian(args):
-    w = _load_weight(args)
     lo, hi, pts = args.u_lo, args.u_hi, args.points
-    if not (0.0 < lo < hi) or pts < 5:
-        raise UsageError("profile grid needs 0 < u_lo < u_hi and >= 5 points")
+    if not (0.0 < lo < hi < math.inf) or pts < 5:
+        raise UsageError("profile grid needs 0 < --u-lo < --u-hi < inf and --points >= 5")
+    w = _load_weight(args)
     sigmas = w.sigma0 + np.geomspace(lo, hi, pts)
     xs = ()
     if args.compare_out:
@@ -359,8 +363,8 @@ def cmd_tauberian(args):
 
 def cmd_curves(args):
     lo, hi, pts = args.alpha_lo, args.alpha_hi, args.points
-    if not lo < hi or pts < 2:
-        raise UsageError("curve range needs alpha_lo < alpha_hi and >= 2 points")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi) or pts < 2:
+        raise UsageError("curve range needs finite --alpha-lo < --alpha-hi and --points >= 2")
     if not (lo <= -1.0 and hi >= 0.0):
         raise UsageError("range must cover the identity intersections at -1 and 0")
     alphas = np.linspace(lo, hi, pts)

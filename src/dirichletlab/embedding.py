@@ -34,6 +34,7 @@ from .hspace import DirichletPolynomial, derivative, hw_norm
 
 _TWO_PI = 2.0 * math.pi
 _T_NODES_PER_UNIT = 32
+_SIGMA_NODES = 64
 
 
 @dataclass(frozen=True)
@@ -47,8 +48,8 @@ class LocalWindow:
     def __post_init__(self):
         if not (self.a < self.b and math.isfinite(self.a) and math.isfinite(self.b)):
             raise RangeError(f"window needs finite a < b, got ({self.a}, {self.b})")
-        if not self.sigma_cap > 0.5:
-            raise RangeError(f"sigma_cap must exceed 1/2, got {self.sigma_cap}")
+        if not 0.5 < self.sigma_cap < math.inf:
+            raise RangeError(f"sigma_cap must be finite and exceed 1/2, got {self.sigma_cap}")
 
     @property
     def width(self) -> float:
@@ -151,21 +152,14 @@ def default_sigma_grid(cap: float) -> list:
     return sorted(grid)
 
 
-def local_sup_l2(
-    F: DirichletPolynomial,
-    win: LocalWindow,
-    sigma_grid: Sequence[float] | None = None,
-) -> LocalNorm:
+def local_sup_l2(F: DirichletPolynomial, win: LocalWindow) -> LocalNorm:
     """max over the sigma grid of integral_I |F(sigma+it)|^2 dt.
 
-    The grid realizes "sup over sigma > 1/2" from below; the default grid
-    walks sigma - 1/2 down the powers of two to 2^-20.
+    The grid, default_sigma_grid(win.sigma_cap), realizes "sup over
+    sigma > 1/2" from below: it walks sigma - 1/2 down the powers of two to
+    2^-20 and ends at the cap.
     """
-    if sigma_grid is None:
-        sigma_grid = default_sigma_grid(win.sigma_cap)
-    sigma_grid = list(sigma_grid)
-    if any(not 0.5 < s <= win.sigma_cap for s in sigma_grid):
-        raise RangeError("sigma grid must lie in (1/2, sigma_cap]")
+    sigma_grid = default_sigma_grid(win.sigma_cap)
     bm = _moments(F, win)
     vals, errs = _sup_l2_values(bm, win, sigma_grid, _T_NODES_PER_UNIT)
     i = int(np.argmax(vals))
@@ -185,17 +179,17 @@ def _dalpha_value(bm, alpha, win, t_nodes, s_nodes):
     return float(ws @ (m @ wt)), float(ws @ (err @ wt))
 
 
-def check_sigma_rules(alpha: float, win: LocalWindow, sigma_nodes: int = 64) -> None:
+def check_sigma_rules(alpha: float, win: LocalWindow) -> None:
     """Raise DomainError unless every weight of the two sigma rules that
-    dalpha_local_norm(F, alpha, win, sigma_nodes=sigma_nodes) uses is a normal
-    float64.
+    dalpha_local_norm(F, alpha, win) uses, of _SIGMA_NODES and half as many
+    nodes, is a normal float64.
 
     Each weight carries the factor (V/2)^(-alpha), V = sigma_cap - 1/2: far
     down the alpha scale it underflows (at sigma_cap = 1 from alpha ~ -512 on),
     and a 0 or subnormal weight would make the local norm read 0, or lose its
     digits, with no sign of it.  A larger sigma_cap lifts the factor.
     """
-    for nodes in (sigma_nodes, max(2, sigma_nodes // 2)):
+    for nodes in (_SIGMA_NODES, _SIGMA_NODES // 2):
         ws = _sigma_rule(alpha, win.sigma_cap, nodes)[1]
         bad = ws[~(np.isfinite(ws) & (ws >= np.finfo(np.float64).tiny))]
         if bad.size:
@@ -207,8 +201,6 @@ def dalpha_local_norm(
     F: DirichletPolynomial,
     alpha: float,
     win: LocalWindow,
-    t_nodes_per_unit: int = _T_NODES_PER_UNIT,
-    sigma_nodes: int = 64,
 ) -> LocalNorm:
     """Squared local norm on the alpha scale over Omega_I.
 
@@ -220,7 +212,10 @@ def dalpha_local_norm(
     gamma(2-alpha, (2 sigma_cap - 1) log n) / (2 log n)^(2-alpha), which is
     finite and ~ Gamma(2-alpha) 2^(alpha-2) (log n)^alpha / n for every
     alpha < 2; at alpha >= 2 the sigma integral diverges at the boundary.
-    A sigma rule whose weights leave the normal float64 range raises
+    The rule is _T_NODES_PER_UNIT Gauss-Legendre nodes per unit of t times
+    _SIGMA_NODES Gauss-Jacobi nodes in sigma; the quadrature error is the
+    gap to the rule with half as many nodes in each, plus the expansion
+    bound.  A sigma rule whose weights leave the normal float64 range raises
     DomainError (see check_sigma_rules).
     """
     alpha = float(alpha)
@@ -229,12 +224,10 @@ def dalpha_local_norm(
                           f"{ALPHA_LOW:g} < alpha < {ALPHA_HIGH:g}")
     if alpha == 0.0:
         raise DomainError("alpha = 0 is the sup-L2 case; use local_sup_l2")
-    check_sigma_rules(alpha, win, sigma_nodes)
+    check_sigma_rules(alpha, win)
     bm = _moments(F if alpha < 0 else derivative(F), win)
-    v, err = _dalpha_value(bm, alpha, win, t_nodes_per_unit, sigma_nodes)
-    v_half, _ = _dalpha_value(
-        bm, alpha, win, max(2, t_nodes_per_unit // 2), max(2, sigma_nodes // 2)
-    )
+    v, err = _dalpha_value(bm, alpha, win, _T_NODES_PER_UNIT, _SIGMA_NODES)
+    v_half, _ = _dalpha_value(bm, alpha, win, _T_NODES_PER_UNIT // 2, _SIGMA_NODES // 2)
     return LocalNorm(value=v, quad_error=abs(v - v_half) + err, sigma_at_max=None)
 
 

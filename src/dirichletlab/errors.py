@@ -29,9 +29,5 @@ class TruncationError(DirichletLabError):
     """A reconstruction or block operation exceeds the truncation limit."""
 
 
-class HorizonError(DirichletLabError, ValueError):
-    """A measure query extends beyond the constructed horizon."""
-
-
 class FitError(DirichletLabError, ValueError):
     """A regression grid is degenerate or the usable window is too small."""

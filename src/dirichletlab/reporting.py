@@ -30,13 +30,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-__all__ = [
-    "atomic_write_text",
-    "write_csv",
-    "write_json",
-    "curve_svg",
-]
-
 _CSV_BLOCK = 1 << 14  # rows per block: the kernel's 8-byte temporaries stay at 128 KB
 
 

@@ -12,9 +12,11 @@ difference of the cumulative sums at the atoms' left insertion points, so
 abutting windows [x, y) and [y, z) split the atoms exactly (each atom lands
 in exactly one side) and their masses add to that of [x, z) up to rounding.
 
-All quantities are truncation-honest: positions above the horizon are
-unknown rather than absent, so queries past domain_bound raise instead of
-returning zero.
+All quantities are truncation-honest: positions above the horizon
+(domain_bound) are unknown rather than absent, so no scan reads a window
+past it.  Carleson anchors stop one unit short of the horizon, lambda_set's
+windows stop at it, and continuity_at_infinity keeps 5 units of headroom
+below it.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .accum import compensated_cumsum
-from .errors import HorizonError, RangeError
+from .errors import RangeError
 from . import weights as _weights
 
 
@@ -43,13 +45,16 @@ class AtomicMeasure:
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=np.float64)
         mas = np.asarray(self.masses, dtype=np.float64)
+        lo, hi = self.domain_low, self.domain_bound
         if pos.shape != mas.shape or pos.ndim != 1:
             raise RangeError("positions and masses must be 1-d arrays of equal length")
-        if pos.size and np.any(np.diff(pos) <= 0.0):
-            raise RangeError("positions must be strictly increasing")
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+            raise RangeError(f"domain needs finite domain_low <= domain_bound, got [{lo}, {hi}]")
+        if not (np.all(np.isfinite(pos)) and np.all(np.diff(pos) > 0.0)):
+            raise RangeError("positions must be finite and strictly increasing")
         if np.any(mas <= 0.0) or not np.all(np.isfinite(mas)):
             raise RangeError("masses must be finite and positive")
-        if pos.size and (pos[0] < self.domain_low or pos[-1] > self.domain_bound):
+        if pos.size and (pos[0] < lo or pos[-1] > hi):
             raise RangeError("atoms escape the declared domain")
         cum = np.concatenate([[0.0], compensated_cumsum(mas)]) if mas.size else np.zeros(1)
         for a in (pos, mas, cum):
@@ -111,28 +116,18 @@ def _window_masses(m: AtomicMeasure, anchors: np.ndarray, h: float) -> np.ndarra
     return m.cum[hi] - m.cum[lo]
 
 
-def carleson_check(m: AtomicMeasure, beta: float, xi_grid=None) -> CarlesonReport:
+def carleson_check(m: AtomicMeasure, beta: float) -> CarlesonReport:
     """C_hat = max over the scan of nu[xi, xi+1) / (1+xi^2)^beta.
 
-    The default scan anchors unit windows at the atoms themselves (every
-    attained local maximum of the numerator starts at an atom) plus the
-    domain's low end.
+    The scan anchors unit windows at the atoms themselves (every attained
+    local maximum of the numerator starts at an atom) plus the domain's low
+    end.
     """
-    if xi_grid is None:
-        # the atoms are strictly increasing, so the window at atom k starts
-        # at index k, and the one at domain_low at index 0
-        atoms = m.positions[m.positions <= m.domain_bound - 1.0]
-        anchors = np.concatenate([[m.domain_low], atoms])
-        lo = np.concatenate([[0], np.arange(atoms.size)])
-    else:
-        anchors = np.asarray(list(xi_grid), dtype=np.float64)
-        if anchors.size == 0:
-            raise RangeError("empty scan grid")
-        if np.any(anchors + 1.0 > m.domain_bound + 1e-12) or np.any(
-            anchors < m.domain_low - 1e-12
-        ):
-            raise HorizonError("scan grid leaves the covered range")
-        lo = np.searchsorted(m.positions, anchors, side="left")
+    # the atoms are strictly increasing, so the window at atom k starts
+    # at index k, and the one at domain_low at index 0
+    atoms = m.positions[m.positions <= m.domain_bound - 1.0]
+    anchors = np.concatenate([[m.domain_low], atoms])
+    lo = np.concatenate([[0], np.arange(atoms.size)])
     hi = np.searchsorted(m.positions, anchors + 1.0, side="left")
     q = (m.cum[hi] - m.cum[lo]) / (1.0 + anchors**2) ** beta
     i = int(np.argmax(q))
@@ -158,20 +153,21 @@ def lambda_set(m: AtomicMeasure, beta: float, r: float, delta: float) -> np.ndar
 
 
 def beurling_lower_density(
-    points: Sequence[float], r_list: Sequence[float], window: tuple | None = None
+    points: Sequence[float], r_list: Sequence[float], window: tuple
 ) -> DensityReport:
     """Exact inf over subwindows of count/r, per window length r.
 
-    Counts are over open intervals (xi, xi+r) with xi swept across [0, T-r];
-    the count is piecewise constant and every attained minimum starts either
-    at 0, at a point of the set, or at T-r, so sweeping those anchors is
-    exact.  The extrapolated figure is the value at the largest r; finite
-    windows carry an intrinsic 2/r resolution, so no limit is claimed.
+    Counts are over open intervals (xi, xi+r) with xi swept across
+    [lo, hi-r] for window = (lo, hi); the count is piecewise constant and
+    every attained minimum starts either at lo, at a point of the set, or at
+    hi-r, so sweeping those anchors is exact.  The extrapolated figure is
+    the value at the largest r; finite windows carry an intrinsic 2/r
+    resolution, so no limit is claimed.
     """
-    pts = np.sort(np.asarray(list(points), dtype=np.float64))
+    pts = np.sort(np.asarray(points, dtype=np.float64))
     if pts.size == 0:
         raise RangeError("empty point set")
-    lo, hi = (0.0, float(pts[-1])) if window is None else (float(window[0]), float(window[1]))
+    lo, hi = float(window[0]), float(window[1])
     T = hi - lo
     if T <= 0:
         raise RangeError("window must have positive length")

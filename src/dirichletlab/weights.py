@@ -299,12 +299,8 @@ def sum_upto(w: WeightSequence, x: float) -> float:
     return float(sums_at(w, int(math.floor(x))))
 
 
-def chebyshev_ratios(w: WeightSequence, xs, alpha: Optional[float] = None) -> np.ndarray:
+def chebyshev_ratios(w: WeightSequence, xs, alpha: float) -> np.ndarray:
     """Normalized partial sums S(x) (log x)^alpha / x on the given points."""
-    if alpha is None:
-        alpha = w.expected_alpha
-    if alpha is None:
-        raise DomainError(f"{w.name}: no exponent on record; pass alpha explicitly")
     xs = np.asarray(xs, dtype=np.float64)
     if np.any(xs < 2) or np.any(xs > w.limit):
         raise RangeError("ratio points must lie in [2, limit]")

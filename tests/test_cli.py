@@ -293,6 +293,16 @@ def test_embed_report(tmp_path):
     (("sampling", "--name", "constant", "--N", "1000", "--lambda-r", "1",
       "--lambda-delta", "nan"), "--lambda-delta"),
     (("sampling", "--name", "kadec", "--blocks", "50", "--eps", "nan"), "--eps"),
+    # grid ends and sums inputs that are not finite, or lie past N
+    (("zeta", "--what", "grid", "--sigma-hi", "inf"), "--sigma-hi"),
+    (("curves", "--alpha-hi", "inf"), "--alpha-hi"),
+    (("curves", "--alpha-lo=-inf"), "--alpha-lo"),
+    (("tauberian", "--name", "constant", "--N", "1e4", "--u-hi", "inf"), "--u-hi"),
+    (("embed", "--name", "constant", "--alpha", "0", "--sigma-cap", "inf"), "sigma_cap"),
+    (("sums", "--name", "constant", "--N", "1e4", "--ratio-alpha", "nan"), "--ratio-alpha"),
+    (("sums", "--name", "constant", "--N", "1e4", "--lo", "inf"), "--lo"),
+    (("sums", "--name", "constant", "--N", "1e4", "--lo", "1e9"), "--lo"),
+    (("sums", "--name", "constant", "--N", "1e4", "--lo", "nan"), "--lo"),
 ])
 def test_embed_and_sums_input_is_a_usage_error(argv, named, tmp_path, capsys, monkeypatch):
     # the input is the user's: exit 2 before any weight is built or file written
@@ -300,7 +310,9 @@ def test_embed_and_sums_input_is_a_usage_error(argv, named, tmp_path, capsys, mo
     monkeypatch.setattr(W, "catalog", lambda *a, **k: built.append(a))
     monkeypatch.chdir(tmp_path)
     assert run(*argv) == 2
-    assert named in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
     assert built == [] and list(tmp_path.iterdir()) == []
 
 

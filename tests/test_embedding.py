@@ -133,11 +133,15 @@ def test_scaling_invariance_of_ratios():
     assert e1.value == pytest.approx(e2.value, rel=1e-12)
 
 
-def test_quadrature_doubling_stability():
+def test_quadrature_doubling_stability(monkeypatch):
     F = _random_poly(34, 100)
+    assert (embedding._T_NODES_PER_UNIT, embedding._SIGMA_NODES) == (32, 64)
     for alpha in (-1.0, 0.5):
-        v1 = dalpha_local_norm(F, alpha, WIN, t_nodes_per_unit=32, sigma_nodes=64).value
-        v2 = dalpha_local_norm(F, alpha, WIN, t_nodes_per_unit=64, sigma_nodes=128).value
+        v1 = dalpha_local_norm(F, alpha, WIN).value
+        with monkeypatch.context() as m:
+            m.setattr(embedding, "_T_NODES_PER_UNIT", 64)
+            m.setattr(embedding, "_SIGMA_NODES", 128)
+            v2 = dalpha_local_norm(F, alpha, WIN).value
         assert abs(v1 - v2) <= 1e-8 * max(1.0, abs(v1))
 
 
@@ -382,6 +386,7 @@ def test_local_norm_matches_the_direct_sum_on_a_wide_window(monkeypatch):
     # |t| up to 30: the engine narrows its blocks, the value stays put
     win = LocalWindow(0.0, 30.0, 1.0)
     F = random_family(W.catalog("constant", 20_000), 1, 9)[0]
-    norm = lambda: local_sup_l2(F, win, sigma_grid=[0.5 + 2.0**-20, 0.75, 1.0])
+    monkeypatch.setattr(embedding, "default_sigma_grid", lambda cap: [0.5 + 2.0**-20, 0.75, 1.0])
+    norm = lambda: local_sup_l2(F, win)
     got, want = norm(), _with_direct_sums(monkeypatch, norm)
     assert got.value == pytest.approx(want.value, rel=1e-12)

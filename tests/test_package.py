@@ -143,3 +143,62 @@ def test_public_names_are_reached():
                      module == where and node.lineno <= line <= node.end_lineno)
                      for where, line, name in refs)]
     assert not unreached, f"public names nothing in the package reaches: {unreached}"
+
+
+def test_init_imports_nothing():
+    # library code imports each name from its defining module
+    tree = ast.parse(Path(dirichletlab.__file__).read_text(encoding="utf-8"))
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not found, f"__init__.py imports on lines {found}"
+
+
+# defaulted parameters that no package call passes, each kept for a stated reason
+UNPASSED_DEFAULTS = {
+    "join_segments.dtype": "test oracles join the uint16 divisor segments as int32",
+    "build_sieve.budget": "sieve tests refuse a table past a small budget (TEST_FACING)",
+    "main.argv": "the console entry point reads sys.argv; tests pass a list",
+    "make_bump.center": "the dual bump of the exact two-sided embedding constant",
+    "make_bump.halfwidth": "the dual bump of the exact two-sided embedding constant",
+    "monomial.limit": "hspace fixtures: the monomial n^(-s) in a larger space",
+    "monomial.c": "hspace fixtures: a scaled monomial",
+    "dirichlet_inverse.limit": "criterion 04's oracle of 1/(2 - zeta), kept whole (TEST_FACING)",
+}
+
+
+def test_defaulted_parameters_are_passed():
+    # a defaulted parameter of a public top-level function must be passed, by
+    # name or by position, by a package call outside the function's own body,
+    # or be listed in UNPASSED_DEFAULTS: a default that every caller keeps is
+    # a constant
+    root = Path(dirichletlab.__file__).parent
+    funcs, calls = [], []
+    for path in sorted(root.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        funcs += [(path.name, node) for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+        calls += [(path.name, node) for node in ast.walk(tree) if isinstance(node, ast.Call)]
+
+    def callee(call):
+        f = call.func
+        return f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+
+    def passes(call, index, name):
+        # a *args or **kwargs at the call site may carry any parameter
+        by_position = index is not None and (
+            len(call.args) > index or any(isinstance(a, ast.Starred) for a in call.args))
+        return by_position or any(k.arg in (name, None) for k in call.keywords)
+
+    unpassed = []
+    for module, fn in funcs:
+        a = fn.args
+        positional = a.posonlyargs + a.args
+        first = len(positional) - len(a.defaults)
+        defaulted = [(i, p.arg) for i, p in enumerate(positional) if i >= first]
+        defaulted += [(None, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+        outside = [call for where, call in calls if callee(call) == fn.name
+                   and not (where == module and fn.lineno <= call.lineno <= fn.end_lineno)]
+        unpassed += [f"{fn.name}.{name}" for index, name in defaulted
+                     if not any(passes(call, index, name) for call in outside)]
+    assert sorted(unpassed) == sorted(UNPASSED_DEFAULTS), (
+        f"defaulted parameters no package call passes: {sorted(unpassed)}")

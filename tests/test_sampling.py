@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from dirichletlab import sampling as S
 from dirichletlab import weights as W
-from dirichletlab.errors import HorizonError, RangeError
+from dirichletlab.errors import RangeError
 from dirichletlab.sampling import (
     AtomicMeasure,
     beurling_lower_density,
@@ -73,6 +73,16 @@ def test_measure_validation():
         AtomicMeasure(np.array([1.0]), np.array([0.0]), 2.0)
     with pytest.raises(RangeError):
         AtomicMeasure(np.array([3.0]), np.array([1.0]), 2.0)
+    # nan compares false against every bound, so each must be refused outright
+    with pytest.raises(RangeError):
+        AtomicMeasure(np.array([0.0, math.nan, 2.0]), np.ones(3), domain_bound=10.0)
+    for pos in ([math.inf], [-math.inf, 1.0]):
+        with pytest.raises(RangeError):
+            AtomicMeasure(np.array(pos), np.ones(len(pos)), domain_bound=10.0)
+    for low, bound in ((0.0, math.nan), (math.nan, 10.0), (0.0, math.inf),
+                       (-math.inf, 10.0), (5.0, 4.0)):
+        with pytest.raises(RangeError):
+            AtomicMeasure(np.empty(0), np.empty(0), domain_bound=bound, domain_low=low)
 
 
 def test_interval_mass_empty_and_basic():
@@ -85,16 +95,9 @@ def test_interval_mass_empty_and_basic():
 
 def test_interval_mass_unit_log_window(unit_measure):
     # sum of 1/n over n in [e^5, e^6) is about 1
-    v = carleson_check(unit_measure, 0.0, [5.0]).c_hat
+    v = window_mass(unit_measure, 5.0, 6.0)
     assert v == pytest.approx(0.999590, abs=1e-6)  # frozen direct sum
     assert 0.9 <= v <= 1.1
-
-
-def test_interval_mass_horizon(unit_measure):
-    with pytest.raises(HorizonError):
-        carleson_check(unit_measure, 0.0, [unit_measure.domain_bound - 0.5])
-    with pytest.raises(HorizonError):
-        carleson_check(unit_measure, 0.0, [-1.0])  # asymmetric: nothing below 0
 
 
 @settings(max_examples=200, deadline=None)
@@ -137,13 +140,6 @@ def test_carleson_spiked_weights_blow_up():
     assert c[200] > 10.0 * c[50]  # measured 2.3e19 -> 7.8e83
 
 
-def test_carleson_grid_checks(unit_measure):
-    with pytest.raises(HorizonError):
-        carleson_check(unit_measure, 0.0, xi_grid=[unit_measure.domain_bound])
-    with pytest.raises(RangeError):
-        carleson_check(unit_measure, 0.0, xi_grid=[])
-
-
 def test_lambda_set_constant_contains_integers(unit_measure):
     lam = lambda_set(unit_measure, 0.0, 1.0, 0.5)
     got = set(lam.tolist())
@@ -172,7 +168,7 @@ def test_lambda_set_kadec_selects_occupied_blocks():
     )  # frozen
     # centered at the integers the one-atom-per-block picture is exact
     for k in range(1, 20):
-        assert carleson_check(m, 0.0, [k - 0.5]).c_hat == 1.0
+        assert window_mass(m, k - 0.5, k + 0.5) == 1.0
 
 
 def test_beurling_integers():
@@ -220,7 +216,7 @@ def test_beurling_window_checks():
     with pytest.raises(RangeError):
         beurling_lower_density(pts, [30.0], window=(0.0, 100.0))  # r > T/5
     with pytest.raises(RangeError):
-        beurling_lower_density([], [1.0])
+        beurling_lower_density([], [1.0], window=(0.0, 100.0))
 
 
 def test_continuity_constant_weights(unit_measure):
@@ -258,7 +254,7 @@ def test_window_lengths_and_thresholds_must_be_finite_and_positive(unit_measure)
             lambda_set(unit_measure, 0.0, r, delta)
     for r_list in ([math.nan], [0.0], [1.0, -2.0], [math.inf]):
         with pytest.raises(RangeError):
-            beurling_lower_density(np.arange(100.0), r_list)
+            beurling_lower_density(np.arange(100.0), r_list, window=(0.0, 99.0))
 
 
 def test_continuity_stops_at_the_farthest_bad_anchor(unit_measure, monkeypatch):

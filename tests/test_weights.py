@@ -251,12 +251,12 @@ def test_fit_alpha_refuses_degenerate_grids():
 def test_chebyshev_ratios_constant_flat():
     w = W.catalog("constant", 10**4)
     xs = np.geomspace(100.0, 10**4, 12)
-    r = W.chebyshev_ratios(w, xs)  # alpha defaults to expected 0
+    r = W.chebyshev_ratios(w, xs, w.expected_alpha)  # 0 for the constant weight
     assert np.all((r >= 0.99) & (r <= 1.01))
     with pytest.raises(RangeError):
-        W.chebyshev_ratios(w, np.array([1.5]))
+        W.chebyshev_ratios(w, np.array([1.5]), 0.0)
     with pytest.raises(RangeError):
-        W.chebyshev_ratios(w, np.array([2e4]))
+        W.chebyshev_ratios(w, np.array([2e4]), 0.0)
 
 
 def test_block_sums_against_direct_slices():
