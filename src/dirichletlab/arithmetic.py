@@ -1,6 +1,6 @@
 """Integer tables: the arithmetic functions behind the weight catalog, one
-accum segment at a time, plus a smallest-prime-factor sieve and per-n
-operations on explicit factorizations, kept as oracles.
+accum segment at a time, plus the per-n generalized divisor value on an
+explicit factorization.
 
 Each segment builder here yields its values over the consecutive ranges
 accum.segment_edges cuts, so a scan holds one segment at a time, and a
@@ -12,28 +12,21 @@ scan as the integers they are.  Primes and Lambda come from a byte sieve of
 each segment by the primes <= sqrt(N) (a segmented sieve, Bays-Hudson,
 BIT 17, 1977), with the prime powers p^k, k >= 2, added from one short
 sorted list.  The multiplicative and additive tables (d_gamma, Omega,
-prod nu_p!) come from one segmented factor pass by the same small primes.
-Only the ordered-factorization table, a divisor-lattice pass, is built
-whole.
+prod nu_p!) come from one segmented factor pass by the same small primes,
+and so does the prime signature that the ordered-factorization counts are
+read from.
 
-build_sieve writes the smallest prime factor into every n <= N (the primes
-up to sqrt(N) from a small byte sieve, then each prime into its multiples
-from p^2 on, in descending order, so the smallest lands last); factorize
-reads it.  The per-n operations work on an explicit factorization and use
-exact integer arithmetic, rounding once per prime power where the value is
-not an integer.
+generalized_divisor works on an explicit factorization in exact integer
+arithmetic, rounding once per prime power where the value is not an integer.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .accum import segment_edges
-from .errors import BudgetError, RangeError
-
-DEFAULT_BUDGET = 10**8
+from .errors import RangeError
 
 # A factorization is an ascending tuple of (prime, exponent) pairs; 1 -> ().
 Factorization = tuple
@@ -49,66 +42,6 @@ def _small_primes(n: int) -> np.ndarray:
     return np.flatnonzero(small)
 
 
-@dataclass(frozen=True)
-class SieveTable:
-    """Smallest-prime-factor table for 2..limit, plus the prime list."""
-
-    limit: int
-    spf: np.ndarray
-    primes: np.ndarray
-
-
-def build_sieve(limit: int, budget: int = DEFAULT_BUDGET) -> SieveTable:
-    """Sieve smallest prime factors up to limit.
-
-    Refuses limits beyond the budget ceiling rather than thrashing memory.
-    """
-    if limit < 2:
-        raise RangeError(f"sieve limit must be >= 2, got {limit}")
-    if limit > budget:
-        raise BudgetError(f"sieve limit {limit} exceeds budget {budget}")
-    spf = np.zeros(limit + 1, dtype=np.int32)
-    # a composite n has its smallest prime p <= sqrt(n), so it lies in p*p::p
-    for p in _small_primes(math.isqrt(limit))[::-1].tolist():
-        spf[p * p :: p] = p
-    primes = np.flatnonzero(spf[2:] == 0) + 2
-    spf[primes] = primes
-    spf.setflags(write=False)
-    primes.setflags(write=False)
-    return SieveTable(limit=limit, spf=spf, primes=primes)
-
-
-def factorize(table: SieveTable, n: int) -> Factorization:
-    """Factor n by repeated smallest-prime-factor division; pairs ascend."""
-    n = int(n)
-    if not 1 <= n <= table.limit:
-        raise RangeError(f"n={n} outside tabulated range [1, {table.limit}]")
-    spf = table.spf
-    out = []
-    while n > 1:
-        p = int(spf[n])
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        out.append((p, e))
-    return tuple(out)
-
-
-def divisor_count(f: Factorization) -> int:
-    out = 1
-    for _, e in f:
-        out *= e + 1
-    return out
-
-
-def mobius(f: Factorization) -> int:
-    for _, e in f:
-        if e >= 2:
-            return 0
-    return -1 if len(f) % 2 else 1
-
-
 def generalized_divisor(gamma, f: Factorization) -> float:
     """Coefficient multiplicative in f with value rising(gamma,e)/e! at p^e.
 
@@ -117,7 +50,7 @@ def generalized_divisor(gamma, f: Factorization) -> float:
     ratio, rounded once by int true division; the rounded values are
     multiplied from the largest prime down, the order
     generalized_divisor_segments uses, so the two agree bit for bit.  Integer
-    gamma gives integer values, exact as floats (gamma=2 is divisor_count).
+    gamma gives integer values, exact as floats (gamma=2 is the divisor count).
     """
     a, b = float(gamma).as_integer_ratio()
     total = 1.0
@@ -128,32 +61,6 @@ def generalized_divisor(gamma, f: Factorization) -> float:
             den *= j * b
         total *= num / den
     return total
-
-
-def ordered_factorization_table(limit: int) -> np.ndarray:
-    """Ordered-factorization counts for 1..limit in one divisor-lattice pass,
-    built whole: limits past DEFAULT_BUDGET raise BudgetError, as in build_sieve.
-
-    F[n] = 1 + sum of F[m] over proper divisors m > 1; processing m ascending
-    makes each F[m] final before it is pushed onto its multiples.  Past
-    limit // J the m with limit // m = j form a run whose divisors all lie
-    below it and whose multiples k m (k = 2..j) all lie above it, so each k
-    pushes the whole run as one strided add (exact: the entries are int64).
-    """
-    if limit < 1:
-        raise RangeError(f"limit must be >= 1, got {limit}")
-    if limit > DEFAULT_BUDGET:
-        raise BudgetError(f"ordered-factorization limit {limit} exceeds budget {DEFAULT_BUDGET}")
-    F = np.zeros(limit + 1, dtype=np.int64)
-    F[1:] = 1
-    J = max(2, round(limit ** (1 / 3)))  # ~limit / J single pushes, ~J^2 / 2 run pushes
-    for m in range(2, limit // J + 1):
-        F[2 * m :: m] += F[m]
-    for j in range(J - 1, 1, -1):
-        lo, hi = limit // (j + 1) + 1, limit // j + 1
-        for k in range(2, j + 1):
-            F[k * lo : k * hi : k] += F[lo:hi]
-    return F
 
 
 _TILED = 12  # the hyperbola passes i <= _TILED come from one periodic tile
@@ -301,3 +208,49 @@ def generalized_divisor_segments(gamma, limit: int):
     accum segment at a time."""
     rule = (lambda e: generalized_divisor(gamma, ((2, e),)), np.multiply, np.float64)
     return (f for f, in factor_segments(limit, rule))
+
+
+def _ordered_factorization_count(key: int, q: list) -> int:
+    """H(n) for the n whose prime signature has this key prod_p q(nu_p).
+
+    The key's factors over q give the exponents nu_p; H(n) counts the ordered
+    factorizations into exactly k factors > 1, by inclusion-exclusion over the
+    d_i(n) = prod_p C(nu_p + i - 1, nu_p) factorizations into i factors >= 1,
+    summed over k = 0..Omega(n) (the k = 0 term is H(1) = 1, and 0 past n = 1).
+    """
+    exponents = []
+    for e, p in enumerate(q[1:], 1):
+        while key % p == 0:
+            key //= p
+            exponents.append(e)
+        if key == 1:
+            break
+    omega = sum(exponents)
+    d = [math.prod(math.comb(e + i - 1, e) for e in exponents) for i in range(omega + 1)]
+    return sum((-1) ** (k - i) * math.comb(k, i) * d[i]
+               for k in range(omega + 1) for i in range(k + 1))
+
+
+def ordered_factorization_segments(limit: int):
+    """H(n), the ordered-factorization counts (int64, H(0) = 0), for
+    n = 0..limit, one accum segment at a time.
+
+    H(n) depends only on the multiset of n's prime exponents nu_p, and its
+    key prod_p q(nu_p), q(e) the e-th prime, is one positive integer per
+    multiset and <= n: the factor pass builds the key as a multiplicative
+    int64 table, and a dense lookup H[key] gives the counts.  The lookup is
+    filled in Python integers at the keys that occur, and extended whenever
+    a segment's largest key passes its end.
+    """
+    q = [1, *_small_primes(limit.bit_length() ** 2 + 2).tolist()]  # q(e) < e^2 for e >= 2
+    H = np.zeros(1, dtype=np.int64)  # the key of n = 0 is 0
+    for key, in factor_segments(limit, (q.__getitem__, np.multiply, np.int64)):
+        if (top := int(key.max())) >= H.size:
+            H = np.concatenate([H, np.zeros(top + 1 - H.size, dtype=np.int64)])
+        counts = H[key]
+        new = np.flatnonzero(np.bincount(key[counts == 0]))
+        new = new[new > 0]  # key 0 is n = 0's; H >= 1 at every other key
+        if new.size:
+            H[new] = [_ordered_factorization_count(m, q) for m in new.tolist()]
+            counts = H[key]
+        yield counts

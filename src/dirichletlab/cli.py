@@ -223,9 +223,10 @@ def cmd_kernel(args):
                           anchor=complex(args.anchor_re, args.anchor_im))
     except DirichletLabError as e:
         raise UsageError(str(e))
-    if not args.sigma_lo < args.sigma_hi or args.points < 2:
-        raise UsageError("kernel grid needs sigma_lo < sigma_hi and >= 2 points")
-    sigmas = np.linspace(args.sigma_lo, args.sigma_hi, args.points)
+    lo, hi, pts = args.sigma_lo, args.sigma_hi, args.points
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi) or pts < 2:
+        raise UsageError("kernel grid needs finite --sigma-lo < --sigma-hi and --points >= 2")
+    sigmas = np.linspace(lo, hi, pts)
     for s in sigmas:  # the grid is the user's: check all of it before evaluating
         try:
             kernel_region(spec, complex(s, args.t))

@@ -11,13 +11,13 @@ a scan holds one accum segment, one chunk and one moment block, never the
 N-length table, so its memory is bounded by the segment size (plus sqrt(N)
 small primes and the largest moment block, N/33 entries).  The closed forms
 (constant, log_power, kadec, kadec_spiked) compute each segment from its n;
-the sieve families read theirs from the arithmetic builders; mccarthy and
-inv_ordered_factorization cut theirs from one divisor-lattice table, built
-whole and again by every scan.  The array w is built, as the
-concatenation of the same segments, only when something reads it.  S(x) at
-given points comes from the scan's checkpoint reads, bit for bit the
-entries of partial_sums, and every sequence keeps one memo of the sums and
-the moments it has read.
+the sieve families, mccarthy and inv_ordered_factorization (through the
+prime-signature stream) among them, read theirs from the arithmetic
+builders.  The array w is built, as the concatenation of the same segments,
+only when something reads it, and past DEFAULT_BUDGET entries that read
+raises BudgetError.  S(x) at given points comes from the scan's checkpoint
+reads, bit for bit the entries of partial_sums, and every sequence keeps
+one memo of the sums and the moments it has read.
 """
 from __future__ import annotations
 
@@ -29,6 +29,8 @@ import numpy as np
 from . import accum, arithmetic
 from .errors import BudgetError, DomainError, FitError, RangeError
 from .zeta import prime_zeta_unit_abscissa, zeta_equals_two_abscissa
+
+DEFAULT_BUDGET = 10**8  # the largest array w that is built
 
 # the one parameter a family cannot be built without
 REQUIRED_PARAM = {"log_power": "alpha", "inv_divisor_pow": "alpha", "dgamma": "gamma",
@@ -85,12 +87,11 @@ def _kadec_segments(limit: int, params: dict, spiked: bool):
 
 
 def _ordered_factorizations(limit: int, invert: bool):
-    """F(n) or, inverted, 1 / F(n) (w_0 = 0), cut from the one divisor-lattice table."""
-    F = arithmetic.ordered_factorization_table(limit)
-    for lo, hi in accum.segment_edges(limit + 1):
-        w = F[lo:hi].astype(np.float64)
+    """H(n) or, inverted, 1 / H(n) (w_0 = 0), from the signature stream."""
+    for H in arithmetic.ordered_factorization_segments(limit):
+        w = H.astype(np.float64)
         if invert:
-            np.divide(1.0, w, out=w, where=w > 0)  # w_0 = F(0) = 0 stays
+            np.divide(1.0, w, out=w, where=w > 0)  # w_0 = H(0) = 0 stays
         yield w
 
 
@@ -174,9 +175,9 @@ class WeightSequence:
     @property
     def w(self) -> np.ndarray:
         if self._w is None:
-            if self.limit > arithmetic.DEFAULT_BUDGET:
+            if self.limit > DEFAULT_BUDGET:
                 raise BudgetError(f"a {self.limit}-entry {self.name} table exceeds the budget "
-                                  f"{arithmetic.DEFAULT_BUDGET}")
+                                  f"{DEFAULT_BUDGET}")
             self._w = accum.join_segments(BUILDERS[self.name](self.limit, self.params),
                                            self.limit + 1)
         return self._w

@@ -16,7 +16,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import arithmetic
 from .accum import compensated_sum
 from .errors import DomainError
 
@@ -143,10 +142,17 @@ def upper_gamma(a: float, x: float) -> float:
         coef /= -n
 
 
-@lru_cache(maxsize=None)
 def _mobius_small(k: int) -> int:
-    table = arithmetic.build_sieve(128)
-    return arithmetic.mobius(arithmetic.factorize(table, k))
+    """mu(k) by trial division of k."""
+    mu, p = 1, 2
+    while p * p <= k:
+        if k % p == 0:
+            k //= p
+            if k % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if k > 1 else mu
 
 
 def prime_zeta(s: complex) -> complex:
@@ -328,22 +334,20 @@ def kernel_eval(spec: KernelSpec, s: complex) -> complex:
     return cmath.exp(-g * cmath.log(w))
 
 
-def dirichlet_inverse(a, limit: int | None = None):
+def dirichlet_inverse(a):
     """Coefficients of the reciprocal Dirichlet series, a_1 != 0 required.
 
     Integer inputs with a_1 = +-1 are inverted in exact integer arithmetic
     (the inverse is integral in that case); everything else in float64.
     """
     a = list(a)
-    N = (limit if limit is not None else len(a) - 1)
-    if N + 1 > len(a):
-        raise DomainError("limit exceeds the coefficient array")
+    N = len(a) - 1
     if N < 1 or a[1] == 0:
         raise DomainError("leading coefficient a_1 must be nonzero")
-    ints = all(isinstance(x, (int, np.integer)) or (isinstance(x, float) and x.is_integer()) for x in a[1 : N + 1])
+    ints = all(isinstance(x, (int, np.integer)) or (isinstance(x, float) and x.is_integer()) for x in a[1:])
     if ints and abs(a[1]) == 1:
         a1 = int(a[1])
-        ai = [int(x) for x in a[: N + 1]]
+        ai = [int(x) for x in a]
         b = [0] * (N + 1)
         c = [0] * (N + 1)
         for n in range(1, N + 1):
@@ -353,7 +357,7 @@ def dirichlet_inverse(a, limit: int | None = None):
                 for k in range(2, N // n + 1):
                     c[n * k] += b[n] * ai[k]
         return b
-    af = np.asarray([float(x) for x in a[: N + 1]], dtype=np.float64)
+    af = np.asarray([float(x) for x in a], dtype=np.float64)
     b = np.zeros(N + 1)
     c = np.zeros(N + 1)
     for n in range(1, N + 1):

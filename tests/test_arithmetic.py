@@ -1,28 +1,23 @@
+import functools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from dirichletlab import accum
 from dirichletlab.arithmetic import (
-    DEFAULT_BUDGET,
     EXPONENT_FACTORIAL,
     OMEGA,
-    SieveTable,
-    build_sieve,
-    divisor_count,
     divisor_count_segments,
     factor_segments,
-    factorize,
     generalized_divisor,
     generalized_divisor_segments,
-    mobius,
-    ordered_factorization_table,
+    ordered_factorization_segments,
     prime_segments,
     von_mangoldt_segments,
 )
-from dirichletlab.errors import BudgetError, RangeError
+from dirichletlab.errors import RangeError
+from dirichletlab.zeta import _mobius_small
 
 
 def divisor_count_table(limit):
@@ -39,6 +34,10 @@ def factor_tables(limit, *rules):
     return tuple(np.concatenate(parts) for parts in zip(*factor_segments(limit, *rules)))
 
 
+def ordered_factorization_table(limit):
+    return np.concatenate(list(ordered_factorization_segments(limit)))
+
+
 def trial_factor(n):
     out = {}
     d = 2
@@ -52,6 +51,11 @@ def trial_factor(n):
     return out
 
 
+def factorization(n):
+    """n's ascending (prime, exponent) pairs, by trial division; 1 -> ()."""
+    return tuple(sorted(trial_factor(n).items()))
+
+
 def divisors(f):
     """All divisors of the factored integer, ascending: the oracle of the
     divisor-sum identities below."""
@@ -61,12 +65,14 @@ def divisors(f):
     return sorted(out)
 
 
-def test_spf_against_trial_division(table_small):
-    for n in range(2, 3000):
-        assert table_small.spf[n] == min(trial_factor(n))
+def test_spf_against_trial_division():
+    # the smallest prime factors the reference loops below read
+    spf = sieve_reference(3000)[0]
+    for n in range(2, 3001):
+        assert spf[n] == min(trial_factor(n))
 
 
-def test_prime_list_against_sieve_of_eratosthenes(table_small):
+def test_prime_list_against_sieve_of_eratosthenes():
     limit = 10_000
     mask = np.ones(limit + 1, dtype=bool)
     mask[:2] = False
@@ -74,33 +80,24 @@ def test_prime_list_against_sieve_of_eratosthenes(table_small):
         if mask[p]:
             mask[p * p :: p] = False
     expected = np.flatnonzero(mask)
-    got = table_small.primes[table_small.primes <= limit]
+    got = np.flatnonzero(np.concatenate(list(prime_segments(limit))))
     assert np.array_equal(got, expected)
 
 
-@given(st.integers(min_value=2, max_value=99_999))
-@settings(max_examples=200)
-def test_factorize_reconstruct_roundtrip(table_small, n):
-    f = factorize(table_small, n)
-    assert math.prod(p**e for p, e in f) == n
-    assert dict(f) == trial_factor(n)
-
-
-def test_divisor_count_table_brute_force(table_small):
+def test_divisor_count_table_brute_force():
     d = divisor_count_table(500)
     for n in range(1, 501):
         assert d[n] == sum(1 for k in range(1, n + 1) if n % k == 0)
 
 
-def test_divisors_listing(table_small):
-    f = factorize(table_small, 360)
-    ds = sorted(divisors(f))
+def test_divisors_listing():
+    ds = sorted(divisors(factorization(360)))
     assert ds == sorted(k for k in range(1, 361) if 360 % k == 0)
-    assert divisor_count(f) == len(ds)
+    assert divisor_count_table(360)[360] == len(ds)
 
 
-def test_von_mangoldt_supported_on_prime_powers(table_small):
-    lam = np.concatenate(list(von_mangoldt_segments(table_small.limit)))
+def test_von_mangoldt_supported_on_prime_powers():
+    lam = np.concatenate(list(von_mangoldt_segments(10**5)))
     for n in range(1, 2000):
         f = trial_factor(n)
         if len(f) == 1:
@@ -111,26 +108,26 @@ def test_von_mangoldt_supported_on_prime_powers(table_small):
     assert lam[81] == pytest.approx(math.log(3))
 
 
-def test_mobius_values_and_dirichlet_identity(table_small):
-    # sum over divisors of mu is the indicator of n = 1
+def test_mobius_values_and_dirichlet_identity():
+    # the trial-division mu of the prime zeta series: sum over divisors of mu
+    # is the indicator of n = 1
     for n in range(1, 1500):
-        total = sum(mobius(factorize(table_small, d)) if d > 1 else 1
-                    for d in divisors(factorize(table_small, n))) if n > 1 else 1
+        total = sum(_mobius_small(d) for d in divisors(factorization(n)))
         assert total == (1 if n == 1 else 0)
-    assert mobius(factorize(table_small, 30)) == -1
-    assert mobius(factorize(table_small, 12)) == 0
+    assert _mobius_small(30) == -1
+    assert _mobius_small(12) == 0
 
 
-def test_omega_table_counts_with_multiplicity(table_small):
-    om = factor_tables(table_small.limit, OMEGA, EXPONENT_FACTORIAL)[0]
+def test_omega_table_counts_with_multiplicity():
+    om = factor_tables(10**5, OMEGA, EXPONENT_FACTORIAL)[0]
     for n in range(2, 2000):
         assert om[n] == sum(trial_factor(n).values())
     assert om[1] == 0
     assert om[4] == 2 and om[30] == 3
 
 
-def test_exponent_factorial_table(table_small):
-    ef = factor_tables(table_small.limit, OMEGA, EXPONENT_FACTORIAL)[1]
+def test_exponent_factorial_table():
+    ef = factor_tables(10**5, OMEGA, EXPONENT_FACTORIAL)[1]
     for n in range(1, 1000):
         expect = 1
         for e in trial_factor(n).values():
@@ -138,12 +135,12 @@ def test_exponent_factorial_table(table_small):
         assert ef[n] == expect
 
 
-def test_omega_and_exponent_factorial_tables_from_one_pass(table_small):
-    om, ef = factor_tables(table_small.limit, OMEGA, EXPONENT_FACTORIAL)
+def test_omega_and_exponent_factorial_tables_from_one_pass():
+    om, ef = factor_tables(10**5, OMEGA, EXPONENT_FACTORIAL)
     assert om.dtype == np.int8 and ef.dtype == np.float64
     # the two rules of one pass give the tables of two single-rule passes
-    assert np.array_equal(om, factor_tables(table_small.limit, OMEGA)[0])
-    assert np.array_equal(ef, factor_tables(table_small.limit, EXPONENT_FACTORIAL)[0])
+    assert np.array_equal(om, factor_tables(10**5, OMEGA)[0])
+    assert np.array_equal(ef, factor_tables(10**5, EXPONENT_FACTORIAL)[0])
 
 
 def spf_tables(limit):
@@ -167,46 +164,44 @@ def test_spf_pass_capped_ranges_equal_the_dyadic_ranges(limit, cap, monkeypatch)
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
-def test_generalized_divisor_gamma2_is_divisor_count(table_small):
-    g2 = generalized_divisor_table(2.0, table_small.limit)
+def test_generalized_divisor_gamma2_is_divisor_count():
+    g2 = generalized_divisor_table(2.0, 10**5)
     d = divisor_count_table(10**5)
     assert np.array_equal(g2[1:], d[1:].astype(np.float64))
-    assert generalized_divisor(2.0, factorize(table_small, 72)) == divisor_count(
-        factorize(table_small, 72)
-    )
+    assert generalized_divisor(2.0, factorization(72)) == d[72] == 12
 
 
-def test_generalized_divisor_gamma3_by_convolution(table_small):
+def test_generalized_divisor_gamma3_by_convolution():
     # d_3 = d_2 * 1 pointwise via divisor sums
-    g3 = generalized_divisor_table(3.0, table_small.limit)
+    g3 = generalized_divisor_table(3.0, 10**5)
     d = divisor_count_table(500)
     for n in range(1, 501):
         expect = sum(d[k] for k in range(1, n + 1) if n % k == 0)
         assert g3[n] == pytest.approx(expect, rel=1e-12)
 
 
-def test_generalized_divisor_gamma1_is_one(table_small):
-    g1 = generalized_divisor_table(1.0, table_small.limit)
+def test_generalized_divisor_gamma1_is_one():
+    g1 = generalized_divisor_table(1.0, 10**5)
     assert np.all(g1[1:2000] == 1.0)
 
 
-def test_generalized_divisor_table_equals_per_n_value(table_small):
+def test_generalized_divisor_table_equals_per_n_value():
     gammas = (1 / 3, 0.7, 1.5, 2.5, 3.0)
-    tables = [generalized_divisor_table(g, table_small.limit) for g in gammas]
-    for n in range(1, table_small.limit + 1):
-        f = factorize(table_small, n)
+    tables = [generalized_divisor_table(g, 10**5) for g in gammas]
+    spf = sieve_reference(10**5)[0]
+    for n in range(1, 10**5 + 1):
+        f = spf_factorization(spf, n)
         for g, t in zip(gammas, tables):
             assert t[n] == generalized_divisor(g, f), (g, n)
 
 
 @pytest.mark.parametrize("limit", [2, 3, 4, 7, 8, 9, 15, 16, 17, 2**10 - 1, 2**10 + 1])
 def test_spf_tables_at_dyadic_edges(limit):
-    table = build_sieve(limit)
     om, ef = factor_tables(limit, OMEGA, EXPONENT_FACTORIAL)
     gd = generalized_divisor_table(1 / 3, limit)
     assert (om[0], om[1], ef[0], ef[1], gd[0], gd[1]) == (0, 0, 0.0, 1.0, 0.0, 1.0)
     for n in range(2, limit + 1):
-        f = factorize(table, n)
+        f = factorization(n)
         assert om[n] == sum(e for _, e in f)
         assert ef[n] == math.prod(math.factorial(e) for _, e in f)
         assert gd[n] == generalized_divisor(1 / 3, f)
@@ -227,9 +222,10 @@ def ordered_factorizations_oracle(n, memo={1: 1}):
 
 def test_ordered_factorizations_against_recurrence():
     F = ordered_factorization_table(400)
+    assert F.dtype == np.int64
     for n in range(1, 401):
         assert F[n] == ordered_factorizations_oracle(n)
-    assert F[10] == 3  # 10, 2*5, 5*2
+    assert F[0] == 0 and F[10] == 3  # 10, 2*5, 5*2
 
 
 def test_ordered_factorizations_exact_for_large_counts():
@@ -240,37 +236,37 @@ def test_ordered_factorizations_exact_for_large_counts():
     assert F[3**10] == 2**9
 
 
-def test_ordered_factorization_runs_match_the_single_pushes():
-    # the runs pushed by one strided add per multiplier give every entry of
-    # the pass that pushes each m on its own
-    for limit in [*range(1, 130), 4095, 2**20 + 5]:
-        F = np.zeros(limit + 1, dtype=np.int64)
-        F[1:] = 1
-        for m in range(2, limit // 2 + 1):
-            F[2 * m :: m] += F[m]
-        assert ordered_factorization_table(limit).tobytes() == F.tobytes(), limit
-    with pytest.raises(BudgetError):
-        ordered_factorization_table(DEFAULT_BUDGET + 1)
+@functools.cache
+def single_push_table(limit):
+    """H(0..limit) by the divisor-lattice pass that pushes each F[m], final
+    once every m' < m is pushed, onto the multiples of m, one m at a time."""
+    F = np.zeros(limit + 1, dtype=np.int64)
+    F[1:] = 1
+    for m in range(2, limit // 2 + 1):
+        F[2 * m :: m] += F[m]
+    return F
 
 
-def test_build_sieve_budget():
-    with pytest.raises(BudgetError):
-        build_sieve(10**7, budget=10**4)
+def test_ordered_factorization_stream_matches_the_single_pushes():
+    for limit in [*range(2, 130), 4095, 2**20 + 5]:
+        assert ordered_factorization_table(limit).tobytes() == single_push_table(limit).tobytes(), limit
 
 
-def test_build_sieve_rejects_tiny_limit():
-    with pytest.raises(RangeError):
-        build_sieve(1)
-
-
-def test_sieve_table_fields(table_small):
-    assert isinstance(table_small, SieveTable)
-    assert table_small.limit == 10**5
-    assert table_small.spf[2] == 2 and table_small.spf[4] == 2
+@pytest.mark.parametrize("limit", [4095, 4096, 2**20 - 1, 2**20 + 1])
+def test_ordered_factorization_stream_across_segment_edges(limit, monkeypatch):
+    # 4096-entry segments, whose larger keys extend the lookup segment by segment
+    monkeypatch.setattr(accum, "_SEGMENT", 4096)
+    segments = list(ordered_factorization_segments(limit))
+    assert [seg.size for seg in segments] == [hi - lo for lo, hi in accum.segment_edges(limit + 1)]
+    assert {seg.dtype for seg in segments} == {np.dtype(np.int64)}
+    # H(n) does not depend on the limit: one oracle table serves every limit
+    want = single_push_table(2**20 + 5)[: limit + 1]
+    assert np.concatenate(segments).tobytes() == want.tobytes(), limit
 
 
 def sieve_reference(limit):
-    """The per-prime masked sieve build_sieve replaced: (spf, primes)."""
+    """The per-prime masked sieve: (spf, primes), the smallest prime factor
+    of every n <= limit and the primes."""
     spf = np.zeros(limit + 1, dtype=np.int32)
     for p in range(2, math.isqrt(limit) + 1):
         if spf[p] == 0:
@@ -281,6 +277,19 @@ def sieve_reference(limit):
     spf[rem] = rem.astype(np.int32)
     primes = np.flatnonzero(spf == np.arange(limit + 1, dtype=np.int64))
     return spf, primes[primes >= 2]
+
+
+def spf_factorization(spf, n):
+    """n's ascending (prime, exponent) pairs, by repeated division by the
+    smallest prime factor spf[n]; 1 -> ()."""
+    out = []
+    while n > 1:
+        p, e = int(spf[n]), 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        out.append((p, e))
+    return tuple(out)
 
 
 def divisor_count_reference(limit):
@@ -295,19 +304,6 @@ def divisor_count_reference(limit):
 def _square_edges():
     primes = sieve_reference(200)[1].tolist()
     return sorted({p * p + k for p in primes for k in (-1, 0, 1)})
-
-
-@pytest.mark.parametrize("limits", [range(2, 3001), _square_edges(), [10**6]],
-                         ids=["2..3000", "p^2-1,p^2,p^2+1", "1e6"])
-def test_build_sieve_equals_reference_bit_for_bit(limits):
-    for limit in limits:
-        table = build_sieve(limit)
-        spf, primes = sieve_reference(limit)
-        assert table.spf.dtype == spf.dtype == np.int32
-        assert table.primes.dtype == primes.dtype == np.int64
-        assert np.array_equal(table.spf, spf), limit
-        assert np.array_equal(table.primes, primes), limit
-        assert not table.spf.flags.writeable and not table.primes.flags.writeable
 
 
 def test_divisor_count_table_equals_reference():

@@ -105,10 +105,7 @@ TEST_FACING = {
     "sum_upto": "criterion 01 reads S(x) at real x",
     "weighted_zeta": "criterion 06 compares the sum at 2 sigma near the abscissa",
     "dirichlet_inverse": "criterion 04's ordered factorizations from 1/(2 - zeta)",
-    "factorize": "criterion 01 factors n for its direct sum",
-    "build_sieve": "criterion 01 and the conftest fixtures build sieve tables",
     # reference and fixture helpers
-    "divisor_count": "per-n reference for the divisor tables",
     "monomial": "hspace fixtures: the monomial n^(-s)",
     # the dual-bump lower bound the embed command is to report
     "make_bump": "the dual bump of the exact two-sided embedding constant",
@@ -156,13 +153,11 @@ def test_init_imports_nothing():
 # defaulted parameters that no package call passes, each kept for a stated reason
 UNPASSED_DEFAULTS = {
     "join_segments.dtype": "test oracles join the uint16 divisor segments as int32",
-    "build_sieve.budget": "sieve tests refuse a table past a small budget (TEST_FACING)",
     "main.argv": "the console entry point reads sys.argv; tests pass a list",
     "make_bump.center": "the dual bump of the exact two-sided embedding constant",
     "make_bump.halfwidth": "the dual bump of the exact two-sided embedding constant",
     "monomial.limit": "hspace fixtures: the monomial n^(-s) in a larger space",
     "monomial.c": "hspace fixtures: a scaled monomial",
-    "dirichlet_inverse.limit": "criterion 04's oracle of 1/(2 - zeta), kept whole (TEST_FACING)",
 }
 
 

@@ -1,17 +1,17 @@
-import functools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dirichletlab import accum, arithmetic, weights as W
+from dirichletlab import accum, weights as W
 from dirichletlab.accum import block_moments, compensated_cumsum
-from dirichletlab.arithmetic import (DEFAULT_BUDGET, EXPONENT_FACTORIAL, OMEGA,
-                                     divisor_count_segments, factor_segments,
-                                     generalized_divisor_segments, prime_segments,
-                                     von_mangoldt_segments)
+from dirichletlab.arithmetic import (EXPONENT_FACTORIAL, OMEGA, divisor_count_segments,
+                                     factor_segments, generalized_divisor_segments,
+                                     prime_segments, von_mangoldt_segments)
 from dirichletlab.errors import BudgetError, DomainError, FitError, RangeError
+from dirichletlab.weights import DEFAULT_BUDGET
+from test_arithmetic import single_push_table
 
 # a parameter for each family that needs one; kadec's blocks fit limits >= 3641
 FAMILY_PARAMS = {"log_power": {"alpha": 1.0}, "dgamma": {"gamma": 1.5},
@@ -25,9 +25,10 @@ def divisor_count_table(limit):
 
 def whole_array_reference(name, limit, params):
     """w_0..w_limit as one array: the whole-array formulas the segment
-    builders of the closed-form and divisor-lattice families replaced, and
-    each sieve family's formula over its whole arithmetic tables (those are
-    checked against the spf sieve in test_arithmetic)."""
+    builders of the closed-form families replaced, the divisor-lattice pass
+    for the ordered-factorization families, and each sieve family's formula
+    over its whole arithmetic tables (those are checked against the spf
+    sieve in test_arithmetic)."""
     if name == "constant":
         w = np.ones(limit + 1)
         w[0] = 0.0
@@ -36,13 +37,14 @@ def whole_array_reference(name, limit, params):
         with np.errstate(divide="ignore", invalid="ignore"):
             w = (1.0 + np.log(n)) ** float(params["alpha"])  # n = 0 gives nan
         w[0] = 0.0
-    elif name == "mccarthy":
-        w = arithmetic.ordered_factorization_table(limit).astype(np.float64)
-    elif name == "inv_ordered_factorization":
-        F = arithmetic.ordered_factorization_table(limit).astype(np.float64)
-        with np.errstate(divide="ignore"):
-            w = 1.0 / F
-        w[0] = 0.0
+    elif name in ("mccarthy", "inv_ordered_factorization"):
+        # H(n) does not depend on the limit: the oracle table of the stream's
+        # tests serves every limit below
+        w = single_push_table(2**20 + 5)[: limit + 1].astype(np.float64)
+        if name == "inv_ordered_factorization":
+            with np.errstate(divide="ignore"):
+                w = 1.0 / w
+            w[0] = 0.0
     elif name in ("kadec", "kadec_spiked"):
         if name == "kadec_spiked":
             with np.errstate(over="ignore"):
@@ -109,9 +111,9 @@ def test_dgamma_two_equals_divisor_function():
             W.catalog("besov", 100, gamma=bad)
 
 
-def test_mangoldt_weights_match_arithmetic_table(table_small):
+def test_mangoldt_weights_match_arithmetic_table():
     w = W.catalog("mangoldt", 10**5)
-    lam = np.concatenate(list(von_mangoldt_segments(table_small.limit)))
+    lam = np.concatenate(list(von_mangoldt_segments(10**5)))
     assert np.array_equal(w.w, lam)
     assert w.expected_alpha == 0.0
 
@@ -126,10 +128,10 @@ def test_mangoldt_over_log_is_prime_power_indicatorish():
     assert w.expected_alpha == 1.0
 
 
-def test_prime_indicator(table_small):
+def test_prime_indicator():
     w = W.catalog("prime_indicator", 5000)
-    primes = set(table_small.primes[table_small.primes <= 5000].tolist())
-    assert np.array_equal(np.flatnonzero(w.w), np.array(sorted(primes)))
+    primes = [n for n in range(2, 5001) if all(n % d for d in range(2, math.isqrt(n) + 1))]
+    assert np.array_equal(np.flatnonzero(w.w), np.array(primes))
     assert np.all(w.w[np.flatnonzero(w.w)] == 1.0)
 
 
@@ -346,17 +348,10 @@ def test_streamed_table_past_the_budget_is_refused():
         w = W.catalog(name, DEFAULT_BUDGET + 1, **FAMILY_PARAMS.get(name, {}))  # nothing built
         with pytest.raises(BudgetError):
             w.w
-    # a scan of a divisor-lattice family needs its whole table, refused as the sieve is
-    for name in ("mccarthy", "inv_ordered_factorization"):
-        with pytest.raises(BudgetError):
-            W.sums_at(W.catalog(name, DEFAULT_BUDGET + 1), [2])
 
 
 @pytest.mark.parametrize("limit", [4095, 2**20 - 1, 2**20 + 1])
 def test_every_family_equals_its_whole_array_reference(limit, monkeypatch):
-    # one divisor-lattice pass per limit serves the reference and every scan
-    monkeypatch.setattr(arithmetic, "ordered_factorization_table",
-                        functools.cache(arithmetic.ordered_factorization_table))
     xs, default = np.array([0, 1, 4095, limit // 3, limit]), accum._SEGMENT
     for name in W.CATALOG_NAMES:
         params = FAMILY_PARAMS.get(name, {})
