@@ -24,14 +24,17 @@ near 1e-15 of sum |a_n| n^(-sigma) as the t-window widens.
 
 Both passes run in scan(), which reads a sequence as the segments that
 segment_edges cuts (_SEGMENT entries each, whole 4096-chunks) and refuses
-any other cut.  A chunk never straddles a segment edge; the moment block
-that one cuts is carried into the next segment, so a sequence that is never
-held whole gives the same bits as an array: its moments, its prefix sums and
-S(x) at given checkpoints.  compensated_cumsum and block_moments are that
-scan over the views of one array.
+any other cut.  A chunk never straddles a segment edge.  A moment block is
+summed as the leaves of numpy's pairwise tree, at most _LEAF entries each,
+and only the leaf that a segment edge cuts is carried into the next
+segment, so a sequence that is never held whole gives the same bits as an
+array: its moments, its prefix sums and S(x) at given checkpoints, while
+the scan holds one segment and one leaf.  compensated_cumsum and
+block_moments are that scan over the views of one array.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from typing import NamedTuple, Optional
 
@@ -42,6 +45,7 @@ from .errors import RangeError
 _CHUNK = 4096
 _ROWS = 32  # chunks per batch of the TwoSum tree: ~0.5 MB per level-1 buffer
 _SEGMENT = 1 << 20  # entries per segment of a scan: 8 MB of float64
+_LEAF = 8 * _CHUNK  # entries per leaf of a moment block's sum tree (>= 272): 256 KB of float64
 
 # Dirichlet-sum engine: terms n <= _HEAD are summed directly; the rest is cut
 # into blocks of relative width ~_WIDTH, each expanded to _MOMENTS Taylor
@@ -230,13 +234,53 @@ def _block_width(s_max: float) -> float:
     return _WIDTH * ratio ** (1.0 / _MOMENTS)
 
 
+def _half(n: int) -> int:
+    # numpy's float64 pairwise sum of n > 128 entries adds the sums of its
+    # first n2 and its last n - n2 entries, n2 = n // 2 rounded down to a
+    # multiple of 8 (numpy 2.4; tests/test_accum.py checks it against np.sum)
+    return n // 2 - n // 2 % 8
+
+
+def _leaves(n: int, leaf: float, odd: bool = False) -> list:
+    """The lengths, in order, of the nodes at even depths of at most `leaf`
+    entries that np.sum's pairwise tree over n float64 entries splits into.
+
+    leaf >= 272, so that every node at an odd depth has more than 128
+    entries and splits again.
+    """
+    if not odd and n <= leaf:
+        return [n]
+    return _leaves(_half(n), leaf, not odd) + _leaves(n - _half(n), leaf, not odd)
+
+
+def _fold(n: int, sums, leaf: float, odd: bool = False):
+    """np.sum of n float64 entries, bit for bit, from an iterator over the
+    np.sum of each of its _leaves(n, leaf) as a 1-D array (numpy's array add
+    keeps the left nan of two), added up in the tree's order.  Where two nans
+    meet, numpy's compiled tree keeps the left one at even depths and the
+    right one at odd depths (IEEE 754 leaves the choice open); the fold does
+    the same, and a leaf starts at an even depth, as np.sum of it does."""
+    if not odd and n <= leaf:
+        return next(sums)
+    left = _fold(_half(n), sums, leaf, not odd)
+    right = _fold(n - _half(n), sums, leaf, not odd)
+    return right + left if odd else left + right
+
+
 class _MomentPass:
     """block_moments' per-block loop over a sequence fed segment by segment.
 
-    Each block is copied together from its pieces in one or more segments
-    into the moments' float or complex dtype, so each block's sums run over
-    the same contiguous array as on the whole input, bit for bit, and a
-    segment of another dtype (the integer weights) is never converted whole.
+    Each sum over a float64 block is np.sum's pairwise tree replayed: the
+    block is cut into the tree's nodes of at most _LEAF entries (_leaves),
+    each leaf is copied into one buffer, where |a_n| and the ten moment
+    passes sum it while it sits in cache, and the leaf sums are added up in
+    the tree's order (_fold), so every sum has np.sum's bits over the whole
+    block.  A leaf that a segment edge cuts is copied together in the buffer
+    across segments; that buffer and the finished leaf sums of the open
+    block are all the state the pass carries.  A complex block, whose np.sum
+    splits differently, is one leaf: its buffer holds the largest block.
+    A segment of another dtype (the integer weights) is converted only
+    leaf by leaf.
     """
 
     def __init__(self, size: int, s_max: float):
@@ -252,12 +296,16 @@ class _MomentPass:
         self.xmax = np.empty(K)
         self.mass = np.empty(K)
         self.k = 0  # blocks done
-        self.open = None  # the current block's entries so far
-        self.head = self.mom = None  # typed by the first segment
+        self.bounds = None  # the open block's leaf edges, as offsets into it
+        self.sums = []  # the open block's finished leaves: (mass, M_0..M_9) each
+        self.head = self.mom = self.buf = None  # typed by the first segment
 
     def _allocate(self, dtype):
         self.head = np.empty(self.H, dtype=dtype)
         self.mom = np.empty((self.centre.size, _MOMENTS), dtype=dtype)
+        self.leaf = math.inf if dtype == np.complex128 else _LEAF
+        largest = max((b - a for a, b in zip(self.edges, self.edges[1:])), default=0)
+        self.buf = np.empty(min(self.leaf, largest), dtype=dtype)
 
     def feed(self, seg: np.ndarray, lo: int):
         if self.mom is None:
@@ -266,38 +314,49 @@ class _MomentPass:
         a, b = max(lo, 1), min(hi, self.H + 1)  # the head is a_1..a_H
         if a < b:
             self.head[a - 1 : b - 1] = seg[a - lo : b - lo]
-        edges = self.edges
         # inf weights (the spiked demo family) meet x <= 0 in the moments; the
         # resulting nans are replaced in result()
         with np.errstate(invalid="ignore"):
-            while self.k + 1 < len(edges):
-                b0, b1 = edges[self.k] + 1, edges[self.k + 1] + 1  # the block's entries [b0, b1)
-                if b0 >= hi:
+            while self.k < self.centre.size:
+                if self.bounds is None:
+                    n = self.edges[self.k + 1] - self.edges[self.k]
+                    self.bounds = [0, *itertools.accumulate(_leaves(n, self.leaf))]
+                j = len(self.sums)
+                b0 = self.edges[self.k] + 1  # the block's first entry
+                l0, l1 = b0 + self.bounds[j], b0 + self.bounds[j + 1]  # the leaf's [l0, l1)
+                if l0 >= hi:
                     return
-                if self.open is None:
-                    self.open = np.empty(b1 - b0, dtype=self.mom.dtype)
-                a, b = max(b0, lo), min(b1, hi)
-                self.open[a - b0 : b - b0] = seg[a - lo : b - lo]
-                if b1 > hi:
+                a, b = max(l0, lo), min(l1, hi)
+                self.buf[a - l0 : b - l0] = seg[a - lo : b - lo]
+                if l1 > hi:
                     return
-                p, self.open = self.open, None
-                self._block(p)
+                self._leaf(self.buf[: l1 - l0], l0 - b0)
 
-    def _block(self, p: np.ndarray):
-        k = self.k
-        lo, hi = self.edges[k], self.edges[k + 1]
+    def _leaf(self, p: np.ndarray, start: int):
+        """Sums the open block's leaf p, the block's entries from `start` on;
+        its last leaf closes the block."""
+        lo, hi = self.edges[self.k], self.edges[self.k + 1]
         half = 0.5 * (hi - lo - 1)
-        self.centre[k] = lo + 1 + half
-        self.xmax[k] = half / self.centre[k]
-        self.mass[k] = np.abs(p).sum()  # before x: at most two block-long arrays live
-        x = np.arange(hi - lo, dtype=np.float64)
+        centre = lo + 1 + half
+        row = np.empty(_MOMENTS + 1, dtype=p.dtype)
+        row[0] = np.abs(p).sum()
+        x = np.arange(start, start + p.size, dtype=np.float64)
         x -= half
-        x /= self.centre[k]
+        x /= centre
         for m in range(_MOMENTS):
-            self.mom[k, m] = p.sum()
+            row[m + 1] = p.sum()
             if m + 1 < _MOMENTS:
                 p *= x
-        self.k += 1
+        self.sums.append(row)
+        if len(self.sums) + 1 < len(self.bounds):
+            return
+        k = self.k
+        row = _fold(hi - lo, iter(self.sums), self.leaf)
+        self.centre[k] = centre
+        self.xmax[k] = half / centre
+        self.mass[k] = row[0].real  # |a_n| summed in the moments' dtype, imaginary part 0
+        self.mom[k] = row[1:]
+        self.k, self.bounds, self.sums = k + 1, None, []
 
     def result(self) -> BlockMoments:
         if self.mom is None:
@@ -346,10 +405,12 @@ def scan(segments, size: int, s_max=None, checkpoints=None, out=None) -> Scan:
     each checkpoint, and every prefix sum written to out if given;
     checkpoints=None and out=None skip that pass.  A segment of any other
     length, and a _SEGMENT that would split a 4096-chunk, raise RangeError:
-    each segment is then whole chunks, and only the moment block that a
+    each segment is then whole chunks, and only the moment leaf that a
     segment edge cuts is carried into the next one.  Every result is bit
-    for bit the whole-array one, while the pass holds one segment and one
-    moment block at a time.
+    for bit the whole-array one.  The pass drops each segment before it
+    asks for the next, so with a builder that keeps none it has handed out,
+    one segment and one leaf of at most _LEAF entries are alive at a time
+    (a complex leaf is a whole moment block).
     """
     if _SEGMENT % _CHUNK:
         raise RangeError(f"a {_SEGMENT}-entry segment would split a {_CHUNK}-entry chunk")
@@ -366,6 +427,7 @@ def scan(segments, size: int, s_max=None, checkpoints=None, out=None) -> Scan:
             moments.feed(seg, lo)
         if prefix is not None:
             prefix.feed(seg, lo)
+        del seg  # freed before the builder makes the next one
     if next(segments, None) is not None:
         raise RangeError(f"segments run past {size} entries")
     return Scan(None if moments is None else moments.result(),
@@ -402,7 +464,8 @@ def block_moments(a, s_max: float) -> BlockMoments:
     M_m = sum a_n x^m for m < 10.  a may be real or complex.  A block holds
     at least one integer, so as |s| grows past ~1000 the blocks shrink toward
     single terms and the engine loses its edge over a direct sum.  This is
-    scan()'s moment pass over a.
+    scan()'s moment pass over a: each block's sums are np.sum's over the
+    block, bit for bit, built from leaves of at most _LEAF entries.
     """
     a = np.asarray(a, dtype=np.complex128 if np.iscomplexobj(a) else np.float64)
     return scan(_views(a), a.size, s_max=s_max).moments

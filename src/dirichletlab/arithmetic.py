@@ -3,12 +3,13 @@ accum segment at a time, plus the per-n generalized divisor value on an
 explicit factorization.
 
 Each segment builder here yields its values over the consecutive ranges
-accum.segment_edges cuts, so a scan holds one segment at a time, and a
-whole table is the concatenation of those segments.  The divisor count runs
-the hyperbola passes restricted to each segment, in uint16: the passes
-i <= 12 are one tile of period lcm(1..12) = 27 720 copied into the segment,
-the rest strided adds; the prime indicator is a bool segment; both go to the
-scan as the integers they are.  Primes and Lambda come from a byte sieve of
+accum.segment_edges cuts and keeps none it has yielded once it resumes, so
+a scan holds one segment at a time, and a whole table is the concatenation
+of those segments.  The divisor count runs the hyperbola passes restricted
+to each segment, in uint16: the passes i <= 12 are one tile of period
+lcm(1..12) = 27 720 copied into the segment, the rest strided adds; the
+prime indicator is a bool segment; both go to the scan as the integers
+they are.  Primes and Lambda come from a byte sieve of
 each segment by the primes <= sqrt(N) (a segmented sieve, Bays-Hudson,
 BIT 17, 1977), with the prime powers p^k, k >= 2, added from one short
 sorted list.  The multiplicative and additive tables (d_gamma, Omega,
@@ -101,6 +102,7 @@ def divisor_count_segments(limit: int):
             if square >= lo:
                 d[square - lo] -= 1
         yield d
+        del d  # the consumer's to keep: a builder holds one segment at a time
 
 
 def _prime_masks(limit: int, small: np.ndarray):
@@ -109,18 +111,24 @@ def _prime_masks(limit: int, small: np.ndarray):
     multiples from max(p*p, lo) on."""
     small = small.tolist()
     for lo, hi in segment_edges(limit + 1):
-        mask = np.ones(hi - lo, dtype=bool)
-        mask[: max(0, 2 - lo)] = False  # 0 and 1
-        for p in small:
-            if p * p >= hi:
-                break
-            mask[max(p * p, -(-lo // p) * p) - lo :: p] = False
-        yield lo, mask
+        yield lo, _prime_mask(lo, hi, small)  # unnamed: not kept while suspended
+
+
+def _prime_mask(lo: int, hi: int, small: list) -> np.ndarray:
+    mask = np.ones(hi - lo, dtype=bool)
+    mask[: max(0, 2 - lo)] = False  # 0 and 1
+    for p in small:
+        if p * p >= hi:
+            break
+        mask[max(p * p, -(-lo // p) * p) - lo :: p] = False
+    return mask
 
 
 def prime_segments(limit: int):
     """The prime indicator of 0..limit (bool), one accum segment at a time."""
-    return (mask for _, mask in _prime_masks(limit, _small_primes(math.isqrt(limit))))
+    for _, mask in _prime_masks(limit, _small_primes(math.isqrt(limit))):
+        yield mask
+        del mask
 
 
 def von_mangoldt_segments(limit: int):
@@ -145,10 +153,13 @@ def von_mangoldt_segments(limit: int):
     for lo, mask in _prime_masks(limit, small):
         lam = np.zeros(mask.size)
         idx = np.flatnonzero(mask)
+        del mask  # its primes are in idx
         lam[idx] = np.log((idx + lo).astype(np.float64))
-        a, b = np.searchsorted(powers, [lo, lo + mask.size])
+        del idx
+        a, b = np.searchsorted(powers, [lo, lo + lam.size])
         lam[powers[a:b] - lo] = logs[a:b]
         yield lam
+        del lam
 
 
 OMEGA = (lambda e: e, np.add, np.int8)  # Omega(n), prime factors with multiplicity
@@ -171,43 +182,51 @@ def factor_segments(limit: int, *rules):
     whatever the segment cut.
     """
     small = _small_primes(math.isqrt(limit)).tolist()
-    values = [np.array([g(e) for e in range(limit.bit_length())], dtype=dtype)
+    # g(0) and g(1) at least: limit 1 has bit_length 1 but reads g(1) below
+    values = [np.array([g(e) for e in range(max(2, limit.bit_length()))], dtype=dtype)
               for g, _, dtype in rules]
     for lo, hi in segment_edges(limit + 1):
-        prod = np.ones(hi - lo, dtype=np.int64)
-        for p in small:
-            pk = p
-            while (t := max(pk, -(-lo // pk) * pk)) < hi:  # the first multiple of p^k
-                prod[t - lo :: pk] *= p
+        yield _factor_tables(lo, hi, small, values, rules)  # unnamed: not kept while suspended
+
+
+def _factor_tables(lo: int, hi: int, small: list, values: list, rules) -> list:
+    """factor_segments' tables on the segment [lo, hi)."""
+    prod = np.ones(hi - lo, dtype=np.int64)
+    for p in small:
+        pk = p
+        while (t := max(pk, -(-lo // pk) * pk)) < hi:  # the first multiple of p^k
+            prod[t - lo :: pk] *= p
+            pk *= p
+    large = prod != np.arange(lo, hi)
+    del prod
+    tables = []
+    for v, (_, op, dtype) in zip(values, rules):
+        f = np.full(hi - lo, op.identity, dtype=dtype)
+        f[large] = v[1]
+        f[: max(0, 1 - lo)] = 0  # n = 0
+        tables.append(f)
+    for p in reversed(small):
+        s = max(p, -(-lo // p) * p) - lo  # the first multiple of p, as an offset
+        pk = p * p
+        e = 1  # p's exponent in each multiple: 1 while no multiple of p^2 lies here
+        if max(pk, -(-lo // pk) * pk) < hi:
+            e = np.ones(len(range(s, hi - lo, p)), dtype=np.intp)
+            while (t := max(pk, -(-lo // pk) * pk)) < hi:
+                e[(t - lo - s) // p :: pk // p] += 1
                 pk *= p
-        large = prod != np.arange(lo, hi)
-        del prod
-        tables = []
-        for v, (_, op, dtype) in zip(values, rules):
-            f = np.full(hi - lo, op.identity, dtype=dtype)
-            f[large] = v[1]
-            f[: max(0, 1 - lo)] = 0  # n = 0
-            tables.append(f)
-        for p in reversed(small):
-            s = max(p, -(-lo // p) * p) - lo  # the first multiple of p, as an offset
-            pk = p * p
-            e = 1  # p's exponent in each multiple: 1 while no multiple of p^2 lies here
-            if max(pk, -(-lo // pk) * pk) < hi:
-                e = np.ones(len(range(s, hi - lo, p)), dtype=np.intp)
-                while (t := max(pk, -(-lo // pk) * pk)) < hi:
-                    e[(t - lo - s) // p :: pk // p] += 1
-                    pk *= p
-            for f, v, (_, op, _) in zip(tables, values, rules):
-                fp = f[s::p]
-                op(v[e], fp, out=fp)
-        yield tables
+        for f, v, (_, op, _) in zip(tables, values, rules):
+            fp = f[s::p]
+            op(v[e], fp, out=fp)
+    return tables
 
 
 def generalized_divisor_segments(gamma, limit: int):
     """generalized_divisor at n = 0..limit (0 at n = 0), bit for bit, one
     accum segment at a time."""
     rule = (lambda e: generalized_divisor(gamma, ((2, e),)), np.multiply, np.float64)
-    return (f for f, in factor_segments(limit, rule))
+    for f, in factor_segments(limit, rule):
+        yield f
+        del f
 
 
 def _ordered_factorization_count(key: int, q: list) -> int:
@@ -253,4 +272,6 @@ def ordered_factorization_segments(limit: int):
         if new.size:
             H[new] = [_ordered_factorization_count(m, q) for m in new.tolist()]
             counts = H[key]
+        del key
         yield counts
+        del counts

@@ -7,17 +7,19 @@ alpha in S(x) ~ C x / (log x)^alpha.  Catalog entries carry the predicted
 exponent when one is known, and the abscissa sigma0 of sum w_n n^(-s).
 
 Every family is handed out segment by segment from its builder in BUILDERS:
-a scan holds one accum segment, one chunk and one moment block, never the
-N-length table, so its memory is bounded by the segment size (plus sqrt(N)
-small primes and the largest moment block, N/33 entries).  The closed forms
-(constant, log_power, kadec, kadec_spiked) compute each segment from its n;
-the sieve families, mccarthy and inv_ordered_factorization (through the
-prime-signature stream) among them, read theirs from the arithmetic
-builders.  The array w is built, as the concatenation of the same segments,
-only when something reads it, and past DEFAULT_BUDGET entries that read
-raises BudgetError.  S(x) at given points comes from the scan's checkpoint
-reads, bit for bit the entries of partial_sums, and every sequence keeps
-one memo of the sums and the moments it has read.
+a scan holds one accum segment, one chunk and one moment leaf of at most
+accum._LEAF entries, never the N-length table, so its memory is bounded by
+the segment size (plus sqrt(N) small primes).  A builder keeps no segment
+it has yielded once it resumes, so the one the scan dropped is freed before
+the next is built.  The closed forms (constant, log_power, kadec,
+kadec_spiked) compute each segment from its n; the sieve families, mccarthy
+and inv_ordered_factorization (through the prime-signature stream) among
+them, read theirs from the arithmetic builders.  The array w is built, as
+the concatenation of the same segments, only when something reads it, and
+past DEFAULT_BUDGET entries that read raises BudgetError.  S(x) at given
+points comes from the scan's checkpoint reads, bit for bit the entries of
+partial_sums, and every sequence keeps one memo of the sums and the moments
+it has read.
 """
 from __future__ import annotations
 
@@ -58,6 +60,7 @@ def _constant_segments(limit: int, params: dict):
         w = np.ones(hi - lo)
         w[: max(0, 1 - lo)] = 0.0  # n = 0
         yield w
+        del w  # the consumer's to keep: a builder holds one segment at a time
 
 
 def _log_power_segments(limit: int, params: dict):
@@ -70,6 +73,7 @@ def _log_power_segments(limit: int, params: dict):
             w **= a
         w[: max(0, 1 - lo)] = 0.0  # n = 0, where the formula gives nan
         yield w
+        del w
 
 
 def _kadec_segments(limit: int, params: dict, spiked: bool):
@@ -84,6 +88,7 @@ def _kadec_segments(limit: int, params: dict, spiked: bool):
         inside = atoms[(lo <= atoms) & (atoms < hi)]
         w[inside - lo] = inside
         yield w
+        del w
 
 
 def _ordered_factorizations(limit: int, invert: bool):
@@ -93,6 +98,7 @@ def _ordered_factorizations(limit: int, invert: bool):
         if invert:
             np.divide(1.0, w, out=w, where=w > 0)  # w_0 = H(0) = 0 stays
         yield w
+        del H, w
 
 
 def _mangoldt_over_log_segments(limit: int, params: dict):
@@ -102,6 +108,7 @@ def _mangoldt_over_log_segments(limit: int, params: dict):
         lam[idx] /= np.log((idx + lo).astype(np.float64))
         lo += lam.size
         yield lam
+        del lam, idx
 
 
 def _inv_divisor_pow_segments(limit: int, params: dict):
@@ -111,6 +118,7 @@ def _inv_divisor_pow_segments(limit: int, params: dict):
             w = d.astype(np.float64) ** -a
         w[d == 0] = 0.0  # n = 0
         yield w
+        del d, w
 
 
 def _besov_segments(limit: int, params: dict):
@@ -128,13 +136,16 @@ def _besov_segments(limit: int, params: dict):
     for om, fac in arithmetic.factor_segments(limit, arithmetic.OMEGA,
                                               arithmetic.EXPONENT_FACTORIAL):
         # fac is 0 at n = 0 only, where w_0 = 0
-        yield np.divide(rising[om], fac, out=np.zeros(fac.size), where=fac > 0)
+        w = np.divide(rising[om], fac, out=np.zeros(fac.size), where=fac > 0)
+        del om, fac  # not kept while the scan reads w
+        yield w
+        del w
 
 
 # the segment builder of every family, in catalog order: (limit, family
 # parameters) -> segments of w_0..w_limit, float64 or, for divisor (uint16)
 # and prime_indicator (bool), the builder's integers as they are: accum.scan
-# sums those exactly and converts only the moment blocks it copies, and w is
+# sums those exactly and converts only the moment leaves it copies, and w is
 # their float64 concatenation
 BUILDERS = {
     "constant": _constant_segments,

@@ -1,5 +1,6 @@
 import itertools
 import math
+import weakref
 
 import mpmath
 import numpy as np
@@ -498,6 +499,97 @@ def test_scan_refuses_cuts_other_than_segment_edges(monkeypatch):
                 f(a)
         with pytest.raises(RangeError):
             accum.scan(_segments(a, segment), a.size, 3.3)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.uint16, np.complex128])
+def test_scan_keeps_no_segment_while_the_next_is_made(dtype, monkeypatch):
+    monkeypatch.setattr(accum, "_SEGMENT", 4096)
+    n = 5 * 4096 + 7
+    a = np.arange(n).astype(dtype)
+    refs = []
+
+    def probe():  # hands out copies, and holds none of them once resumed
+        for lo, hi in accum.segment_edges(n):
+            assert all(r() is None for r in refs), lo
+            seg = a[lo:hi].copy()
+            refs.append(weakref.ref(seg))
+            yield seg
+            del seg
+
+    xs = None if dtype == np.complex128 else [0, 4095, 4096, n - 1]
+    out = None if xs is None else np.empty(n)
+    got = accum.scan(probe(), n, 3.3, checkpoints=xs, out=out)
+    assert len(refs) == 6
+    for field, want in zip(got.moments, block_moments(a, 3.3)):
+        assert field.tobytes() == want.tobytes()
+    if xs is not None:
+        assert out.tobytes() == compensated_cumsum(a).tobytes()
+        assert got.sums.tobytes() == out[xs].tobytes()
+
+
+def tree_sum(a, leaf):
+    """np.sum of a float64 array as the moment pass replays it: np.sum over
+    each of accum._leaves, added up by accum._fold.  The leaf sums are arrays,
+    as the moment pass's rows are: numpy's array add keeps the left nan of
+    two, as np.sum does, where its scalar add keeps the right one."""
+    edges = [0, *itertools.accumulate(accum._leaves(a.size, leaf))]
+    sums = (np.sum(a[i:j], keepdims=True) for i, j in zip(edges, edges[1:]))
+    return accum._fold(a.size, sums, leaf)[0]
+
+
+def _replay_data(n, kind, specials, rng):
+    if kind == "zeros":  # signed zeros only: the sum's sign of zero
+        a = rng.choice([0.0, -0.0], n)
+    else:
+        a = np.exp(rng.uniform(-30.0, 30.0, n)) * rng.choice([-1.0, 1.0], n)
+    a[rng.integers(0, n, len(specials))] = specials
+    return a
+
+
+def test_tree_replay_equals_np_sum_at_the_split_lengths():
+    # numpy's pairwise sum splits past 128 entries at n // 2 rounded down to
+    # a multiple of 8, and keeps the left or the right nan of two by depth;
+    # if a numpy release changes that tree, this fails
+    L = accum._LEAF
+    rng = np.random.default_rng(5)
+    for n in [1, 7, 8, 127, 128, 129, 136, L - 8, L, L + 8, 2 * L - 8, 2 * L, 2 * L + 8]:
+        for leaf in (272, L):
+            for kind, specials in (("wide", []), ("wide", [np.nan, np.inf, -np.inf]), ("zeros", [])):
+                a = _replay_data(n, kind, specials, rng)
+                with np.errstate(invalid="ignore"):  # inf - inf
+                    assert tree_sum(a, leaf).tobytes() == np.sum(a).tobytes(), (n, leaf, kind)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 3 * accum._LEAF + 17),
+       leaf=st.sampled_from([272, 280, 1000, 4096, accum._LEAF]),
+       kind=st.sampled_from(["wide", "zeros"]),
+       specials=st.lists(st.sampled_from([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf]),
+                         max_size=6),
+       seed=st.integers(0, 2**32 - 1))
+def test_tree_replay_equals_np_sum(n, leaf, kind, specials, seed):
+    a = _replay_data(n, kind, specials, np.random.default_rng(seed))
+    with np.errstate(invalid="ignore"):  # inf - inf
+        assert tree_sum(a, leaf).tobytes() == np.sum(a).tobytes()
+
+
+@pytest.mark.parametrize("leaf", [272, accum._LEAF])
+@pytest.mark.parametrize("segment", [4096, accum._SEGMENT])
+@pytest.mark.parametrize("kind", ["real", "nonfinite", "uint16", "bool", "complex"])
+def test_moment_pass_equals_the_whole_block_loop(kind, segment, leaf, monkeypatch):
+    # the last block spans segments of 4096 entries: at n = 2^21 + 3 it has
+    # ~63 000 entries, two leaves of the default size; at n = 3e5 + 3, ~9 000
+    # entries, 64 leaves of at most 272, the smallest leaf
+    n = 2**21 + 3 if leaf > 272 else 3 * 10**5 + 3
+    a = _scan_data(kind, n, np.random.default_rng(7))
+    monkeypatch.setattr(accum, "_SEGMENT", segment)
+    monkeypatch.setattr(accum, "_LEAF", leaf)
+    for s_max in (3.3, 40.0):  # past |s| = 5 the blocks narrow
+        want = block_moments_reference(a, s_max)
+        got = accum.scan(_segments(a, segment), n, s_max).moments
+        for field, ref in zip(got, want):
+            assert field.dtype == ref.dtype
+            assert field.tobytes() == np.ascontiguousarray(ref).tobytes(), s_max
 
 
 def test_join_segments_hands_back_a_lone_segment():

@@ -248,7 +248,7 @@ def single_push_table(limit):
 
 
 def test_ordered_factorization_stream_matches_the_single_pushes():
-    for limit in [*range(2, 130), 4095, 2**20 + 5]:
+    for limit in [*range(1, 130), 4095, 2**20 + 5]:
         assert ordered_factorization_table(limit).tobytes() == single_push_table(limit).tobytes(), limit
 
 
@@ -372,6 +372,14 @@ def _check_factor_pass(limit):
     got = (*factor_tables(limit, OMEGA, EXPONENT_FACTORIAL), generalized_divisor_table(1 / 3, limit))
     for g, want in zip(got, factor_pass_reference(limit, OMEGA, EXPONENT_FACTORIAL, D_THIRD)):
         assert g.dtype == want.dtype and g.tobytes() == want.tobytes(), limit
+
+
+@pytest.mark.parametrize("limit", [1, 2, 3])
+def test_factor_pass_at_the_smallest_limits(limit):
+    # 1 has one bit, yet n = 1 reads the exponent table at e = 1
+    _check_factor_pass(limit)
+    assert generalized_divisor_table(1.5, limit).tolist() == [0.0, 1.0, 1.5, 1.5][: limit + 1]
+    assert ordered_factorization_table(limit).tolist() == [0, 1, 1, 1][: limit + 1]
 
 
 def _check_builders(limit):

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dirichletlab import accum, weights as W
+from dirichletlab import accum, arithmetic, weights as W
 from dirichletlab.accum import block_moments, compensated_cumsum
 from dirichletlab.arithmetic import (EXPONENT_FACTORIAL, OMEGA, divisor_count_segments,
                                      factor_segments, generalized_divisor_segments,
@@ -341,6 +343,75 @@ def test_every_sequence_is_cut_at_segment_edges(segment, limit, monkeypatch):
         assert [seg.size for seg in W.segments(w)] == want, name  # from the builder
         w.w
         assert [seg.size for seg in W.segments(w)] == want, name  # views of the array
+
+
+def _segment_generators(limit):
+    """Every catalog builder and every arithmetic segment generator at limit."""
+    for name, build in W.BUILDERS.items():
+        yield name, build(limit, FAMILY_PARAMS.get(name, {}))
+    yield "divisor_count_segments", arithmetic.divisor_count_segments(limit)
+    yield "prime_segments", arithmetic.prime_segments(limit)
+    yield "von_mangoldt_segments", arithmetic.von_mangoldt_segments(limit)
+    yield "factor_segments", arithmetic.factor_segments(limit, OMEGA, EXPONENT_FACTORIAL)
+    yield "generalized_divisor_segments", arithmetic.generalized_divisor_segments(1.5, limit)
+    yield "ordered_factorization_segments", arithmetic.ordered_factorization_segments(limit)
+
+
+@pytest.mark.parametrize("limit", [2, 3, 3 * 4096 + 5])
+def test_segment_builders_release_each_segment(limit, monkeypatch):
+    # a builder that still holds segment k while it makes segment k + 1 keeps
+    # two segments alive in every scan; at limits 2 and 3 a builder's loops
+    # over the small primes never run, and its releases must not fail there
+    monkeypatch.setattr(accum, "_SEGMENT", 4096)
+    refs = []  # to every segment handed out so far, which the loop below drops
+
+    def released():
+        return all(r() is None for r in refs)
+
+    def probed_edges(size, edges=accum.segment_edges):  # iterated by a builder as it resumes
+        for i, edge in enumerate(edges(size)):
+            assert i == 0 or released(), name  # name: the generator under test
+            yield edge
+
+    monkeypatch.setattr(arithmetic, "segment_edges", probed_edges)
+    monkeypatch.setattr(accum, "segment_edges", probed_edges)
+    for name, gen in _segment_generators(limit):
+        refs.clear()
+        count = 0
+        while (seg := next(gen, None)) is not None:
+            assert released(), name  # segment k is gone once k + 1 is yielded
+            refs.extend(weakref.ref(a) for a in (seg if isinstance(seg, list) else [seg]))
+            count += 1
+            del seg
+        assert count == -(-(limit + 1) // 4096), name
+
+
+def _traced_peak(f):
+    """The peak of the memory traced while f() runs, in float64 segments."""
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1] / (8 * accum._SEGMENT)
+    finally:
+        tracemalloc.stop()
+
+
+# bounds between the peaks of a scan that holds two segments and a whole
+# moment block (mangoldt 2.48, constant 2.16, dgamma 3.91) and of one that
+# holds one segment and one leaf (1.41, 1.40, 2.17)
+@pytest.mark.parametrize("name, bound", [("mangoldt", 1.9), ("constant", 1.75), ("dgamma", 3.0)])
+def test_a_scan_holds_one_segment_at_a_time(name, bound):
+    N = 6 * 2**20
+    w = W.catalog(name, N, **FAMILY_PARAMS.get(name, {}))
+    assert _traced_peak(lambda: W.read(w, [10, N // 2, N], 3.3)) < bound
+
+
+def test_the_moment_pass_holds_no_whole_block(monkeypatch):
+    # 2^15-entry segments: the last moment block, ~190 000 entries, spans six;
+    # held whole with its x array it peaks at 12.8 segments, by leaves at 3.4
+    monkeypatch.setattr(accum, "_SEGMENT", 2**15)
+    w = W.catalog("constant", 6 * 2**20)
+    assert _traced_peak(lambda: W.read(w, (), 3.3)) < 6.0
 
 
 def test_streamed_table_past_the_budget_is_refused():
