@@ -382,12 +382,12 @@ def _views(a: np.ndarray):
     return (a[lo:hi] for lo, hi in segment_edges(a.size))
 
 
-def join_segments(segments, size: int, dtype=np.float64) -> np.ndarray:
-    """The concatenation of segments that cover `size` entries, as one array."""
-    out, lo = np.empty(0, dtype=dtype), 0
+def join_segments(segments, size: int) -> np.ndarray:
+    """The float64 concatenation of segments that cover `size` entries."""
+    out, lo = np.empty(0), 0
     for seg in segments:
-        if lo == 0:  # a lone segment of this size and dtype is the array, not copied
-            out = seg if seg.size == size and seg.dtype == dtype else np.empty(size, dtype=dtype)
+        if lo == 0:  # a lone float64 segment of this size is the array, not copied
+            out = seg if seg.size == size and seg.dtype == np.float64 else np.empty(size)
         if seg is not out:
             out[lo : lo + seg.size] = seg
         lo += seg.size

@@ -47,15 +47,6 @@ def poly_from_coeffs(coeffs) -> DirichletPolynomial:
     return DirichletPolynomial(limit=len(arr) - 1, coeffs=arr)
 
 
-def monomial(n: int, limit: int | None = None, c: complex = 1.0) -> DirichletPolynomial:
-    limit = n if limit is None else limit
-    if not 1 <= n <= limit:
-        raise RangeError(f"monomial index {n} outside 1..{limit}")
-    arr = np.zeros(limit + 1, dtype=np.complex128)
-    arr[n] = c
-    return DirichletPolynomial(limit=limit, coeffs=arr)
-
-
 def derivative(F: DirichletPolynomial) -> DirichletPolynomial:
     # d/ds sum a_n n^(-s) = -sum a_n log(n) n^(-s); the n=1 term drops.
     n = np.arange(F.limit + 1, dtype=np.float64)

@@ -126,17 +126,6 @@ def mellin_profile(w, sigma_grid: Sequence[float]) -> list:
     return out
 
 
-def weighted_zeta(w, sigma: float) -> MellinPoint:
-    """Truncated sum of w_n n^(-2 sigma): the profile point at 2 sigma.
-
-    The tail uses the measured upper Chebyshev envelope C of the partial
-    sums: tail <= 2 sigma C integral_N^inf x^(sigma0 - 2 sigma) (log x)^(-alpha) dx/x.
-    Near the abscissa the tail term dominates any feasible truncation; callers
-    comparing against closed forms should use value + tail_bound.
-    """
-    return mellin_profile(w, [2.0 * sigma])[0]
-
-
 def _lstsq(columns, y):
     """Least-squares coefficients of y on the given columns, and the fitted values."""
     A = np.column_stack(columns)

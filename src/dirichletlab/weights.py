@@ -3,8 +3,9 @@
 A weight sequence is the nonnegative array (w_n) defining a coefficient
 space of Dirichlet series; what the rest of the package cares about is the
 growth of the partial sums S(x) = sum_{n<=x} w_n, summarized by the exponent
-alpha in S(x) ~ C x / (log x)^alpha.  Catalog entries carry the predicted
-exponent when one is known, and the abscissa sigma0 of sum w_n n^(-s).
+alpha in S(x) ~ C x^sigma0 / (log x)^alpha, with sigma0 the abscissa of
+sum w_n n^(-s).  A sequence carries sigma0 and, when one is known, the
+predicted exponent.
 
 Every family is handed out segment by segment from its builder in BUILDERS:
 a scan holds one accum segment, one chunk and one moment leaf of at most
@@ -38,7 +39,7 @@ DEFAULT_BUDGET = 10**8  # the largest array w that is built
 REQUIRED_PARAM = {"log_power": "alpha", "inv_divisor_pow": "alpha", "dgamma": "gamma",
                   "besov": "gamma", "kadec": "blocks", "kadec_spiked": "blocks"}
 
-# the predicted exponent alpha of S(x) ~ C x / (log x)^alpha, where one is known
+# the predicted exponent alpha of S(x) ~ C x^sigma0 / (log x)^alpha, where one is known
 _EXPECTED_ALPHA = {
     "constant": lambda p: 0.0,
     "log_power": lambda p: -float(p["alpha"]),
@@ -168,18 +169,19 @@ CATALOG_NAMES = tuple(BUILDERS)
 class WeightSequence:
     """Weights w_1..w_limit stored at matching indices (w[0] stays 0).
 
-    A catalog sequence is made without w: segments() reads it from its
-    builder, and w is built on first access.
+    The family's predicted exponent (None where none is known) and its
+    abscissa sigma0 follow from name and params.  segments() reads the
+    weights from the family's builder, and w is built on first access.
     """
 
-    def __init__(self, name: str, params: dict, limit: int, w: Optional[np.ndarray] = None,
-                 expected_alpha: Optional[float] = None, sigma0: float = 1.0):
+    def __init__(self, name: str, params: dict, limit: int):
         self.name = name
         self.params = params
         self.limit = limit
-        self.expected_alpha = expected_alpha
-        self.sigma0 = sigma0
-        self._w = w
+        expected = _EXPECTED_ALPHA.get(name)
+        self.expected_alpha = None if expected is None else expected(params)
+        self.sigma0 = _SIGMA0[name]() if name in _SIGMA0 else 1.0
+        self._w = None
         self._sums: dict = {}  # x -> S(x) read by scans
         self._moments: dict = {}  # block width -> accum.BlockMoments
 
@@ -250,10 +252,7 @@ def catalog(name: str, limit: int, **params) -> WeightSequence:
         kadec_indices(blocks := int(params["blocks"]))  # 1 <= blocks <= 36
         if math.exp(blocks + 0.2) > limit:
             raise RangeError(f"block count {blocks} needs limit >= e^(K+1/5) ~ {math.exp(blocks + 0.2):.3g}")
-    expected = _EXPECTED_ALPHA.get(name)
-    return WeightSequence(name=name, params=dict(params), limit=limit,
-                          expected_alpha=None if expected is None else expected(params),
-                          sigma0=_SIGMA0[name]() if name in _SIGMA0 else 1.0)
+    return WeightSequence(name, dict(params), limit)
 
 
 def segments(w: WeightSequence):
@@ -312,12 +311,12 @@ def sum_upto(w: WeightSequence, x: float) -> float:
 
 
 def chebyshev_ratios(w: WeightSequence, xs, alpha: float) -> np.ndarray:
-    """Normalized partial sums S(x) (log x)^alpha / x on the given points."""
+    """Normalized partial sums S(x) (log x)^alpha / x^sigma0 on the given points."""
     xs = np.asarray(xs, dtype=np.float64)
     if np.any(xs < 2) or np.any(xs > w.limit):
         raise RangeError("ratio points must lie in [2, limit]")
     vals = sums_at(w, np.floor(xs).astype(np.int64))
-    return vals * np.log(xs) ** alpha / xs
+    return vals * np.log(xs) ** alpha / xs**w.sigma0
 
 
 def default_fit_grid(limit: int) -> np.ndarray:
@@ -327,11 +326,11 @@ def default_fit_grid(limit: int) -> np.ndarray:
 
 
 def fit_alpha(w: WeightSequence, x_grid=None) -> AsymptoticFit:
-    """Least-squares exponent fit: log(x / S(x)) regressed on log log x.
+    """Least-squares exponent fit: log(x^sigma0 / S(x)) regressed on log log x.
 
-    The slope estimates alpha in S(x) ~ C x/(log x)^alpha and the intercept
-    gives C.  Grids narrower than two decades or with fewer than three
-    points are refused as degenerate.
+    The slope estimates alpha in S(x) ~ C x^sigma0 / (log x)^alpha, sigma0 =
+    w.sigma0, and the intercept gives C.  Grids narrower than two decades or
+    with fewer than three points are refused as degenerate.
     """
     if x_grid is None:
         x_grid = default_fit_grid(w.limit)
@@ -348,7 +347,7 @@ def fit_alpha(w: WeightSequence, x_grid=None) -> AsymptoticFit:
     over = np.flatnonzero(~np.isfinite(vals))
     if over.size:
         raise FitError(f"partial sums are not finite on the grid from x = {xs[over[0]]:g} on")
-    y = np.log(xs / vals)
+    y = np.log(xs**w.sigma0 / vals)
     t = np.log(np.log(xs))
     slope, intercept = np.polyfit(t, y, 1)
     resid = y - (slope * t + intercept)

@@ -1,6 +1,5 @@
 """Zeta-type evaluations on the right half plane, the upper incomplete gamma
-function, reproducing-kernel formulas, critical abscissas, and
-Dirichlet-series coefficient algebra.
+function, reproducing-kernel formulas and critical abscissas.
 
 The zeta function has one evaluation route, Euler-Maclaurin summation, on
 the whole supported region; tests check it against mpmath.
@@ -332,36 +331,3 @@ def kernel_eval(spec: KernelSpec, s: complex) -> complex:
     if g == 0.0:
         return -cmath.log(w)
     return cmath.exp(-g * cmath.log(w))
-
-
-def dirichlet_inverse(a):
-    """Coefficients of the reciprocal Dirichlet series, a_1 != 0 required.
-
-    Integer inputs with a_1 = +-1 are inverted in exact integer arithmetic
-    (the inverse is integral in that case); everything else in float64.
-    """
-    a = list(a)
-    N = len(a) - 1
-    if N < 1 or a[1] == 0:
-        raise DomainError("leading coefficient a_1 must be nonzero")
-    ints = all(isinstance(x, (int, np.integer)) or (isinstance(x, float) and x.is_integer()) for x in a[1:])
-    if ints and abs(a[1]) == 1:
-        a1 = int(a[1])
-        ai = [int(x) for x in a]
-        b = [0] * (N + 1)
-        c = [0] * (N + 1)
-        for n in range(1, N + 1):
-            # dividing by a1 is multiplying when a1 is +-1, so b stays integral
-            b[n] = (1 if n == 1 else -c[n]) * a1
-            if b[n]:
-                for k in range(2, N // n + 1):
-                    c[n * k] += b[n] * ai[k]
-        return b
-    af = np.asarray([float(x) for x in a], dtype=np.float64)
-    b = np.zeros(N + 1)
-    c = np.zeros(N + 1)
-    for n in range(1, N + 1):
-        b[n] = ((1.0 if n == 1 else 0.0) - c[n]) / af[1]
-        if b[n] != 0.0 and 2 * n <= N:
-            c[2 * n :: n] += b[n] * af[2 : N // n + 1]
-    return b

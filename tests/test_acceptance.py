@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from dirichletlab import weights as W
-from dirichletlab.accum import compensated_sum, join_segments
+from dirichletlab.accum import compensated_sum
 from dirichletlab.arithmetic import prime_segments
 from dirichletlab.cli import main as cli_main
 from dirichletlab.embedding import LocalWindow, block_family, embedding_constant
@@ -30,7 +30,6 @@ from dirichletlab.tauberian import (
     fit_singularity,
     mellin_profile,
     predict_and_compare,
-    weighted_zeta,
 )
 from dirichletlab.zeta import (
     prime_zeta,
@@ -88,19 +87,20 @@ def test_criterion_03_reciprocal_divisor_growth():
 
 
 def test_criterion_04_ordered_factorization_coefficients():
-    from dirichletlab.zeta import dirichlet_inverse
-
+    # F is the coefficient recursion of 1/(2 - zeta): F_1 = 1 and
+    # F_n = sum over d | n, d > 1 of F_(n/d), pushed forward from each q
     N = 10**4
-    a = np.full(N + 1, -1.0)
-    a[0], a[1] = 0.0, 1.0
-    inv = dirichlet_inverse(a)
     F = np.zeros(N + 1)
     F[1] = 1.0
     for q in range(1, N // 2 + 1):
         if F[q]:
             F[2 * q :: q][: N // q - 1] += F[q]
-    assert np.array_equal(inv[1:], F[1:])  # integer-exact, all n <= 10^4
-    assert inv[10] == 3.0
+    # the shipped weights, integer-exact for all n <= 10^4
+    w = W.catalog("mccarthy", N).w
+    assert np.array_equal(w[1:], F[1:])
+    assert w[10] == 3.0  # 10, 2*5, 5*2
+    inv = W.catalog("inv_ordered_factorization", N).w
+    assert np.array_equal(inv[1:], 1.0 / F[1:])
 
 
 def test_criterion_05_reproducing_identity_hundred_cases():
@@ -125,7 +125,7 @@ def test_criterion_06_near_boundary_comparability():
     sigmas = [0.5 + 1e-2, 0.5 + 1e-3, 0.5 + 1e-4]
 
     def full(w, s):
-        v = weighted_zeta(w, s)
+        v = mellin_profile(w, [2.0 * s])[0]  # the sum of w_n n^(-2s)
         return v.value + v.tail_bound
 
     wd = W.catalog("divisor", 10**6)
@@ -145,7 +145,7 @@ def test_criterion_07_abscissas_and_cross_check():
     assert abs(zeta(rho1).real - 2.0) <= 1e-9
     # two-term li tail closes the direct prime sum onto the Mobius-log series
     s, L = 1.5, math.log(10**7)
-    primes = np.flatnonzero(join_segments(prime_segments(10**7), 10**7 + 1, bool))
+    primes = np.flatnonzero(np.concatenate(list(prime_segments(10**7))))
     direct = compensated_sum(primes.astype(np.float64) ** -s)
     tail = exp1((s - 1.0) * L) - 0.5 * exp1((s - 0.5) * L)
     assert abs(direct + tail - prime_zeta(s).real) <= 1e-8  # measured 2.6e-9

@@ -21,7 +21,7 @@ from dirichletlab.zeta import _mobius_small
 
 
 def divisor_count_table(limit):
-    return accum.join_segments(divisor_count_segments(limit), limit + 1, np.int32)
+    return np.concatenate(list(divisor_count_segments(limit)), dtype=np.int32)
 
 
 def generalized_divisor_table(gamma, limit):

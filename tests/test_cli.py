@@ -13,7 +13,6 @@ from jsonschema import validate
 
 import dirichletlab
 from dirichletlab import weights as W
-from dirichletlab.accum import join_segments
 from dirichletlab.arithmetic import divisor_count_segments
 from dirichletlab.cli import main
 
@@ -51,7 +50,7 @@ def test_weights_dgamma_two_is_divisor_count(tmp_path):
     assert run("weights", "--name", "dgamma", "--gamma", 2, "--N", 100,
                "--out", out, "--sums-out", tmp_path / "s.csv") == 0
     _, rows = read_csv(out)
-    d = join_segments(divisor_count_segments(100), 101, np.int32)
+    d = np.concatenate(list(divisor_count_segments(100)))
     for n_str, w_str in rows:
         assert float(w_str) == float(d[int(n_str)])
 

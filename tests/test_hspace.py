@@ -12,7 +12,6 @@ from dirichletlab.hspace import (
     hw_inner,
     hw_kernel,
     hw_norm,
-    monomial,
     poly_from_coeffs,
 )
 
@@ -23,6 +22,11 @@ def sparse(d, limit):
     for n, c in d.items():
         a[n - 1] = c
     return poly_from_coeffs(a)
+
+
+def monomial(n, limit=None, c=1.0):
+    """c n^(-s) with the truncation level limit (default n)."""
+    return sparse({n: c}, n if limit is None else limit)
 
 
 def test_monomial_evaluates_as_power():

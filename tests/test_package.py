@@ -103,10 +103,6 @@ TEST_FACING = {
     "hw_inner": "criterion 05's reproducing identity <F, k_xi>",
     "hw_kernel": "criterion 05's reproducing kernel k_xi",
     "sum_upto": "criterion 01 reads S(x) at real x",
-    "weighted_zeta": "criterion 06 compares the sum at 2 sigma near the abscissa",
-    "dirichlet_inverse": "criterion 04's ordered factorizations from 1/(2 - zeta)",
-    # reference and fixture helpers
-    "monomial": "hspace fixtures: the monomial n^(-s)",
     # the dual-bump lower bound the embed command is to report
     "make_bump": "the dual bump of the exact two-sided embedding constant",
     "TestBump": "the dual bump of the exact two-sided embedding constant",
@@ -152,26 +148,31 @@ def test_init_imports_nothing():
 
 # defaulted parameters that no package call passes, each kept for a stated reason
 UNPASSED_DEFAULTS = {
-    "join_segments.dtype": "test oracles join the uint16 divisor segments as int32",
     "main.argv": "the console entry point reads sys.argv; tests pass a list",
     "make_bump.center": "the dual bump of the exact two-sided embedding constant",
     "make_bump.halfwidth": "the dual bump of the exact two-sided embedding constant",
-    "monomial.limit": "hspace fixtures: the monomial n^(-s) in a larger space",
-    "monomial.c": "hspace fixtures: a scaled monomial",
 }
 
 
 def test_defaulted_parameters_are_passed():
-    # a defaulted parameter of a public top-level function must be passed, by
-    # name or by position, by a package call outside the function's own body,
-    # or be listed in UNPASSED_DEFAULTS: a default that every caller keeps is
-    # a constant
+    # a defaulted parameter of a public top-level function, or of the
+    # __init__ of a public top-level class, must be passed, by name or by
+    # position, by a package call outside the function's own body, or be
+    # listed in UNPASSED_DEFAULTS: a default that every caller keeps is a
+    # constant
     root = Path(dirichletlab.__file__).parent
-    funcs, calls = [], []
+    funcs, calls = [], []  # funcs: (module, label, callee name, def, self offset)
     for path in sorted(root.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        funcs += [(path.name, node) for node in tree.body
-                  if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                funcs.append((path.name, node.name, node.name, node, 0))
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                # a call of the class passes self implicitly: its arguments
+                # sit one position before __init__'s parameters
+                funcs += [(path.name, f"{node.name}.__init__", node.name, init, 1)
+                          for init in node.body
+                          if isinstance(init, ast.FunctionDef) and init.name == "__init__"]
         calls += [(path.name, node) for node in ast.walk(tree) if isinstance(node, ast.Call)]
 
     def callee(call):
@@ -185,15 +186,15 @@ def test_defaulted_parameters_are_passed():
         return by_position or any(k.arg in (name, None) for k in call.keywords)
 
     unpassed = []
-    for module, fn in funcs:
+    for module, label, name_called, fn, offset in funcs:
         a = fn.args
         positional = a.posonlyargs + a.args
         first = len(positional) - len(a.defaults)
-        defaulted = [(i, p.arg) for i, p in enumerate(positional) if i >= first]
+        defaulted = [(i - offset, p.arg) for i, p in enumerate(positional) if i >= first]
         defaulted += [(None, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
-        outside = [call for where, call in calls if callee(call) == fn.name
+        outside = [call for where, call in calls if callee(call) == name_called
                    and not (where == module and fn.lineno <= call.lineno <= fn.end_lineno)]
-        unpassed += [f"{fn.name}.{name}" for index, name in defaulted
+        unpassed += [f"{label}.{name}" for index, name in defaulted
                      if not any(passes(call, index, name) for call in outside)]
     assert sorted(unpassed) == sorted(UNPASSED_DEFAULTS), (
         f"defaulted parameters no package call passes: {sorted(unpassed)}")

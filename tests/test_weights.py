@@ -22,7 +22,7 @@ FAMILY_PARAMS = {"log_power": {"alpha": 1.0}, "dgamma": {"gamma": 1.5},
 
 
 def divisor_count_table(limit):
-    return accum.join_segments(divisor_count_segments(limit), limit + 1, np.int32)
+    return np.concatenate(list(divisor_count_segments(limit)), dtype=np.int32)
 
 
 def whole_array_reference(name, limit, params):
@@ -242,6 +242,20 @@ def test_fit_alpha_constant_near_zero():
 def test_fit_alpha_divisor_band():
     fit = W.fit_alpha(W.catalog("divisor", 10**6))
     assert -1.05 <= fit.alpha_hat <= -0.92  # measured -0.9836 at this truncation
+
+
+# S(x) ~ x^sigma0 / (sigma0 |F'(sigma0)|) for a simple pole of 1/F at sigma0:
+# F = 2 - zeta (mccarthy) and 1 - prime zeta (besov gamma = 1), by mpmath
+# (zeta(s, derivative=1) and diff of primezeta at 20 digits), frozen
+@pytest.mark.parametrize("name, params, C", [("mccarthy", {}, 0.31817365220905687),
+                                             ("besov", {"gamma": 1.0}, 0.41277323709367049)])
+def test_fit_alpha_past_abscissa_one(name, params, C):
+    w = W.catalog(name, 10**6, **params)
+    grid = np.geomspace(1e3, 1e6, 25)  # the fit command's default grid
+    fit = W.fit_alpha(w, grid)
+    assert abs(fit.alpha_hat) <= 0.05  # measured -0.0064 (mccarthy), 0.0025 (besov)
+    assert fit.C_hat == pytest.approx(C, rel=0.03)  # measured 1.6 % low, 0.6 % high
+    assert W.chebyshev_ratios(w, grid, 0.0) == pytest.approx(C, rel=0.03)
 
 
 def test_fit_alpha_refuses_degenerate_grids():

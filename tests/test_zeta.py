@@ -8,10 +8,9 @@ from scipy import optimize
 
 from dirichletlab import weights as W
 from dirichletlab.errors import DomainError, RangeError
-from dirichletlab.tauberian import log_power_tail, weighted_zeta
+from dirichletlab.tauberian import log_power_tail, mellin_profile
 from dirichletlab.zeta import (
     KernelSpec,
-    dirichlet_inverse,
     kernel_eval,
     prime_zeta,
     prime_zeta_unit_abscissa,
@@ -269,83 +268,9 @@ def test_kernel_rejects_non_finite_s():
             kernel_eval(spec, s)
 
 
-def dirichlet_convolve(a, b):
-    """(a * b)_n = sum over d k = n of a_d b_k for n = 1..N, N = len(a) - 1
-    (index 0 unused): the oracle of the dirichlet_inverse round trips."""
-    N = len(a) - 1
-    c = np.zeros(N + 1)
-    for d in range(1, N + 1):
-        c[d::d] += a[d] * np.asarray(b[1 : N // d + 1], dtype=np.float64)
-    return c
-
-
-def test_dirichlet_convolve_divisor_identity():
-    ones = np.zeros(201)
-    ones[1:] = 1.0
-    d = dirichlet_convolve(ones, ones)
-    from dirichletlab.accum import join_segments
-    from dirichletlab.arithmetic import divisor_count_segments
-
-    expect = join_segments(divisor_count_segments(200), 201, np.int32)
-    assert np.array_equal(d[1:201], expect[1:201].astype(np.float64))
-
-
-def mobius_oracle(n):
-    """mu(n) from n's prime factors, found by trial division."""
-    primes = [p for p in range(2, n + 1) if n % p == 0 and all(p % d for d in range(2, p))]
-    if any(n % (p * p) == 0 for p in primes):
-        return 0
-    return (-1) ** len(primes)
-
-
-def test_dirichlet_inverse_of_zeta_is_mobius():
-    ones = np.zeros(301)
-    ones[1:] = 1.0
-    inv = dirichlet_inverse(ones)
-    for n in range(1, 301):
-        assert inv[n] == pytest.approx(mobius_oracle(n), abs=1e-12)
-
-
-def test_dirichlet_inverse_roundtrip_is_identity():
-    rng = np.random.default_rng(5)
-    a = np.zeros(129)
-    a[1] = 1.0
-    a[2:] = rng.integers(-3, 4, size=127).astype(np.float64)
-    conv = dirichlet_convolve(a, dirichlet_inverse(a))
-    assert conv[1] == pytest.approx(1.0, abs=1e-10)
-    assert np.allclose(conv[2:129], 0.0, atol=1e-9)
-
-
-def test_dirichlet_inverse_requires_unit_leading_term():
-    a = np.zeros(10)
-    a[1] = 0.0
-    with pytest.raises(DomainError):
-        dirichlet_inverse(a)
-
-
-def ordered_factorization_recurrence(limit):
-    F = [0] * (limit + 1)
-    F[1] = 1
-    for n in range(2, limit + 1):
-        F[n] = sum(F[n // d] for d in range(2, n + 1) if n % d == 0)
-    return F
-
-
-def test_two_minus_zeta_inverse_counts_ordered_factorizations():
-    limit = 500
-    a = np.full(limit + 1, -1.0)
-    a[0] = 0.0
-    a[1] = 1.0  # coefficients of 2 - zeta(s)
-    F = dirichlet_inverse(a)
-    expect = ordered_factorization_recurrence(limit)
-    for n in range(1, limit + 1):
-        assert F[n] == pytest.approx(expect[n], abs=1e-9)
-    assert round(F[10]) == 3
-
-
 def test_weighted_zeta_brackets_closed_form():
     w = W.catalog("constant", 10**5)
-    out = weighted_zeta(w, 1.0)  # sum n^-2 -> zeta(2)
+    out = mellin_profile(w, [2.0])[0]  # sum n^-2 -> zeta(2)
     z2 = math.pi**2 / 6.0
     assert out.value < z2
     assert out.value + 2.0 * out.tail_bound > z2
@@ -363,7 +288,7 @@ def test_log_power_tail_matches_quadrature(alpha):
 
 
 def test_weighted_zeta_tail_finite_past_alpha_one():
-    out = weighted_zeta(W.catalog("log_power", 10**5, alpha=-1.5), 0.8)  # alpha = 1.5
+    out = mellin_profile(W.catalog("log_power", 10**5, alpha=-1.5), [1.6])[0]  # alpha = 1.5
     assert math.isfinite(out.tail_bound) and out.tail_bound > 0.0
     assert out.remainder <= 1e-15 * out.value
 
@@ -371,7 +296,7 @@ def test_weighted_zeta_tail_finite_past_alpha_one():
 def test_weighted_zeta_rejects_divergent_sigma():
     w = W.catalog("constant", 1000)
     with pytest.raises(DomainError):
-        weighted_zeta(w, 0.5)
+        mellin_profile(w, [1.0])  # sum n^-1 diverges
 
 
 def test_kernel_dalpha_bergman_and_szego():
