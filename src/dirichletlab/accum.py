@@ -499,9 +499,17 @@ def moment_sums(bm: BlockMoments, sigmas, ts=None) -> tuple:
         t = np.asarray(ts, dtype=np.float64).ravel()
         s = sig[:, None] + 1j * t[None, :]
         nz = np.flatnonzero(bm.head)
-        logn = np.log(nz + 1.0)
-        amp = bm.head[nz] * np.exp(-np.outer(sig, logn))
-        head = amp @ np.exp(-1j * np.outer(logn, t))
+        # Negation is exact, so outer(sig, -log n) holds the bits of
+        # -outer(sig, log n), and each exp runs in place on its exponents.
+        # amp's imaginary part stays 0, so amp *= a_n is the complex product
+        # that a_n * n^(-sigma) forms.
+        neg_logn = -np.log(nz + 1.0)
+        amp = np.zeros((sig.size, nz.size), dtype=np.complex128)
+        np.exp(np.outer(sig, neg_logn, out=amp.real), out=amp.real)
+        amp *= bm.head[nz]
+        phase = np.outer(neg_logn, t) * 1j
+        head = amp @ np.exp(phase, out=phase)
+        del amp, phase
     binom = np.empty(s.shape + (_MOMENTS + 1,), dtype=s.dtype)  # binom(-s, m)
     binom[..., 0] = 1.0
     for m in range(_MOMENTS):

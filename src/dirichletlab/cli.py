@@ -277,7 +277,7 @@ def cmd_embed(args):
         "weight": weight,
         "alpha": alpha,
         "window": {"a": win.a, "b": win.b, "sigma_cap": win.sigma_cap},
-        "family": {"kind": kind, "size": args.size,
+        "family": {"kind": kind, "size": args.size if kind == "random" else None,
                    "seed": args.seed if kind == "random" else None},
         "rows": rows,
     }

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -368,61 +368,99 @@ def block_test_function(w, k: int) -> DirichletPolynomial:
     return DirichletPolynomial(limit=hi, coeffs=arr)
 
 
-def random_family(w, size: int, seed: int) -> list:
+class _Family:
+    """A sized, re-iterable family: each pass builds the members in order, on demand.
+
+    members() returns a fresh iterator of the members; the family itself holds
+    none of them, so a consumer that lets each member go before it asks for the
+    next keeps one alive at a time.
+    """
+
+    def __init__(self, size: int, members):
+        self._size = size
+        self._members = members
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __iter__(self):
+        return self._members()
+
+
+def random_family(w, size: int, seed: int) -> _Family:
     """Seeded i.i.d. complex-Gaussian coefficients scaled by sqrt(w_n).
 
     E|a_n|^2 = w_n, so each member has unit norm per supported coordinate in
     expectation; membership w.r.t. w holds by construction (zeros propagate).
+    Members are built on demand: every pass over the family re-seeds, so it
+    draws the same members in the same order, one at a time.
     """
     N = w.limit
-    rng = np.random.default_rng(seed)
-    root = np.sqrt(w.w[1 : N + 1])
-    out = []
-    for _ in range(size):
-        g = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-        out.append(
-            DirichletPolynomial(
-                limit=N,
-                coeffs=np.concatenate([[0.0 + 0.0j], root * g / math.sqrt(2.0)]),
-            )
-        )
-    return out
+
+    def members():
+        rng = np.random.default_rng(seed)
+        root = np.sqrt(w.w[1 : N + 1])
+        for _ in range(size):
+            g = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+            # root * g / sqrt(2), the same two ufuncs, formed in the member's array
+            coeffs = np.empty(N + 1, dtype=np.complex128)
+            coeffs[0] = 0.0
+            np.multiply(root, g, out=coeffs[1:])
+            del g
+            coeffs[1:] /= math.sqrt(2.0)
+            yield DirichletPolynomial(limit=N, coeffs=coeffs)
+            del coeffs  # let the consumer's last member go before the next draw
+
+    return _Family(size, members)
 
 
-def block_family(w) -> list:
-    """The g_k blocks that fit under the truncation (k = 0, 1, ...)."""
-    k_top = int(math.floor(math.log(w.limit))) - 1
-    return [block_test_function(w, k) for k in range(0, k_top + 1)]
+def block_family(w) -> _Family:
+    """The g_k blocks that fit under the truncation: k = 0, 1, ... while
+    floor(e^(k+1)) <= N.  Each pass builds the blocks in order, on demand."""
+    size = 0
+    while math.floor(math.exp(size + 1)) <= w.limit:
+        size += 1
+
+    def members():
+        for k in range(size):
+            yield block_test_function(w, k)
+
+    return _Family(size, members)
 
 
 def embedding_constant(
     w,
     alpha: float,
     win: LocalWindow,
-    family: Sequence[DirichletPolynomial],
+    family: Iterable[DirichletPolynomial],
 ) -> EmbeddingEstimate:
     """Empirical lower bound on the embedding constant: max of local/norm^2.
 
     alpha = 0 uses the sup-L2 local quantity, otherwise the alpha-scale one.
-    Members are processed in order with a plain max reduction, so the result
-    is deterministic for a fixed family.  A member whose local norm or norm^2
-    overflows float64 (weights like the spiked family's e^n) raises RangeError.
+    family is any sized iterable of polynomials.  Members are processed in
+    order with a plain max reduction, so the result is deterministic for a
+    fixed family.  Each member and its local norm are let go before the next
+    member is asked for, so a family that builds its members on demand (as
+    random_family and block_family do) has one alive at a time.  A member
+    whose local norm or norm^2 overflows float64 (weights like the spiked
+    family's e^n) raises RangeError.
     """
     if not family:
         raise RangeError("family must be nonempty")
     ratios = []
     qmax = 0.0
-    for i, F in enumerate(family):
+    for F in family:  # no enumerate: its reused result tuple would keep F alive
         ln = local_sup_l2(F, win) if alpha == 0.0 else dalpha_local_norm(F, alpha, win)
         with np.errstate(over="ignore"):  # an overflow is refused below
             denom = hw_norm(F, w) ** 2
         if not (math.isfinite(ln.value) and math.isfinite(denom)):
-            raise RangeError(f"family member {i} at N = {w.limit}: local norm {ln.value!r} and "
-                             f"norm^2 {denom!r} are not both finite")
+            raise RangeError(f"family member {len(ratios)} at N = {w.limit}: local norm "
+                             f"{ln.value!r} and norm^2 {denom!r} are not both finite")
         if denom == 0.0:
             raise RangeError("family member has zero norm")
         ratios.append(ln.value / denom)
         qmax = max(qmax, ln.quad_error / denom)
+        del F, ln
     i = int(np.argmax(ratios))
     return EmbeddingEstimate(
         value=float(ratios[i]),

@@ -49,9 +49,11 @@ def poly_from_coeffs(coeffs) -> DirichletPolynomial:
 
 def derivative(F: DirichletPolynomial) -> DirichletPolynomial:
     # d/ds sum a_n n^(-s) = -sum a_n log(n) n^(-s); the n=1 term drops.
-    n = np.arange(F.limit + 1, dtype=np.float64)
-    n[0] = 1.0
-    arr = -F.coeffs * np.log(n)
+    logn = np.arange(F.limit + 1, dtype=np.float64)
+    logn[0] = 1.0
+    np.log(logn, out=logn)
+    arr = np.negative(F.coeffs)
+    arr *= logn
     arr[0] = 0.0
     return DirichletPolynomial(limit=F.limit, coeffs=arr)
 
@@ -65,27 +67,52 @@ def evaluate(F: DirichletPolynomial, s: complex) -> complex:
     return fsum_complex(terms)
 
 
-def _check_membership(F: DirichletPolynomial, w) -> np.ndarray:
+# hw_norm walks the support this many coefficients at a time
+_CHUNK = 1 << 14
+
+
+def _check_limit(F: DirichletPolynomial, w) -> None:
     if F.limit > w.limit:
         raise RangeError(
             f"polynomial truncation {F.limit} exceeds weight truncation {w.limit}"
         )
-    idx = F.support()
-    if idx.size and np.any(w.w[idx] == 0.0):
-        bad = idx[np.flatnonzero(w.w[idx] == 0.0)[0]]
+
+
+def _refuse_excluded(idx: np.ndarray, w_idx: np.ndarray) -> None:
+    """MembershipError at the first support index idx[i] with w_idx[i] == 0."""
+    zero = np.flatnonzero(w_idx == 0.0)
+    if zero.size:
+        bad = idx[zero[0]]
         raise MembershipError(
             f"coefficient a_{bad} != 0 but w_{bad} = 0: direction excluded from the space"
         )
+
+
+def _check_membership(F: DirichletPolynomial, w) -> np.ndarray:
+    _check_limit(F, w)
+    idx = F.support()
+    _refuse_excluded(idx, w.w[idx])
     return idx
 
 
+def _norm_terms(F: DirichletPolynomial, w):
+    """|a_n|^2 / w_n over the support, in order, _CHUNK coefficients at a time."""
+    for lo in range(0, F.limit + 1, _CHUNK):
+        idx = np.flatnonzero(F.coeffs[lo : lo + _CHUNK]) + lo
+        w_idx = w.w[idx]
+        _refuse_excluded(idx, w_idx)
+        a = F.coeffs[idx]
+        yield from ((a.real**2 + a.imag**2) / w_idx).tolist()
+
+
 def hw_norm(F: DirichletPolynomial, w) -> float:
-    """sqrt(sum |a_n|^2 / w_n) over the support of F."""
-    idx = _check_membership(F, w)
-    if idx.size == 0:
-        return 0.0
-    a = F.coeffs[idx]
-    return math.sqrt(math.fsum((a.real**2 + a.imag**2) / w.w[idx]))
+    """sqrt(sum |a_n|^2 / w_n) over the support of F.
+
+    The support is walked in chunks of _CHUNK coefficients, all fed to one
+    math.fsum; fsum is exactly rounded, so the chunking leaves the bits alone.
+    """
+    _check_limit(F, w)
+    return math.sqrt(math.fsum(_norm_terms(F, w)))
 
 
 def hw_inner(F: DirichletPolynomial, G: DirichletPolynomial, w) -> complex:

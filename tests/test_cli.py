@@ -265,6 +265,21 @@ def test_embed_report(tmp_path):
     assert run("embed", "--name", "constant", "--N-list", "100") == 2  # no alpha
 
 
+@pytest.mark.parametrize("kind, family", [
+    ("blocks", {"kind": "blocks", "size": None, "seed": None}),  # --size does not apply
+    ("random", {"kind": "random", "size": 3, "seed": 5}),
+])
+def test_embed_report_family_fields(kind, family, tmp_path):
+    out_json = tmp_path / "embed.json"
+    assert run("embed", "--name", "constant", "--alpha", -0.5, "--N-list", "300",
+               "--family", kind, "--size", 3, "--seed", 5,
+               "--out-json", out_json, "--out-csv", tmp_path / "embed.csv") == 0
+    blob = json.loads(out_json.read_text())
+    validate(blob, schema("embed_report"))
+    assert blob["family"] == family
+    assert blob["rows"][0]["family_size"] == (5 if kind == "blocks" else 3)
+
+
 @pytest.mark.parametrize("argv, named", [
     (("embed", "--name", "constant", "--alpha", "0", "--a", "1", "--b", "0"), "a < b"),
     (("embed", "--name", "constant", "--alpha", "0", "--sigma-cap", "0.4"), "sigma_cap"),

@@ -1,5 +1,6 @@
 import math
 import types
+import weakref
 
 import mpmath
 import numpy as np
@@ -289,6 +290,18 @@ def test_block_family_covers_available_blocks():
     assert len(fam) == 10
 
 
+@pytest.mark.parametrize("K", [3, 4, 5, 6, 7, 8])
+def test_block_family_keeps_the_block_ending_at_the_truncation(K):
+    # N = floor(e^K) = 20, 54, 148, 403, 1096, 2980: block K - 1 ends exactly at N
+    N = math.floor(math.exp(K))
+    w = W.catalog("constant", N)
+    fam = block_family(w)
+    assert len(fam) == K
+    assert [F.limit for F in fam][-1] == N
+    with pytest.raises(TruncationError):
+        block_test_function(w, K)
+
+
 def test_block_scaling_chain_for_divisor():
     # dalpha(g_k, -1) * e^k * 2k / S_k^2 hovers near 1/2 across k = 4..9
     w = W.catalog("divisor", 30000)
@@ -327,6 +340,50 @@ def test_random_family_is_seeded():
     f2 = random_family(w, 5, 123)
     for a, b in zip(f1, f2):
         assert np.array_equal(a.coeffs, b.coeffs)
+
+
+def test_random_family_passes_repeat_the_same_draws():
+    w = W.catalog("divisor", 500)
+    fam = random_family(w, 4, 77)
+    first, second = list(fam), list(fam)
+    assert len(fam) == len(first) == 4
+    # the draws of one seeded generator, member after member
+    rng = np.random.default_rng(77)
+    for a, b in zip(first, second):
+        g = rng.standard_normal(500) + 1j * rng.standard_normal(500)
+        want = np.concatenate([[0.0 + 0.0j], np.sqrt(w.w[1:]) * g / math.sqrt(2.0)])
+        assert np.array_equal(a.coeffs, want)
+        assert np.array_equal(b.coeffs, want)
+
+
+class _OneAliveFamily:
+    """Sized family whose generator checks, through a weakref, that the previous
+    member is gone before it builds the next."""
+
+    def __init__(self, size, N):
+        self.size, self.N, self.built = size, N, 0
+
+    def __len__(self):
+        return self.size
+
+    def __iter__(self):
+        prev = None
+        rng = np.random.default_rng(3)
+        for _ in range(self.size):
+            assert prev is None or prev() is None, "the previous member is still alive"
+            a = rng.standard_normal(self.N) + 1j * rng.standard_normal(self.N)
+            box = [poly_from_coeffs(a)]
+            prev = weakref.ref(box[0])
+            self.built += 1
+            yield box.pop()  # the generator keeps no reference to the member
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, -0.5])
+def test_embedding_constant_holds_one_member_at_a_time(alpha):
+    w = W.catalog("constant", 300)
+    fam = _OneAliveFamily(4, 300)
+    est = embedding_constant(w, alpha, WIN, fam)
+    assert fam.built == 4 and est.family_size == 4 and len(est.ratios) == 4
 
 
 def test_spiked_weights_break_the_embedding():
@@ -372,7 +429,7 @@ def _with_direct_sums(monkeypatch, compute):
 def test_local_norms_match_the_direct_sum(kind, monkeypatch):
     # N = 2e4 reaches past the engine's 4096-term head into its blocks
     w = W.catalog("divisor", 20_000)
-    fam = random_family(w, 3, 5) if kind == "random" else block_family(w)[-3:]
+    fam = random_family(w, 3, 5) if kind == "random" else list(block_family(w))[-3:]
     for F in fam:
         for norm in (
             lambda: local_sup_l2(F, WIN),
@@ -392,7 +449,7 @@ def test_local_norms_match_the_direct_sum(kind, monkeypatch):
 def test_local_norm_matches_the_direct_sum_on_a_wide_window(monkeypatch):
     # |t| up to 30: the engine narrows its blocks, the value stays put
     win = LocalWindow(0.0, 30.0, 1.0)
-    F = random_family(W.catalog("constant", 20_000), 1, 9)[0]
+    F = list(random_family(W.catalog("constant", 20_000), 1, 9))[0]
     monkeypatch.setattr(embedding, "default_sigma_grid", lambda cap: [0.5 + 2.0**-20, 0.75, 1.0])
     norm = lambda: local_sup_l2(F, win)
     got, want = norm(), _with_direct_sums(monkeypatch, norm)

@@ -1,10 +1,11 @@
 import math
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dirichletlab import weights as W
+from dirichletlab import hspace, weights as W
 from dirichletlab.errors import MembershipError, RangeError
 from dirichletlab.hspace import (
     derivative,
@@ -91,6 +92,46 @@ def test_membership_error_off_support():
     with pytest.raises(MembershipError):
         hw_norm(monomial(4), wk)  # w_4 = 0: direction excluded
     assert hw_norm(monomial(3), wk) ** 2 == pytest.approx(1.0 / 3.0, rel=1e-14)
+
+
+# coefficient-array lengths on both sides of each of the first three chunk edges
+_NEAR_EDGES = st.builds(lambda k, d: k * hspace._CHUNK + d,
+                        st.integers(1, 3), st.integers(-2, 2))
+
+
+def _chunk_case(length, seed):
+    """Random coefficients a_1..a_(length-1) with ~1/3 zeros, and weights spread
+    over 12 decades, so the terms are far apart and their sum rounds."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(length - 1) + 1j * rng.standard_normal(length - 1)
+    a[rng.random(length - 1) < 1.0 / 3.0] = 0.0
+    a[-1] = 1.0 + 1.0j  # the support reaches the last coefficient
+    w = np.concatenate([[0.0], 10.0 ** rng.uniform(-6.0, 6.0, length - 1)])
+    return poly_from_coeffs(a), types.SimpleNamespace(w=w, limit=length - 1)
+
+
+@given(_NEAR_EDGES, st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_chunked_hw_norm_is_bit_identical(length, seed):
+    F, w = _chunk_case(length, seed)
+    idx = F.support()
+    a = F.coeffs[idx]
+    whole = math.sqrt(math.fsum((a.real**2 + a.imag**2) / w.w[idx]))
+    assert hw_norm(F, w) == whole  # fsum over all chunks: bit for bit
+
+
+@given(_NEAR_EDGES, st.integers(0, 2**32 - 1), st.data())
+@settings(max_examples=30, deadline=None)
+def test_chunked_hw_norm_names_the_first_excluded_index(length, seed, data):
+    F, w = _chunk_case(length, seed)
+    support = F.support()
+    chunk = data.draw(st.integers(0, (length - 1) // hspace._CHUNK), label="chunk")
+    in_chunk = support[support // hspace._CHUNK == chunk]
+    bad = data.draw(st.sampled_from(in_chunk.tolist()), label="bad")
+    w.w[bad] = 0.0
+    w.w[support[support > bad]] = 0.0  # later zeros, in this chunk and past it
+    with pytest.raises(MembershipError, match=rf"a_{bad} != 0 but w_{bad} = 0"):
+        hw_norm(F, w)
 
 
 def test_kernel_coefficients_are_weighted_translates():
