@@ -1,13 +1,16 @@
 """Compensated summation helpers and the Dirichlet-sum engine.
 
-Scalar reductions go through math.fsum (exactly rounded).  Prefix sums use a
-chunked cumulative sum whose chunk offsets are themselves exactly rounded, so
-the worst-case relative error of any prefix is ~chunk_len*eps of the local
-chunk plus one rounding of the offset; with the chunk of 4096 that stays
-below 1e-12 even for 1e7-term sums.  The exactly rounded chunk totals of
+Exactly rounded scalar sums go through exact_sum, which has math.fsum's bits
+without a Python float per value: each significand is cut into two parts,
+summed exactly per exponent by np.bincount, and the sum is rounded once from
+one Python integer.  Prefix sums use a chunked cumulative sum whose chunk
+offsets are themselves exactly rounded, so the worst-case relative error of
+any prefix is ~chunk_len*eps of the local chunk plus one rounding of the
+offset; with the chunk of 4096 that stays below 1e-12 even for 1e7-term
+sums.  The exactly rounded chunk totals of
 float data come from a vectorised TwoSum tree whose result is accepted only
 under a proven error bound (Ogita-Rump-Oishi, SIAM J. Sci. Comput. 26,
-2005), with a math.fsum fallback per chunk; bool and integer data of at most
+2005), with an exact_sum fallback per chunk; bool and integer data of at most
 32 bits is summed as it is, each chunk total an exact int64 row sum, with no
 float64 copy of the segment.  The offsets are one exact integer sum of the
 totals, rounded once per offset, so a prefix-sum pass costs O(N) array work
@@ -17,7 +20,11 @@ The Dirichlet-sum engine evaluates sum a_n n^(-s) at many s from per-block
 Taylor moments (the Taylor-block idea of Odlyzko-Schonhage, Trans. AMS 309,
 1988) in two steps: block_moments reads the coefficients once, and
 moment_sums evaluates the moments at real s or on a sigma x t tensor grid of
-complex s = sigma + it, each further s costing O(blocks), not O(N).  Every
+complex s = sigma + it, each further s costing O(blocks), not O(N).  On a
+complex grid the head's phases e^(-it log n), n <= 4096, come from a cached
+read-only table per t grid (_phase_table); the last two grids are kept,
+which for a local norm over a unit window (32 and 16 t nodes) is 4096 x 48
+complex entries, 3 MB, so every member of a family shares its two tables.  Every
 value carries a proven Taylor remainder.  The block width follows from the
 largest |s| the moments must serve (see _block_width), so the remainder stays
 near 1e-15 of sum |a_n| n^(-sigma) as the t-window widens.
@@ -34,6 +41,7 @@ block_moments are that scan over the views of one array.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import NamedTuple, Optional
@@ -57,9 +65,98 @@ _WIDTH = 1.0 / 32.0
 _MOMENTS = 10
 
 
-def fsum_complex(values) -> complex:
-    vals = list(values)
-    return complex(math.fsum(v.real for v in vals), math.fsum(v.imag for v in vals))
+# exact_sum reads _PIECE entries at a time, and cuts each significand into a
+# low part of _LOW bits and a high part of the other 27: per exponent, a
+# piece's parts then sum to less than 2^14 * 2^27 = 2^41, exact in float64.
+_PIECE = 1 << 14
+_LOW = 26
+
+
+class _ExactSum:
+    """The exact sum of float64 values, added a piece at a time.
+
+    A finite value x is m * 2^(e - 1075), with e = max(1, its exponent field)
+    and m a signed integer below 2^53 in magnitude, which splits as
+    m = hi * 2^26 + lo with |hi| <= 2^27 and 0 <= lo < 2^26.  np.bincount(e,
+    weights=part) sums each part of a piece per exponent, exactly, and the
+    per-exponent sums fold into one Python integer in units of 2^-1074,
+    which int / int rounds once, correctly (the superaccumulator of Neal,
+    arXiv:1505.05571).
+
+    The nan and inf values are kept aside in order.  math.fsum drops its
+    finite partials at each of them, so the finite values are summed in runs
+    between them, and a run whose exact sum lies past the float64 range
+    raises OverflowError there, as fsum's partials do.
+    """
+
+    def __init__(self):
+        self.exact = 0  # the open run's sum, times 2^1074
+        self.special: list = []  # the nan and inf values
+
+    def add(self, x: np.ndarray):
+        for lo in range(0, x.size, _PIECE):
+            self._piece(x[lo : lo + _PIECE])
+
+    def _piece(self, x: np.ndarray):
+        if not x.size:
+            return
+        bits = x.view(np.int64)
+        e = bits >> 52
+        e &= 0x7FF
+        if e.max() == 0x7FF:  # a nan or inf: close the run before each
+            cut = 0
+            for i in np.flatnonzero(e == 0x7FF).tolist():
+                self._piece(x[cut:i])
+                self.rounded()
+                self.exact = 0
+                self.special.append(float(x[i]))
+                cut = i + 1
+            self._piece(x[cut:])
+            return
+        # three int64 temporaries of the piece's size: e, m and one buffer
+        buf = np.minimum(e, 1)  # 1 for normal values: their implicit bit
+        np.maximum(e, 1, out=e)  # a subnormal scales as exponent field 1
+        m = bits & ((1 << 52) - 1)
+        m |= np.left_shift(buf, 52, out=buf)
+        sign = np.right_shift(bits, 63, out=buf)  # -1 for a negative value, else 0
+        m ^= sign
+        m -= sign  # two's complement: -m where the value is negative
+        hi = np.right_shift(m, _LOW, out=buf)  # floor division: lo = m - hi * 2^26 >= 0
+        m &= (1 << _LOW) - 1
+        hi = np.bincount(e, weights=hi)  # per exponent: integers below 2^41
+        lo = np.bincount(e, weights=m)
+        used = np.flatnonzero((hi != 0.0) | (lo != 0.0))
+        for k, h, l in zip(used.tolist(), hi[used].tolist(), lo[used].tolist()):
+            self.exact += ((int(h) << _LOW) + int(l)) << (k - 1)
+
+    def rounded(self) -> float:
+        """The open run's sum, rounded once: OverflowError past the float64 range."""
+        return self.exact / 2**1074
+
+    def value(self) -> float:
+        total = self.rounded()  # +0.0 for an exact zero, as fsum gives
+        if self.special:
+            return math.fsum(self.special)  # nan, +-inf, or ValueError for inf - inf
+        return total
+
+
+def exact_sum(chunks) -> float:
+    """math.fsum of the values of an iterable of float64 arrays, bit for bit.
+
+    The sum is exact, kept per exponent by np.bincount (see _ExactSum), and
+    rounded once, so it costs a few array passes per value, not a Python
+    float each; the arrays are read _PIECE entries at a time, so the
+    temporaries stay bounded.  Non-finite values go to math.fsum itself, so
+    nan, +-inf and the ValueError of -inf + inf are fsum's, and a finite sum
+    past the float64 range raises OverflowError.  One edge differs: where
+    fsum's partials overflow on the way, but the exact sum rounds to
+    +-DBL_MAX, fsum raises OverflowError and this returns +-DBL_MAX
+    (compensated_cumsum has the same edge).
+    """
+    acc = _ExactSum()
+    for x in chunks:
+        acc.add(np.asarray(x, dtype=np.float64).reshape(-1))
+    return acc.value()
 
 
 def compensated_sum(a) -> float:
@@ -190,7 +287,7 @@ class _PrefixPass:
         if self.special:
             offset = math.fsum(self.special)
         if total is None:
-            total = math.fsum(chunk.tolist())
+            total = exact_sum((chunk,))
         if math.isfinite(total):
             n, d = total.as_integer_ratio()  # d = 2^k, k <= 1074
             self.exact += n << (1075 - d.bit_length())
@@ -439,15 +536,15 @@ def compensated_cumsum(a: np.ndarray) -> np.ndarray:
 
     Each 4096-term chunk is cumsummed in float64, and the offset added to it
     is the exactly rounded sum of the exactly rounded totals of all previous
-    chunks.  The totals come from _certified_totals, and from
-    math.fsum(chunk) wherever its certificate fails; the offsets from one
-    exact integer sum of them, rounded once per offset, O(number of chunks)
-    in all.  This is scan()'s chunk pass over a, writing every prefix.
-    Results are bit for bit those of cumsumming chunk by chunk and calling
-    math.fsum on each chunk and on the list of earlier totals, non-finite
-    input included, but for one edge: where fsum's partials overflow though
-    the exact sum of the earlier totals rounds to +-DBL_MAX, the offset is
-    that value, not fsum's OverflowError.
+    chunks.  The totals come from _certified_totals, and from exact_sum
+    wherever its certificate fails; the offsets from one exact integer sum
+    of them, rounded once per offset, O(number of chunks) in all.  This is
+    scan()'s chunk pass over a, writing every prefix.  Results are bit for
+    bit those of cumsumming chunk by chunk and calling math.fsum on each
+    chunk and on the list of earlier totals, non-finite input included, but
+    for one edge: where fsum's partials overflow though the exact sum of a
+    chunk or of the earlier totals rounds to +-DBL_MAX, the total or the
+    offset is that value, not fsum's OverflowError.
     """
     a = np.asarray(a, dtype=np.float64)
     out = np.empty_like(a)
@@ -471,6 +568,25 @@ def block_moments(a, s_max: float) -> BlockMoments:
     return scan(_views(a), a.size, s_max=s_max).moments
 
 
+@functools.lru_cache(maxsize=2)
+def _phase_table(t_bytes: bytes) -> np.ndarray:
+    """e^(-it log n) for n = 1.._HEAD (rows) and the t grid whose float64
+    bytes are t_bytes (columns); read-only.
+
+    moment_sums' complex branch takes its head rows from here, so a job that
+    evaluates many polynomials on one t grid builds the table once.  Two
+    grids are kept, the main grid and the half-node check grid of a local
+    norm: 4096 x (T + T/2) complex entries, 1.5 times the one table a call
+    would build (3 MB at 32 t nodes).
+    """
+    t = np.frombuffer(t_bytes, dtype=np.float64)
+    n = np.arange(1, _HEAD + 1, dtype=np.float64)
+    table = np.outer(-np.log(n), t) * 1j
+    np.exp(table, out=table)
+    table.flags.writeable = False
+    return table
+
+
 def moment_sums(bm: BlockMoments, sigmas, ts=None) -> tuple:
     """sum a_n n^(-s) from block moments, with the Lagrange bound of each value.
 
@@ -479,7 +595,8 @@ def moment_sums(bm: BlockMoments, sigmas, ts=None) -> tuple:
     over the block terms c_k^(-s) sum_m binom(-s, m) M_m.
     ts given: s = sigma + it on the sigma x t tensor grid; returns complex
     values and float remainders of shape (len(sigmas), len(ts)).  The head
-    is (a_n n^(-sigma)) @ e^(-it log n) over the nonzero a_n, the block terms
+    is (a_n n^(-sigma)) @ e^(-it log n) over the nonzero a_n, the phases the
+    rows of _phase_table's cached table for this t grid, the block terms
     come from sum_m binom(-s, m) sum_k c_k^(-sigma) e^(-it log c_k) M_km,
     and the reductions run in a fixed order, so values are bit-reproducible.
     The remainder bounds the dropped Taylor terms for real and complex s alike,
@@ -499,17 +616,20 @@ def moment_sums(bm: BlockMoments, sigmas, ts=None) -> tuple:
         t = np.asarray(ts, dtype=np.float64).ravel()
         s = sig[:, None] + 1j * t[None, :]
         nz = np.flatnonzero(bm.head)
-        # Negation is exact, so outer(sig, -log n) holds the bits of
-        # -outer(sig, log n), and each exp runs in place on its exponents.
-        # amp's imaginary part stays 0, so amp *= a_n is the complex product
-        # that a_n * n^(-sigma) forms.
-        neg_logn = -np.log(nz + 1.0)
-        amp = np.zeros((sig.size, nz.size), dtype=np.complex128)
-        np.exp(np.outer(sig, neg_logn, out=amp.real), out=amp.real)
-        amp *= bm.head[nz]
-        phase = np.outer(neg_logn, t) * 1j
-        head = amp @ np.exp(phase, out=phase)
-        del amp, phase
+        if nz.size:
+            table = _phase_table(t.tobytes())  # built, if at all, before amp
+            # Negation is exact, so outer(sig, -log n) holds the bits of
+            # -outer(sig, log n), and the exp runs in place on its exponents.
+            # amp's imaginary part stays 0, so amp *= a_n is the complex
+            # product that a_n * n^(-sigma) forms.
+            amp = np.zeros((sig.size, nz.size), dtype=np.complex128)
+            np.exp(np.outer(sig, -np.log(nz + 1.0), out=amp.real), out=amp.real)
+            amp *= bm.head[nz]
+            contiguous = nz[-1] - nz[0] == nz.size - 1
+            head = amp @ (table[nz[0] : nz[-1] + 1] if contiguous else table[nz])
+            del amp
+        else:  # a block past the head: no direct terms
+            head = np.zeros(s.shape, dtype=np.complex128)
     binom = np.empty(s.shape + (_MOMENTS + 1,), dtype=s.dtype)  # binom(-s, m)
     binom[..., 0] = 1.0
     for m in range(_MOMENTS):

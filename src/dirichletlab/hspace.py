@@ -13,7 +13,7 @@ import math
 import numpy as np
 from dataclasses import dataclass
 
-from .accum import fsum_complex
+from .accum import exact_sum
 from .errors import MembershipError, RangeError
 
 
@@ -58,13 +58,18 @@ def derivative(F: DirichletPolynomial) -> DirichletPolynomial:
     return DirichletPolynomial(limit=F.limit, coeffs=arr)
 
 
+def _sum_complex(terms: np.ndarray) -> complex:
+    """math.fsum of the real parts and of the imaginary parts, bit for bit."""
+    return complex(exact_sum((terms.real,)), exact_sum((terms.imag,)))
+
+
 def evaluate(F: DirichletPolynomial, s: complex) -> complex:
     """Compensated evaluation of F(s) = sum a_n exp(-s log n)."""
     idx = F.support()
     if idx.size == 0:
         return 0.0 + 0.0j
     terms = F.coeffs[idx] * np.exp(-complex(s) * np.log(idx.astype(np.float64)))
-    return fsum_complex(terms)
+    return _sum_complex(terms)
 
 
 # hw_norm walks the support this many coefficients at a time
@@ -95,24 +100,26 @@ def _check_membership(F: DirichletPolynomial, w) -> np.ndarray:
     return idx
 
 
-def _norm_terms(F: DirichletPolynomial, w):
-    """|a_n|^2 / w_n over the support, in order, _CHUNK coefficients at a time."""
+def _norm_chunks(F: DirichletPolynomial, w):
+    """|a_n|^2 / w_n over the support, in order, as one array per _CHUNK
+    coefficients, each chunk's membership checked before it is formed."""
     for lo in range(0, F.limit + 1, _CHUNK):
         idx = np.flatnonzero(F.coeffs[lo : lo + _CHUNK]) + lo
         w_idx = w.w[idx]
         _refuse_excluded(idx, w_idx)
         a = F.coeffs[idx]
-        yield from ((a.real**2 + a.imag**2) / w_idx).tolist()
+        yield (a.real**2 + a.imag**2) / w_idx
 
 
 def hw_norm(F: DirichletPolynomial, w) -> float:
     """sqrt(sum |a_n|^2 / w_n) over the support of F.
 
-    The support is walked in chunks of _CHUNK coefficients, all fed to one
-    math.fsum; fsum is exactly rounded, so the chunking leaves the bits alone.
+    The support is walked in chunks of _CHUNK coefficients, so the
+    temporaries stay bounded, and the terms of every chunk go into one
+    accum.exact_sum, which has math.fsum's bits over the whole support.
     """
     _check_limit(F, w)
-    return math.sqrt(math.fsum(_norm_terms(F, w)))
+    return math.sqrt(exact_sum(_norm_chunks(F, w)))
 
 
 def hw_inner(F: DirichletPolynomial, G: DirichletPolynomial, w) -> complex:
@@ -125,7 +132,7 @@ def hw_inner(F: DirichletPolynomial, G: DirichletPolynomial, w) -> complex:
     if idx.size == 0:
         return 0.0 + 0.0j
     terms = F.coeffs[idx] * np.conj(G.coeffs[idx]) / w.w[idx]
-    return fsum_complex(terms)
+    return _sum_complex(terms)
 
 
 def hw_kernel(w, xi: complex) -> DirichletPolynomial:

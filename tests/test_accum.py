@@ -7,16 +7,23 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dirichletlab import accum, weights as W
+from dirichletlab import accum, hspace, weights as W
 from dirichletlab.accum import (
     _HEAD,
     block_moments,
     compensated_cumsum,
     compensated_sum,
-    fsum_complex,
+    exact_sum,
     moment_sums,
 )
 from dirichletlab.errors import RangeError
+
+
+def fsum_complex(values) -> complex:
+    """The oracle for complex sums: math.fsum of the real parts and of the
+    imaginary parts, one Python float at a time."""
+    vals = list(values)
+    return complex(math.fsum(v.real for v in vals), math.fsum(v.imag for v in vals))
 
 
 def test_compensated_sum_small_terms_after_large():
@@ -36,6 +43,76 @@ def test_fsum_complex_splits_parts():
     out = fsum_complex(zs)
     assert out.real == math.fsum(z.real for z in zs)
     assert out.imag == math.fsum(z.imag for z in zs)
+    # hspace.evaluate and hw_inner sum their complex terms through exact_sum
+    assert hspace._sum_complex(np.array(zs)) == out
+
+
+def _sum_outcome(f):
+    """f()'s float64 bytes, "nan", or the type of the exception it raises."""
+    try:
+        r = f()
+    except (ValueError, OverflowError) as e:  # what math.fsum raises
+        return type(e)
+    return "nan" if math.isnan(r) else np.float64(r).tobytes()
+
+
+# full 53-bit significands from the subnormals (2^-1074) up to 2^1000
+SIGNIFICANDS = st.integers(0, 2**53 - 1)
+FINITE = st.one_of(
+    st.builds(lambda m, k, neg: (-1.0) ** neg * math.ldexp(m, k),
+              SIGNIFICANDS, st.integers(-1074, 1000 - 53), st.booleans()),
+    st.floats(-(2.0**1000), 2.0**1000, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def sum_inputs(draw):
+    """Values of mixed size and sign, often a list and most of its negatives
+    (heavy cancellation), maybe with nan and inf among them, in any order."""
+    xs = draw(st.lists(FINITE, max_size=60))
+    if draw(st.booleans()):
+        xs += [-x for x in xs[: draw(st.integers(0, len(xs)))]] + draw(st.lists(FINITE, max_size=3))
+    xs += draw(st.lists(st.sampled_from([math.nan, math.inf, -math.inf]), max_size=3))
+    return draw(st.permutations(xs))
+
+
+@settings(max_examples=400, deadline=None)
+@given(xs=sum_inputs(), data=st.data())
+@example(xs=[], data=None)
+@example(xs=[-0.0] * 5, data=None)  # fsum gives +0.0 (Python 3.10 to 3.13)
+@example(xs=[-0.0, 0.0], data=None)
+@example(xs=[math.inf, 1.0, -math.inf], data=None)
+@example(xs=[math.nan, math.inf], data=None)
+@example(xs=[-math.inf, 2.0**-1074], data=None)
+@example(xs=[np.finfo(np.float64).max] * 2, data=None)
+@example(xs=[np.finfo(np.float64).max, math.nan, np.finfo(np.float64).max] * 2, data=None)
+@example(xs=[2.0**-1074, -(2.0**-1075), 2.0**-1074], data=None)
+@example(xs=[1.0, 2.0**-53, 2.0**-105], data=None)  # one past the half-way point
+def test_exact_sum_is_fsum_bit_for_bit(xs, data):
+    a = np.array(xs, dtype=np.float64)
+    cuts = [] if data is None else data.draw(st.lists(st.integers(0, a.size), max_size=4))
+    chunks = np.split(a, sorted(cuts))  # empty chunks included
+    assert _sum_outcome(lambda: exact_sum(chunks)) == _sum_outcome(lambda: math.fsum(xs))
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 4095, accum._PIECE + 3]))
+def test_exact_sum_is_fsum_bit_for_bit_on_long_arrays(seed, n):
+    # full significands over +-60 binades, many per exponent and piece
+    rng = np.random.default_rng(seed)
+    a = np.ldexp(rng.integers(-(2**53) + 1, 2**53, n).astype(np.float64), rng.integers(-113, -53, n))
+    assert exact_sum((a[: n // 3], a[n // 3 :])) == math.fsum(a.tolist())
+
+
+def test_exact_sum_rounds_where_fsum_partials_overflow():
+    # the one edge where exact_sum is not fsum: fsum's partials meet
+    # M + 2^970, a tie that rounds past the float64 range, while the exact
+    # sum of [M, -2^-1074, 2^970] rounds to M
+    M = np.finfo(np.float64).max
+    xs = [M, -(2.0**-1074), 2.0**970]
+    with pytest.raises(OverflowError):
+        math.fsum(xs)
+    assert exact_sum((np.array(xs),)) == M
 
 
 def test_cumsum_endpoint_and_monotone():
@@ -334,6 +411,66 @@ def test_complex_grid_at_t_zero_agrees_with_the_real_path():
     grid, grid_rems = moment_sums(bm, sigmas, [0.0])
     assert np.all(np.abs(grid[:, 0] - real) <= 2e-15 * real)  # measured <= 3.6e-16
     assert grid_rems[:, 0] == pytest.approx(real_rems, rel=1e-15)
+
+
+def complex_moment_sums_reference(bm, sigmas, ts):
+    """moment_sums' complex values as every call built them before the phase
+    table was cached: e^(-it log n) formed afresh for the nonzero head."""
+    sig = np.asarray(sigmas, dtype=np.float64).ravel()
+    t = np.asarray(ts, dtype=np.float64).ravel()
+    logc = np.log(bm.centre)
+    real_scale = np.exp(-np.outer(sig, logc))
+    s = sig[:, None] + 1j * t[None, :]
+    nz = np.flatnonzero(bm.head)
+    neg_logn = -np.log(nz + 1.0)
+    amp = np.zeros((sig.size, nz.size), dtype=np.complex128)
+    np.exp(np.outer(sig, neg_logn, out=amp.real), out=amp.real)
+    amp *= bm.head[nz]
+    phase = np.outer(neg_logn, t) * 1j
+    head = amp @ np.exp(phase, out=phase)
+    binom = np.empty(s.shape + (accum._MOMENTS + 1,), dtype=s.dtype)
+    binom[..., 0] = 1.0
+    for m in range(accum._MOMENTS):
+        binom[..., m + 1] = binom[..., m] * (-s - m) / (m + 1)
+    q = (real_scale[:, None, :] * bm.mom.T) @ np.exp(-1j * np.outer(logc, t))
+    return head + np.einsum("ijm,imj->ij", binom[..., : accum._MOMENTS], q)
+
+
+def _head_cases(N, rng):
+    a = rng.standard_normal(N + 1) + 1j * rng.standard_normal(N + 1)
+    a[0] = 0.0
+    past_one = a.copy()
+    past_one[:2] = 0.0  # a derivative's head: n >= 2, a slice of the table
+    gaps = a.copy()
+    gaps[rng.integers(1, _HEAD + 1, 500)] = 0.0  # rows picked from the table
+    gaps[_HEAD] = 0.0
+    empty = a.copy()
+    empty[: _HEAD + 1] = 0.0  # blocks only: no rows
+    return {"full": a, "past_one": past_one, "gaps": gaps, "empty": empty}
+
+
+def test_cached_phase_table_is_bit_identical():
+    rng = np.random.default_rng(5)
+    heads = _head_cases(2 * _HEAD + 7, rng)
+    bms = {k: block_moments(a, abs(complex(1.0, 9.0))) for k, a in heads.items()}
+    grids = [(0.5 + 2.0 ** -np.arange(1, 6), np.linspace(-1.0, 1.0, 32)),
+             ([0.75, 1.0], np.linspace(2.0, 9.0, 16))]
+    accum._phase_table.cache_clear()
+    for _ in range(2):  # the two t grids interleaved, each used again from the cache
+        for sigmas, ts in grids:
+            for name, bm in bms.items():
+                values, _ = moment_sums(bm, sigmas, ts)
+                ref = complex_moment_sums_reference(bm, sigmas, ts)
+                assert values.tobytes() == ref.tobytes(), name
+                assert accum._phase_table.cache_info().currsize <= 2
+    info = accum._phase_table.cache_info()
+    assert info.maxsize == 2 and info.misses == 2
+    table = accum._phase_table(np.asarray(grids[0][1], dtype=np.float64).tobytes())
+    assert table.shape == (_HEAD, 32) and not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 0.0
+    accum._phase_table(np.zeros(3).tobytes())  # a third grid evicts one
+    assert accum._phase_table.cache_info().currsize == 2
 
 
 def block_moments_reference(a, s_max):

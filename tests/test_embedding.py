@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import integrate, special
 
-from dirichletlab import embedding, weights as W
+from dirichletlab import accum, embedding, weights as W
 from dirichletlab.embedding import (
     LocalWindow,
     block_family,
@@ -384,6 +384,17 @@ def test_embedding_constant_holds_one_member_at_a_time(alpha):
     fam = _OneAliveFamily(4, 300)
     est = embedding_constant(w, alpha, WIN, fam)
     assert fam.built == 4 and est.family_size == 4 and len(est.ratios) == 4
+
+
+@pytest.mark.parametrize("name, alpha, size", [("constant", 0.0, 8), ("divisor", 0.5, 6)])
+def test_embedding_constant_builds_one_phase_table_per_t_grid(name, alpha, size):
+    # every member's local norm reads the main t grid and the half-node
+    # check grid; their two head-phase tables serve the whole family
+    w = W.catalog(name, 2000)
+    accum._phase_table.cache_clear()
+    embedding_constant(w, alpha, WIN, random_family(w, size, seed=4))
+    info = accum._phase_table.cache_info()
+    assert info.misses == 2 and info.hits == 2 * size - 2
 
 
 def test_spiked_weights_break_the_embedding():
