@@ -73,7 +73,8 @@ _LOW = 26
 
 
 class _ExactSum:
-    """The exact sum of float64 values, added a piece at a time.
+    """The exact sum of float64 values, added a piece at a time (add) or one
+    Python float at a time (add_float).
 
     A finite value x is m * 2^(e - 1075), with e = max(1, its exponent field)
     and m a signed integer below 2^53 in magnitude, which splits as
@@ -107,9 +108,7 @@ class _ExactSum:
             cut = 0
             for i in np.flatnonzero(e == 0x7FF).tolist():
                 self._piece(x[cut:i])
-                self.rounded()
-                self.exact = 0
-                self.special.append(float(x[i]))
+                self.add_float(float(x[i]))
                 cut = i + 1
             self._piece(x[cut:])
             return
@@ -128,6 +127,16 @@ class _ExactSum:
         used = np.flatnonzero((hi != 0.0) | (lo != 0.0))
         for k, h, l in zip(used.tolist(), hi[used].tolist(), lo[used].tolist()):
             self.exact += ((int(h) << _LOW) + int(l)) << (k - 1)
+
+    def add_float(self, x: float):
+        """Add one Python float: exactly if finite, else close the run there."""
+        if math.isfinite(x):
+            n, d = x.as_integer_ratio()  # d = 2^k, k <= 1074
+            self.exact += n << (1075 - d.bit_length())
+        else:
+            self.rounded()  # OverflowError if the closed run is past the float64 range
+            self.exact = 0
+            self.special.append(x)
 
     def rounded(self) -> float:
         """The open run's sum, rounded once: OverflowError past the float64 range."""
@@ -160,7 +169,7 @@ def exact_sum(chunks) -> float:
 
 
 def compensated_sum(a) -> float:
-    """Sum of a float array: exactly rounded chunk totals, fsum-combined.
+    """Sum of a float array: math.fsum of the np.sum totals of its 4096-value chunks.
 
     Matches fsum to ~1e-14 relative on positive 1e7-term arrays while staying
     vectorized (fsum alone walks the array in Python).
@@ -230,18 +239,17 @@ class _PrefixPass:
     Chunk k holds the entries 4096k..4096k+4095 of the whole sequence, and
     every segment starts on a chunk edge (scan checks the cut), so a segment
     is whole chunks and, the last one only, a short tail.  The finite
-    totals are added up exactly, as one Python integer in units of 2^-1074,
-    and each chunk's offset is that sum rounded once by int / int, which is
-    correctly rounded: math.fsum of the earlier totals.  So every prefix
-    written to out and S(x) at the checkpoints are the bits that
-    compensated_cumsum gives on the whole array, read as float64.  A bool or
+    totals are added up exactly in an _ExactSum, and each chunk's offset is
+    that sum rounded once by int / int, which is correctly rounded:
+    math.fsum of the earlier totals.  So every prefix written to out and
+    S(x) at the checkpoints are the bits that compensated_cumsum gives on
+    the whole array, read as float64.  A bool or
     integer segment is read as it is: its chunk totals are exact int64 row
     sums, not _certified_totals, and its cumsums are exact in any dtype.
     """
 
     def __init__(self, size: int, checkpoints, out):
-        self.exact = 0  # the finite totals since the last nan or inf one, times 2^1074
-        self.special: list = []  # the nan and inf totals
+        self.totals = _ExactSum()  # the chunk totals so far
         xs = np.asarray(checkpoints, dtype=np.int64).ravel()
         if xs.size and not (0 <= xs.min() and xs.max() < size):
             raise RangeError(f"checkpoints must lie in [0, {size - 1}]")
@@ -279,21 +287,12 @@ class _PrefixPass:
 
     def _close(self, chunk, total) -> float:
         # compensated_cumsum's loop body: the chunk's offset, then its total.
-        # The division raises OverflowError past the float64 range, as fsum
-        # does, also on the finite totals after a nan or inf one: fsum drops
-        # its finite sum at such a total, and its value is then the sum of
-        # the nan and inf totals (ValueError for inf - inf)
-        offset = self.exact / 2**1074
-        if self.special:
-            offset = math.fsum(self.special)
-        if total is None:
-            total = exact_sum((chunk,))
-        if math.isfinite(total):
-            n, d = total.as_integer_ratio()  # d = 2^k, k <= 1074
-            self.exact += n << (1075 - d.bit_length())
-        else:
-            self.special.append(total)
-            self.exact = 0
+        # The offset is fsum's value of the earlier totals (see _ExactSum):
+        # OverflowError past the float64 range, also on the finite totals
+        # after a nan or inf one, and the sum of the nan and inf totals
+        # once there is one (ValueError for inf - inf)
+        offset = self.totals.value()
+        self.totals.add_float(exact_sum((chunk,)) if total is None else total)
         return offset
 
     def _read(self, seg, lo: int, offsets):

@@ -248,6 +248,8 @@ def cmd_embed(args):
                          f"{ALPHA_HIGH:g}, got {alpha}")
     if kind == "random" and args.size < 1:
         raise UsageError(f"a random family needs --size >= 1, got {args.size}")
+    if kind == "random" and args.seed < 0:
+        raise UsageError(f"a random family needs --seed >= 0, got {args.seed}")
     try:
         win = LocalWindow(args.a, args.b, args.sigma_cap)
     except DirichletLabError as e:

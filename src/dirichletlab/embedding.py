@@ -2,9 +2,11 @@
 
 Two families of quantities face each other here:
 
-* local norms of Dirichlet polynomials — the sup-L2 quantity for the
-  Hardy-type case and weighted area/derivative integrals for the rest of
-  the scale (parameter alpha < 2, Bergman at -1, Dirichlet at +1);
+* local norms of Dirichlet polynomials, one routine (local_norm) for the
+  whole scale (parameter alpha < 2): the sup-L2 quantity at alpha = 0, the
+  Hardy-type case, and weighted area/derivative integrals for the rest
+  (Bergman at -1, Dirichlet at +1), all built on integral_I |G(sigma+it)|^2 dt
+  per sigma, G = F or F';
 * the dual side: sums |g_hat(log n)|^2 (log n)^alpha w_n / n over a smooth
   test bump g, whose uniform boundedness over bumps encodes the embedding.
 
@@ -124,21 +126,14 @@ def _sigma_rule(alpha: float, cap: float, nodes: int):
     return sig, ws
 
 
-def _moments(F: DirichletPolynomial, win: LocalWindow) -> BlockMoments:
-    """F's block moments, sized for every s = sigma + it of the window."""
-    return block_moments(F.coeffs, abs(complex(win.sigma_cap, max(abs(win.a), abs(win.b)))))
-
-
-def _abs2_grid(bm: BlockMoments, sigmas, ts) -> tuple:
-    """|F(sigma + it)|^2 on the tensor grid, and a bound on its expansion error."""
+def _t_integrals(bm: BlockMoments, win: LocalWindow, sigmas, nodes_per_unit: int) -> tuple:
+    """integral_I |G(sigma + it)|^2 dt at each sigma, G the polynomial of the
+    moments bm, with nodes_per_unit Gauss-Legendre t nodes per unit; and a
+    bound on each integral's expansion error."""
+    ts, wt = _t_rule(win.a, win.b, nodes_per_unit)
     vals, rem = moment_sums(bm, sigmas, ts)
     with np.errstate(over="ignore"):  # an inf here is refused by embedding_constant
-        return vals.real**2 + vals.imag**2, rem * (2.0 * np.abs(vals) + rem)
-
-
-def _sup_l2_values(bm, win, sigma_grid, nodes_per_unit):
-    ts, wt = _t_rule(win.a, win.b, nodes_per_unit)
-    m, err = _abs2_grid(bm, sigma_grid, ts)
+        m, err = vals.real**2 + vals.imag**2, rem * (2.0 * np.abs(vals) + rem)
     return m @ wt, err @ wt
 
 
@@ -152,37 +147,10 @@ def default_sigma_grid(cap: float) -> list:
     return sorted(grid)
 
 
-def local_sup_l2(F: DirichletPolynomial, win: LocalWindow) -> LocalNorm:
-    """max over the sigma grid of integral_I |F(sigma+it)|^2 dt.
-
-    The grid, default_sigma_grid(win.sigma_cap), realizes "sup over
-    sigma > 1/2" from below: it walks sigma - 1/2 down the powers of two to
-    2^-20 and ends at the cap.
-    """
-    sigma_grid = default_sigma_grid(win.sigma_cap)
-    bm = _moments(F, win)
-    vals, errs = _sup_l2_values(bm, win, sigma_grid, _T_NODES_PER_UNIT)
-    i = int(np.argmax(vals))
-    check, _ = _sup_l2_values(bm, win, [sigma_grid[i]], _T_NODES_PER_UNIT // 2)
-    return LocalNorm(
-        value=float(vals[i]),
-        # in Python floats, so an inf value's inf - inf raises no numpy warning
-        quad_error=abs(float(vals[i]) - float(check[0])) + float(errs[i]),
-        sigma_at_max=float(sigma_grid[i]),
-    )
-
-
-def _dalpha_value(bm, alpha, win, t_nodes, s_nodes):
-    sig, ws = _sigma_rule(alpha, win.sigma_cap, s_nodes)
-    ts, wt = _t_rule(win.a, win.b, t_nodes)
-    m, err = _abs2_grid(bm, sig, ts)
-    return float(ws @ (m @ wt)), float(ws @ (err @ wt))
-
-
 def check_sigma_rules(alpha: float, win: LocalWindow) -> None:
     """Raise DomainError unless every weight of the two sigma rules that
-    dalpha_local_norm(F, alpha, win) uses, of _SIGMA_NODES and half as many
-    nodes, is a normal float64.
+    local_norm(F, alpha, win) uses at alpha != 0, of _SIGMA_NODES and half as
+    many nodes, is a normal float64.
 
     Each weight carries the factor (V/2)^(-alpha), V = sigma_cap - 1/2: far
     down the alpha scale it underflows (at sigma_cap = 1 from alpha ~ -512 on),
@@ -197,20 +165,22 @@ def check_sigma_rules(alpha: float, win: LocalWindow) -> None:
                               f"{win.sigma_cap} is {bad[0]:g}, not a normal float64")
 
 
-def dalpha_local_norm(
-    F: DirichletPolynomial,
-    alpha: float,
-    win: LocalWindow,
-) -> LocalNorm:
-    """Squared local norm on the alpha scale over Omega_I.
+def local_norm(F: DirichletPolynomial, alpha: float, win: LocalWindow) -> LocalNorm:
+    """Squared local norm of F on the alpha scale over Omega_I.
 
+    alpha = 0:     max over sigma of integral_I |F(sigma+it)|^2 dt
     alpha < 0:     integral |F|^2 (sigma-1/2)^(-alpha-1) dm
     0 < alpha < 2: integral |F'|^2 (sigma-1/2)^(1-alpha) dm
-    alpha = 0 is the sup-L2 quantity, a different animal: see local_sup_l2.
 
-    On a monomial n^-s the derivative form is |I| (log n)^2 / n times
-    gamma(2-alpha, (2 sigma_cap - 1) log n) / (2 log n)^(2-alpha), which is
-    finite and ~ Gamma(2-alpha) 2^(alpha-2) (log n)^alpha / n for every
+    At alpha = 0 the sigmas are default_sigma_grid(win.sigma_cap), which
+    realizes "sup over sigma > 1/2" from below: it walks sigma - 1/2 down the
+    powers of two to 2^-20 and ends at the cap.  The quadrature error is the
+    gap to the rule with half as many t nodes at the maximizing sigma, plus
+    the expansion bound.
+
+    Off alpha = 0, on a monomial n^-s the derivative form is |I| (log n)^2 / n
+    times gamma(2-alpha, (2 sigma_cap - 1) log n) / (2 log n)^(2-alpha), which
+    is finite and ~ Gamma(2-alpha) 2^(alpha-2) (log n)^alpha / n for every
     alpha < 2; at alpha >= 2 the sigma integral diverges at the boundary.
     The rule is _T_NODES_PER_UNIT Gauss-Legendre nodes per unit of t times
     _SIGMA_NODES Gauss-Jacobi nodes in sigma; the quadrature error is the
@@ -222,12 +192,31 @@ def dalpha_local_norm(
     if not ALPHA_LOW < alpha < ALPHA_HIGH:  # also rejects nan
         raise DomainError(f"alpha = {alpha} is outside the supported scale "
                           f"{ALPHA_LOW:g} < alpha < {ALPHA_HIGH:g}")
+    if alpha != 0.0:
+        check_sigma_rules(alpha, win)
+    # the moments of G = F, or F' (let go once they are built), sized for
+    # every s = sigma + it of the window, serve both rules
+    G = derivative(F) if alpha > 0 else F
+    bm = block_moments(G.coeffs, abs(complex(win.sigma_cap, max(abs(win.a), abs(win.b)))))
+    del G
     if alpha == 0.0:
-        raise DomainError("alpha = 0 is the sup-L2 case; use local_sup_l2")
-    check_sigma_rules(alpha, win)
-    bm = _moments(F if alpha < 0 else derivative(F), win)
-    v, err = _dalpha_value(bm, alpha, win, _T_NODES_PER_UNIT, _SIGMA_NODES)
-    v_half, _ = _dalpha_value(bm, alpha, win, _T_NODES_PER_UNIT // 2, _SIGMA_NODES // 2)
+        sigma_grid = default_sigma_grid(win.sigma_cap)
+        vals, errs = _t_integrals(bm, win, sigma_grid, _T_NODES_PER_UNIT)
+        i = int(np.argmax(vals))
+        check, _ = _t_integrals(bm, win, [sigma_grid[i]], _T_NODES_PER_UNIT // 2)
+        return LocalNorm(
+            value=float(vals[i]),
+            # in Python floats, so an inf value's inf - inf raises no numpy warning
+            quad_error=abs(float(vals[i]) - float(check[0])) + float(errs[i]),
+            sigma_at_max=float(sigma_grid[i]),
+        )
+    sums = []
+    for t_nodes, s_nodes in ((_T_NODES_PER_UNIT, _SIGMA_NODES),
+                             (_T_NODES_PER_UNIT // 2, _SIGMA_NODES // 2)):
+        sig, ws = _sigma_rule(alpha, win.sigma_cap, s_nodes)
+        m, err = _t_integrals(bm, win, sig, t_nodes)
+        sums.append((float(ws @ m), float(ws @ err)))
+    (v, err), (v_half, _) = sums
     return LocalNorm(value=v, quad_error=abs(v - v_half) + err, sigma_at_max=None)
 
 
@@ -436,11 +425,11 @@ def embedding_constant(
 ) -> EmbeddingEstimate:
     """Empirical lower bound on the embedding constant: max of local/norm^2.
 
-    alpha = 0 uses the sup-L2 local quantity, otherwise the alpha-scale one.
-    family is any sized iterable of polynomials.  Members are processed in
-    order with a plain max reduction, so the result is deterministic for a
-    fixed family.  Each member and its local norm are let go before the next
-    member is asked for, so a family that builds its members on demand (as
+    Each member's local quantity is local_norm(F, alpha, win).  family is
+    any sized iterable of polynomials.  Members are processed in order with
+    a plain max reduction, so the result is deterministic for a fixed family.
+    Each member and its local norm are let go before the next member is
+    asked for, so a family that builds its members on demand (as
     random_family and block_family do) has one alive at a time.  A member
     whose local norm or norm^2 overflows float64 (weights like the spiked
     family's e^n) raises RangeError.
@@ -450,7 +439,7 @@ def embedding_constant(
     ratios = []
     qmax = 0.0
     for F in family:  # no enumerate: its reused result tuple would keep F alive
-        ln = local_sup_l2(F, win) if alpha == 0.0 else dalpha_local_norm(F, alpha, win)
+        ln = local_norm(F, alpha, win)
         with np.errstate(over="ignore"):  # an overflow is refused below
             denom = hw_norm(F, w) ** 2
         if not (math.isfinite(ln.value) and math.isfinite(denom)):

@@ -61,14 +61,6 @@ def _envelope_points(limit: int) -> np.ndarray:
     return np.unique(np.floor(np.logspace(math.log10(lo), math.log10(limit), 60)).astype(np.int64))
 
 
-def _envelope_constant(xs: np.ndarray, S: np.ndarray, alpha: float, sigma0: float) -> float:
-    """Upper envelope max of S(x) (log x)^alpha / x^sigma0 over the points xs
-    (_envelope_points: the top two decades) with their partial sums S."""
-    xf = xs.astype(np.float64)
-    vals = S * np.log(xf) ** alpha / xf**sigma0
-    return float(np.max(vals))
-
-
 def _abscissa_points(limit: int) -> np.ndarray:
     lo = max(10.0, limit / 10.0**1.5)
     return np.unique(np.floor(np.logspace(math.log10(lo), math.log10(limit), 12)))
@@ -114,8 +106,10 @@ def mellin_profile(w, sigma_grid: Sequence[float]) -> list:
     alpha = w.expected_alpha if w.expected_alpha is not None else 0.0
     sig.sort()
     xs = _envelope_points(w.limit)
-    moments, S = _weights.read(w, xs, _s_max(sig))
-    c_env = _envelope_constant(xs, S, alpha, sigma0)
+    moments = _weights.read(w, xs, _s_max(sig))[0]
+    # the upper envelope max of S(x) (log x)^alpha / x^sigma0 over the top two
+    # decades, from the sums the read has put in w's memo
+    c_env = float(np.max(_weights.chebyshev_ratios(w, xs, alpha)))
     L = math.log(w.limit)
     values, remainders = accum.moment_sums(moments, sig)
     out = []

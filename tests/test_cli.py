@@ -320,6 +320,8 @@ def test_embed_report_family_fields(kind, family, tmp_path):
     (("sums", "--name", "constant", "--N", "1e4", "--lo", "inf"), "--lo"),
     (("sums", "--name", "constant", "--N", "1e4", "--lo", "1e9"), "--lo"),
     (("sums", "--name", "constant", "--N", "1e4", "--lo", "nan"), "--lo"),
+    (("embed", "--name", "constant", "--alpha", "0", "--family", "random", "--seed=-1",
+      "--N-list", "100"), "--seed"),
 ])
 def test_embed_and_sums_input_is_a_usage_error(argv, named, tmp_path, capsys, monkeypatch):
     # the input is the user's: exit 2 before any weight is built or file written

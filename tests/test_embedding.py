@@ -13,11 +13,10 @@ from dirichletlab.embedding import (
     LocalWindow,
     block_family,
     block_test_function,
-    dalpha_local_norm,
     default_sigma_grid,
     duality_sum,
     embedding_constant,
-    local_sup_l2,
+    local_norm,
     make_bump,
     random_family,
 )
@@ -45,37 +44,37 @@ def test_window_validation():
 
 
 def test_sup_l2_constant_is_interval_length():
-    v = local_sup_l2(monomial(1), WIN)
+    v = local_norm(monomial(1), 0.0, WIN)
     assert v.value == pytest.approx(1.0, abs=1e-12)
-    wide = local_sup_l2(monomial(1), LocalWindow(-1.0, 2.5, 1.0))
+    wide = local_norm(monomial(1), 0.0, LocalWindow(-1.0, 2.5, 1.0))
     assert wide.value == pytest.approx(3.5, abs=1e-12)
 
 
 def test_sup_l2_two_power_attained_at_grid_minimum():
     # |2^-s|^2 = 4^-sigma; the grid realizes the sup at its smallest sigma
-    v = local_sup_l2(monomial(2), WIN)
+    v = local_norm(monomial(2), 0.0, WIN)
     s_min = min(default_sigma_grid(WIN.sigma_cap))
     assert v.sigma_at_max == pytest.approx(s_min)
     assert v.value == pytest.approx(WIN.width * 4.0 ** (-s_min), rel=1e-12)
 
 
 def test_dalpha_bergman_constant():
-    v = dalpha_local_norm(monomial(1), -1.0, WIN)
+    v = local_norm(monomial(1), -1.0, WIN)
     assert v.value == pytest.approx(WIN.width * (WIN.sigma_cap - 0.5), rel=1e-12)
     cap2 = LocalWindow(0.0, 2.0, 1.5)
-    v2 = dalpha_local_norm(monomial(1), -1.0, cap2)
+    v2 = local_norm(monomial(1), -1.0, cap2)
     assert v2.value == pytest.approx(2.0 * 1.0, rel=1e-12)
 
 
 def test_dalpha_dirichlet_kills_constants():
-    v = dalpha_local_norm(monomial(1), 1.0, WIN)
+    v = local_norm(monomial(1), 1.0, WIN)
     assert v.value == 0.0
 
 
 def test_dalpha_bergman_two_power_closed_form():
     # integral over (1/2, 1] of 4^-sigma dsigma, times |I|
     expect = WIN.width * (4.0 ** -0.5 - 4.0 ** -1.0) / math.log(4.0)
-    v = dalpha_local_norm(monomial(2), -1.0, WIN)
+    v = local_norm(monomial(2), -1.0, WIN)
     assert v.value == pytest.approx(expect, rel=1e-12)
 
 
@@ -89,26 +88,24 @@ def test_dalpha_derivative_monomial_incomplete_gamma(n, alpha):
     with mpmath.workdps(30):
         lower = mpmath.gammainc(2.0 - alpha, 0, (2.0 * WIN.sigma_cap - 1.0) * L)
         expect = float(WIN.width * L**2 / n * lower / (2.0 * L) ** (2.0 - alpha))
-    v = dalpha_local_norm(monomial(n), alpha, WIN)
+    v = local_norm(monomial(n), alpha, WIN)
     assert v.value == pytest.approx(expect, rel=1e-10)
 
 
 def test_alpha_above_one_unsupported():
     with pytest.raises(DomainError):
-        dalpha_local_norm(monomial(2), 2.0, WIN)  # the sigma integral diverges
+        local_norm(monomial(2), 2.0, WIN)  # the sigma integral diverges
     with pytest.raises(DomainError):
-        dalpha_local_norm(monomial(2), math.nan, WIN)
+        local_norm(monomial(2), math.nan, WIN)
     with pytest.raises(DomainError):
-        dalpha_local_norm(monomial(2), 0.0, WIN)  # sup-L2 lives elsewhere
-    with pytest.raises(DomainError):
-        dalpha_local_norm(monomial(2), -1100.0, WIN)  # 2^1100 overflows the sigma rule
+        local_norm(monomial(2), -1100.0, WIN)  # 2^1100 overflows the sigma rule
     for alpha in (-600.0, -900.0):  # (1/4)^(-alpha) underflows at sigma_cap = 1
         with pytest.raises(DomainError, match="sigma_cap = 1.0"):
-            dalpha_local_norm(monomial(2), alpha, WIN)
+            local_norm(monomial(2), alpha, WIN)
     # at sigma_cap = 2.5 the factor (V/2)^(-alpha) is 1: the rule's mass is 2^900
-    deep = dalpha_local_norm(monomial(2), -900.0, LocalWindow(0.0, 1.0, 2.5)).value
+    deep = local_norm(monomial(2), -900.0, LocalWindow(0.0, 1.0, 2.5)).value
     assert math.isfinite(deep) and deep > 0.0
-    assert dalpha_local_norm(monomial(2), -500.0, WIN).value > 0.0
+    assert local_norm(monomial(2), -500.0, WIN).value > 0.0
 
 
 def _random_poly(seed, n):
@@ -121,15 +118,15 @@ def test_local_norm_monotone_in_interval(alpha):
     F = _random_poly(31, 40)
     inner = LocalWindow(0.1, 0.9, 1.0)
     outer = LocalWindow(0.0, 1.4, 1.0)
-    vi = dalpha_local_norm(F, alpha, inner).value
-    vo = dalpha_local_norm(F, alpha, outer).value
+    vi = local_norm(F, alpha, inner).value
+    vo = local_norm(F, alpha, outer).value
     assert vi <= vo * (1.0 + 1e-12)
 
 
 def test_sup_l2_monotone_in_interval():
     F = _random_poly(32, 40)
-    vi = local_sup_l2(F, LocalWindow(0.2, 0.8, 1.0)).value
-    vo = local_sup_l2(F, LocalWindow(0.0, 1.0, 1.0)).value
+    vi = local_norm(F, 0.0, LocalWindow(0.2, 0.8, 1.0)).value
+    vo = local_norm(F, 0.0, LocalWindow(0.0, 1.0, 1.0)).value
     assert vi <= vo * (1.0 + 1e-12)
 
 
@@ -146,11 +143,11 @@ def test_quadrature_doubling_stability(monkeypatch):
     F = _random_poly(34, 100)
     assert (embedding._T_NODES_PER_UNIT, embedding._SIGMA_NODES) == (32, 64)
     for alpha in (-1.0, 0.5):
-        v1 = dalpha_local_norm(F, alpha, WIN).value
+        v1 = local_norm(F, alpha, WIN).value
         with monkeypatch.context() as m:
             m.setattr(embedding, "_T_NODES_PER_UNIT", 64)
             m.setattr(embedding, "_SIGMA_NODES", 128)
-            v2 = dalpha_local_norm(F, alpha, WIN).value
+            v2 = local_norm(F, alpha, WIN).value
         assert abs(v1 - v2) <= 1e-8 * max(1.0, abs(v1))
 
 
@@ -303,13 +300,13 @@ def test_block_family_keeps_the_block_ending_at_the_truncation(K):
 
 
 def test_block_scaling_chain_for_divisor():
-    # dalpha(g_k, -1) * e^k * 2k / S_k^2 hovers near 1/2 across k = 4..9
+    # local_norm(g_k, -1) * e^k * 2k / S_k^2 hovers near 1/2 across k = 4..9
     w = W.catalog("divisor", 30000)
     S = partial_sums(w)
     vals = []
     for k in range(4, 10):
         g = block_test_function(w, k)
-        q = dalpha_local_norm(g, -1.0, WIN).value
+        q = local_norm(g, -1.0, WIN).value
         sk = S[math.floor(math.exp(k + 1))] - S[math.floor(math.exp(k))]
         vals.append(q * math.exp(k) * 2.0 * k / sk**2)
     assert all(0.4 <= v <= 0.6 for v in vals)  # measured 0.476..0.519
@@ -443,9 +440,9 @@ def test_local_norms_match_the_direct_sum(kind, monkeypatch):
     fam = random_family(w, 3, 5) if kind == "random" else list(block_family(w))[-3:]
     for F in fam:
         for norm in (
-            lambda: local_sup_l2(F, WIN),
-            lambda: dalpha_local_norm(F, 0.5, WIN),
-            lambda: dalpha_local_norm(F, -0.5, WIN),
+            lambda: local_norm(F, 0.0, WIN),
+            lambda: local_norm(F, 0.5, WIN),
+            lambda: local_norm(F, -0.5, WIN),
         ):
             got, want = norm(), _with_direct_sums(monkeypatch, norm)
             assert got.value == pytest.approx(want.value, rel=1e-12)
@@ -462,6 +459,6 @@ def test_local_norm_matches_the_direct_sum_on_a_wide_window(monkeypatch):
     win = LocalWindow(0.0, 30.0, 1.0)
     F = list(random_family(W.catalog("constant", 20_000), 1, 9))[0]
     monkeypatch.setattr(embedding, "default_sigma_grid", lambda cap: [0.5 + 2.0**-20, 0.75, 1.0])
-    norm = lambda: local_sup_l2(F, win)
+    norm = lambda: local_norm(F, 0.0, win)
     got, want = norm(), _with_direct_sums(monkeypatch, norm)
     assert got.value == pytest.approx(want.value, rel=1e-12)
