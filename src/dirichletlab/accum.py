@@ -70,6 +70,7 @@ _MOMENTS = 10
 # piece's parts then sum to less than 2^14 * 2^27 = 2^41, exact in float64.
 _PIECE = 1 << 14
 _LOW = 26
+_SCALE = 1 << 1074  # _ExactSum.exact counts units of 2^-1074, the least subnormal
 
 
 class _ExactSum:
@@ -140,7 +141,7 @@ class _ExactSum:
 
     def rounded(self) -> float:
         """The open run's sum, rounded once: OverflowError past the float64 range."""
-        return self.exact / 2**1074
+        return self.exact / _SCALE
 
     def value(self) -> float:
         total = self.rounded()  # +0.0 for an exact zero, as fsum gives
@@ -530,7 +531,7 @@ def scan(segments, size: int, s_max=None, checkpoints=None, out=None) -> Scan:
                 np.empty(0) if prefix is None else prefix.sums)
 
 
-def compensated_cumsum(a: np.ndarray) -> np.ndarray:
+def compensated_cumsum(a: np.ndarray, out=None) -> np.ndarray:
     """Cumulative sum of a 1-D float array with <=1e-12 relative error.
 
     Each 4096-term chunk is cumsummed in float64, and the offset added to it
@@ -543,10 +544,12 @@ def compensated_cumsum(a: np.ndarray) -> np.ndarray:
     chunk and on the list of earlier totals, non-finite input included, but
     for one edge: where fsum's partials overflow though the exact sum of a
     chunk or of the earlier totals rounds to +-DBL_MAX, the total or the
-    offset is that value, not fsum's OverflowError.
+    offset is that value, not fsum's OverflowError.  The sums go to out (a
+    float64 array of a's length) if given, to a new array otherwise.
     """
     a = np.asarray(a, dtype=np.float64)
-    out = np.empty_like(a)
+    if out is None:
+        out = np.empty_like(a)
     scan(_views(a), a.size, out=out)
     return out
 

@@ -162,6 +162,8 @@ def von_mangoldt_segments(limit: int):
         del lam
 
 
+_PIECE = 1 << 16  # entries per piece of the factor pass's temporaries: 512 KB of int64
+
 OMEGA = (lambda e: e, np.add, np.int8)  # Omega(n), prime factors with multiplicity
 EXPONENT_FACTORIAL = (math.factorial, np.multiply, np.float64)  # prod nu_p!
 
@@ -174,12 +176,13 @@ def factor_segments(limit: int, *rules):
     slot 1 holds op's identity and slot 0 is 0.  Pass 1 multiplies
     prod[p^k multiples] *= p for the primes p <= sqrt(limit), so n has a
     prime factor above sqrt(limit), to the first power, exactly where
-    prod != n; each table starts there at g(1), at op's identity elsewhere.
-    Pass 2 walks the small primes in descending order and sets
-    f[multiples of p] = op(g(e), f), the exponents e from strided += 1 over
-    the p^k multiples: the largest prime is innermost, so a float table's
-    bits are those of the recursion from the smallest prime factor down,
-    whatever the segment cut.
+    prod != n (compared _PIECE entries at a time); each table starts there
+    at g(1), at op's identity elsewhere.  Pass 2 walks the small primes in
+    descending order and sets f[multiples of p] = op(g(e), f), _PIECE
+    multiples at a time, the uint8 exponents e from strided += 1 over the
+    p^k multiples: the largest prime is innermost, so a float table's bits
+    are those of the recursion from the smallest prime factor down, whatever
+    the segment cut.
     """
     small = _small_primes(math.isqrt(limit)).tolist()
     # g(0) and g(1) at least: limit 1 has bit_length 1 but reads g(1) below
@@ -190,14 +193,22 @@ def factor_segments(limit: int, *rules):
 
 
 def _factor_tables(lo: int, hi: int, small: list, values: list, rules) -> list:
-    """factor_segments' tables on the segment [lo, hi)."""
+    """factor_segments' tables on the segment [lo, hi).
+
+    Besides the tables it returns, it holds one int64 array of the segment's
+    length in pass 1 (prod, beside the bool mask it leaves), and in pass 2
+    one uint8 exponent per multiple of p and _PIECE values g(e) per table.
+    """
     prod = np.ones(hi - lo, dtype=np.int64)
     for p in small:
         pk = p
         while (t := max(pk, -(-lo // pk) * pk)) < hi:  # the first multiple of p^k
             prod[t - lo :: pk] *= p
             pk *= p
-    large = prod != np.arange(lo, hi)
+    large = np.empty(hi - lo, dtype=bool)
+    for a in range(0, hi - lo, _PIECE):
+        b = min(a + _PIECE, hi - lo)
+        np.not_equal(prod[a:b], np.arange(lo + a, lo + b), out=large[a:b])
     del prod
     tables = []
     for v, (_, op, dtype) in zip(values, rules):
@@ -205,18 +216,25 @@ def _factor_tables(lo: int, hi: int, small: list, values: list, rules) -> list:
         f[large] = v[1]
         f[: max(0, 1 - lo)] = 0  # n = 0
         tables.append(f)
+    bufs = [np.empty(_PIECE, dtype=v.dtype) for v in values]  # one piece of g(e) per table
     for p in reversed(small):
         s = max(p, -(-lo // p) * p) - lo  # the first multiple of p, as an offset
         pk = p * p
-        e = 1  # p's exponent in each multiple: 1 while no multiple of p^2 lies here
+        e = None  # p's exponent in each multiple: 1 while no multiple of p^2 lies here
         if max(pk, -(-lo // pk) * pk) < hi:
-            e = np.ones(len(range(s, hi - lo, p)), dtype=np.intp)
+            e = np.ones(len(range(s, hi - lo, p)), dtype=np.uint8)
             while (t := max(pk, -(-lo // pk) * pk)) < hi:
                 e[(t - lo - s) // p :: pk // p] += 1
                 pk *= p
-        for f, v, (_, op, _) in zip(tables, values, rules):
+        for f, v, buf, (_, op, _) in zip(tables, values, bufs, rules):
             fp = f[s::p]
-            op(v[e], fp, out=fp)
+            for a in range(0, fp.size, _PIECE):
+                piece = fp[a : a + _PIECE]
+                g = v[1]
+                if e is not None:  # every e indexes v: "clip" skips the copy "raise" buffers,
+                    # and take into a buffer reads uint8 indices faster than v[e] does
+                    g = np.take(v, e[a : a + _PIECE], out=buf[: piece.size], mode="clip")
+                op(g, piece, out=piece)
     return tables
 
 

@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-_CSV_BLOCK = 1 << 14  # rows per block: the kernel's 8-byte temporaries stay at 128 KB
+_CSV_BLOCK = 1 << 13  # rows per block: the kernel's 8-byte temporaries stay at 64 KB
 
 
 @contextlib.contextmanager

@@ -17,6 +17,15 @@ All quantities are truncation-honest: positions above the horizon
 past it.  Carleson anchors stop one unit short of the horizon, lambda_set's
 windows stop at it, and continuity_at_infinity keeps 5 units of headroom
 below it.
+
+Memory: an AtomicMeasure holds its positions, masses and prefix sums, three
+arrays of the atom count.  measure_from_weights writes positions and masses
+in place, and frees the nonzero indices of w that it reads them from before
+the prefix sums are built.  Every scan (carleson_check,
+beurling_lower_density and each window length of continuity_at_infinity)
+walks its anchors in chunks of at most _SCAN, so its working space is a
+fixed size, never a copy the size of the measure; beurling_lower_density
+copies its points only to sort them when they are not sorted.
 """
 
 from __future__ import annotations
@@ -30,6 +39,8 @@ import numpy as np
 from .accum import compensated_cumsum
 from .errors import RangeError
 from . import weights as _weights
+
+_SCAN = 1 << 15  # anchors per chunk of every scan: each temporary stays at 256 KB
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,13 +61,15 @@ class AtomicMeasure:
             raise RangeError("positions and masses must be 1-d arrays of equal length")
         if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
             raise RangeError(f"domain needs finite domain_low <= domain_bound, got [{lo}, {hi}]")
-        if not (np.all(np.isfinite(pos)) and np.all(np.diff(pos) > 0.0)):
+        if not (np.all(np.isfinite(pos)) and np.all(pos[1:] > pos[:-1])):
             raise RangeError("positions must be finite and strictly increasing")
         if np.any(mas <= 0.0) or not np.all(np.isfinite(mas)):
             raise RangeError("masses must be finite and positive")
         if pos.size and (pos[0] < lo or pos[-1] > hi):
             raise RangeError("atoms escape the declared domain")
-        cum = np.concatenate([[0.0], compensated_cumsum(mas)]) if mas.size else np.zeros(1)
+        cum = np.empty(mas.size + 1)
+        cum[0] = 0.0
+        compensated_cumsum(mas, out=cum[1:])
         for a in (pos, mas, cum):
             a.flags.writeable = False
         object.__setattr__(self, "positions", pos)
@@ -90,23 +103,31 @@ def measure_from_weights(w, symmetric: bool = False) -> AtomicMeasure:
     """Atoms at log n (and optionally -log n) with mass w_n / n; zero weights dropped.
 
     In the symmetric variant the two atoms at +-log 1 = 0 coincide and merge,
-    so n = 1 contributes a single atom of mass 2 w_1.
+    so n = 1 contributes a single atom of mass 2 w_1.  Positions and masses
+    are written in place into their final arrays, and the nonzero indices
+    are freed before the measure's prefix sums are built.
     """
     idx = np.flatnonzero(w.w)
-    pos = np.log(idx.astype(np.float64))
-    mas = w.w[idx] / idx
+    n = idx.size
+    merge = int(symmetric and n > 0 and idx[0] == 1)  # one origin atom for +-log 1
+    size = 2 * n - merge if symmetric else n
+    pos, mas = np.empty(size), np.empty(size)
+    right, right_mas = pos[size - n:], mas[size - n:]  # the atoms at +log n
+    right[:] = idx
+    np.log(right, out=right)
+    np.take(w.w, idx, out=right_mas, mode="clip")  # idx is in range; "raise" would buffer
+    right_mas /= idx
+    del idx
     bound = math.log(w.limit)
     if not symmetric:
         return AtomicMeasure(positions=pos, masses=mas, domain_bound=bound)
-    if idx.size and idx[0] == 1:
-        # the mirrored atoms at +-log 1 coincide: one origin atom of mass 2 w_1
-        pos_all = np.concatenate([-pos[:0:-1], [0.0], pos[1:]])
-        mas_all = np.concatenate([mas[:0:-1], 2.0 * mas[:1], mas[1:]])
-    else:
-        pos_all = np.concatenate([-pos[::-1], pos])
-        mas_all = np.concatenate([mas[::-1], mas])
+    left = size - n  # the mirrored atoms at -log n, n descending
+    np.negative(right[merge:][::-1], out=pos[:left])
+    mas[:left] = right_mas[merge:][::-1]
+    if merge:
+        right_mas[0] *= 2.0
     return AtomicMeasure(
-        positions=pos_all, masses=mas_all, domain_bound=bound, domain_low=-bound
+        positions=pos, masses=mas, domain_bound=bound, domain_low=-bound
     )
 
 
@@ -116,22 +137,33 @@ def _window_masses(m: AtomicMeasure, anchors: np.ndarray, h: float) -> np.ndarra
     return m.cum[hi] - m.cum[lo]
 
 
+def _unit_window_max(m: AtomicMeasure, x: np.ndarray, first: int, beta: float):
+    """(q, x) at the first maximum of q = nu[x, x+1)/(1+x^2)^beta over the
+    anchors x, whose windows start at the atoms first, first + 1, ...; a nan
+    q counts as the maximum, as np.argmax counts it."""
+    hi = np.searchsorted(m.positions, x + 1.0, side="left")
+    q = (m.cum[hi] - m.cum[first:first + x.size]) / (1.0 + x**2) ** beta
+    i = int(np.argmax(q))
+    return q[i], x[i]
+
+
 def carleson_check(m: AtomicMeasure, beta: float) -> CarlesonReport:
     """C_hat = max over the scan of nu[xi, xi+1) / (1+xi^2)^beta.
 
     The scan anchors unit windows at the atoms themselves (every attained
     local maximum of the numerator starts at an atom) plus the domain's low
-    end.
+    end.  It walks the atoms _SCAN at a time and keeps each chunk's first
+    maximum; the first of those is the whole scan's (nan, if any, wins).
     """
     # the atoms are strictly increasing, so the window at atom k starts
     # at index k, and the one at domain_low at index 0
-    atoms = m.positions[m.positions <= m.domain_bound - 1.0]
-    anchors = np.concatenate([[m.domain_low], atoms])
-    lo = np.concatenate([[0], np.arange(atoms.size)])
-    hi = np.searchsorted(m.positions, anchors + 1.0, side="left")
-    q = (m.cum[hi] - m.cum[lo]) / (1.0 + anchors**2) ** beta
+    pos = m.positions
+    k = int(np.searchsorted(pos, m.domain_bound - 1.0, side="right"))
+    best = [_unit_window_max(m, np.array([m.domain_low], dtype=np.float64), 0, beta)]
+    best += [_unit_window_max(m, pos[a:min(a + _SCAN, k)], a, beta) for a in range(0, k, _SCAN)]
+    q, x = np.array(best).T
     i = int(np.argmax(q))
-    return CarlesonReport(c_hat=float(q[i]), worst_xi=float(anchors[i]))
+    return CarlesonReport(c_hat=float(q[i]), worst_xi=float(x[i]))
 
 
 def lambda_set(m: AtomicMeasure, beta: float, r: float, delta: float) -> np.ndarray:
@@ -152,6 +184,14 @@ def lambda_set(m: AtomicMeasure, beta: float, r: float, delta: float) -> np.ndar
     return r * ks[keep]
 
 
+def _least_count(pts: np.ndarray, anchors: np.ndarray, r: float) -> int:
+    """The least count of the sorted pts in an open (x, x + r) over the anchors x."""
+    cnt = np.searchsorted(pts, anchors + r, side="left") - np.searchsorted(
+        pts, anchors, side="right"
+    )
+    return int(cnt.min())
+
+
 def beurling_lower_density(
     points: Sequence[float], r_list: Sequence[float], window: tuple
 ) -> DensityReport:
@@ -162,9 +202,12 @@ def beurling_lower_density(
     every attained minimum starts either at lo, at a point of the set, or at
     hi-r, so sweeping those anchors is exact.  The extrapolated figure is
     the value at the largest r; finite windows carry an intrinsic 2/r
-    resolution, so no limit is claimed.
+    resolution, so no limit is claimed.  The points are copied only to be
+    sorted when they are not, and the anchors are walked _SCAN at a time.
     """
-    pts = np.sort(np.asarray(points, dtype=np.float64))
+    pts = np.asarray(points, dtype=np.float64)
+    if not np.all(pts[1:] >= pts[:-1]):
+        pts = np.sort(pts)
     if pts.size == 0:
         raise RangeError("empty point set")
     lo, hi = float(window[0]), float(window[1])
@@ -180,11 +223,14 @@ def beurling_lower_density(
         raise RangeError(f"window length {rs[-1]} too coarse for the range {T} (need r <= T/5)")
     infs = []
     for r in rs:
-        anchors = np.concatenate([[lo], pts[(pts >= lo) & (pts <= hi - r)], [hi - r]])
-        cnt = np.searchsorted(pts, anchors + r, side="left") - np.searchsorted(
-            pts, anchors, side="right"
-        )
-        infs.append(float(cnt.min()) / r)
+        # the anchors lo and hi - r, and the points in [lo, hi - r]: a run of
+        # the sorted set, walked _SCAN points at a time
+        a = int(np.searchsorted(pts, lo, side="left"))
+        b = int(np.searchsorted(pts, hi - r, side="right"))
+        least = _least_count(pts, np.array([lo, hi - r]), r)
+        for c in range(a, b, _SCAN):
+            least = min(least, _least_count(pts, pts[c:min(c + _SCAN, b)], r))
+        infs.append(float(least) / r)
     return DensityReport(
         window_lengths=tuple(rs), inf_counts=tuple(infs), extrapolated=infs[-1]
     )
@@ -236,10 +282,10 @@ def _farthest_bad(m: AtomicMeasure, h: float, beta: float, eps: float):
 
     The atoms a..b-1 carry the unscanned anchors pos[k] and pos[k] - h.  The
     scan takes chunks from both ends of the atoms inward, each end's chunk
-    doubling from _CHUNK, and an end stops once none of its unscanned
-    anchors can lie outside (-far, far] (a -far found later would become
-    the blocking anchor): none lies below max(pos[a] - h, domain_low) or
-    above pos[b-1], and none above far has a window [x, x + h) that fits
+    doubling from _CHUNK up to _SCAN, and an end stops once none of its
+    unscanned anchors can lie outside (-far, far] (a -far found later would
+    become the blocking anchor): none lies below max(pos[a] - h, domain_low)
+    or above pos[b-1], and none above far has a window [x, x + h) that fits
     under domain_bound once the next double after far has none.
     """
     pos = m.positions
@@ -251,10 +297,10 @@ def _farthest_bad(m: AtomicMeasure, h: float, beta: float, eps: float):
         if far is None or (pos[b - 1] > far and math.nextafter(far, math.inf) + h
                            <= m.domain_bound):
             chunks.append((max(b - grow_high, a), b))
-            b, grow_high = chunks[-1][0], 2 * grow_high
+            b, grow_high = chunks[-1][0], min(2 * grow_high, _SCAN)
         if a < b and (far is None or max(pos[a] - h, m.domain_low) <= -far):
             chunks.append((a, min(a + grow_low, b)))
-            a, grow_low = chunks[-1][1], 2 * grow_low
+            a, grow_low = chunks[-1][1], min(2 * grow_low, _SCAN)
         if not chunks:
             break
         for i, j in chunks:
@@ -276,13 +322,14 @@ def continuity_at_infinity(m: AtomicMeasure, beta: float, eps: float) -> Continu
     h walks down 1, 1/2, 1/4, ..., 2^-12; for each h the anchors that can
     break the bound are the atoms and the atoms - h, the attainable extrema.
     Only the farthest bad anchor matters, so each h scans the atoms from
-    both ends inward in doubling chunks and stops once no unscanned anchor
-    can lie farther out (_farthest_bad): an h that fails near the horizon
-    costs two chunks, and the worst case is one pass.  A window anchored at
-    an atom starts at its own index, and one anchored h before atom j ends
-    next to j, so each family needs one binary search per anchor.  A
-    witness only counts if the clean zone [R, horizon] keeps 5 units of
-    headroom, since beyond the horizon the measure is unknown, not zero.
+    both ends inward in chunks doubling up to _SCAN and stops once no
+    unscanned anchor can lie farther out (_farthest_bad): an h that fails
+    near the horizon costs two chunks, and the worst case is one pass.  A
+    window anchored at an atom starts at its own index, and one anchored h
+    before atom j ends next to j, so each family needs one binary search per
+    anchor.  A witness only counts if the clean zone [R, horizon] keeps 5
+    units of headroom, since beyond the horizon the measure is unknown, not
+    zero.
     Failure reports the blocking anchor nearest the horizon for the
     smallest h tried (of -a and +a, the first: -a).
     """

@@ -137,7 +137,9 @@ def _besov_segments(limit: int, params: dict):
     for om, fac in arithmetic.factor_segments(limit, arithmetic.OMEGA,
                                               arithmetic.EXPONENT_FACTORIAL):
         # fac is 0 at n = 0 only, where w_0 = 0
-        w = np.divide(rising[om], fac, out=np.zeros(fac.size), where=fac > 0)
+        w = rising[om]
+        w[fac == 0.0] = 0.0
+        np.divide(w, fac, out=w, where=fac > 0.0)  # in place: no third segment
         del om, fac  # not kept while the scan reads w
         yield w
         del w
