@@ -239,6 +239,26 @@ def cmd_kernel(args):
     return 0
 
 
+class _Counted:
+    """A family's members, read once and counted: len() is the number read so
+    far.  perfbench/tracer.py takes len() of embedding_constant's family when
+    the call returns, and a generator family has none."""
+
+    def __init__(self, family):
+        self._members, self._read = iter(family), 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        F = next(self._members)
+        self._read += 1
+        return F
+
+    def __len__(self):
+        return self._read
+
+
 def cmd_embed(args):
     alpha, kind = args.alpha, args.family
     if alpha is None:
@@ -268,7 +288,7 @@ def cmd_embed(args):
     while sequences:
         w = sequences.pop(0)
         fam = block_family(w) if kind == "blocks" else random_family(w, args.size, args.seed)
-        est = embedding_constant(w, alpha, win, fam)
+        est = embedding_constant(w, alpha, win, _Counted(fam))
         rows.append({"N": w.limit, "constant_estimate": est.value,
                      "quad_error_max": est.quad_error_max,
                      "family_size": est.family_size})
@@ -349,6 +369,9 @@ def cmd_tauberian(args):
         raise UsageError("profile grid needs 0 < --u-lo < --u-hi < inf and --points >= 5")
     w = _load_weight(args)
     sigmas = w.sigma0 + np.geomspace(lo, hi, pts)
+    if not np.all(sigmas > w.sigma0):  # before prescan reads every weight
+        raise UsageError(f"--u-lo {lo!r} is below the resolution of sigma0 = {w.sigma0!r}: "
+                         f"sigma0 + u rounds to sigma0")
     xs = ()
     if args.compare_out:
         xs = np.geomspace(max(10.0, w.limit / 10.0), w.limit, max(2, args.compare_points))

@@ -354,67 +354,40 @@ def block_test_function(w, k: int) -> DirichletPolynomial:
         )
     arr = np.zeros(hi + 1, dtype=np.complex128)
     arr[lo : hi + 1] = w.w[lo : hi + 1]
-    return DirichletPolynomial(limit=hi, coeffs=arr)
+    return DirichletPolynomial(arr)
 
 
-class _Family:
-    """A sized, re-iterable family: each pass builds the members in order, on demand.
-
-    members() returns a fresh iterator of the members; the family itself holds
-    none of them, so a consumer that lets each member go before it asks for the
-    next keeps one alive at a time.
-    """
-
-    def __init__(self, size: int, members):
-        self._size = size
-        self._members = members
-
-    def __len__(self) -> int:
-        return self._size
-
-    def __iter__(self):
-        return self._members()
-
-
-def random_family(w, size: int, seed: int) -> _Family:
-    """Seeded i.i.d. complex-Gaussian coefficients scaled by sqrt(w_n).
+def random_family(w, size: int, seed: int):
+    """size members with seeded i.i.d. complex-Gaussian coefficients scaled by sqrt(w_n).
 
     E|a_n|^2 = w_n, so each member has unit norm per supported coordinate in
     expectation; membership w.r.t. w holds by construction (zeros propagate).
-    Members are built on demand: every pass over the family re-seeds, so it
-    draws the same members in the same order, one at a time.
+    A generator: it draws each member on demand and keeps none it has
+    yielded once it resumes, and every call re-seeds, so two calls yield the
+    same members in the same order.
     """
     N = w.limit
-
-    def members():
-        rng = np.random.default_rng(seed)
-        root = np.sqrt(w.w[1 : N + 1])
-        for _ in range(size):
-            g = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-            # root * g / sqrt(2), the same two ufuncs, formed in the member's array
-            coeffs = np.empty(N + 1, dtype=np.complex128)
-            coeffs[0] = 0.0
-            np.multiply(root, g, out=coeffs[1:])
-            del g
-            coeffs[1:] /= math.sqrt(2.0)
-            yield DirichletPolynomial(limit=N, coeffs=coeffs)
-            del coeffs  # let the consumer's last member go before the next draw
-
-    return _Family(size, members)
+    rng = np.random.default_rng(seed)
+    root = np.sqrt(w.w[1 : N + 1])
+    for _ in range(size):
+        g = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+        # root * g / sqrt(2), the same two ufuncs, formed in the member's array
+        coeffs = np.empty(N + 1, dtype=np.complex128)
+        coeffs[0] = 0.0
+        np.multiply(root, g, out=coeffs[1:])
+        del g
+        coeffs[1:] /= math.sqrt(2.0)
+        yield DirichletPolynomial(coeffs)
+        del coeffs  # let the consumer's last member go before the next draw
 
 
-def block_family(w) -> _Family:
-    """The g_k blocks that fit under the truncation: k = 0, 1, ... while
-    floor(e^(k+1)) <= N.  Each pass builds the blocks in order, on demand."""
-    size = 0
-    while math.floor(math.exp(size + 1)) <= w.limit:
-        size += 1
-
-    def members():
-        for k in range(size):
-            yield block_test_function(w, k)
-
-    return _Family(size, members)
+def block_family(w):
+    """The g_k blocks that fit under the truncation, k = 0, 1, ... while
+    floor(e^(k+1)) <= N, built in order on demand (a generator)."""
+    k = 0
+    while math.floor(math.exp(k + 1)) <= w.limit:
+        yield block_test_function(w, k)
+        k += 1
 
 
 def embedding_constant(
@@ -426,16 +399,15 @@ def embedding_constant(
     """Empirical lower bound on the embedding constant: max of local/norm^2.
 
     Each member's local quantity is local_norm(F, alpha, win).  family is
-    any sized iterable of polynomials.  Members are processed in order with
-    a plain max reduction, so the result is deterministic for a fixed family.
-    Each member and its local norm are let go before the next member is
-    asked for, so a family that builds its members on demand (as
-    random_family and block_family do) has one alive at a time.  A member
-    whose local norm or norm^2 overflows float64 (weights like the spiked
-    family's e^n) raises RangeError.
+    any iterable of polynomials, such as random_family or block_family; it
+    is read once, in order, with a plain max reduction, so the result is
+    deterministic for a fixed family, and family_size is the number of
+    members read.  Each member and its local norm are let go before the next
+    member is asked for, so a family that builds its members on demand has
+    one alive at a time.  An empty family, or a member whose local norm or
+    norm^2 overflows float64 (weights like the spiked family's e^n), raises
+    RangeError.
     """
-    if not family:
-        raise RangeError("family must be nonempty")
     ratios = []
     qmax = 0.0
     for F in family:  # no enumerate: its reused result tuple would keep F alive
@@ -450,10 +422,12 @@ def embedding_constant(
         ratios.append(ln.value / denom)
         qmax = max(qmax, ln.quad_error / denom)
         del F, ln
+    if not ratios:
+        raise RangeError("family must be nonempty")
     i = int(np.argmax(ratios))
     return EmbeddingEstimate(
         value=float(ratios[i]),
-        family_size=len(family),
+        family_size=len(ratios),
         argmax=i,
         ratios=tuple(float(r) for r in ratios),
         quad_error_max=float(qmax),

@@ -31,7 +31,7 @@ copies its points only to sort them when they are not sorted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -51,7 +51,7 @@ class AtomicMeasure:
     masses: np.ndarray
     domain_bound: float
     domain_low: float = 0.0
-    cum: np.ndarray = None  # cum[k] = mass of the first k atoms; filled in __post_init__
+    cum: np.ndarray = field(init=False)  # cum[k] = mass of the first k atoms
 
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=np.float64)
@@ -137,12 +137,19 @@ def _window_masses(m: AtomicMeasure, anchors: np.ndarray, h: float) -> np.ndarra
     return m.cum[hi] - m.cum[lo]
 
 
+def _scaled(op, v, x: np.ndarray, beta: float) -> np.ndarray:
+    """op(v, (1 + x^2)^beta) with no numpy warning: where the power leaves
+    float64 it is inf or 0, and the result follows IEEE (inf, 0 or nan)."""
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        return op(v, (1.0 + x**2) ** beta)
+
+
 def _unit_window_max(m: AtomicMeasure, x: np.ndarray, first: int, beta: float):
     """(q, x) at the first maximum of q = nu[x, x+1)/(1+x^2)^beta over the
     anchors x, whose windows start at the atoms first, first + 1, ...; a nan
     q counts as the maximum, as np.argmax counts it."""
     hi = np.searchsorted(m.positions, x + 1.0, side="left")
-    q = (m.cum[hi] - m.cum[first:first + x.size]) / (1.0 + x**2) ** beta
+    q = _scaled(np.divide, m.cum[hi] - m.cum[first:first + x.size], x, beta)
     i = int(np.argmax(q))
     return q[i], x[i]
 
@@ -153,7 +160,9 @@ def carleson_check(m: AtomicMeasure, beta: float) -> CarlesonReport:
     The scan anchors unit windows at the atoms themselves (every attained
     local maximum of the numerator starts at an atom) plus the domain's low
     end.  It walks the atoms _SCAN at a time and keeps each chunk's first
-    maximum; the first of those is the whole scan's (nan, if any, wins).
+    maximum; the first of those is the whole scan's (nan, if any, wins).  At
+    a finite beta, a C_hat that is not finite (where (1+xi^2)^beta underflows
+    to 0 at a large negative beta) raises RangeError.
     """
     # the atoms are strictly increasing, so the window at atom k starts
     # at index k, and the one at domain_low at index 0
@@ -163,6 +172,9 @@ def carleson_check(m: AtomicMeasure, beta: float) -> CarlesonReport:
     best += [_unit_window_max(m, pos[a:min(a + _SCAN, k)], a, beta) for a in range(0, k, _SCAN)]
     q, x = np.array(best).T
     i = int(np.argmax(q))
+    if math.isfinite(beta) and not math.isfinite(q[i]):
+        raise RangeError(f"the Carleson constant at beta = {beta} is {q[i]}: "
+                         f"(1 + xi^2)^beta leaves the float64 range")
     return CarlesonReport(c_hat=float(q[i]), worst_xi=float(x[i]))
 
 
@@ -180,7 +192,7 @@ def lambda_set(m: AtomicMeasure, beta: float, r: float, delta: float) -> np.ndar
         return np.empty(0, dtype=np.float64)
     ks = np.arange(k_lo, k_hi + 1, dtype=np.float64)
     mass = _window_masses(m, r * ks, r)
-    keep = mass >= delta * (1.0 + (r * ks) ** 2) ** beta
+    keep = mass >= _scaled(np.multiply, delta, r * ks, beta)
     return r * ks[keep]
 
 
@@ -254,7 +266,7 @@ def _bad_anchors(m: AtomicMeasure, x: np.ndarray, lo: np.ndarray, hi: np.ndarray
                  h: float, beta: float, eps: float) -> np.ndarray:
     """The anchors x in the scan range whose window [x, x + h), atoms lo..hi-1,
     breaks nu/(1+x^2)^beta <= eps."""
-    q = (m.cum[hi] - m.cum[lo]) / (1.0 + x**2) ** beta
+    q = _scaled(np.divide, m.cum[hi] - m.cum[lo], x, beta)
     return x[(x >= m.domain_low) & (x + h <= m.domain_bound) & (q > eps)]
 
 

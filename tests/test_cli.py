@@ -392,6 +392,61 @@ def test_sampling_kadec_report(tmp_path):
     validate(blob, schema("density_report"))
 
 
+def _cli_process(tmp_path, *argv):
+    """The CLI in a fresh process, so numpy's warnings reach its stderr."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(dirichletlab.__file__).parent.parent), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "dirichletlab.cli", *argv],
+                          capture_output=True, text=True, env=env, cwd=tmp_path)
+
+
+@pytest.mark.parametrize("argv", [("--name", "constant", "--N", "1000", "--beta=-400"),
+                                  ("--name", "kadec", "--blocks", "40", "--beta=-200")])
+def test_sampling_beta_past_the_float64_range_is_a_compute_error(argv, tmp_path):
+    # (1 + x^2)^beta underflows to 0, so C_hat is inf or nan: one error line
+    # naming beta, no numpy warning and no file
+    out = _cli_process(tmp_path, "sampling", *argv, "--out", "s.json")
+    assert out.returncode == 1
+    assert out.stderr.startswith("compute error:") and out.stderr.count("\n") == 1
+    assert f"beta = {float(argv[-1].split('=')[1])}" in out.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sampling_large_beta_runs_without_warnings(tmp_path):
+    # (1 + x^2)^400 overflows to inf far out: the windows there read 0, as before
+    out = _cli_process(tmp_path, "sampling", "--name", "constant", "--N", "1000", "--beta", "400",
+                       "--lambda-r", "1", "--out", "s.json")
+    assert out.returncode == 0 and out.stderr == ""
+    blob = json.loads((tmp_path / "s.json").read_text())
+    w = W.catalog("constant", 1000)
+    pos = np.log(np.arange(1.0, 1001.0))
+    cum = np.concatenate([[0.0], np.cumsum(1.0 / np.arange(1.0, 1001.0))])
+    with np.errstate(over="ignore"):
+        anchors = pos[pos <= math.log(w.limit) - 1.0]
+        hi = np.searchsorted(pos, anchors + 1.0, side="left")
+        q = (cum[hi] - cum[: anchors.size]) / (1.0 + anchors**2) ** 400.0
+        ks = np.arange(0.0, math.floor(math.log(1000)))
+        mass = cum[np.searchsorted(pos, ks + 1.0)] - cum[np.searchsorted(pos, ks)]
+        lam = ks[mass >= 0.5 * (1.0 + ks**2) ** 400.0]
+    assert blob["carleson"]["c_hat"] == pytest.approx(q.max(), rel=1e-14)
+    assert blob["carleson"]["worst_xi"] == anchors[np.argmax(q)]
+    assert blob["lambda_points"] == lam.tolist()
+
+
+def test_tauberian_u_lo_below_the_resolution_of_sigma0_is_a_usage_error(tmp_path, capsys,
+                                                                        monkeypatch):
+    # sigma0 + 1e-17 rounds to sigma0: refused before prescan reads any weight
+    from dirichletlab import accum
+    scans = []
+    monkeypatch.setattr(accum, "scan", lambda *a, **k: scans.append(a))
+    monkeypatch.chdir(tmp_path)
+    assert run("tauberian", "--name", "constant", "--N", "1e4", "--u-lo", "1e-17",
+               "--out", "t.json") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "--u-lo" in err
+    assert scans == [] and list(tmp_path.iterdir()) == []
+
+
 def test_sampling_horizon_violation_exits_one(tmp_path):
     assert run("sampling", "--name", "kadec", "--blocks", 50,
                "--r-list", "900", "--out", tmp_path / "s.json") == 1

@@ -283,7 +283,7 @@ def test_block_beyond_truncation():
 
 def test_block_family_covers_available_blocks():
     w = W.catalog("constant", 30000)  # ln = 10.3 -> k = 0..9
-    fam = block_family(w)
+    fam = list(block_family(w))
     assert len(fam) == 10
 
 
@@ -292,7 +292,7 @@ def test_block_family_keeps_the_block_ending_at_the_truncation(K):
     # N = floor(e^K) = 20, 54, 148, 403, 1096, 2980: block K - 1 ends exactly at N
     N = math.floor(math.exp(K))
     w = W.catalog("constant", N)
-    fam = block_family(w)
+    fam = list(block_family(w))
     assert len(fam) == K
     assert [F.limit for F in fam][-1] == N
     with pytest.raises(TruncationError):
@@ -341,9 +341,8 @@ def test_random_family_is_seeded():
 
 def test_random_family_passes_repeat_the_same_draws():
     w = W.catalog("divisor", 500)
-    fam = random_family(w, 4, 77)
-    first, second = list(fam), list(fam)
-    assert len(fam) == len(first) == 4
+    first, second = list(random_family(w, 4, 77)), list(random_family(w, 4, 77))
+    assert len(first) == len(second) == 4
     # the draws of one seeded generator, member after member
     rng = np.random.default_rng(77)
     for a, b in zip(first, second):
@@ -351,6 +350,48 @@ def test_random_family_passes_repeat_the_same_draws():
         want = np.concatenate([[0.0 + 0.0j], np.sqrt(w.w[1:]) * g / math.sqrt(2.0)])
         assert np.array_equal(a.coeffs, want)
         assert np.array_equal(b.coeffs, want)
+
+
+@pytest.mark.parametrize("kind", ["random", "blocks"])
+def test_shipped_families_keep_no_yielded_member(kind, monkeypatch):
+    # a weakref to each member the consumer let go must be dead when the
+    # generator starts the next member (its first draw, or its block) and
+    # once it has yielded it
+    w = W.catalog("divisor", 3000)
+    refs = []
+
+    def check():
+        assert all(r() is None for r in refs), "a yielded member is still alive"
+
+    if kind == "random":
+        real = np.random.default_rng
+
+        class ProbeRng:
+            def __init__(self, seed):
+                self._rng = real(seed)
+
+            def standard_normal(self, n):
+                check()
+                return self._rng.standard_normal(n)
+
+        monkeypatch.setattr(np.random, "default_rng", ProbeRng)
+        fam = random_family(w, 4, 8)
+    else:
+        build = embedding.block_test_function
+
+        def probe(w, k):
+            check()
+            return build(w, k)
+
+        monkeypatch.setattr(embedding, "block_test_function", probe)
+        fam = block_family(w)
+    F = next(fam)
+    while F is not None:
+        refs += [weakref.ref(F), weakref.ref(F.coeffs)]
+        del F
+        F = next(fam, None)
+        check()
+    assert len(refs) == 2 * (4 if kind == "random" else 8)
 
 
 class _OneAliveFamily:
@@ -437,7 +478,7 @@ def _with_direct_sums(monkeypatch, compute):
 def test_local_norms_match_the_direct_sum(kind, monkeypatch):
     # N = 2e4 reaches past the engine's 4096-term head into its blocks
     w = W.catalog("divisor", 20_000)
-    fam = random_family(w, 3, 5) if kind == "random" else list(block_family(w))[-3:]
+    fam = list(random_family(w, 3, 5)) if kind == "random" else list(block_family(w))[-3:]
     for F in fam:
         for norm in (
             lambda: local_norm(F, 0.0, WIN),

@@ -94,6 +94,29 @@ def test_membership_error_off_support():
     assert hw_norm(monomial(3), wk) ** 2 == pytest.approx(1.0 / 3.0, rel=1e-14)
 
 
+def test_polynomial_carries_only_its_coefficients():
+    F = poly_from_coeffs([1.0, 0.0, 2.0])
+    assert F.limit == 3 and F.coeffs.shape == (4,)
+    for bad in (np.zeros(0), np.zeros((2, 3))):
+        with pytest.raises(RangeError):
+            hspace.DirichletPolynomial(bad)
+
+
+def test_hw_inner_refuses_what_hw_norm_refuses():
+    # F is walked before G, each in hw_norm's chunks over its whole support
+    n = 2 * hspace._CHUNK + 5  # in the third chunk
+    w = types.SimpleNamespace(w=np.ones(n + 1), limit=n)
+    w.w[[4, n]] = 0.0
+    ok, bad = monomial(3, limit=n), sparse({3: 1.0, 4: 1.0}, 10)
+    with pytest.raises(MembershipError, match="a_4 != 0 but w_4 = 0"):
+        hw_inner(bad, sparse({3: 1.0, n: 1.0}, n), w)
+    with pytest.raises(MembershipError, match=rf"a_{n} != 0 but w_{n} = 0"):
+        hw_inner(ok, sparse({3: 1.0, n: 1.0}, n), w)
+    with pytest.raises(RangeError, match="exceeds weight truncation"):
+        hw_inner(ok, monomial(3, limit=n + 1), w)
+    assert hw_inner(ok, sparse({3: 2.0, 5: 1.0}, 10), w) == 2.0
+
+
 # coefficient-array lengths on both sides of each of the first three chunk edges
 _NEAR_EDGES = st.builds(lambda k, d: k * hspace._CHUNK + d,
                         st.integers(1, 3), st.integers(-2, 2))
@@ -114,7 +137,7 @@ def _chunk_case(length, seed):
 @settings(max_examples=30, deadline=None)
 def test_chunked_hw_norm_is_bit_identical(length, seed):
     F, w = _chunk_case(length, seed)
-    idx = F.support()
+    idx = np.flatnonzero(F.coeffs)
     a = F.coeffs[idx]
     whole = math.sqrt(math.fsum((a.real**2 + a.imag**2) / w.w[idx]))
     assert hw_norm(F, w) == whole  # fsum over all chunks: bit for bit
@@ -124,7 +147,7 @@ def test_chunked_hw_norm_is_bit_identical(length, seed):
 @settings(max_examples=30, deadline=None)
 def test_chunked_hw_norm_names_the_first_excluded_index(length, seed, data):
     F, w = _chunk_case(length, seed)
-    support = F.support()
+    support = np.flatnonzero(F.coeffs)
     chunk = data.draw(st.integers(0, (length - 1) // hspace._CHUNK), label="chunk")
     in_chunk = support[support // hspace._CHUNK == chunk]
     bad = data.draw(st.sampled_from(in_chunk.tolist()), label="bad")

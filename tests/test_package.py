@@ -154,25 +154,59 @@ UNPASSED_DEFAULTS = {
 }
 
 
+def _defaulted_parameters(fn, offset=0):
+    """(position, name) of the defaulted parameters of a def; a position
+    counts from the call's first argument, offset parameters (self) before it."""
+    a = fn.args
+    positional = a.posonlyargs + a.args
+    first = len(positional) - len(a.defaults)
+    out = [(i - offset, p.arg) for i, p in enumerate(positional) if i >= first]
+    return out + [(None, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+
+
+def _defaulted_fields(cls):
+    """(position, name) of the defaulted fields of a dataclass or NamedTuple
+    class, in the order of its generated constructor; None if it is neither.
+    A dataclass field(init=False) is not a constructor parameter."""
+    def named(node, name):
+        node = node.func if isinstance(node, ast.Call) else node
+        return getattr(node, "id", getattr(node, "attr", None)) == name
+
+    def init_false(value):
+        return isinstance(value, ast.Call) and named(value, "field") and any(
+            k.arg == "init" and getattr(k.value, "value", True) is False for k in value.keywords)
+
+    if not (any(named(d, "dataclass") for d in cls.decorator_list)
+            or any(named(b, "NamedTuple") for b in cls.bases)):
+        return None
+    fields = [f for f in cls.body if isinstance(f, ast.AnnAssign)
+              and isinstance(f.target, ast.Name) and not init_false(f.value)]
+    return [(i, f.target.id) for i, f in enumerate(fields) if f.value is not None]
+
+
 def test_defaulted_parameters_are_passed():
-    # a defaulted parameter of a public top-level function, or of the
-    # __init__ of a public top-level class, must be passed, by name or by
-    # position, by a package call outside the function's own body, or be
-    # listed in UNPASSED_DEFAULTS: a default that every caller keeps is a
-    # constant
+    # a defaulted parameter of a public top-level function, of the __init__
+    # of a public top-level class, or a defaulted field of a public
+    # dataclass or NamedTuple, must be passed, by name or by position, by a
+    # package call outside the definition's own body, or be listed in
+    # UNPASSED_DEFAULTS: a default that every caller keeps is a constant
     root = Path(dirichletlab.__file__).parent
-    funcs, calls = [], []  # funcs: (module, label, callee name, def, self offset)
+    funcs, calls = [], []  # funcs: (module, label, callee name, node, defaulted)
     for path in sorted(root.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in tree.body:
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-                funcs.append((path.name, node.name, node.name, node, 0))
+                funcs.append((path.name, node.name, node.name, node, _defaulted_parameters(node)))
             elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
                 # a call of the class passes self implicitly: its arguments
                 # sit one position before __init__'s parameters
-                funcs += [(path.name, f"{node.name}.__init__", node.name, init, 1)
+                funcs += [(path.name, f"{node.name}.__init__", node.name, init,
+                           _defaulted_parameters(init, 1))
                           for init in node.body
                           if isinstance(init, ast.FunctionDef) and init.name == "__init__"]
+                fields = _defaulted_fields(node)
+                if fields is not None:
+                    funcs.append((path.name, node.name, node.name, node, fields))
         calls += [(path.name, node) for node in ast.walk(tree) if isinstance(node, ast.Call)]
 
     def callee(call):
@@ -186,12 +220,7 @@ def test_defaulted_parameters_are_passed():
         return by_position or any(k.arg in (name, None) for k in call.keywords)
 
     unpassed = []
-    for module, label, name_called, fn, offset in funcs:
-        a = fn.args
-        positional = a.posonlyargs + a.args
-        first = len(positional) - len(a.defaults)
-        defaulted = [(i - offset, p.arg) for i, p in enumerate(positional) if i >= first]
-        defaulted += [(None, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    for module, label, name_called, fn, defaulted in funcs:
         outside = [call for where, call in calls if callee(call) == name_called
                    and not (where == module and fn.lineno <= call.lineno <= fn.end_lineno)]
         unpassed += [f"{label}.{name}" for index, name in defaulted
