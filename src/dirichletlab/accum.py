@@ -37,7 +37,10 @@ and only the leaf that a segment edge cuts is carried into the next
 segment, so a sequence that is never held whole gives the same bits as an
 array: its moments, its prefix sums and S(x) at given checkpoints, while
 the scan holds one segment and one leaf.  compensated_cumsum and
-block_moments are that scan over the views of one array.
+block_moments are that scan over the views of one array.  In the same way
+compensated_sum is compensated_sum_stream over one array: its 4096-chunks
+are cut from the concatenation of a stream of arrays of any lengths, and
+only the part of a chunk that a piece edge cuts is carried.
 """
 from __future__ import annotations
 
@@ -173,10 +176,40 @@ def compensated_sum(a) -> float:
     """Sum of a float array: math.fsum of the np.sum totals of its 4096-value chunks.
 
     Matches fsum to ~1e-14 relative on positive 1e7-term arrays while staying
-    vectorized (fsum alone walks the array in Python).
+    vectorized (fsum alone walks the array in Python).  This is
+    compensated_sum_stream over the one array.
     """
-    a = np.asarray(a, dtype=np.float64)
-    return math.fsum(float(np.sum(a[i : i + _CHUNK])) for i in range(0, a.size, _CHUNK))
+    return compensated_sum_stream((a,))
+
+
+def compensated_sum_stream(pieces) -> float:
+    """compensated_sum of the concatenation of the 1-D arrays `pieces`, bit for bit.
+
+    The 4096-value chunks are cut from the concatenation: the fewer than 4096
+    values at the end of a piece are copied and carried into the next, so no
+    piece is held once the next is asked for.
+    """
+    return math.fsum(_chunk_totals(pieces))
+
+
+def _chunk_totals(pieces):
+    carry = np.empty(0)
+    for p in pieces:
+        p = np.asarray(p, dtype=np.float64)
+        if carry.size:  # complete the carried chunk from the head of p
+            head = _CHUNK - carry.size
+            carry = np.concatenate((carry, p[:head]))
+            p = p[head:]
+            if carry.size == _CHUNK:
+                yield float(np.sum(carry))
+                carry = carry[:0]
+        cut = p.size - p.size % _CHUNK
+        for i in range(0, cut, _CHUNK):
+            yield float(np.sum(p[i : i + _CHUNK]))
+        carry = np.concatenate((carry, p[cut:]))
+        del p
+    if carry.size:
+        yield float(np.sum(carry))
 
 
 def _two_sum(a, b):
@@ -473,6 +506,17 @@ class Scan(NamedTuple):
 def segment_edges(size: int) -> list:
     """Consecutive ranges (lo, hi) of at most _SEGMENT entries covering 0..size-1."""
     return [(lo, min(lo + _SEGMENT, size)) for lo in range(0, size, _SEGMENT)]
+
+
+def with_offsets(segments, size: int):
+    """(lo, segment) for the segments that segment_edges(size) cuts, each
+    dropped before the next is asked for (zip's reused result tuple would
+    hold the last one while the builder makes the next)."""
+    segments = iter(segments)
+    for lo, _ in segment_edges(size):
+        seg = next(segments)
+        yield lo, seg
+        del seg
 
 
 def _views(a: np.ndarray):

@@ -23,7 +23,7 @@ import numpy as np
 from . import reporting, sampling
 from . import tauberian as T
 from . import weights as W
-from .accum import compensated_sum, segment_edges
+from .accum import compensated_sum_stream, with_offsets
 from .arithmetic import prime_segments
 from .embedding import (ALPHA_HIGH, ALPHA_LOW, LocalWindow, block_family, check_sigma_rules,
                         embedding_constant, random_family)
@@ -121,7 +121,7 @@ def _weight_blob(w):
 
 def cmd_weights(args):
     w = _load_weight(args)
-    n = np.arange(1, w.w.size)  # w first: past the budget it refuses before n is allocated
+    n = range(1, w.w.size)  # w first: past the budget it refuses before anything is written
     reporting.write_csv(args.out, ["n", "w_n"], [n, w.w[1:]])
     sums_out = args.sums_out
     if sums_out is None:
@@ -179,6 +179,15 @@ def cmd_fit(args):
     return 0
 
 
+def _prime_powers(limit, e):
+    """p ** e for the primes p <= limit, one array per accum segment."""
+    for lo, mask in with_offsets(prime_segments(limit), limit + 1):
+        p = (np.flatnonzero(mask) + lo).astype(np.float64)
+        del mask  # freed before the sieve makes the next one
+        yield p ** e
+        del p
+
+
 def cmd_zeta(args):
     if args.what == "abscissas":
         if args.cross_check_N is not None:
@@ -194,10 +203,8 @@ def cmd_zeta(args):
             "rho1_residual": abs(zeta(rho1).real - 2.0),
         }
         if args.cross_check_N is not None:
-            primes = np.concatenate([np.flatnonzero(mask) + lo for (lo, _), mask in
-                                     zip(segment_edges(cross_n + 1), prime_segments(cross_n))])
             s = args.sigma
-            direct = compensated_sum(primes.astype(np.float64) ** (-s))
+            direct = compensated_sum_stream(_prime_powers(cross_n, -s))
             # li-based tail: integral of x^-s dpi(x) with pi ~ li - li(sqrt)/2,
             # each piece a log-power tail at alpha = 1
             L = math.log(cross_n)

@@ -299,22 +299,33 @@ def _csv_block(cols: list) -> np.ndarray:
 
 
 def write_csv(path: str, header: Sequence[str], columns: Iterable) -> None:
-    """One header line, then row i of the equal-length 1-D `columns` per line."""
-    cols = [np.asarray(c) for c in columns]
+    """One header line, then row i of the equal-length 1-D `columns` per line.
+
+    A column may be a range, written as int64 one block at a time and never
+    built whole.
+    """
+    cols = [c if isinstance(c, range) else np.asarray(c) for c in columns]
     if len(cols) != len(header):
         raise ValueError(f"{len(header)} header names for {len(cols)} columns")
-    if any(c.ndim != 1 for c in cols):
+    arrays = [c for c in cols if not isinstance(c, range)]
+    if any(c.ndim != 1 for c in arrays):
         raise ValueError("CSV columns must be 1-D")
-    n = cols[0].size if cols else 0
-    if any(c.size != n for c in cols):
-        raise ValueError(f"ragged CSV columns: lengths {[c.size for c in cols]}")
-    for c in cols:
+    n = len(cols[0]) if cols else 0
+    if any(len(c) != n for c in cols):
+        raise ValueError(f"ragged CSV columns: lengths {[len(c) for c in cols]}")
+    for c in arrays:
         if c.dtype.kind not in "fiu":
             raise TypeError(f"CSV columns must be float or integer arrays, got dtype {c.dtype}")
     with _atomic_open(path) as fh:
         fh.write((",".join(header) + "\n").encode("utf-8"))
         for a in range(0, n, _CSV_BLOCK):
-            fh.write(_csv_block([c[a:a + _CSV_BLOCK] for c in cols]))
+            fh.write(_csv_block([_rows(c[a:a + _CSV_BLOCK]) for c in cols]))
+
+
+def _rows(block):
+    if isinstance(block, range):
+        return np.arange(block.start, block.stop, block.step, dtype=np.int64)
+    return block
 
 
 def _jsonable(obj):

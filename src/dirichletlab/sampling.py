@@ -19,13 +19,16 @@ windows stop at it, and continuity_at_infinity keeps 5 units of headroom
 below it.
 
 Memory: an AtomicMeasure holds its positions, masses and prefix sums, three
-arrays of the atom count.  measure_from_weights writes positions and masses
-in place, and frees the nonzero indices of w that it reads them from before
-the prefix sums are built.  Every scan (carleson_check,
-beurling_lower_density and each window length of continuity_at_infinity)
-walks its anchors in chunks of at most _SCAN, so its working space is a
-fixed size, never a copy the size of the measure; beurling_lower_density
-copies its points only to sort them when they are not sorted.
+arrays of the atom count.  measure_from_weights builds them from the
+segments of w, never from the whole array w: one pass counts the atoms, a
+second writes positions and masses into their final arrays _SCAN entries at
+a time, and no segment outlives its turn, so one segment is alive beside
+the two arrays and none by the time the prefix sums are built.  Every scan
+(carleson_check, beurling_lower_density and each window length of
+continuity_at_infinity) walks its anchors in chunks of at most _SCAN, so
+its working space is a fixed size, never a copy the size of the measure;
+beurling_lower_density copies its points only to sort them when they are
+not sorted.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .accum import compensated_cumsum
+from .accum import compensated_cumsum, with_offsets
 from .errors import RangeError
 from . import weights as _weights
 
@@ -103,21 +106,36 @@ def measure_from_weights(w, symmetric: bool = False) -> AtomicMeasure:
     """Atoms at log n (and optionally -log n) with mass w_n / n; zero weights dropped.
 
     In the symmetric variant the two atoms at +-log 1 = 0 coincide and merge,
-    so n = 1 contributes a single atom of mass 2 w_1.  Positions and masses
-    are written in place into their final arrays, and the nonzero indices
-    are freed before the measure's prefix sums are built.
+    so n = 1 contributes a single atom of mass 2 w_1.  The atoms come from
+    two passes over w's segments, so w is never built: the first counts the
+    nonzero weights and reads w_1, the second writes positions and masses
+    into their final arrays _SCAN entries at a time.
     """
-    idx = np.flatnonzero(w.w)
-    n = idx.size
-    merge = int(symmetric and n > 0 and idx[0] == 1)  # one origin atom for +-log 1
+    _weights.check_budget(w)
+    n, w1 = 0, 0.0
+    for lo, seg in with_offsets(_weights.segments(w), w.limit + 1):
+        n += int(np.count_nonzero(seg))
+        if lo == 0:
+            w1 = seg[1]
+        del seg
+    merge = int(symmetric and w1 != 0)  # one origin atom for +-log 1
     size = 2 * n - merge if symmetric else n
     pos, mas = np.empty(size), np.empty(size)
     right, right_mas = pos[size - n:], mas[size - n:]  # the atoms at +log n
-    right[:] = idx
-    np.log(right, out=right)
-    np.take(w.w, idx, out=right_mas, mode="clip")  # idx is in range; "raise" would buffer
-    right_mas /= idx
-    del idx
+    k = 0
+    for lo, seg in with_offsets(_weights.segments(w), w.limit + 1):
+        for a in range(0, seg.size, _SCAN):
+            piece = seg[a:a + _SCAN]
+            idx = np.flatnonzero(piece)
+            at, k = slice(k, k + idx.size), k + idx.size
+            right_mas[at] = piece[idx]
+            del piece
+            idx += lo + a
+            right[at] = idx
+            np.log(right[at], out=right[at])
+            right_mas[at] /= idx
+            del idx
+        del seg  # freed before the builder makes the next one
     bound = math.log(w.limit)
     if not symmetric:
         return AtomicMeasure(positions=pos, masses=mas, domain_bound=bound)

@@ -17,7 +17,8 @@ kadec_spiked) compute each segment from its n; the sieve families, mccarthy
 and inv_ordered_factorization (through the prime-signature stream) among
 them, read theirs from the arithmetic builders.  The array w is built, as
 the concatenation of the same segments, only when something reads it, and
-past DEFAULT_BUDGET entries that read raises BudgetError.  S(x) at given
+past DEFAULT_BUDGET entries that read raises BudgetError (check_budget, which
+sampling's measure, built from the segments, checks too).  S(x) at given
 points comes from the scan's checkpoint reads, bit for bit the entries of
 partial_sums, and every sequence keeps one memo of the sums and the moments
 it has read.
@@ -190,12 +191,17 @@ class WeightSequence:
     @property
     def w(self) -> np.ndarray:
         if self._w is None:
-            if self.limit > DEFAULT_BUDGET:
-                raise BudgetError(f"a {self.limit}-entry {self.name} table exceeds the budget "
-                                  f"{DEFAULT_BUDGET}")
+            check_budget(self)
             self._w = accum.join_segments(BUILDERS[self.name](self.limit, self.params),
                                            self.limit + 1)
         return self._w
+
+
+def check_budget(w: WeightSequence) -> None:
+    """Raise BudgetError if w's N-length arrays (w itself, or a measure of
+    its atoms) would pass DEFAULT_BUDGET entries."""
+    if w.limit > DEFAULT_BUDGET:
+        raise BudgetError(f"a {w.limit}-entry {w.name} table exceeds the budget {DEFAULT_BUDGET}")
 
 
 class AsymptoticFit(NamedTuple):

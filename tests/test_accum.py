@@ -276,6 +276,27 @@ def test_compensated_sum_single_chunk_is_fsum_of_its_total(xs):
     assert got == expected or (math.isnan(got) and math.isnan(expected))
 
 
+def chunked_fsum_reference(a) -> float:
+    """The whole-array compensated_sum: fsum of the np.sum of each 4096-slice."""
+    return math.fsum(float(np.sum(a[i : i + 4096])) for i in range(0, a.size, 4096))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 9000), max_size=6), st.integers(0, 2**32 - 1))
+@example([4095, 1, 4097, 0, 8191], 0)
+@example([4096, 4096], 1)
+@example([], 2)
+def test_compensated_sum_stream_cuts_the_concatenation(sizes, seed):
+    # the chunks are cut from the concatenation, so a piece edge inside a
+    # chunk carries the chunk's head into the next piece
+    rng = np.random.default_rng(seed)
+    pieces = [rng.standard_normal(k) * 10.0 ** rng.integers(-8, 9, k) for k in sizes]
+    whole = np.concatenate(pieces) if pieces else np.empty(0)
+    expected = chunked_fsum_reference(whole).hex()
+    assert accum.compensated_sum_stream(iter(pieces)).hex() == expected
+    assert compensated_sum(whole).hex() == expected
+
+
 def direct_sums(a, sigmas):
     """The reference the engine replaces: one compensated pass over all N terms per s."""
     logn = np.log(np.arange(1, a.size, dtype=np.float64))

@@ -12,6 +12,7 @@ import pytest
 from jsonschema import validate
 
 import dirichletlab
+from dirichletlab import accum, cli
 from dirichletlab import weights as W
 from dirichletlab.arithmetic import divisor_count_segments
 from dirichletlab.cli import main
@@ -70,6 +71,17 @@ def test_weights_past_the_budget_is_a_compute_error(name, n, tmp_path, capsys, m
     assert run("weights", "--name", name, "--N", n, "--out", "w.csv") == 1
     err = capsys.readouterr().err
     assert err.startswith("compute error:") and err.count("\n") == 1 and "budget" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sampling_past_the_budget_is_a_compute_error(tmp_path, capsys, monkeypatch):
+    # the measure never builds w, so it checks the budget itself, before any
+    # N-length array or pass over the weights
+    monkeypatch.chdir(tmp_path)
+    assert run("sampling", "--name", "constant", "--N", "1e12", "--out", "s.json") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("compute error:") and err.count("\n") == 1
+    assert f"exceeds the budget {W.DEFAULT_BUDGET}" in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -169,6 +181,18 @@ def test_zeta_abscissas_report(tmp_path):
     assert blob["rho1"] == pytest.approx(1.728647238998184, abs=1e-9)
     assert blob["cross_check_gap"] <= 1e-5  # measured 2.76e-6 at N=1e4
     validate(blob, schema("abscissa_report"))
+
+
+@pytest.mark.parametrize("N", [10**5, 3 * 4096])
+@pytest.mark.parametrize("s", [1.5, 2.0, 3.25])
+def test_streamed_prime_sum_is_the_sum_over_the_concatenated_primes(N, s, monkeypatch):
+    # 4096-entry segments hold a few hundred primes each, and pi(1e5) = 9592
+    # and pi(12288) = 1466 are not multiples of 4096: every chunk but the
+    # last is carried across segment edges
+    monkeypatch.setattr(accum, "_SEGMENT", 4096)
+    primes = np.flatnonzero(W.catalog("prime_indicator", N).w)
+    got = accum.compensated_sum_stream(cli._prime_powers(N, -s))
+    assert got.hex() == accum.compensated_sum(primes.astype(np.float64) ** -s).hex()
 
 
 @pytest.mark.parametrize("args, named", [

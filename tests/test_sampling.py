@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dirichletlab import accum
 from dirichletlab import sampling as S
 from dirichletlab import weights as W
 from dirichletlab.errors import RangeError
@@ -65,6 +66,42 @@ def test_symmetric_measure_mirrors_and_merges_origin():
     j = int(np.searchsorted(m.positions, -math.log(3)))
     assert m.positions[j] == -math.log(3)
     assert m.masses[j] == pytest.approx(1.0 / 3.0)
+
+
+def whole_array_measure(w, symmetric):
+    """(positions, masses) from the whole weight array: the construction the
+    passes over w's segments replaced."""
+    ww = W.catalog(w.name, w.limit, **w.params).w
+    idx = np.flatnonzero(ww)
+    n = idx.size
+    merge = int(symmetric and n > 0 and idx[0] == 1)
+    size = 2 * n - merge if symmetric else n
+    pos, mas = np.empty(size), np.empty(size)
+    pos[size - n:] = np.log(idx.astype(np.float64))
+    mas[size - n:] = ww[idx] / idx
+    if symmetric:
+        pos[:size - n] = -pos[size - n + merge:][::-1]
+        mas[:size - n] = mas[size - n + merge:][::-1]
+        mas[size - n] *= 2.0 if merge else 1.0
+    return pos, mas
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+@pytest.mark.parametrize("name, params, N", [
+    ("constant", {}, 3 * 4096 + 5), ("divisor", {}, 10**4), ("mangoldt", {}, 10**4),
+    ("prime_indicator", {}, 4 * 4096), ("kadec", {"blocks": 8}, 4000)])
+def test_measure_from_segments_equals_the_whole_array_construction(name, params, N, symmetric,
+                                                                   monkeypatch):
+    # 4096-entry segments read in pieces of 1000, so pieces end mid-segment
+    # and segments mid-piece; mangoldt, prime_indicator and kadec have w_1 = 0
+    monkeypatch.setattr(accum, "_SEGMENT", 4096)
+    monkeypatch.setattr(S, "_SCAN", 1000)
+    w = W.catalog(name, N, **params)
+    m = measure_from_weights(w, symmetric=symmetric)
+    assert w._w is None
+    pos, mas = whole_array_measure(w, symmetric)
+    assert m.positions.tobytes() == pos.tobytes()
+    assert m.masses.tobytes() == mas.tobytes()
 
 
 def test_measure_validation():
@@ -520,6 +557,15 @@ def test_measure_from_weights_holds_its_output_and_bounded_work(traced_weights):
     # positions, masses and prefix sums are 3.0 arrays; the nonzero indices
     # are gone before the prefix pass (3.72); a copy per step read 5.0
     assert _traced_peak(lambda: measure_from_weights(traced_weights), N_TRACED) < 4.25
+
+
+def test_measure_from_segments_never_builds_w():
+    # positions, masses and one segment while the atoms are written, then the
+    # prefix pass at 3.72 arrays; building w first read 4.72, and so would
+    # a segment (here all of w) kept alive through a view
+    w = W.catalog("constant", N_TRACED)
+    assert _traced_peak(lambda: measure_from_weights(w), N_TRACED) < 4.0
+    assert w._w is None
 
 
 # the whole-array scans peaked at 2.58 (carleson), 1.25 (density) and 3.63
