@@ -29,18 +29,18 @@ value carries a proven Taylor remainder.  The block width follows from the
 largest |s| the moments must serve (see _block_width), so the remainder stays
 near 1e-15 of sum |a_n| n^(-sigma) as the t-window widens.
 
-Both passes run in scan(), which reads a sequence as the segments that
-segment_edges cuts (_SEGMENT entries each, whole 4096-chunks) and refuses
-any other cut.  A chunk never straddles a segment edge.  A moment block is
+Every pass over a segment stream (scan, join_segments, the sampling measure,
+the weights' streams) walks it through with_offsets, which pairs each segment
+with its offset and refuses any cut but segment_edges' (_SEGMENT entries,
+whole 4096-chunks), so no chunk straddles a segment edge.  A moment block is
 summed as the leaves of numpy's pairwise tree, at most _LEAF entries each,
-and only the leaf that a segment edge cuts is carried into the next
-segment, so a sequence that is never held whole gives the same bits as an
-array: its moments, its prefix sums and S(x) at given checkpoints, while
-the scan holds one segment and one leaf.  compensated_cumsum and
-block_moments are that scan over the views of one array.  In the same way
-compensated_sum is compensated_sum_stream over one array: its 4096-chunks
-are cut from the concatenation of a stream of arrays of any lengths, and
-only the part of a chunk that a piece edge cuts is carried.
+and only the leaf that a segment edge cuts is carried into the next segment,
+so a sequence never held whole gives the same bits as an array (its moments,
+prefix sums and S(x) at given checkpoints) while the scan holds one segment
+and one leaf.  compensated_cumsum and block_moments are that scan over the
+views of one array, and compensated_sum is compensated_sum_stream over one
+array, whose 4096-chunks are cut from the concatenation of a stream of arrays
+of any lengths, carrying only the part of a chunk that a piece edge cuts.
 """
 from __future__ import annotations
 
@@ -509,49 +509,57 @@ def segment_edges(size: int) -> list:
 
 
 def with_offsets(segments, size: int):
-    """(lo, segment) for the segments that segment_edges(size) cuts, each
-    dropped before the next is asked for (zip's reused result tuple would
-    hold the last one while the builder makes the next)."""
-    segments = iter(segments)
-    for lo, _ in segment_edges(size):
-        seg = next(segments)
+    """(lo, segment) for the segments that segment_edges(size) cuts, the one
+    walk over a segment stream: any other cut (a segment of another length,
+    a missing one, one past size) raises RangeError.  Each segment is dropped
+    before the next is asked for, and the next is asked for before the cut
+    advances."""
+    edges = iter(segment_edges(size))
+    for seg in segments:
+        lo, hi = next(edges, (size, size))
+        if lo == size:
+            raise RangeError(f"segments run past {size} entries")
+        seg = np.asarray(seg)
+        if seg.size != hi - lo:
+            raise RangeError(f"the segment at {lo} has {seg.size} entries, not {hi - lo}")
         yield lo, seg
-        del seg
+        del seg  # freed before the builder makes the next one
+    lo, hi = next(edges, (size, size))
+    if lo < size:
+        raise RangeError(f"the segment at {lo} has 0 entries, not {hi - lo}")
 
 
-def _views(a: np.ndarray):
+def views(a: np.ndarray):
+    """The views of a that segment_edges(a.size) cuts."""
     return (a[lo:hi] for lo, hi in segment_edges(a.size))
 
 
 def join_segments(segments, size: int) -> np.ndarray:
-    """The float64 concatenation of segments that cover `size` entries."""
-    out, lo = np.empty(0), 0
-    for seg in segments:
-        if lo == 0:  # a lone float64 segment of this size is the array, not copied
+    """The float64 concatenation of the segments that segment_edges(size) cuts
+    (see with_offsets); a lone float64 segment is the array, not copied."""
+    out = np.empty(0)
+    for lo, seg in with_offsets(segments, size):
+        if lo == 0:
             out = seg if seg.size == size and seg.dtype == np.float64 else np.empty(size)
         if seg is not out:
             out[lo : lo + seg.size] = seg
-        lo += seg.size
-    if lo != size:
-        raise RangeError(f"segments cover {lo} entries, not {size}")
     return out
 
 
 def scan(segments, size: int, s_max=None, checkpoints=None, out=None) -> Scan:
     """One pass over a_0..a_(size-1), handed in as the segments that
-    segment_edges(size) cuts.
+    segment_edges(size) cuts and walked by with_offsets.
 
     With s_max it builds block_moments(a, s_max).  With checkpoints (integer
     points in [0, size)) or out it runs compensated_cumsum's chunk pass: S at
     each checkpoint, and every prefix sum written to out if given;
-    checkpoints=None and out=None skip that pass.  A segment of any other
-    length, and a _SEGMENT that would split a 4096-chunk, raise RangeError:
-    each segment is then whole chunks, and only the moment leaf that a
-    segment edge cuts is carried into the next one.  Every result is bit
-    for bit the whole-array one.  The pass drops each segment before it
-    asks for the next, so with a builder that keeps none it has handed out,
-    one segment and one leaf of at most _LEAF entries are alive at a time
-    (a complex leaf is a whole moment block).
+    checkpoints=None and out=None skip that pass.  Any other cut (see
+    with_offsets), and a _SEGMENT that would split a 4096-chunk, raise
+    RangeError: each segment is then whole chunks, and only the moment leaf
+    that a segment edge cuts is carried into the next one.  Every result is
+    bit for bit the whole-array one.  With a builder that keeps no segment
+    it has handed out, one segment and one leaf of at most _LEAF entries are
+    alive at a time (a complex leaf is a whole moment block).
     """
     if _SEGMENT % _CHUNK:
         raise RangeError(f"a {_SEGMENT}-entry segment would split a {_CHUNK}-entry chunk")
@@ -559,18 +567,12 @@ def scan(segments, size: int, s_max=None, checkpoints=None, out=None) -> Scan:
     prefix = None
     if checkpoints is not None or out is not None:
         prefix = _PrefixPass(size, () if checkpoints is None else checkpoints, out)
-    segments = iter(segments)
-    for lo, hi in segment_edges(size):
-        seg = np.asarray(next(segments, np.empty(0)))
-        if seg.size != hi - lo:
-            raise RangeError(f"the segment at {lo} has {seg.size} entries, not {hi - lo}")
+    for lo, seg in with_offsets(segments, size):
         if moments is not None:
             moments.feed(seg, lo)
         if prefix is not None:
             prefix.feed(seg, lo)
         del seg  # freed before the builder makes the next one
-    if next(segments, None) is not None:
-        raise RangeError(f"segments run past {size} entries")
     return Scan(None if moments is None else moments.result(),
                 np.empty(0) if prefix is None else prefix.sums)
 
@@ -594,7 +596,7 @@ def compensated_cumsum(a: np.ndarray, out=None) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     if out is None:
         out = np.empty_like(a)
-    scan(_views(a), a.size, out=out)
+    scan(views(a), a.size, out=out)
     return out
 
 
@@ -611,7 +613,7 @@ def block_moments(a, s_max: float) -> BlockMoments:
     block, bit for bit, built from leaves of at most _LEAF entries.
     """
     a = np.asarray(a, dtype=np.complex128 if np.iscomplexobj(a) else np.float64)
-    return scan(_views(a), a.size, s_max=s_max).moments
+    return scan(views(a), a.size, s_max=s_max).moments
 
 
 @functools.lru_cache(maxsize=2)

@@ -284,12 +284,11 @@ def ordered_factorization_segments(limit: int):
     for key, in factor_segments(limit, (q.__getitem__, np.multiply, np.int64)):
         if (top := int(key.max())) >= H.size:
             H = np.concatenate([H, np.zeros(top + 1 - H.size, dtype=np.int64)])
-        counts = H[key]
-        new = np.flatnonzero(np.bincount(key[counts == 0]))
+        new = np.flatnonzero(np.bincount(key[H[key] == 0]))  # no lookup kept beside key
         new = new[new > 0]  # key 0 is n = 0's; H >= 1 at every other key
         if new.size:
             H[new] = [_ordered_factorization_count(m, q) for m in new.tolist()]
-            counts = H[key]
+        counts = H[key]
         del key
         yield counts
         del counts

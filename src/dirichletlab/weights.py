@@ -7,21 +7,21 @@ alpha in S(x) ~ C x^sigma0 / (log x)^alpha, with sigma0 the abscissa of
 sum w_n n^(-s).  A sequence carries sigma0 and, when one is known, the
 predicted exponent.
 
-Every family is handed out segment by segment from its builder in BUILDERS:
-a scan holds one accum segment, one chunk and one moment leaf of at most
-accum._LEAF entries, never the N-length table, so its memory is bounded by
-the segment size (plus sqrt(N) small primes).  A builder keeps no segment
-it has yielded once it resumes, so the one the scan dropped is freed before
-the next is built.  The closed forms (constant, log_power, kadec,
-kadec_spiked) compute each segment from its n; the sieve families, mccarthy
-and inv_ordered_factorization (through the prime-signature stream) among
-them, read theirs from the arithmetic builders.  The array w is built, as
-the concatenation of the same segments, only when something reads it, and
-past DEFAULT_BUDGET entries that read raises BudgetError (check_budget, which
-sampling's measure, built from the segments, checks too).  S(x) at given
-points comes from the scan's checkpoint reads, bit for bit the entries of
-partial_sums, and every sequence keeps one memo of the sums and the moments
-it has read.
+Every family is handed out segment by segment from its builder in BUILDERS,
+and every reader (a scan, the join that builds w, sampling's measure) walks
+the segments through accum.with_offsets, which checks each against the cut
+of accum.segment_edges.  A scan holds one segment, one chunk and one moment
+leaf of at most accum._LEAF entries, never the N-length table, and a builder
+keeps no segment it has yielded once it resumes, so the one the scan dropped
+is freed before the next is built.  The closed forms (constant, log_power,
+kadec, kadec_spiked) compute each segment from its n; the sieve families,
+mccarthy and inv_ordered_factorization among them, read theirs from the
+arithmetic builders.  The array w is built only when something reads it,
+and past DEFAULT_BUDGET entries that read raises BudgetError (check_budget,
+which the measure checks too); once built, w is read as accum.views of it.
+S(x) at given points comes from the scan's checkpoint reads, bit for bit the
+entries of partial_sums, and every sequence keeps one memo of the sums and
+the moments it has read.
 """
 from __future__ import annotations
 
@@ -104,11 +104,9 @@ def _ordered_factorizations(limit: int, invert: bool):
 
 
 def _mangoldt_over_log_segments(limit: int, params: dict):
-    lo = 0
-    for lam in arithmetic.von_mangoldt_segments(limit):
+    for lo, lam in accum.with_offsets(arithmetic.von_mangoldt_segments(limit), limit + 1):
         idx = np.flatnonzero(lam)  # n >= 2: Lambda(0) = Lambda(1) = 0
         lam[idx] /= np.log((idx + lo).astype(np.float64))
-        lo += lam.size
         yield lam
         del lam, idx
 
@@ -268,7 +266,7 @@ def segments(w: WeightSequence):
     w is not built, else views of w."""
     if w._w is None:
         return BUILDERS[w.name](w.limit, w.params)
-    return (w._w[lo:hi] for lo, hi in accum.segment_edges(w.limit + 1))
+    return accum.views(w._w)
 
 
 def read(w: WeightSequence, xs=(), s_max: Optional[float] = None) -> tuple:

@@ -646,10 +646,15 @@ def test_scan_refuses_cuts_other_than_segment_edges(monkeypatch):
             [a],  # coarser
             _segments(a, 2 * 4096)[:-1],  # short of the end
             _segments(a, 2 * 4096) + [a[:0]]]  # past it
+    # scan and join_segments walk the segments through with_offsets: each refuses
+    walks = (lambda cut: accum.scan(cut, a.size, s_max=3.3),
+             lambda cut: accum.scan(cut, a.size, checkpoints=[0]),
+             lambda cut: list(accum.with_offsets(cut, a.size)),
+             lambda cut: accum.join_segments(cut, a.size))
     for cut in cuts:
-        for kw in ({"s_max": 3.3}, {"checkpoints": [0]}):
+        for walk in walks:
             with pytest.raises(RangeError):
-                accum.scan(cut, a.size, **kw)
+                walk(cut)
     for segment in (4095, 5000, 3 * 4096 + 1):  # a segment edge inside a chunk
         monkeypatch.setattr(accum, "_SEGMENT", segment)
         for f in (compensated_cumsum, lambda a: block_moments(a, 3.3)):
@@ -757,8 +762,7 @@ def test_join_segments_hands_back_a_lone_segment():
     ints = np.arange(10, dtype=np.uint16)  # another dtype is converted into a new array
     joined = accum.join_segments([ints], 10)
     assert joined.dtype == np.float64 and np.array_equal(joined, ints)
-    two = accum.join_segments([seg[:4], seg[4:]], 10)
-    assert two is not seg and two.tobytes() == seg.tobytes()
-    for cut, size in (([seg[:4]], 10), ([seg], 11)):  # segments short of the size
+    # segments short of the size, and a cut other than segment_edges
+    for cut, size in (([seg[:4]], 10), ([seg], 11), ([seg[:4], seg[4:]], 10)):
         with pytest.raises(RangeError):
             accum.join_segments(cut, size)

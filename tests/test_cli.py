@@ -16,6 +16,7 @@ from dirichletlab import accum, cli
 from dirichletlab import weights as W
 from dirichletlab.arithmetic import divisor_count_segments
 from dirichletlab.cli import main
+from dirichletlab.errors import RangeError
 
 
 def run(*argv) -> int:
@@ -82,6 +83,24 @@ def test_sampling_past_the_budget_is_a_compute_error(tmp_path, capsys, monkeypat
     err = capsys.readouterr().err
     assert err.startswith("compute error:") and err.count("\n") == 1
     assert f"exceeds the budget {W.DEFAULT_BUDGET}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sampling_on_segments_off_the_cut_is_a_compute_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(accum, "_SEGMENT", 4096)
+    build = W.BUILDERS["constant"]
+
+    def short(limit, params):  # the first segment one entry short
+        segs = build(limit, params)
+        yield next(segs)[:-1]
+        yield from segs
+
+    monkeypatch.setitem(W.BUILDERS, "constant", short)
+    assert run("sampling", "--name", "constant", "--N", "12288", "--out", "s.json") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("compute error:") and err.count("\n") == 1
+    assert "the segment at 0 has 4095 entries, not 4096" in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -193,6 +212,20 @@ def test_streamed_prime_sum_is_the_sum_over_the_concatenated_primes(N, s, monkey
     primes = np.flatnonzero(W.catalog("prime_indicator", N).w)
     got = accum.compensated_sum_stream(cli._prime_powers(N, -s))
     assert got.hex() == accum.compensated_sum(primes.astype(np.float64) ** -s).hex()
+
+
+def test_prime_powers_refuse_masks_off_the_cut(monkeypatch):
+    monkeypatch.setattr(accum, "_SEGMENT", 4096)
+    sieve = cli.prime_segments
+
+    def short(limit):  # the first mask one entry short
+        masks = sieve(limit)
+        yield next(masks)[:-1]
+        yield from masks
+
+    monkeypatch.setattr(cli, "prime_segments", short)
+    with pytest.raises(RangeError, match="the segment at 0 has 4095 entries, not 4096"):
+        list(cli._prime_powers(3 * 4096, -2.0))
 
 
 @pytest.mark.parametrize("args, named", [

@@ -104,6 +104,24 @@ def test_measure_from_segments_equals_the_whole_array_construction(name, params,
     assert m.masses.tobytes() == mas.tobytes()
 
 
+def _first_segment_short(build):
+    """build's segments, the first one entry short of its cut."""
+    def short(limit, params):
+        segs = build(limit, params)
+        yield next(segs)[:-1]
+        yield from segs
+    return short
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_measure_refuses_segments_off_the_cut(symmetric, monkeypatch):
+    # unchecked, the atom at log 4095 would go missing without an error
+    monkeypatch.setattr(accum, "_SEGMENT", 4096)
+    monkeypatch.setitem(W.BUILDERS, "constant", _first_segment_short(W.BUILDERS["constant"]))
+    with pytest.raises(RangeError, match="the segment at 0 has 4095 entries, not 4096"):
+        measure_from_weights(W.catalog("constant", 3 * 4096), symmetric=symmetric)
+
+
 def test_measure_validation():
     with pytest.raises(RangeError):
         AtomicMeasure(np.array([1.0, 1.0]), np.array([1.0, 1.0]), 2.0)
