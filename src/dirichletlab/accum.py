@@ -38,9 +38,8 @@ and only the leaf that a segment edge cuts is carried into the next segment,
 so a sequence never held whole gives the same bits as an array (its moments,
 prefix sums and S(x) at given checkpoints) while the scan holds one segment
 and one leaf.  compensated_cumsum and block_moments are that scan over the
-views of one array, and compensated_sum is compensated_sum_stream over one
-array, whose 4096-chunks are cut from the concatenation of a stream of arrays
-of any lengths, carrying only the part of a chunk that a piece edge cuts.
+views of one array.  A stream of arrays of any lengths is summed by exact_sum,
+which drops each array before it asks for the next.
 """
 from __future__ import annotations
 
@@ -159,9 +158,11 @@ def exact_sum(chunks) -> float:
     The sum is exact, kept per exponent by np.bincount (see _ExactSum), and
     rounded once, so it costs a few array passes per value, not a Python
     float each; the arrays are read _PIECE entries at a time, so the
-    temporaries stay bounded.  Non-finite values go to math.fsum itself, so
-    nan, +-inf and the ValueError of -inf + inf are fsum's, and a finite sum
-    past the float64 range raises OverflowError.  One edge differs: where
+    temporaries stay bounded, and each array is let go before the next is
+    asked for, so a generator's arrays are held one at a time.  Non-finite
+    values go to math.fsum itself, so nan, +-inf and the ValueError of
+    -inf + inf are fsum's, and a finite sum past the float64 range raises
+    OverflowError.  One edge differs: where
     fsum's partials overflow on the way, but the exact sum rounds to
     +-DBL_MAX, fsum raises OverflowError and this returns +-DBL_MAX
     (compensated_cumsum has the same edge).
@@ -169,6 +170,7 @@ def exact_sum(chunks) -> float:
     acc = _ExactSum()
     for x in chunks:
         acc.add(np.asarray(x, dtype=np.float64).reshape(-1))
+        del x  # freed before the stream makes the next one
     return acc.value()
 
 
@@ -176,40 +178,11 @@ def compensated_sum(a) -> float:
     """Sum of a float array: math.fsum of the np.sum totals of its 4096-value chunks.
 
     Matches fsum to ~1e-14 relative on positive 1e7-term arrays while staying
-    vectorized (fsum alone walks the array in Python).  This is
-    compensated_sum_stream over the one array.
+    vectorized (fsum alone walks the array in Python); exact_sum has fsum's
+    own bits at a few array passes per value.
     """
-    return compensated_sum_stream((a,))
-
-
-def compensated_sum_stream(pieces) -> float:
-    """compensated_sum of the concatenation of the 1-D arrays `pieces`, bit for bit.
-
-    The 4096-value chunks are cut from the concatenation: the fewer than 4096
-    values at the end of a piece are copied and carried into the next, so no
-    piece is held once the next is asked for.
-    """
-    return math.fsum(_chunk_totals(pieces))
-
-
-def _chunk_totals(pieces):
-    carry = np.empty(0)
-    for p in pieces:
-        p = np.asarray(p, dtype=np.float64)
-        if carry.size:  # complete the carried chunk from the head of p
-            head = _CHUNK - carry.size
-            carry = np.concatenate((carry, p[:head]))
-            p = p[head:]
-            if carry.size == _CHUNK:
-                yield float(np.sum(carry))
-                carry = carry[:0]
-        cut = p.size - p.size % _CHUNK
-        for i in range(0, cut, _CHUNK):
-            yield float(np.sum(p[i : i + _CHUNK]))
-        carry = np.concatenate((carry, p[cut:]))
-        del p
-    if carry.size:
-        yield float(np.sum(carry))
+    a = np.asarray(a, dtype=np.float64)
+    return math.fsum(float(np.sum(a[i : i + _CHUNK])) for i in range(0, a.size, _CHUNK))
 
 
 def _two_sum(a, b):
@@ -543,6 +516,7 @@ def join_segments(segments, size: int) -> np.ndarray:
             out = seg if seg.size == size and seg.dtype == np.float64 else np.empty(size)
         if seg is not out:
             out[lo : lo + seg.size] = seg
+        del seg  # freed before the builder makes the next one
     return out
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -23,7 +24,7 @@ import numpy as np
 from . import reporting, sampling
 from . import tauberian as T
 from . import weights as W
-from .accum import compensated_sum_stream, with_offsets
+from .accum import exact_sum, with_offsets
 from .arithmetic import prime_segments
 from .embedding import (ALPHA_HIGH, ALPHA_LOW, LocalWindow, block_family, check_sigma_rules,
                         embedding_constant, random_family)
@@ -125,8 +126,8 @@ def cmd_weights(args):
     reporting.write_csv(args.out, ["n", "w_n"], [n, w.w[1:]])
     sums_out = args.sums_out
     if sums_out is None:
-        stem, dot, ext = args.out.rpartition(".")
-        sums_out = f"{stem}_sums.{ext}" if dot else f"{args.out}_sums"
+        stem, ext = os.path.splitext(args.out)  # the extension of the file name only
+        sums_out = f"{stem}_sums{ext}"
     S = W.partial_sums(w)
     reporting.write_csv(sums_out, ["n", "S_n"], [n, S[1:]])
     return 0
@@ -204,7 +205,7 @@ def cmd_zeta(args):
         }
         if args.cross_check_N is not None:
             s = args.sigma
-            direct = compensated_sum_stream(_prime_powers(cross_n, -s))
+            direct = exact_sum(_prime_powers(cross_n, -s))
             # li-based tail: integral of x^-s dpi(x) with pi ~ li - li(sqrt)/2,
             # each piece a log-power tail at alpha = 1
             L = math.log(cross_n)

@@ -104,6 +104,22 @@ def test_exact_sum_is_fsum_bit_for_bit_on_long_arrays(seed, n):
     assert exact_sum((a[: n // 3], a[n // 3 :])) == math.fsum(a.tolist())
 
 
+def test_exact_sum_lets_each_array_go_before_the_next_is_made():
+    refs = []
+
+    def probe():  # holds none of its arrays once resumed
+        for k in range(4):
+            assert all(r() is None for r in refs), k
+            x = np.full(accum._PIECE + 5, 0.1 * (k + 1))
+            refs.append(weakref.ref(x))
+            yield x
+            del x
+
+    got = exact_sum(probe())
+    assert len(refs) == 4
+    assert got == math.fsum([0.1 * (k + 1) for k in range(4) for _ in range(accum._PIECE + 5)])
+
+
 def test_exact_sum_rounds_where_fsum_partials_overflow():
     # the one edge where exact_sum is not fsum: fsum's partials meet
     # M + 2^970, a tie that rounds past the float64 range, while the exact
@@ -286,15 +302,12 @@ def chunked_fsum_reference(a) -> float:
 @example([4095, 1, 4097, 0, 8191], 0)
 @example([4096, 4096], 1)
 @example([], 2)
-def test_compensated_sum_stream_cuts_the_concatenation(sizes, seed):
-    # the chunks are cut from the concatenation, so a piece edge inside a
-    # chunk carries the chunk's head into the next piece
+def test_compensated_sum_is_fsum_of_its_4096_slices(sizes, seed):
+    # pieces of any lengths, joined: the chunks are cut from the whole array
     rng = np.random.default_rng(seed)
     pieces = [rng.standard_normal(k) * 10.0 ** rng.integers(-8, 9, k) for k in sizes]
     whole = np.concatenate(pieces) if pieces else np.empty(0)
-    expected = chunked_fsum_reference(whole).hex()
-    assert accum.compensated_sum_stream(iter(pieces)).hex() == expected
-    assert compensated_sum(whole).hex() == expected
+    assert compensated_sum(whole).hex() == chunked_fsum_reference(whole).hex()
 
 
 def direct_sums(a, sigmas):

@@ -13,10 +13,12 @@ from jsonschema import validate
 
 import dirichletlab
 from dirichletlab import accum, cli
+from dirichletlab import tauberian as T
 from dirichletlab import weights as W
 from dirichletlab.arithmetic import divisor_count_segments
 from dirichletlab.cli import main
 from dirichletlab.errors import RangeError
+from dirichletlab.zeta import prime_zeta
 
 
 def run(*argv) -> int:
@@ -33,6 +35,16 @@ def read_csv(path):
 def schema(name):
     p = files("dirichletlab").joinpath("schemas", f"{name}.schema.json")
     return json.loads(p.read_text())
+
+
+def test_weights_default_sums_name_splits_the_file_name_only(tmp_path):
+    d = tmp_path / "out.d"
+    d.mkdir()
+    assert run("weights", "--name", "constant", "--N", 100, "--out", d / "weights") == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.d"]
+    assert sorted(p.name for p in d.iterdir()) == ["weights", "weights_sums"]
+    _, rows = read_csv(d / "weights_sums")
+    assert rows[-1] == ["100", "100"]
 
 
 def test_weights_divisor_row_count(tmp_path):
@@ -205,13 +217,25 @@ def test_zeta_abscissas_report(tmp_path):
 @pytest.mark.parametrize("N", [10**5, 3 * 4096])
 @pytest.mark.parametrize("s", [1.5, 2.0, 3.25])
 def test_streamed_prime_sum_is_the_sum_over_the_concatenated_primes(N, s, monkeypatch):
-    # 4096-entry segments hold a few hundred primes each, and pi(1e5) = 9592
-    # and pi(12288) = 1466 are not multiples of 4096: every chunk but the
-    # last is carried across segment edges
+    # 4096-entry segments hold a few hundred primes each: the cross-check's
+    # direct sum over them is fsum's over all the primes, bit for bit
     monkeypatch.setattr(accum, "_SEGMENT", 4096)
     primes = np.flatnonzero(W.catalog("prime_indicator", N).w)
-    got = accum.compensated_sum_stream(cli._prime_powers(N, -s))
-    assert got.hex() == accum.compensated_sum(primes.astype(np.float64) ** -s).hex()
+    got = accum.exact_sum(cli._prime_powers(N, -s))
+    assert got.hex() == math.fsum(primes.astype(np.float64) ** -s).hex()
+
+
+def test_zeta_cross_check_gap_is_the_closed_direct_sum(tmp_path):
+    out = tmp_path / "abscissas.json"
+    N, s = 10**4, 1.5
+    assert run("zeta", "--what", "abscissas", "--cross-check-N", N, "--out", out) == 0
+    primes = np.flatnonzero(W.catalog("prime_indicator", N).w)
+    L = math.log(N)
+    tail = T.log_power_tail(s - 1.0, L, 1.0) - 0.5 * T.log_power_tail(s - 0.5, L, 1.0)
+    direct = math.fsum(primes.astype(np.float64) ** -s)
+    blob = json.loads(out.read_text())
+    assert blob["cross_check_sigma"] == s
+    assert blob["cross_check_gap"] == abs(direct + tail - prime_zeta(s).real)
 
 
 def test_prime_powers_refuse_masks_off_the_cut(monkeypatch):

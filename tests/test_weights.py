@@ -433,6 +433,14 @@ def test_the_moment_pass_holds_no_whole_block(monkeypatch):
     assert _traced_peak(lambda: W.read(w, (), 3.3)) < 6.0
 
 
+def test_a_joined_table_holds_one_segment_besides_itself():
+    # the 4-segment array and the one segment being copied in make 5.00
+    # segments; join_segments holding its last copied segment while the
+    # builder makes the next one made 6.00
+    w = W.catalog("constant", 4 * 2**20)
+    assert _traced_peak(lambda: w.w) < 5.5
+
+
 def test_streamed_table_past_the_budget_is_refused():
     for name in W.CATALOG_NAMES:
         w = W.catalog(name, DEFAULT_BUDGET + 1, **FAMILY_PARAMS.get(name, {}))  # nothing built
