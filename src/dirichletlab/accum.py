@@ -8,9 +8,10 @@ offsets are themselves exactly rounded, so the worst-case relative error of
 any prefix is ~chunk_len*eps of the local chunk plus one rounding of the
 offset; with the chunk of 4096 that stays below 1e-12 even for 1e7-term
 sums.  The exactly rounded chunk totals of
-float data come from a vectorised TwoSum tree whose result is accepted only
-under a proven error bound (Ogita-Rump-Oishi, SIAM J. Sci. Comput. 26,
-2005), with an exact_sum fallback per chunk; bool and integer data of at most
+float data come from one error-free extraction per chunk (Rump-Ogita-Oishi,
+SIAM J. Sci. Comput. 31, 2008): an exact sum of the chunk's high parts plus
+an np.sum of its low parts, accepted only under a proven error bound, with
+an exact_sum fallback per chunk; bool and integer data of at most
 32 bits is summed as it is, each chunk total an exact int64 row sum, with no
 float64 copy of the segment.  The offsets are one exact integer sum of the
 totals, rounded once per offset, so a prefix-sum pass costs O(N) array work
@@ -53,7 +54,7 @@ import numpy as np
 from .errors import RangeError
 
 _CHUNK = 4096
-_ROWS = 32  # chunks per batch of the TwoSum tree: ~0.5 MB per level-1 buffer
+_ROWS = 32  # chunks per batch of _certified_totals: 1 MB per scratch buffer
 _SEGMENT = 1 << 20  # entries per segment of a scan: 8 MB of float64
 _LEAF = 8 * _CHUNK  # entries per leaf of a moment block's sum tree (>= 272): 256 KB of float64
 
@@ -196,48 +197,43 @@ def _certified_totals(rows: np.ndarray) -> tuple:
     """Exactly rounded sums of the rows of a (K, 4096) array, where provable.
 
     Returns (totals, ok); totals[k] equals math.fsum(rows[k]) wherever ok[k].
-    A 12-level pairwise TwoSum tree leaves each row sum as s + E exactly, E
-    the sum of the tree's rounding errors, and forms e ~ E in floating point
-    with |e - E| < 289 u^2 sum|x| (u = 2^-53; 12 levels of errors, each at
-    most u of that level's sum|s|, summed at depth <= 24).  T = fl(s + e) is
-    then the exactly rounded sum when s + e - T, widened by 2^-96 sum|x| =
-    1024 u^2 sum|x|, lies strictly inside T's rounding cell, whose halves
-    differ at powers of two.  Rows that are not finite, come near overflow
-    or underflow, or sit too close to a rounding tie are left to the caller.
+    One error-free extraction per row (Rump-Ogita-Oishi, SIAM J. Sci.
+    Comput. 31, 2008): with M = max|x_i|, 2^(e-1) <= M < 2^e and
+    sigma = 2^(e+13), q_i = fl(fl(sigma + x_i) - sigma) is a multiple of
+    2^-53 sigma, and |sum q_i| < sigma, so tau = sum q_i is exact in any
+    order; r_i = x_i - q_i is exact and |r_i| <= 2^-53 sigma.  np.sum(r)
+    then misses sum r_i by at most gamma_4095 * 4096 * 2^-53 sigma < 2^-81
+    sigma = delta, and TwoSum(tau, np.sum(r)) = (T, t) leaves the exact sum
+    within delta of T + t.  T is the exactly rounded sum when t +- delta
+    lies strictly inside T's rounding cell, whose halves differ at powers
+    of two.  Rows that are not finite, have M outside [2^-900, 2^1000), or
+    sit too close to a rounding tie are left to the caller; a row of zeros
+    totals 0.  Scratch: two (_ROWS, 4096) buffers.
     """
     K = rows.shape[0]
-    total = np.empty(K)
-    resid = np.empty(K)
-    absum = np.empty(K)
-    half = _CHUNK // 2
-    s, e, bb = (np.empty((_ROWS, half)) for _ in range(3))
+    tau, rho, M = np.empty(K), np.empty(K), np.empty(K)
+    q, r = np.empty((_ROWS, _CHUNK)), np.empty((_ROWS, _CHUNK))
     with np.errstate(invalid="ignore", over="ignore"):
         for lo in range(0, K, _ROWS):
             x = rows[lo : lo + _ROWS]
             n = x.shape[0]
-            a, b, sk, ek, bk = x[:, :half], x[:, half:], s[:n], e[:n], bb[:n]
-            # the first level in preallocated buffers: it is half the work
-            np.add(a, b, out=sk)
-            np.subtract(sk, a, out=bk)
-            np.subtract(sk, bk, out=ek)
-            np.subtract(a, ek, out=ek)
-            np.subtract(b, bk, out=bk)
-            ek += bk
-            absum[lo : lo + n] = np.abs(a, out=bk).sum(axis=1) + np.abs(b, out=bk).sum(axis=1)
-            width = half
-            while width > 1:
-                width //= 2
-                sk, t = _two_sum(sk[:, :width], sk[:, width:])
-                ek = ek[:, :width] + ek[:, width:]
-                ek += t
-            total[lo : lo + n], resid[lo : lo + n] = _two_sum(sk[:, 0], ek[:, 0])
-        bound = absum * 2.0**-96
+            qk, rk = q[:n], r[:n]
+            M[lo : lo + n] = m = np.abs(x, out=qk).max(axis=1)
+            sigma = np.ldexp(1.0, np.frexp(m)[1] + 13)[:, None]
+            np.add(x, sigma, out=qk)
+            qk -= sigma
+            np.subtract(x, qk, out=rk)
+            tau[lo : lo + n] = qk.sum(axis=1)
+            rho[lo : lo + n] = rk.sum(axis=1)
+        total, t = _two_sum(tau, rho)
+        delta = np.ldexp(1.0, np.frexp(M)[1] - 68)  # 2^-81 sigma
         up = np.nextafter(total, np.inf) - total
         down = total - np.nextafter(total, -np.inf)
-        ok = (absum >= 2.0**-900) & (absum < 2.0**1020)
-        ok &= (resid + bound < 0.5 * up) & (resid - bound > -0.5 * down)
-    # an all-zero row totals +-0, which adds nothing to the offsets
-    return total, ok | (absum == 0.0)
+        ok = (M >= 2.0**-900) & (M < 2.0**1000)
+        ok &= (t + delta < 0.5 * up) & (t - delta > -0.5 * down)
+    zero = M == 0.0  # fsum of zeros is +0.0, whatever their signs
+    total[zero] = 0.0
+    return total, ok | zero
 
 
 class _PrefixPass:
@@ -252,7 +248,8 @@ class _PrefixPass:
     S(x) at the checkpoints are the bits that compensated_cumsum gives on
     the whole array, read as float64.  A bool or
     integer segment is read as it is: its chunk totals are exact int64 row
-    sums, not _certified_totals, and its cumsums are exact in any dtype.
+    sums, not _certified_totals' extraction, and its cumsums are exact in
+    any dtype.
     """
 
     def __init__(self, size: int, checkpoints, out):
@@ -556,8 +553,9 @@ def compensated_cumsum(a: np.ndarray, out=None) -> np.ndarray:
 
     Each 4096-term chunk is cumsummed in float64, and the offset added to it
     is the exactly rounded sum of the exactly rounded totals of all previous
-    chunks.  The totals come from _certified_totals, and from exact_sum
-    wherever its certificate fails; the offsets from one exact integer sum
+    chunks.  The totals come from _certified_totals' error-free extraction,
+    and from exact_sum wherever its certificate fails (ties, cancellation
+    to ~0, non-finite values); the offsets from one exact integer sum
     of them, rounded once per offset, O(number of chunks) in all.  This is
     scan()'s chunk pass over a, writing every prefix.  Results are bit for
     bit those of cumsumming chunk by chunk and calling math.fsum on each

@@ -380,6 +380,7 @@ def cmd_tauberian(args):
     if not np.all(sigmas > w.sigma0):  # before prescan reads every weight
         raise UsageError(f"--u-lo {lo!r} is below the resolution of sigma0 = {w.sigma0!r}: "
                          f"sigma0 + u rounds to sigma0")
+    sigmas = T.fit_grid(sigmas, w.sigma0)
     xs = ()
     if args.compare_out:
         xs = np.geomspace(max(10.0, w.limit / 10.0), w.limit, max(2, args.compare_points))

@@ -17,7 +17,10 @@ nan, +-inf, or outside [1e-280, 1e280] takes the ``%`` call instead, one
 value at a time.  Digits come four at a time from a table of 0..9999.
 Each column gets a fixed-width field per row and a keep mask of the bytes
 its %g (or %d) layout shows; one boolean compaction per block yields the
-CSV text.
+CSV text.  The fields and masks of a file's blocks live in one workspace,
+allocated once per file (an integer field is as wide as its column's
+largest magnitude), and a run of bit-equal float values is formatted once
+and copied down the run.
 """
 
 from __future__ import annotations
@@ -203,7 +206,7 @@ def _float_rows(a: np.ndarray, buf: np.ndarray, keep: np.ndarray) -> np.ndarray:
     keep with the bytes shown, sign aside; return False where a needs %."""
     D, X, ok = _significand17(a)
     m = np.full(a.size, 17)  # digits left after the trailing zeros
-    j = np.flatnonzero(D % _U(10) == 0)
+    j = np.flatnonzero(D // _U(10) * _U(10) == D)  # uint64 % costs twice //
     m[j] -= _decimal_trailing_zeros(D[j])
     expo = (X < -4) | (X > 16)
     small = ~expo & (X < 0)
@@ -226,9 +229,8 @@ def _float_rows(a: np.ndarray, buf: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return ok
 
 
-def _float_field(x: np.ndarray, buf: np.ndarray, keep: np.ndarray) -> None:
-    """Fill buf's rows (_F_WIDTH wide) with %.17g of x and keep with the bytes shown."""
-    x = x.astype(np.float64, copy=False)
+def _float_values(x: np.ndarray, buf: np.ndarray, keep: np.ndarray) -> None:
+    """Fill buf's rows (_F_WIDTH wide) with %.17g of the float64 x and keep with the bytes shown."""
     ax = np.abs(x)
     fast = (ax >= _FAST_LO) & (ax <= _FAST_HI)
     slow = ~fast & (ax != 0.0)  # nan, inf, and the outskirts of the range
@@ -255,12 +257,57 @@ def _float_field(x: np.ndarray, buf: np.ndarray, keep: np.ndarray) -> None:
         keep[rows] = np.arange(_F_WIDTH) < np.array([len(s) for s in text])[:, None]
 
 
+def _float_field(x: np.ndarray, buf: np.ndarray, keep: np.ndarray) -> None:
+    """Fill buf's rows (_F_WIDTH wide) with %.17g of x and keep with the bytes shown.
+
+    A run of bit-equal consecutive values (S_n between the weights' support)
+    is formatted once and its row copied down the run; bits, not ==, so that
+    -0.0 and 0.0 and the nan payloads stay apart.  A zero costs next to
+    nothing on its own path, so a block takes the runs only when they
+    format at most half of its nonzero values.  Per 8192-row block on a
+    2-vCPU Xeon: a formatted nonzero value costs ~110 ns, finding the runs
+    ~7 ns a row and copying ~14 ns a row, so runs win while they format
+    up to ~80 % of a column without zeros; half leaves the margin for
+    columns with zeros, where the copy is paid on every row.
+    """
+    x = x.astype(np.float64, copy=False)
+    bits = x.view(np.int64)
+    head = np.empty(x.size, bool)  # the first row of each run
+    head[:1] = True
+    np.not_equal(bits[1:], bits[:-1], out=head[1:])
+    nonzero = x != 0.0
+    if 2 * np.count_nonzero(head & nonzero) > np.count_nonzero(nonzero):
+        _float_values(x, buf, keep)
+        return
+    b = np.empty((np.count_nonzero(head), _F_WIDTH), np.uint8)
+    k = np.empty(b.shape, bool)
+    _float_values(x[head], b, k)
+    run = np.cumsum(head) - 1
+    row = f"V{_F_WIDTH}"  # a field as one item: np.take copies it whole
+    for src, dst in ((b, buf), (k, keep)):
+        dst.view(row)[:, 0] = np.take(src.view(row)[:, 0], run)
+
+
 # --- CSV kernel: integers and blocks --------------------------------------------
 
 
-def _int_width(v: np.ndarray) -> int:
-    """Digits of the largest magnitude in the non-empty v."""
-    return len(str(max(int(v.max()), -int(v.min()))))
+def _field_width(c) -> int:
+    """Bytes of a column's field: _F_WIDTH for floats; for integers a sign
+    slot and the digits of the column's largest magnitude, so that every
+    block of the column fits (a block's unused leading slots are hidden)."""
+    if isinstance(c, range):
+        ends = [c[0], c[-1]] if len(c) else [0]
+    elif c.dtype.kind == "f":
+        return _F_WIDTH
+    else:
+        ends = [int(c.min()), int(c.max())] if c.size else [0]
+    return 1 + len(str(max(abs(e) for e in ends)))
+
+
+@functools.lru_cache(maxsize=None)
+def _int_keep_table(nd: int) -> np.ndarray:
+    """Row d: which of nd right-aligned digit slots a d-digit integer shows."""
+    return np.arange(nd) >= nd - np.arange(nd + 1)[:, None]
 
 
 def _int_field(v: np.ndarray, nd: int, buf: np.ndarray, keep: np.ndarray) -> None:
@@ -277,14 +324,13 @@ def _int_field(v: np.ndarray, nd: int, buf: np.ndarray, keep: np.ndarray) -> Non
     buf[:, 0] = ord("-")
     buf[:, 1:] = _digits(mag, -(-nd // 4))[:, -nd:]
     keep[:, 0] = neg
-    keep[:, 1:] = np.arange(nd) >= nd - ndig[:, None]
+    row = f"V{nd}"  # a mask as one item: np.take copies it whole
+    keep[:, 1:].view(row)[:, 0] = np.take(_int_keep_table(nd).view(row)[:, 0], ndig)
 
 
-def _csv_block(cols: list) -> np.ndarray:
-    """The CSV bytes of one block of rows, as a uint8 array."""
-    widths = [_F_WIDTH if c.dtype.kind == "f" else 1 + _int_width(c) for c in cols]
-    buf = np.empty((cols[0].size, sum(widths) + len(cols)), np.uint8)
-    keep = np.empty(buf.shape, bool)
+def _csv_block(cols: list, widths: list, buf: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The CSV bytes of one block of rows, as a uint8 array, formatted in
+    buf and keep: one row per CSV row, the fields `widths` wide."""
     a = 0
     for c, w in zip(cols, widths):
         if c.dtype.kind == "f":
@@ -302,7 +348,9 @@ def write_csv(path: str, header: Sequence[str], columns: Iterable) -> None:
     """One header line, then row i of the equal-length 1-D `columns` per line.
 
     A column may be a range, written as int64 one block at a time and never
-    built whole.
+    built whole.  The blocks of _CSV_BLOCK rows are formatted in one
+    workspace, allocated once per file; an integer field is as wide as the
+    column's largest magnitude needs.
     """
     cols = [c if isinstance(c, range) else np.asarray(c) for c in columns]
     if len(cols) != len(header):
@@ -316,10 +364,14 @@ def write_csv(path: str, header: Sequence[str], columns: Iterable) -> None:
     for c in arrays:
         if c.dtype.kind not in "fiu":
             raise TypeError(f"CSV columns must be float or integer arrays, got dtype {c.dtype}")
+    widths = [_field_width(c) for c in cols]
+    buf = np.empty((min(n, _CSV_BLOCK), sum(widths) + len(cols)), np.uint8)
+    keep = np.empty(buf.shape, bool)
     with _atomic_open(path) as fh:
         fh.write((",".join(header) + "\n").encode("utf-8"))
         for a in range(0, n, _CSV_BLOCK):
-            fh.write(_csv_block([_rows(c[a:a + _CSV_BLOCK]) for c in cols]))
+            m = min(_CSV_BLOCK, n - a)
+            fh.write(_csv_block([_rows(c[a:a + m]) for c in cols], widths, buf[:m], keep[:m]))
 
 
 def _rows(block):

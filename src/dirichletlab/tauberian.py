@@ -134,6 +134,19 @@ _MIN_POINTS = 5
 _MIN_WINDOW_DECADES = 0.3
 
 
+def fit_grid(sigma_grid, sigma0: float) -> np.ndarray:
+    """The points of sigma_grid that fit_singularity can read: sigma - sigma0
+    <= _U_CAP.  Profiling only these keeps the moments' s_max at sigma0 +
+    _U_CAP, so their blocks stay at full width however far the grid runs.
+    FitError, before any weight is read, if fewer than _MIN_POINTS are left."""
+    sig = np.asarray(sigma_grid, dtype=np.float64)
+    sig = sig[sig - sigma0 <= _U_CAP]
+    if sig.size < _MIN_POINTS:
+        raise FitError(f"only {sig.size} profile points lie within u <= {_U_CAP} of "
+                       f"sigma0; need {_MIN_POINTS}")
+    return sig
+
+
 def fit_singularity(profile: Sequence[MellinPoint], sigma0: float) -> SingularityFit:
     """Classify and fit the singularity of F at sigma0 from a tail-honest window.
 

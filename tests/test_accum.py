@@ -292,6 +292,50 @@ def test_compensated_sum_single_chunk_is_fsum_of_its_total(xs):
     assert got == expected or (math.isnan(got) and math.isnan(expected))
 
 
+def _totals_rows(kind, rng):
+    """Two (2, 4096) rows of one kind for _certified_totals; the tie rows
+    sum exactly to the midpoint between two neighbouring doubles."""
+    n = 4096
+    rows = np.empty((2, n))
+    for row in rows:
+        if kind == "cancel":  # +-v pairs, shuffled: the sum is 0, or a tiny rest
+            v = rng.standard_normal(n // 2) * 10.0 ** rng.integers(-30, 30, n // 2)
+            row[:] = np.concatenate([v, -v])
+            row[0] += rng.choice([0.0, 2.0**-1074, 1e-300, -3e-20, np.max(v) / 3])
+        elif kind == "subnormal":
+            row[:] = rng.integers(-(2**52), 2**52, n).astype(np.float64) * 2.0**-1074
+            row[: n // 2] *= rng.choice([1.0, 2.0**60], n // 2)
+        elif kind == "huge":  # next to the ends of [2^-900, 2^1000) and past them
+            e = rng.choice([999, 1000, 1001, -899, -900, -901, -1000])
+            row[:] = np.ldexp(rng.uniform(-1.0, 1.0, n), e) / 4096
+        elif kind == "nonfinite":
+            row[:] = rng.standard_normal(n)
+            k = rng.integers(1, 4)
+            row[rng.integers(0, n, k)] = rng.choice([np.inf, -np.inf, np.nan], k)
+        elif kind == "negzero":
+            row[:] = -0.0
+        else:  # "tie": a + spacing(a) / 2 cut into parts, among cancelling pairs
+            a = rng.standard_normal() * 2.0 ** rng.integers(-60, 60)
+            half = np.spacing(abs(a)) / 2.0 * np.sign(a)
+            v = rng.standard_normal(n // 2 - 2) * abs(a) * 2.0 ** rng.integers(-40, 3)
+            row[:] = np.concatenate([[a, half / 2, half / 4, half / 4], v, -v])
+        rng.shuffle(row)
+    return rows
+
+
+@settings(max_examples=120, deadline=None)
+@given(kind=st.sampled_from(["cancel", "subnormal", "huge", "nonfinite", "negzero", "tie"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_certified_totals_are_fsum_bit_for_bit(kind, seed):
+    rows = _totals_rows(kind, np.random.default_rng(seed))
+    totals, ok = accum._certified_totals(rows)
+    for row, total, certified in zip(rows, totals.tolist(), ok.tolist()):
+        if kind == "tie":  # the exact sum is a tie: no certificate may round it
+            assert not certified
+        if certified:
+            assert total.hex() == math.fsum(row.tolist()).hex()
+
+
 def chunked_fsum_reference(a) -> float:
     """The whole-array compensated_sum: fsum of the np.sum of each 4096-slice."""
     return math.fsum(float(np.sum(a[i : i + 4096])) for i in range(0, a.size, 4096))

@@ -561,6 +561,39 @@ def test_tauberian_report(tmp_path):
                "--points", 3, "--out", out) == 2
 
 
+def test_tauberian_profiles_no_point_past_the_fit_cap(tmp_path, capsys, monkeypatch):
+    # fit_singularity reads u <= _U_CAP only: a grid to u = 10^4 used to narrow
+    # every moment block for s_max = 10^4 and run for seconds; the profile
+    # now stops at the cap and the fit fails as it did, on the same points
+    read, profiled = W.read, []
+    monkeypatch.setattr(W, "read", lambda w, xs, s_max=None: profiled.append(s_max)
+                        or read(w, xs, s_max))
+    assert run("tauberian", "--name", "constant", "--N", "1e5", "--u-hi", "1e4",
+               "--out", tmp_path / "t.json") == 1
+    assert capsys.readouterr().err == "compute error: only 4 usable profile points; need 5\n"
+    assert max(s for s in profiled if s is not None) <= 1.0 + T._U_CAP
+    # a grid wholly past the cap fails before any weight is read
+    profiled.clear()
+    assert run("tauberian", "--name", "constant", "--N", "1e5", "--u-lo", "1.3", "--u-hi", "3",
+               "--out", tmp_path / "t.json") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("compute error: only 0 profile points") and profiled == []
+
+
+@pytest.mark.parametrize("u_hi", ["1.5", "100"])
+def test_tauberian_fit_is_the_one_of_the_whole_grid(u_hi, tmp_path, monkeypatch):
+    # the capped grid writes the bytes the whole grid wrote
+    argv = lambda d: ("tauberian", "--name", "mangoldt", "--N", 10**5, "--u-hi", u_hi,
+                      "--out", d / "t.json", "--compare-out", d / "t.csv")
+    for d in ("capped", "whole"):
+        (tmp_path / d).mkdir()
+    assert run(*argv(tmp_path / "capped")) == 0
+    monkeypatch.setattr(T, "fit_grid", lambda sigmas, sigma0: sigmas)
+    assert run(*argv(tmp_path / "whole")) == 0
+    for f in ("t.json", "t.csv"):
+        assert filecmp.cmp(tmp_path / "capped" / f, tmp_path / "whole" / f, shallow=False), f
+
+
 def test_tauberian_log_power_past_alpha_one(tmp_path):
     # expected alpha = 1.5 > 1: the tail needs Gamma(1 - alpha, x) at a negative order
     out = tmp_path / "t.json"

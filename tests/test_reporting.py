@@ -327,3 +327,60 @@ def test_kernel_on_a_mostly_zero_column_beside_the_row_number(tmp_path):
     w = np.where(n % 11 == 0, np.log(n.astype(np.float64)), 0.0)
     w[5] = -0.0
     assert_prints_as_percent(tmp_path, n, w)
+
+
+# --- one workspace per file, one format per run of equal values -----------------
+
+
+def test_runs_across_block_edges_print_as_percent(tmp_path):
+    # runs of every kind, cut by 5-row blocks anywhere along them, and a
+    # short last block: -0.0 beside 0.0, nan payloads, %-fallback values
+    nan2 = np.array([0x7FF8000000000001], np.uint64).view(np.float64)[0]
+    values = [0.25, -0.0, 0.0, math.nan, nan2, -math.nan, 5e-324, 1e-300, math.inf,
+              -math.inf, 1.7976931348623157e308, 0.1, 0.1 + 2**-56, 3.0]
+    lengths = [7, 3, 4, 6, 2, 5, 9, 4, 3, 1, 6, 11, 2, 8]
+    x = np.repeat(np.array(values), lengths)
+    assert x.size % 5 and np.unique(x.view(np.int64)).size == len(values)
+    with mock.patch.object(reporting, "_CSV_BLOCK", 5):
+        assert_prints_as_percent(tmp_path, x, np.arange(x.size))
+    assert_prints_as_percent(tmp_path, x)
+
+
+def test_a_run_is_formatted_once(tmp_path, monkeypatch):
+    # a step function (S_n between primes) formats one value per run
+    x = np.repeat(np.cumsum(np.log(np.arange(2.0, 40.0))), 25)
+    formatted = []
+    values = reporting._float_values
+    monkeypatch.setattr(reporting, "_float_values",
+                        lambda v, *a: formatted.append(v.size) or values(v, *a))
+    assert_prints_as_percent(tmp_path, x)
+    assert sum(formatted) == 38
+
+
+def test_an_int_field_that_widens_between_blocks(tmp_path):
+    # the field is sized for the whole column; narrower blocks hide the slots
+    v = np.array([1, -2, 3, 4, 10**12, -5, 6, 7, 8, 9, -(2**63), 0, 2**63 - 1], np.int64)
+    with mock.patch.object(reporting, "_CSV_BLOCK", 4):
+        assert_prints_as_percent(tmp_path, v, v.astype(np.float64))
+        assert_prints_as_percent(tmp_path, np.arange(1, 6, dtype=np.uint64), -np.arange(5))
+    r = tmp_path / "r.csv"
+    with mock.patch.object(reporting, "_CSV_BLOCK", 3):
+        reporting.write_csv(str(r), ["n", "m"], [range(-7, 12, 3), range(99, 92, -1)])
+    assert r.read_bytes() == percent_csv(["n", "m"], [np.arange(-7, 12, 3),
+                                                      np.arange(99, 92, -1)])
+
+
+def test_the_blocks_of_a_file_share_one_workspace(tmp_path, monkeypatch):
+    seen = []
+    block = reporting._csv_block
+
+    def spy(cols, widths, buf, keep):
+        seen.append((buf.shape[0], buf.ctypes.data, keep.ctypes.data))
+        return block(cols, widths, buf, keep)
+
+    monkeypatch.setattr(reporting, "_csv_block", spy)
+    n = 3 * reporting._CSV_BLOCK + 5
+    reporting.write_csv(str(tmp_path / "t.csv"), ["n", "x"],
+                        [range(1, n + 1), np.sqrt(np.arange(n, dtype=np.float64))])
+    assert [rows for rows, _, _ in seen] == [reporting._CSV_BLOCK] * 3 + [5]
+    assert len({(b, k) for _, b, k in seen}) == 1
