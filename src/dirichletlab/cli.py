@@ -146,7 +146,7 @@ def cmd_sums(args):
     xs = np.unique(np.geomspace(max(2.0, args.lo), w.limit, args.points).astype(np.int64))
     points = [xs]
     if args.eta is not None:
-        points.append(np.floor(args.eta * xs.astype(float)).astype(np.int64))
+        points.append(args.eta * xs)
     W.read(w, np.concatenate(points))  # one scan serves every column below
     header = ["x", "S"]
     cols = [xs.astype(float), W.sums_at(w, xs)]

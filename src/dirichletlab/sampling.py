@@ -24,8 +24,8 @@ segments of w, never from the whole array w: one pass counts the atoms, a
 second writes positions and masses into their final arrays _SCAN entries at
 a time, and no segment outlives its turn, so one segment is alive beside
 the two arrays and none by the time the prefix sums are built.  Every scan
-(carleson_check, beurling_lower_density and each window length of
-continuity_at_infinity) walks its anchors in chunks of at most _SCAN, so
+(carleson_check, lambda_set, beurling_lower_density and each window length
+of continuity_at_infinity) walks its anchors in chunks of at most _SCAN, so
 its working space is a fixed size, never a copy the size of the measure;
 beurling_lower_density copies its points only to sort them when they are
 not sorted.
@@ -200,18 +200,19 @@ def lambda_set(m: AtomicMeasure, beta: float, r: float, delta: float) -> np.ndar
     """Points r*k whose window [rk, r(k+1)) carries mass >= delta (1+(rk)^2)^beta.
 
     Returns the point set (not the indices k): its density is what gets
-    compared against interval length / 2 pi downstream.
+    compared against interval length / 2 pi downstream.  The kept windows are
+    disjoint and, unless delta (1+(rk)^2)^beta underflows to 0, hold an atom
+    each, so the output is no larger than the measure.
     """
     if not all(math.isfinite(v) and v > 0.0 for v in (r, delta)):
         raise RangeError(f"r and delta must be finite and positive, got {r}, {delta}")
     k_lo = math.ceil(m.domain_low / r - 1e-12)
     k_hi = math.floor(m.domain_bound / r + 1e-12) - 1
-    if k_hi < k_lo:
-        return np.empty(0, dtype=np.float64)
-    ks = np.arange(k_lo, k_hi + 1, dtype=np.float64)
-    mass = _window_masses(m, r * ks, r)
-    keep = mass >= _scaled(np.multiply, delta, r * ks, beta)
-    return r * ks[keep]
+    kept = [np.empty(0, dtype=np.float64)]
+    for a in range(k_lo, k_hi + 1, _SCAN):
+        x = r * np.arange(a, min(a + _SCAN, k_hi + 1), dtype=np.float64)
+        kept.append(x[_window_masses(m, x, r) >= _scaled(np.multiply, delta, x, beta)])
+    return np.concatenate(kept)
 
 
 def _least_count(pts: np.ndarray, anchors: np.ndarray, r: float) -> int:

@@ -76,10 +76,9 @@ def prescan(w, sigma_grid, x_grid=()) -> None:
     mellin_profile(w, sigma_grid) and the partial sums of its envelope, of
     detect_abscissa(w) and of predict_and_compare(fit, w, x_grid).  Those
     calls then find them in w's memo (weights.read)."""
-    xs = np.floor(np.asarray(x_grid, dtype=np.float64))
-    xs = xs[(xs >= 0) & (xs <= w.limit)].astype(np.int64)  # the rest is predict's to refuse
-    points = np.concatenate([_envelope_points(w.limit),
-                             _abscissa_points(w.limit).astype(np.int64), xs])
+    xs = np.asarray(x_grid, dtype=np.float64)
+    xs = xs[(xs >= 0) & (xs <= w.limit)]  # the rest is predict's to refuse
+    points = np.concatenate([_envelope_points(w.limit), _abscissa_points(w.limit), xs])
     _weights.read(w, points, _s_max(sigma_grid))
 
 
@@ -98,10 +97,11 @@ def mellin_profile(w, sigma_grid: Sequence[float]) -> list:
     """
     sigma0 = w.sigma0
     sig = [float(s) for s in sigma_grid]
-    if any(s <= sigma0 for s in sig):
-        bad = min(sig)
+    bad = [s for s in sig if not sigma0 < s < math.inf]  # nan and +-inf too
+    if bad:
         raise DomainError(
-            f"sigma = {bad} at or below the divergence abscissa {sigma0}: the sum has no value there"
+            f"sigma = {min(bad)} at or below the divergence abscissa {sigma0} or not finite: "
+            "the sum has no value there"
         )
     alpha = w.expected_alpha if w.expected_alpha is not None else 0.0
     sig.sort()
@@ -247,13 +247,13 @@ def predict_and_compare(fit: SingularityFit, w, x_grid: Sequence[float]) -> list
     xs = sorted(float(x) for x in x_grid)
     if not xs:
         raise RangeError("empty comparison grid")
-    if xs[0] < 2.0 or xs[-1] > w.limit:
+    if not all(2.0 <= x <= w.limit for x in xs):
         raise RangeError(f"comparison grid must lie in [2, {w.limit}]")
 
     def shape(x: float) -> float:
         return x**fit.sigma0 / math.log(x) ** fit.beta_hat
 
-    measured = _weights.sums_at(w, np.floor(xs).astype(np.int64)).tolist()
+    measured = _weights.sums_at(w, xs).tolist()
     mid = len(xs) // 2
     if measured[mid] <= 0.0:
         raise FitError("midpoint partial sum is not positive; cannot calibrate")
@@ -272,7 +272,7 @@ def detect_abscissa(w) -> float:
     over 12 points on the top 1.5 decades.  For S(x) ~ c x^sigma0 (log x)^(-beta)
     this estimates sigma0 up to a O(beta/log x) drift."""
     xs = _abscissa_points(w.limit)
-    S = _weights.sums_at(w, xs.astype(np.int64))
+    S = _weights.sums_at(w, xs)
     if not np.all(np.isfinite(S)):
         i = int(np.flatnonzero(~np.isfinite(S))[0])
         raise FitError(f"partial sum S({int(xs[i])}) = {float(S[i])!r} is not finite: "

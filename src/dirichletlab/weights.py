@@ -19,9 +19,9 @@ mccarthy and inv_ordered_factorization among them, read theirs from the
 arithmetic builders.  The array w is built only when something reads it,
 and past DEFAULT_BUDGET entries that read raises BudgetError (check_budget,
 which the measure checks too); once built, w is read as accum.views of it.
-S(x) at given points comes from the scan's checkpoint reads, bit for bit the
-entries of partial_sums, and every sequence keeps one memo of the sums and
-the moments it has read.
+S at a real x >= 0 is read at floor(x), an integer x as it is (exact past
+2^53), from the scan's checkpoint reads, bit for bit partial_sums[floor(x)],
+and every sequence keeps one memo of the sums and the moments it has read.
 """
 from __future__ import annotations
 
@@ -270,17 +270,20 @@ def segments(w: WeightSequence):
 
 
 def read(w: WeightSequence, xs=(), s_max: Optional[float] = None) -> tuple:
-    """(block moments of w for |s| <= s_max, or None; S at the integer points xs).
+    """(block moments of w for |s| <= s_max, or None; S(floor(x)) at the points xs).
 
-    The sums have the shape of xs and equal partial_sums(w)[xs] bit for bit.
-    w keeps a memo of the sums (by point) and the moments (by block width,
-    which is all they take from s_max: every s_max <= 5 shares one) it has
-    read; whatever is not in it comes from one accum.scan of w's segments,
-    and a read the memo serves whole scans nothing.
+    The one door from a point to an index: an x that is not a number in [0,
+    limit] (nan, +-inf, a negative) raises RangeError, and an integer x is used
+    as it is, exact past 2^53.  The sums have the shape of xs and equal
+    partial_sums(w)[floor(xs)] bit for bit.  w keeps a memo of the sums (by
+    index) and the moments (by block width, which is all they take from s_max:
+    every s_max <= 5 shares one) it has read; whatever is not in it comes from
+    one accum.scan of w's segments, and a read the memo serves whole scans nothing.
     """
-    xs = np.asarray(xs, dtype=np.int64)
-    if np.any(xs < 0) or np.any(xs > w.limit):
+    xs = np.asarray(xs)
+    if not np.all((xs >= 0) & (xs <= w.limit)):
         raise RangeError(f"partial-sum points must lie in [0, {w.limit}]")
+    xs = xs.astype(np.int64)  # floor: every x is >= 0
     width = None if s_max is None else accum._block_width(float(s_max))
     new_moments = width is not None and width not in w._moments
     points = sorted(set(xs.ravel().tolist()) - w._sums.keys())
@@ -295,33 +298,28 @@ def read(w: WeightSequence, xs=(), s_max: Optional[float] = None) -> tuple:
 
 
 def sums_at(w: WeightSequence, xs) -> np.ndarray:
-    """S(x) at the integer points xs: read(w, xs)'s sums."""
+    """S(x) = S(floor(x)) at the real or integer points xs: read(w, xs)'s sums."""
     return read(w, xs)[1]
 
 
 def partial_sums(w: WeightSequence) -> np.ndarray:
     """Prefix sums S[k] = sum_{n<=k} w_n (S[0]=0), the one N-length prefix array.
 
+    Past DEFAULT_BUDGET entries it raises BudgetError before it allocates.
     Infinite weights (kadec_spiked) give the bits of a plain np.cumsum.
     """
+    check_budget(w)
     out = np.empty(w.limit + 1)
     accum.scan(segments(w), w.limit + 1, out=out)
     return out
 
 
-def sum_upto(w: WeightSequence, x: float) -> float:
-    """S(x) for real x in [1, limit]."""
-    if x < 1 or x > w.limit:
-        raise RangeError(f"x={x} outside [1, {w.limit}]")
-    return float(sums_at(w, int(math.floor(x))))
-
-
 def chebyshev_ratios(w: WeightSequence, xs, alpha: float) -> np.ndarray:
     """Normalized partial sums S(x) (log x)^alpha / x^sigma0 on the given points."""
     xs = np.asarray(xs, dtype=np.float64)
-    if np.any(xs < 2) or np.any(xs > w.limit):
+    if not np.all((xs >= 2) & (xs <= w.limit)):
         raise RangeError("ratio points must lie in [2, limit]")
-    vals = sums_at(w, np.floor(xs).astype(np.int64))
+    vals = sums_at(w, xs)
     return vals * np.log(xs) ** alpha / xs**w.sigma0
 
 
@@ -343,11 +341,11 @@ def fit_alpha(w: WeightSequence, x_grid=None) -> AsymptoticFit:
     xs = np.asarray(x_grid, dtype=np.float64)
     if xs.size < 3:
         raise FitError(f"degenerate grid: {xs.size} points (need >= 3)")
+    if not np.all((xs >= 2) & (xs <= w.limit)):
+        raise RangeError("fit grid must lie within [2, limit]")
     if np.max(xs) / np.min(xs) < 100.0:
         raise FitError("degenerate grid: needs at least two decades of span")
-    if np.any(xs < 2) or np.any(xs > w.limit):
-        raise RangeError("fit grid must lie within [2, limit]")
-    vals = sums_at(w, np.floor(xs).astype(np.int64))
+    vals = sums_at(w, xs)
     if np.any(vals <= 0):
         raise FitError("partial sums vanish on part of the grid")
     over = np.flatnonzero(~np.isfinite(vals))
@@ -370,10 +368,9 @@ def block_sums(w: WeightSequence, eta: float, xs) -> np.ndarray:
     if not 0.0 < eta < 1.0:
         raise DomainError(f"eta must lie in (0,1), got {eta}")
     xs = np.asarray(xs, dtype=np.float64)
-    if np.any(xs > w.limit) or np.any(xs < 1):
+    if not np.all((xs >= 1) & (xs <= w.limit)):
         raise RangeError("block endpoints must lie in [1, limit]")
-    idx = np.floor(np.stack([xs, eta * xs])).astype(np.int64)
-    S = sums_at(w, idx)
+    S = sums_at(w, np.stack([xs, eta * xs]))
     clash = np.flatnonzero(np.isinf(S[0]) & (S[0] == S[1]))
     if clash.size:
         raise DomainError(f"block sum over ({eta:g} x, x] at x = {xs[clash[0]]:g} is inf - inf: "

@@ -52,11 +52,11 @@ def prime_power_base(n):
 def test_criterion_01_summatory_mangoldt_tracks_x():
     t0 = perf_counter()
     w7 = W.catalog("mangoldt", 10**7)
-    S7 = W.sum_upto(w7, 10**7)
+    S7 = float(W.sums_at(w7, 10**7))
     elapsed = perf_counter() - t0
     assert abs(S7 / 1e7 - 1.0) <= 0.01  # measured 1.46e-4
     w6 = W.catalog("mangoldt", 10**6)
-    assert abs(W.sum_upto(w6, 10**6) / 1e6 - 1.0) <= 0.02  # measured 4.13e-4
+    assert abs(float(W.sums_at(w6, 10**6)) / 1e6 - 1.0) <= 0.02  # measured 4.13e-4
     # independent oracle: factor each n <= 1e4, log p on prime powers
     direct = math.fsum(
         math.log(p)
@@ -64,7 +64,7 @@ def test_criterion_01_summatory_mangoldt_tracks_x():
         for p in [prime_power_base(n)]
         if p is not None
     )
-    assert abs(W.sum_upto(w7, 10**4) - direct) <= 1e-8
+    assert abs(float(W.sums_at(w7, 10**4)) - direct) <= 1e-8
     assert elapsed <= 60.0, f"10^7 run took {elapsed:.1f} s"
 
 

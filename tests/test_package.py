@@ -102,7 +102,6 @@ TEST_FACING = {
     "poly_from_coeffs": "criterion 05 builds its random polynomials",
     "hw_inner": "criterion 05's reproducing identity <F, k_xi>",
     "hw_kernel": "criterion 05's reproducing kernel k_xi",
-    "sum_upto": "criterion 01 reads S(x) at real x",
     # the dual-bump lower bound the embed command is to report
     "make_bump": "the dual bump of the exact two-sided embedding constant",
     "TestBump": "the dual bump of the exact two-sided embedding constant",

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,14 @@ def test_profile_rejects_sigma_at_abscissa():
         mellin_profile(w, [0.9, 1.5])
     with pytest.raises(DomainError):
         mellin_profile(w, [1.0])
+
+
+@pytest.mark.parametrize("grid", [[math.nan, 1.5], [math.inf]])
+def test_profile_refuses_a_non_finite_sigma_before_reading(grid):
+    w = W.catalog("mangoldt", 10**6)
+    with pytest.raises(DomainError):
+        mellin_profile(w, grid)
+    assert not w._moments and not w._sums
 
 
 def test_fit_constant_simple_pole():

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -12,6 +13,7 @@ from dirichletlab.arithmetic import (EXPONENT_FACTORIAL, OMEGA, divisor_count_se
                                      factor_segments, generalized_divisor_segments,
                                      prime_segments, von_mangoldt_segments)
 from dirichletlab.errors import BudgetError, DomainError, FitError, RangeError
+from dirichletlab.tauberian import SingularityFit, predict_and_compare
 from dirichletlab.weights import DEFAULT_BUDGET
 from test_arithmetic import single_push_table
 
@@ -224,12 +226,50 @@ def test_partial_sums_of_infinite_weights_are_plain_cumsum(limit):
     assert W.partial_sums(w).tobytes() == np.cumsum(w.w).tobytes()
 
 
-def test_sum_upto_steps_at_integers():
+def test_sums_at_steps_at_integers():
     w = W.catalog("constant", 100)
-    assert W.sum_upto(w, 10.0) == 10.0
-    assert W.sum_upto(w, 10.7) == 10.0
+    assert W.sums_at(w, 10.0) == 10.0
+    assert W.sums_at(w, 10.7) == 10.0
+    assert W.sums_at(w, 2.7) == 2.0
+    assert W.sums_at(w, [0.5, 99.999]).tolist() == [0.0, 99.0]
     with pytest.raises(RangeError):
-        W.sum_upto(w, 101.5)
+        W.sums_at(w, 101.5)
+
+
+# every reader of S at real points goes through read's one check; each
+# reader's own range check must refuse nan as well, with no numpy warning
+BAD_POINTS = [math.nan, math.inf, -math.inf, -0.5, 10**4 + 0.5]
+READERS = {
+    "read": lambda w, x: W.read(w, [x]),
+    "sums_at": lambda w, x: W.sums_at(w, [[100, x]]),
+    "chebyshev_ratios": lambda w, x: W.chebyshev_ratios(w, [10.0, x], 0.0),
+    "fit_alpha": lambda w, x: W.fit_alpha(w, [10.0, 100.0, 1000.0, x]),
+    "block_sums": lambda w, x: W.block_sums(w, 0.5, [10.0, x]),
+    "predict_and_compare": lambda w, x: predict_and_compare(
+        SingularityFit(1.0, 0.0, 1.0, (0.0, 0.0), 0.0, False), w, [10.0, 100.0, x]),
+}
+
+
+@pytest.mark.parametrize("x", BAD_POINTS)
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_a_point_outside_the_range_is_refused(reader, x):
+    w = W.catalog("constant", 10**4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RangeError):
+            READERS[reader](w, x)
+    assert not w._sums  # refused before any weight is read
+
+
+def test_an_integer_point_is_read_as_it_is(monkeypatch):
+    # past 2^53 a float round trip would move the point 2^53 + 1 to 2^53,
+    # which is not in the memo and would start a scan
+    w, want = W.catalog("constant", 2**60), float(2**53 + 1)
+    w._sums[2**53 + 1] = want
+    monkeypatch.setattr(accum, "scan", None)
+    assert W.sums_at(w, 2**53 + 1) == want
+    assert W.sums_at(w, [2**53 + 1]).tolist() == [want]
+    assert W.sums_at(w, np.uint64(2**53 + 1)) == want
 
 
 def test_fit_alpha_constant_near_zero():
@@ -292,11 +332,11 @@ def test_block_sums_against_direct_slices():
 
 @given(st.integers(min_value=2, max_value=2000), st.integers(min_value=2, max_value=2000))
 @settings(max_examples=40)
-def test_sum_upto_additive_on_disjoint_ranges(a, b):
+def test_sums_at_additive_on_disjoint_ranges(a, b):
     w = W.catalog("divisor", 2000)
     lo, hi = sorted((a, b))
-    S = W.partial_sums(w)
-    assert S[hi] - S[lo] == pytest.approx(
+    S = W.sums_at(w, [lo, hi])
+    assert S[1] - S[0] == pytest.approx(
         math.fsum(w.w[lo + 1 : hi + 1]), rel=1e-12, abs=1e-12
     )
 
@@ -338,7 +378,7 @@ def test_built_sequence_reads_each_new_point_set_in_one_scan(monkeypatch):
     assert sums.tobytes() == S[xs[::-1]].tobytes() and len(scans) == 2
     assert W.read(w, xs[:5], 3.3)[0] is moments and len(scans) == 2  # all in the memo
     assert W.read(w, xs[:5], 2.0)[0] is moments and len(scans) == 2  # the same block width
-    assert W.sum_upto(w, 77_777.5) == S[77_777] and len(scans) == 3
+    assert float(W.sums_at(w, 77_777.5)) == S[77_777] and len(scans) == 3
     assert W.sums_at(w, [77_777, 0]).tobytes() == S[[77_777, 0]].tobytes()
     assert len(scans) == 3
     with pytest.raises(RangeError):
@@ -446,6 +486,13 @@ def test_streamed_table_past_the_budget_is_refused():
         w = W.catalog(name, DEFAULT_BUDGET + 1, **FAMILY_PARAMS.get(name, {}))  # nothing built
         with pytest.raises(BudgetError):
             w.w
+
+
+def test_partial_sums_past_the_budget_are_refused(monkeypatch):
+    monkeypatch.setattr(W, "DEFAULT_BUDGET", 10**4)
+    w = W.catalog("constant", 10**5)
+    with pytest.raises(BudgetError):
+        W.partial_sums(w)
 
 
 @pytest.mark.parametrize("limit", [4095, 2**20 - 1, 2**20 + 1])
