@@ -32,15 +32,18 @@ near 1e-15 of sum |a_n| n^(-sigma) as the t-window widens.
 
 Every pass over a segment stream (scan, join_segments, the sampling measure,
 the weights' streams) walks it through with_offsets, which pairs each segment
-with its offset and refuses any cut but segment_edges' (_SEGMENT entries,
-whole 4096-chunks), so no chunk straddles a segment edge.  A moment block is
-summed as the leaves of numpy's pairwise tree, at most _LEAF entries each,
-and only the leaf that a segment edge cuts is carried into the next segment,
-so a sequence never held whole gives the same bits as an array (its moments,
-prefix sums and S(x) at given checkpoints) while the scan holds one segment
-and one leaf.  compensated_cumsum and block_moments are that scan over the
-views of one array.  A stream of arrays of any lengths is summed by exact_sum,
-which drops each array before it asks for the next.
+with its offset and refuses any cut but segment_edges' (_SEGMENT = 2^18
+entries, 2 MB of float64, whole 4096-chunks), so no chunk straddles a
+segment edge.  A moment block is summed as the leaves of numpy's pairwise
+tree, at most _LEAF entries each, and only the leaf that a segment edge cuts
+is carried into the next segment, so a sequence never held whole gives the
+same bits as an array (its moments, prefix sums and S(x) at given
+checkpoints) while the scan holds one segment, one leaf and one scratch of
+_ROWS chunks for the chunk totals.  The sieves of arithmetic fill windows of
+four segments and hand them out one segment at a time.  compensated_cumsum
+and block_moments are that scan over the views of one array.  A stream of
+arrays of any lengths is summed by exact_sum, which drops each array before
+it asks for the next.
 """
 from __future__ import annotations
 
@@ -54,8 +57,8 @@ import numpy as np
 from .errors import RangeError
 
 _CHUNK = 4096
-_ROWS = 32  # chunks per batch of _certified_totals: 1 MB per scratch buffer
-_SEGMENT = 1 << 20  # entries per segment of a scan: 8 MB of float64
+_ROWS = 8  # chunks per batch of _certified_totals: 256 KB per scratch buffer
+_SEGMENT = 1 << 18  # entries per segment of a scan: 2 MB of float64
 _LEAF = 8 * _CHUNK  # entries per leaf of a moment block's sum tree (>= 272): 256 KB of float64
 
 # Dirichlet-sum engine: terms n <= _HEAD are summed directly; the rest is cut
@@ -193,7 +196,7 @@ def _two_sum(a, b):
     return s, (a - (s - bb)) + (b - bb)
 
 
-def _certified_totals(rows: np.ndarray) -> tuple:
+def _certified_totals(rows: np.ndarray, scratch: np.ndarray) -> tuple:
     """Exactly rounded sums of the rows of a (K, 4096) array, where provable.
 
     Returns (totals, ok); totals[k] equals math.fsum(rows[k]) wherever ok[k].
@@ -208,11 +211,12 @@ def _certified_totals(rows: np.ndarray) -> tuple:
     lies strictly inside T's rounding cell, whose halves differ at powers
     of two.  Rows that are not finite, have M outside [2^-900, 2^1000), or
     sit too close to a rounding tie are left to the caller; a row of zeros
-    totals 0.  Scratch: two (_ROWS, 4096) buffers.
+    totals 0.  Scratch: `scratch`, a (2, _ROWS, 4096) float64 array that
+    the caller keeps for all its segments.
     """
     K = rows.shape[0]
     tau, rho, M = np.empty(K), np.empty(K), np.empty(K)
-    q, r = np.empty((_ROWS, _CHUNK)), np.empty((_ROWS, _CHUNK))
+    q, r = scratch
     with np.errstate(invalid="ignore", over="ignore"):
         for lo in range(0, K, _ROWS):
             x = rows[lo : lo + _ROWS]
@@ -249,11 +253,12 @@ class _PrefixPass:
     the whole array, read as float64.  A bool or
     integer segment is read as it is: its chunk totals are exact int64 row
     sums, not _certified_totals' extraction, and its cumsums are exact in
-    any dtype.
+    any dtype.  One _certified_totals scratch serves every float segment.
     """
 
     def __init__(self, size: int, checkpoints, out):
         self.totals = _ExactSum()  # the chunk totals so far
+        self.scratch = None  # _certified_totals' buffers, made by the first float segment
         xs = np.asarray(checkpoints, dtype=np.int64).ravel()
         if xs.size and not (0 <= xs.min() and xs.max() < size):
             raise RangeError(f"checkpoints must lie in [0, {size - 1}]")
@@ -274,7 +279,9 @@ class _PrefixPass:
         if exact:  # an int64 row sum is exact, and so is its float64 value
             totals = rows.sum(axis=1, dtype=np.int64).astype(np.float64).tolist()
         else:
-            totals, ok = _certified_totals(rows)
+            if self.scratch is None:
+                self.scratch = np.empty((2, _ROWS, _CHUNK))
+            totals, ok = _certified_totals(rows, self.scratch)
             totals = [t if c else None for t, c in zip(totals.tolist(), ok.tolist())]
         offsets = [self._close(rows[r], totals[r]) for r in range(K)]
         if tail.size:
@@ -630,8 +637,13 @@ def moment_sums(bm: BlockMoments, sigmas, ts=None) -> tuple:
     real_scale = np.exp(-np.outer(sig, logc))  # c_k^(-sigma)
     if ts is None:
         s = sig
-        n = np.arange(1, bm.head.size + 1, dtype=np.float64)
-        head = (bm.head * np.exp(-np.outer(sig, np.log(n)))).sum(axis=1)
+        # one sigma x H table, formed in place: negation is exact and the
+        # product commutes, so its bits are bm.head * exp(-outer(sig, log n))
+        head = np.outer(sig, np.log(np.arange(1, bm.head.size + 1, dtype=np.float64)))
+        np.negative(head, out=head)
+        np.exp(head, out=head)
+        head *= bm.head
+        head = head.sum(axis=1)
     else:
         t = np.asarray(ts, dtype=np.float64).ravel()
         s = sig[:, None] + 1j * t[None, :]

@@ -5,17 +5,21 @@ explicit factorization.
 Each segment builder here yields its values over the consecutive ranges
 accum.segment_edges cuts and keeps none it has yielded once it resumes, so
 a scan holds one segment at a time, and a whole table is the concatenation
-of those segments.  The divisor count runs the hyperbola passes restricted
-to each segment, in uint16: the passes i <= 12 are one tile of period
-lcm(1..12) = 27 720 copied into the segment, the rest strided adds; the
-prime indicator is a bool segment; both go to the scan as the integers
-they are.  Primes and Lambda come from a byte sieve of
-each segment by the primes <= sqrt(N) (a segmented sieve, Bays-Hudson,
-BIT 17, 1977), with the prime powers p^k, k >= 2, added from one short
-sorted list.  The multiplicative and additive tables (d_gamma, Omega,
-prod nu_p!) come from one segmented factor pass by the same small primes,
-and so does the prime signature that the ordered-factorization counts are
-read from.
+of those segments.  The sieves work in windows of _WINDOW segments (2^20
+entries at the default cut of 2^18), where a pass costs little per entry:
+each window is sieved once, held while its segments are handed out one at
+a time, and dropped before the next window is sieved (_segments).  The
+divisor count runs the hyperbola passes restricted to each window, in
+uint16: the passes i <= 12 are one tile of period lcm(1..12) = 27 720
+copied into the window, the rest strided adds; the prime indicator is a
+bool mask; their segments are views of the window, which go to the scan
+as the integers they are.  Primes and Lambda come from a byte sieve of
+each window by the primes <= sqrt(N) (a segmented sieve, Bays-Hudson,
+BIT 17, 1977), Lambda built one segment at a time from the window's mask,
+with the prime powers p^k, k >= 2, added from one short sorted list.  The
+multiplicative and additive tables (d_gamma, Omega, prod nu_p!) come from
+one windowed factor pass by the same small primes, and so does the prime
+signature that the ordered-factorization counts are read from.
 
 generalized_divisor works on an explicit factorization in exact integer
 arithmetic, rounding once per prime power where the value is not an integer.
@@ -26,6 +30,7 @@ import math
 
 import numpy as np
 
+from . import accum
 from .accum import segment_edges
 from .errors import RangeError
 
@@ -64,6 +69,28 @@ def generalized_divisor(gamma, f: Factorization) -> float:
     return total
 
 
+_WINDOW = 4  # accum segments per sieve window
+
+
+def _segments(limit: int, fill):
+    """(lo, views) per accum segment [lo, hi) of 0..limit: views holds the
+    [lo, hi) part of each array of the list fill(start, end) returns for the
+    window [start, end) of _WINDOW segments around it.
+
+    Each window is filled once, when its first segment is reached, and
+    dropped before the next one is filled; segment_edges is walked one edge
+    per resume, so the window is the only array held between segments.
+    """
+    width = _WINDOW * accum._SEGMENT
+    window, start, end = None, 0, 0
+    for lo, hi in segment_edges(limit + 1):
+        if lo >= end:
+            window = None  # dropped before the next window is filled
+            start, end = lo, min(lo + width, limit + 1)
+            window = fill(start, end)
+        yield lo, [a[lo - start : hi - start] for a in window]
+
+
 _TILED = 12  # the hyperbola passes i <= _TILED come from one periodic tile
 _TILE = math.lcm(*range(1, _TILED + 1))  # 27 720 entries, 54 KB of uint16
 _DIVISOR_LIMIT = 10**15  # d(n) <= 26 880 < 2^16 up to here
@@ -92,29 +119,37 @@ def divisor_count_segments(limit: int):
         tile[::i] += 2
         head[i * i :: i] += 2
         head[i * i] -= 1
-    for lo, hi in segment_edges(limit + 1):
-        d = np.resize(np.roll(tile, -(lo % _TILE)), hi - lo)  # the tile from n = lo on
-        if lo < head.size:
-            d[: head.size - lo] = head[lo : lo + d.size]
-        for i in range(_TILED + 1, math.isqrt(hi - 1) + 1):
-            square = i * i
-            d[max(square, -(-lo // i) * i) - lo :: i] += 2
-            if square >= lo:
-                d[square - lo] -= 1
+    for _, (d,) in _segments(limit, lambda lo, hi: [_divisor_counts(lo, hi, tile, head)]):
         yield d
         del d  # the consumer's to keep: a builder holds one segment at a time
 
 
+def _divisor_counts(lo: int, hi: int, tile: np.ndarray, head: np.ndarray) -> np.ndarray:
+    """d(n) for n in [lo, hi): the tile from n = lo on, head over n <= _TILED^2,
+    and the passes i > _TILED as strided adds."""
+    d = np.resize(np.roll(tile, -(lo % _TILE)), hi - lo)
+    if lo < head.size:
+        d[: head.size - lo] = head[lo : lo + d.size]
+    for i in range(_TILED + 1, math.isqrt(hi - 1) + 1):
+        square = i * i
+        d[max(square, -(-lo // i) * i) - lo :: i] += 2
+        if square >= lo:
+            d[square - lo] -= 1
+    return d
+
+
 def _prime_masks(limit: int, small: np.ndarray):
     """(lo, mask) per accum segment [lo, hi) of 0..limit, mask[i] true iff
-    lo + i is prime: the primes <= sqrt(limit), `small`, cross out their
-    multiples from max(p*p, lo) on."""
+    lo + i is prime: a view of its window's _prime_mask."""
     small = small.tolist()
-    for lo, hi in segment_edges(limit + 1):
-        yield lo, _prime_mask(lo, hi, small)  # unnamed: not kept while suspended
+    for lo, (mask,) in _segments(limit, lambda lo, hi: [_prime_mask(lo, hi, small)]):
+        yield lo, mask
+        del mask
 
 
 def _prime_mask(lo: int, hi: int, small: list) -> np.ndarray:
+    """The primality of lo..hi-1: the primes <= sqrt(limit), `small`, cross
+    out their multiples from max(p*p, lo) on."""
     mask = np.ones(hi - lo, dtype=bool)
     mask[: max(0, 2 - lo)] = False  # 0 and 1
     for p in small:
@@ -153,7 +188,7 @@ def von_mangoldt_segments(limit: int):
     for lo, mask in _prime_masks(limit, small):
         lam = np.zeros(mask.size)
         idx = np.flatnonzero(mask)
-        del mask  # its primes are in idx
+        del mask  # its primes are in idx; the window stays with the sieve
         lam[idx] = np.log((idx + lo).astype(np.float64))
         del idx
         a, b = np.searchsorted(powers, [lo, lo + lam.size])
@@ -170,7 +205,8 @@ EXPONENT_FACTORIAL = (math.factorial, np.multiply, np.float64)  # prod nu_p!
 
 def factor_segments(limit: int, *rules):
     """Per accum segment of 0..limit, one table per rule (g, op, dtype) of
-    f(p^e m) = op(g(e), f(m)), p prime and not dividing m.
+    f(p^e m) = op(g(e), f(m)), p prime and not dividing m: views of the
+    tables _factor_tables builds per window.
 
     op=np.multiply builds a multiplicative table, op=np.add an additive one;
     slot 1 holds op's identity and slot 0 is 0.  Pass 1 multiplies
@@ -182,20 +218,21 @@ def factor_segments(limit: int, *rules):
     multiples at a time, the uint8 exponents e from strided += 1 over the
     p^k multiples: the largest prime is innermost, so a float table's bits
     are those of the recursion from the smallest prime factor down, whatever
-    the segment cut.
+    the window.
     """
     small = _small_primes(math.isqrt(limit)).tolist()
     # g(0) and g(1) at least: limit 1 has bit_length 1 but reads g(1) below
     values = [np.array([g(e) for e in range(max(2, limit.bit_length()))], dtype=dtype)
               for g, _, dtype in rules]
-    for lo, hi in segment_edges(limit + 1):
-        yield _factor_tables(lo, hi, small, values, rules)  # unnamed: not kept while suspended
+    for _, tables in _segments(limit, lambda lo, hi: _factor_tables(lo, hi, small, values, rules)):
+        yield tables
+        del tables
 
 
 def _factor_tables(lo: int, hi: int, small: list, values: list, rules) -> list:
-    """factor_segments' tables on the segment [lo, hi).
+    """factor_segments' tables on the window [lo, hi).
 
-    Besides the tables it returns, it holds one int64 array of the segment's
+    Besides the tables it returns, it holds one int64 array of the window's
     length in pass 1 (prod, beside the bool mask it leaves), and in pass 2
     one uint8 exponent per multiple of p and _PIECE values g(e) per table.
     """

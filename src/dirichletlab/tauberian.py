@@ -71,15 +71,30 @@ def _s_max(sigmas) -> float:
     return float(np.max(np.abs(np.asarray(sigmas, dtype=np.float64)), initial=0.0))
 
 
+def _profile_sigmas(w, sigma_grid) -> list:
+    """The sigmas of mellin_profile(w, sigma_grid), sorted: DomainError for any
+    at or below the abscissa sigma0, nan and +-inf too."""
+    sig = [float(s) for s in sigma_grid]
+    bad = [s for s in sig if not w.sigma0 < s < math.inf]
+    if bad:
+        raise DomainError(
+            f"sigma = {min(bad)} at or below the divergence abscissa {w.sigma0} or not finite: "
+            "the sum has no value there"
+        )
+    return sorted(sig)
+
+
 def prescan(w, sigma_grid, x_grid=()) -> None:
     """Read in one scan of w what the workflow will ask of it: the moments of
     mellin_profile(w, sigma_grid) and the partial sums of its envelope, of
     detect_abscissa(w) and of predict_and_compare(fit, w, x_grid).  Those
-    calls then find them in w's memo (weights.read)."""
+    calls then find them in w's memo (weights.read).  A sigma grid that
+    mellin_profile refuses is refused here, before any weight is read."""
+    sig = _profile_sigmas(w, sigma_grid)
     xs = np.asarray(x_grid, dtype=np.float64)
     xs = xs[(xs >= 0) & (xs <= w.limit)]  # the rest is predict's to refuse
     points = np.concatenate([_envelope_points(w.limit), _abscissa_points(w.limit), xs])
-    _weights.read(w, points, _s_max(sigma_grid))
+    _weights.read(w, points, _s_max(sig))
 
 
 def log_power_tail(u: float, L: float, alpha: float) -> float:
@@ -96,15 +111,8 @@ def mellin_profile(w, sigma_grid: Sequence[float]) -> list:
     one scan of w (or from w's memo, see prescan).
     """
     sigma0 = w.sigma0
-    sig = [float(s) for s in sigma_grid]
-    bad = [s for s in sig if not sigma0 < s < math.inf]  # nan and +-inf too
-    if bad:
-        raise DomainError(
-            f"sigma = {min(bad)} at or below the divergence abscissa {sigma0} or not finite: "
-            "the sum has no value there"
-        )
+    sig = _profile_sigmas(w, sigma_grid)
     alpha = w.expected_alpha if w.expected_alpha is not None else 0.0
-    sig.sort()
     xs = _envelope_points(w.limit)
     moments = _weights.read(w, xs, _s_max(sig))[0]
     # the upper envelope max of S(x) (log x)^alpha / x^sigma0 over the top two

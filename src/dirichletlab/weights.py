@@ -10,13 +10,14 @@ predicted exponent.
 Every family is handed out segment by segment from its builder in BUILDERS,
 and every reader (a scan, the join that builds w, sampling's measure) walks
 the segments through accum.with_offsets, which checks each against the cut
-of accum.segment_edges.  A scan holds one segment, one chunk and one moment
-leaf of at most accum._LEAF entries, never the N-length table, and a builder
-keeps no segment it has yielded once it resumes, so the one the scan dropped
-is freed before the next is built.  The closed forms (constant, log_power,
-kadec, kadec_spiked) compute each segment from its n; the sieve families,
-mccarthy and inv_ordered_factorization among them, read theirs from the
-arithmetic builders.  The array w is built only when something reads it,
+of accum.segment_edges (2^18 entries, 2 MB of float64).  A scan holds one
+segment, one chunk and one moment leaf of at most accum._LEAF entries, never
+the N-length table, and a builder keeps no segment it has yielded once it
+resumes, so the one the scan dropped is freed before the next is built.  The
+closed forms (constant, log_power, kadec, kadec_spiked) compute each segment
+from its n; the sieve families, mccarthy and inv_ordered_factorization among
+them, read theirs from the arithmetic builders, which also hold the sieve
+window of four segments that their segments are cut from.  The array w is built only when something reads it,
 and past DEFAULT_BUDGET entries that read raises BudgetError (check_budget,
 which the measure checks too); once built, w is read as accum.views of it.
 S at a real x >= 0 is read at floor(x), an integer x as it is (exact past

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import weakref
 
 import mpmath
@@ -328,7 +329,7 @@ def _totals_rows(kind, rng):
        seed=st.integers(0, 2**32 - 1))
 def test_certified_totals_are_fsum_bit_for_bit(kind, seed):
     rows = _totals_rows(kind, np.random.default_rng(seed))
-    totals, ok = accum._certified_totals(rows)
+    totals, ok = accum._certified_totals(rows, np.empty((2, accum._ROWS, 4096)))
     for row, total, certified in zip(rows, totals.tolist(), ok.tolist()):
         if kind == "tie":  # the exact sum is a tie: no certificate may round it
             assert not certified
@@ -478,6 +479,27 @@ def test_remainder_bounds_the_error_past_the_width_it_was_built_for(seed):
         for j, t in enumerate(ts):
             direct = fsum_complex(a[1:] * np.exp(-complex(sg, t) * logn))
             assert abs(values[i, j] - direct) <= rems[i, j] + 1e-14 * absolute
+
+
+def test_the_real_head_is_one_table_formed_in_place():
+    # 48 real sigmas: the head's sigma x 4096 table is formed in place, with
+    # the bits of bm.head * exp(-outer(sigma, log n)), whose temporaries
+    # peak at 2.11 tables
+    sigmas = np.linspace(0.6, 3.3, 48)
+    a = np.random.default_rng(11).random(_HEAD + 1)  # no blocks: the values are the head's
+    bm = block_moments(a, 3.3)
+    n = np.arange(1, _HEAD + 1, dtype=np.float64)
+    want = (bm.head * np.exp(-np.outer(sigmas, np.log(n)))).sum(axis=1)
+    assert moment_sums(bm, sigmas)[0].tobytes() == want.tobytes()
+    bm = block_moments(W.catalog("constant", 10**6).w, 3.3)
+    moment_sums(bm, sigmas)
+    tracemalloc.start()
+    try:
+        moment_sums(bm, sigmas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * sigmas.size * _HEAD * 8  # measured 1.09 tables
 
 
 def test_complex_grid_at_t_zero_agrees_with_the_real_path():
@@ -794,7 +816,7 @@ def test_tree_replay_equals_np_sum(n, leaf, kind, specials, seed):
 
 
 @pytest.mark.parametrize("leaf", [272, accum._LEAF])
-@pytest.mark.parametrize("segment", [4096, accum._SEGMENT])
+@pytest.mark.parametrize("segment", [4096, accum._SEGMENT, 4 * accum._SEGMENT])  # 4: a sieve window
 @pytest.mark.parametrize("kind", ["real", "nonfinite", "uint16", "bool", "complex"])
 def test_moment_pass_equals_the_whole_block_loop(kind, segment, leaf, monkeypatch):
     # the last block spans segments of 4096 entries: at n = 2^21 + 3 it has

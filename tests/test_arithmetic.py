@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from dirichletlab import accum
+from dirichletlab import accum, arithmetic
 from dirichletlab.arithmetic import (
     EXPONENT_FACTORIAL,
     OMEGA,
@@ -154,7 +154,7 @@ def spf_tables(limit):
 ])
 def test_spf_pass_capped_ranges_equal_the_dyadic_ranges(limit, cap, monkeypatch):
     # the factor pass's tables do not depend on how 0..limit is cut: segments
-    # of `cap` entries (cap None: the 2^20-entry segments) give the bits of
+    # of `cap` entries (cap None: the 2^18-entry segments) give the bits of
     # one segment over the whole range
     if cap is not None:
         monkeypatch.setattr(accum, "_SEGMENT", cap)
@@ -394,8 +394,11 @@ def _check_builders(limit):
 
 
 def _tile_and_segment_edges():
-    # the small-divisor tile's period lcm(1..12) and the 2^20-entry segment
-    edges = [k * 27_720 for k in (1, 2, 3)] + [accum._SEGMENT - 1, 2 * accum._SEGMENT - 1]
+    # the small-divisor tile's period lcm(1..12), the 2^18-entry segment and
+    # the sieves' window of four segments, 2^20 entries: tables of one, two
+    # and four segments' entries, +-1
+    S = accum._SEGMENT
+    edges = [k * 27_720 for k in (1, 2, 3)] + [S - 1, 2 * S - 1, 4 * S - 1]
     return [edge + d for edge in edges for d in (-1, 0, 1)]
 
 
@@ -417,3 +420,51 @@ def test_segment_builders_across_segment_edges(segment, monkeypatch):
     assert [seg.size for seg in generalized_divisor_segments(1.5, limit)] == want
     _check_builders(limit)
     _check_factor_pass(limit)
+
+
+def test_segment_builders_across_a_short_last_window(monkeypatch):
+    # 4096-entry segments: the second window holds three, the last one short
+    monkeypatch.setattr(accum, "_SEGMENT", 4096)
+    limit = 6 * 4096 + 4
+    want = [hi - lo for lo, hi in accum.segment_edges(limit + 1)]
+    assert want == [4096] * 6 + [5]
+    for gen in (divisor_count_segments(limit), prime_segments(limit),
+                von_mangoldt_segments(limit), generalized_divisor_segments(1.5, limit),
+                ordered_factorization_segments(limit)):
+        assert [seg.size for seg in gen] == want
+    assert [[t.size for t in seg] for seg in factor_segments(limit, OMEGA)] == [[n] for n in want]
+    _check_builders(limit)
+    _check_factor_pass(limit)
+    assert ordered_factorization_table(limit).tobytes() == single_push_table(limit).tobytes()
+
+
+def _counted(f, calls: list):
+    def count(lo, hi, *args):
+        calls.append((lo, hi))
+        return f(lo, hi, *args)
+    return count
+
+
+@pytest.mark.parametrize("segment, limit", [(4096, 4095), (4096, 4 * 4096 - 1), (4096, 4 * 4096),
+                                            (4096, 9 * 4096 + 7), (None, 2**20 + 5)])
+def test_each_window_is_sieved_once(segment, limit, monkeypatch):
+    if segment is not None:
+        monkeypatch.setattr(accum, "_SEGMENT", segment)
+    sieves = ("_divisor_counts", "_prime_mask", "_factor_tables")
+    calls = {name: [] for name in sieves}
+    for name in sieves:
+        monkeypatch.setattr(arithmetic, name, _counted(getattr(arithmetic, name), calls[name]))
+    width = 4 * accum._SEGMENT  # a window is four segments
+    windows = [(lo, min(lo + width, limit + 1)) for lo in range(0, limit + 1, width)]
+    segments = len(accum.segment_edges(limit + 1))
+    for sieve, gen in [("_divisor_counts", divisor_count_segments),
+                       ("_prime_mask", prime_segments),
+                       ("_prime_mask", von_mangoldt_segments),
+                       ("_factor_tables", lambda n: factor_segments(n, OMEGA)),
+                       ("_factor_tables", lambda n: generalized_divisor_segments(1.5, n)),
+                       ("_factor_tables", ordered_factorization_segments)]:
+        for c in calls.values():
+            c.clear()
+        assert sum(1 for _ in gen(limit)) == segments
+        assert calls[sieve] == windows, sieve
+        assert not any(calls[name] for name in sieves if name != sieve)

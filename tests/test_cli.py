@@ -632,6 +632,29 @@ def test_tauberian_streamed_equals_whole_array(name, tmp_path, monkeypatch):
         assert filecmp.cmp(tmp_path / "s" / f, tmp_path / "w" / f, shallow=False), f
 
 
+def test_the_segment_cut_moves_no_byte(tmp_path, monkeypatch):
+    # N = 4 * 2^20 + 5: 2^18-entry segments (four per sieve window, the last
+    # window one segment of 6 entries) and 2^20-entry segments (one window
+    # each) give the same artifacts
+    N = 4 * 2**20 + 5
+    jobs = {name: ("tauberian", "--name", name, "--N", N, "--out", "t.json",
+                   "--compare-out", "t.csv") for name in ("divisor", "mangoldt")}
+    jobs["dgamma"] = ("fit", "--name", "dgamma", "--gamma", "1.5", "--N", N, "--out", "f.json")
+    for segment in (2**18, 2**20):
+        monkeypatch.setattr(accum, "_SEGMENT", segment)
+        for name, argv in jobs.items():
+            d = tmp_path / f"{name}_{segment}"
+            d.mkdir()
+            monkeypatch.chdir(d)
+            assert run(*argv) == 0, (name, segment)
+    for name in jobs:
+        a, b = tmp_path / f"{name}_{2**18}", tmp_path / f"{name}_{2**20}"
+        files = sorted(p.name for p in a.iterdir())
+        assert files == sorted(p.name for p in b.iterdir()) and files, name
+        for f in files:
+            assert filecmp.cmp(a / f, b / f, shallow=False), (name, f)
+
+
 _PEAK_RSS = """
 import os, sys
 pid = os.fork()

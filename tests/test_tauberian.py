@@ -69,6 +69,18 @@ def test_profile_refuses_a_non_finite_sigma_before_reading(grid):
     assert not w._moments and not w._sums
 
 
+@pytest.mark.parametrize("grid", [[math.nan, 1.5], [1.5, math.inf], [-math.inf], [1.0], [0.5, 2.0]])
+def test_prescan_refuses_what_the_profile_refuses_before_reading(grid, monkeypatch):
+    w = W.catalog("mangoldt", 10**6)
+    with pytest.raises(DomainError) as want:
+        mellin_profile(w, grid)
+    monkeypatch.setattr(accum, "scan", lambda *a, **k: pytest.fail("a weight was read"))
+    with pytest.raises(DomainError) as got:
+        prescan(w, grid, [10.0, 1e5])
+    assert str(got.value) == str(want.value)
+    assert not w._moments and not w._sums
+
+
 def test_fit_constant_simple_pole():
     _, fit = standard_fit("constant", 10**6)
     assert not fit.log_singularity

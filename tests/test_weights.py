@@ -385,7 +385,7 @@ def test_built_sequence_reads_each_new_point_set_in_one_scan(monkeypatch):
         W.sums_at(w, [10**5 + 1])
 
 
-@pytest.mark.parametrize("segment", [4096, accum._SEGMENT])
+@pytest.mark.parametrize("segment", [4096, accum._SEGMENT, 4 * accum._SEGMENT])  # 4: a sieve window
 @pytest.mark.parametrize("limit", [4095, 3 * 4096, 10**5 + 3])
 def test_every_sequence_is_cut_at_segment_edges(segment, limit, monkeypatch):
     monkeypatch.setattr(accum, "_SEGMENT", segment)
@@ -415,7 +415,10 @@ def _segment_generators(limit):
 def test_segment_builders_release_each_segment(limit, monkeypatch):
     # a builder that still holds segment k while it makes segment k + 1 keeps
     # two segments alive in every scan; at limits 2 and 3 a builder's loops
-    # over the small primes never run, and its releases must not fail there
+    # over the small primes never run, and its releases must not fail there.
+    # A sieve holds its window of arithmetic._WINDOW segments on purpose, but
+    # every segment it has yielded (a view of the window, or Lambda built from
+    # it) is still released by the next resume
     monkeypatch.setattr(accum, "_SEGMENT", 4096)
     refs = []  # to every segment handed out so far, which the loop below drops
 
@@ -440,45 +443,49 @@ def test_segment_builders_release_each_segment(limit, monkeypatch):
         assert count == -(-(limit + 1) // 4096), name
 
 
+MiB = 2**20
+
+
 def _traced_peak(f):
-    """The peak of the memory traced while f() runs, in float64 segments."""
+    """The peak of the memory traced while f() runs, in bytes."""
     tracemalloc.start()
     try:
         f()
-        return tracemalloc.get_traced_memory()[1] / (8 * accum._SEGMENT)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
-# bounds between the peaks of a scan that holds two segments and a whole
-# moment block (mangoldt 2.48, constant 2.16, dgamma 3.91) and of one that
-# holds one segment and one leaf (1.41, 1.40); the factor families hold their
-# tables besides, dgamma 2.17 with a whole int64 arange in pass 1 and 1.40
-# with 2^16-entry pieces, besov 3.29 with a third segment for its quotient
-# and 2.29 dividing in place, mccarthy 3.13 with its int64 keys and two
-# lookups H[key] alive at once and 2.40 with one
-@pytest.mark.parametrize("name, bound", [("mangoldt", 1.9), ("constant", 1.75), ("dgamma", 1.75),
-                                         ("besov", 2.6), ("mccarthy", 2.6)])
+# Peaks in MiB at the 2^18-entry segments (2 MiB of float64) and 2^20-entry
+# sieve windows: mangoldt 4.3 (its 1 MiB window mask, one Lambda segment and
+# one leaf; a second mask or segment would add 1 or 2) and constant 3.1, 2 MiB
+# short of a scan that holds a second segment; the factor families hold their window's tables besides, dgamma
+# 11.3 (an 8 MiB float64 table), besov 12.4 dividing in place (a third
+# segment for its quotient would add 2), mccarthy 13.1 with its int64 keys
+# and one lookup H[key] (a second lookup would add 2)
+@pytest.mark.parametrize("name, bound", [("mangoldt", 5.0), ("constant", 4.5), ("dgamma", 14.0),
+                                         ("besov", 14.0), ("mccarthy", 14.5)])
 def test_a_scan_holds_one_segment_at_a_time(name, bound):
     N = 6 * 2**20
     w = W.catalog(name, N, **FAMILY_PARAMS.get(name, {}))
-    assert _traced_peak(lambda: W.read(w, [10, N // 2, N], 3.3)) < bound
+    assert _traced_peak(lambda: W.read(w, [10, N // 2, N], 3.3)) < bound * MiB
 
 
 def test_the_moment_pass_holds_no_whole_block(monkeypatch):
-    # 2^15-entry segments: the last moment block, ~190 000 entries, spans six;
-    # held whole with its x array it peaks at 12.8 segments, by leaves at 3.4
+    # 2^15-entry segments (256 KiB): the last moment block, ~190 000 entries,
+    # spans six; held whole with its x array it peaks at 3.2 MiB, by leaves
+    # at 0.84 MiB
     monkeypatch.setattr(accum, "_SEGMENT", 2**15)
     w = W.catalog("constant", 6 * 2**20)
-    assert _traced_peak(lambda: W.read(w, (), 3.3)) < 6.0
+    assert _traced_peak(lambda: W.read(w, (), 3.3)) < 1.5 * MiB
 
 
 def test_a_joined_table_holds_one_segment_besides_itself():
-    # the 4-segment array and the one segment being copied in make 5.00
-    # segments; join_segments holding its last copied segment while the
-    # builder makes the next one made 6.00
+    # the 32 MiB array and the one 2 MiB segment being copied in make 34 MiB;
+    # join_segments holding its last copied segment while the builder makes
+    # the next one makes 36
     w = W.catalog("constant", 4 * 2**20)
-    assert _traced_peak(lambda: w.w) < 5.5
+    assert _traced_peak(lambda: w.w) < 35 * MiB
 
 
 def test_streamed_table_past_the_budget_is_refused():
