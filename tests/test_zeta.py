@@ -242,11 +242,16 @@ def _dalpha_reference(alpha, w):
 @example(alpha=0.5, re_w=5.0, t=-50.0)
 @example(alpha=0.99, re_w=0.05, t=0.0)
 @example(alpha=1.0, re_w=0.05, t=-50.0)
+@example(alpha=1.0, re_w=1.0, t=1.0503404619928849e-103)
 def test_dalpha_kernel_against_mpmath(alpha, re_w, t):
     anchor = complex(0.25, -1.5)
-    w = complex(re_w, t)  # z - 1, z = s + conj(anchor)
-    v = kernel_eval(KernelSpec(family="dalpha", param=alpha, anchor=anchor),
-                    w + 1.0 - anchor.conjugate())
+    s = complex(re_w, t) + 1.0 - anchor.conjugate()
+    v = kernel_eval(KernelSpec(family="dalpha", param=alpha, anchor=anchor), s)
+    # The reference is taken at w = z - 1, z = s + conj(anchor), summed exactly
+    # from the s the kernel is given: rounding s can drop a tiny t (1.5 + 1e-103
+    # is 1.5), and the kernel cannot see what s does not hold.
+    with mpmath.workprec(300):
+        w = _mp(s) + _mp(anchor.conjugate()) - 1
     ref = _dalpha_reference(alpha, w)
     assert abs(v - ref) <= 1e-12 * abs(ref)
 
